@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .spectral import (  # noqa: F401
     Basis,
     GridField,
+    ParameterError,
     SpectralField,
     build_basis,
     dealias_resolution,
@@ -39,6 +40,7 @@ from .dynamics import (  # noqa: F401
     ModelParams,
     PathTrajectory,
     SimConfig,
+    convolution_sup_norms,
     drift,
     run_ensemble,
     simulate_path,

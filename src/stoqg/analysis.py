@@ -268,6 +268,7 @@ def fit_and_validate_bound(
 
 def lemma1_pathwise_check(
     trajectory: PathTrajectory,
+    v_inf: np.ndarray,
     gamma: float,
     c_fit: float | None = None,
     split: float = 0.5,
@@ -276,16 +277,17 @@ def lemma1_pathwise_check(
     """Discrete Gronwall residuals of d/dt ||U||^2 <= A(t) ||U||^2 + B(t).
 
     A(t) = 2 gamma + C (||V||_inf + ||V||_inf^2) and
-    B(t) = C ((1 + alpha^2) ||V||_inf^2 + ||V||_inf^4), with the recorded
-    sup-norm surrogate standing in for ||V||_inf. When no constant is given,
-    the smallest C making every prefix residual nonpositive is fitted; the
-    reported violation fraction is measured on the suffix.
+    B(t) = C ((1 + alpha^2) ||V||_inf^2 + ||V||_inf^4). `v_inf` is the
+    path's ||V||_inf series at the trajectory's times, e.g. the grid-max
+    surrogate from `dynamics.convolution_sup_norms`. When no constant is
+    given, the smallest C making every prefix residual nonpositive is fitted;
+    the reported violation fraction is measured on the suffix.
     """
     u = trajectory.u_sq
-    v = trajectory.v_inf
+    v = np.asarray(v_inf, dtype=float)
     t = trajectory.times
-    if v is None or u is None or len(t) < 3:
-        return {"verdict": "not_applicable", "notes": "trajectory lacks convolution records"}
+    if len(t) < 3:
+        return {"verdict": "not_applicable", "notes": "needs at least 3 output times"}
 
     dt = np.diff(t)
     base = np.diff(u) / dt - 2.0 * gamma * u[:-1]

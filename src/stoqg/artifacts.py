@@ -117,6 +117,8 @@ def write_manifest(out_dir: Path, document: dict, wall_time_s: float, extra: dic
 
 
 class Stopwatch:
+    elapsed = 0.0  # until a timed block has run
+
     def __enter__(self):
         self.start = time.perf_counter()
         return self

@@ -6,14 +6,15 @@ artifacts plus a manifest into the output directory.
 
 Exit codes are stable: 0 success (including not-applicable checks), 2 config
 validation error, 3 path blowup, 4 linear-oracle mismatch, 5 bound
-violation, 6 regularity failure.
+violation, 6 regularity failure, 7 crashed ensemble worker.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ from .artifacts import (
     write_trace,
     write_trajectories,
 )
-from .config import ConfigError, RunConfig, materialize, normalize
-from .dynamics import BlowupError, run_ensemble
+from .config import ConfigError, RunConfig, materialize, normalize, read_document
+from .dynamics import BlowupError, convolution_sup_norms, run_ensemble
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,58 +38,61 @@ EXIT_BLOWUP = 3
 EXIT_ORACLE = 4
 EXIT_BOUND = 5
 EXIT_REGULARITY = 6
+EXIT_WORKER = 7
+
+# command-line flag -> the config key it overrides
+_OVERRIDES = (("paths", "sim", "n_paths"), ("seed", "sim", "master_seed"), ("out", "io", "out_dir"))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stoqg",
-        description="stochastic quasi-geostrophic vorticity simulator and enstrophy lab",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("simulate", "run the ensemble and write the enstrophy trace"),
-        ("verify-linear", "compare a linearized run against the analytic convolution variance"),
-        ("bounds", "evaluate the enstrophy bound envelopes and Gronwall diagnostics"),
-        ("holder", "fit the increment exponent of the enstrophy curve"),
-        ("asymptotics", "check the small-time behaviour of the enstrophy"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to the JSON run configuration")
-        cmd.add_argument("--out", default=None, help="output directory (overrides io.out_dir)")
-        cmd.add_argument("--paths", type=int, default=None, help="override sim.n_paths")
-        cmd.add_argument("--seed", type=int, default=None, help="override sim.master_seed")
-        cmd.add_argument("--threads", type=int, default=1, help="ensemble worker count")
-    return parser
+@dataclass
+class _Outcome:
+    """What a command leaves behind besides the manifest."""
+
+    code: int
+    summary: str  # one line, on stdout for success and on stderr otherwise
+    trace: lab.EnstrophyTrace | None = None
+    reports: dict[str, dict] = field(default_factory=dict)  # JSON file name -> payload
+    trajectories: list | None = None
+    manifest_extra: dict | None = None
 
 
-def _load(args) -> tuple[RunConfig, dict]:
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError("<file>", f"config file not found: {args.config}")
-    except json.JSONDecodeError as err:
-        raise ConfigError("<file>", f"invalid JSON: {err}")
-    document = normalize(raw)
-    if args.paths is not None:
-        document["sim"]["n_paths"] = args.paths
-    if args.seed is not None:
-        document["sim"]["master_seed"] = args.seed
-    if args.out is not None:
-        document["io"]["out_dir"] = args.out
-    document = normalize(document)
-    return materialize(document), document
+def _load(args) -> RunConfig:
+    raw = read_document(args.config)
+    if isinstance(raw, dict):
+        raw.setdefault("io", {})  # the io section is optional, but --out writes into it
+        for flag, section, key in _OVERRIDES:
+            value = getattr(args, flag)
+            if value is not None and isinstance(raw.get(section), dict):
+                raw[section][key] = value
+    return materialize(normalize(raw))
 
 
-def _require_paths_for_stats(document: dict):
-    if document["sim"]["n_paths"] < 2:
-        raise ConfigError("sim.n_paths", "ensemble statistics need at least 2 paths")
+def _execute(command, args) -> int:
+    """Load, let the command run and report, then write its artifacts and manifest."""
+    cfg = _load(args)
+    clock = Stopwatch()
 
+    def run():
+        """The ensemble and its enstrophy trace, timed for the manifest."""
+        if cfg.sim.n_paths < 2:
+            raise ConfigError("sim.n_paths", "ensemble statistics need at least 2 paths")
+        with clock:
+            trajectories = run_ensemble(cfg.sim, cfg.params, cfg.spectrum, n_workers=args.threads)
+            solver_rates = cfg.basis.eigenvalues - cfg.params.r
+            trace = lab.estimate_enstrophy(trajectories, cfg.spectrum, solver_rates)
+        return trajectories, trace
 
-def _run_trace(cfg: RunConfig, workers: int):
-    trajectories = run_ensemble(cfg.sim, cfg.params, cfg.spectrum, n_workers=workers)
-    solver_rates = cfg.basis.eigenvalues - cfg.params.r
-    trace = lab.estimate_enstrophy(trajectories, cfg.spectrum, solver_rates)
-    return trajectories, trace
+    outcome = command(cfg, run)
+    out_dir = Path(cfg.io["out_dir"])
+    if outcome.trace is not None:
+        write_trace(out_dir, outcome.trace, cfg.io["formats"])
+    if outcome.trajectories is not None:
+        write_trajectories(out_dir, outcome.trajectories)
+    for name, payload in outcome.reports.items():
+        write_json(out_dir / name, payload)
+    write_manifest(out_dir, cfg.document, clock.elapsed, extra=outcome.manifest_extra)
+    print(outcome.summary, file=sys.stdout if outcome.code == EXIT_OK else sys.stderr)
+    return outcome.code
 
 
 def _gamma_settings(cfg: RunConfig) -> tuple[float, float]:
@@ -102,32 +106,25 @@ def _gamma_settings(cfg: RunConfig) -> tuple[float, float]:
     return gamma, threshold
 
 
-def cmd_simulate(args) -> int:
-    cfg, document = _load(args)
-    _require_paths_for_stats(document)
-    if cfg.io["write_trajectories"] and not cfg.sim.store_fields:
-        cfg.sim.store_fields = True
-        document["sim"]["store_fields"] = True
-    out_dir = Path(cfg.io["out_dir"])
-    with Stopwatch() as clock:
-        trajectories, trace = _run_trace(cfg, args.threads)
-    write_trace(out_dir, trace, cfg.io["formats"])
-    if cfg.io["write_trajectories"]:
-        write_trajectories(out_dir, trajectories)
-    write_manifest(out_dir, document, clock.elapsed,
-                   extra={"spectrum_tail_bound": noise_mod.stationary_tail_bound(cfg.spectrum)})
-    print(f"simulate: wrote {out_dir} ({trace.n_paths} paths, {len(trace.times)} output times)")
-    return EXIT_OK
+def cmd_simulate(cfg: RunConfig, run) -> _Outcome:
+    dump = cfg.io["write_trajectories"]
+    if dump:
+        cfg.sim.store_fields = cfg.document["sim"]["store_fields"] = True
+    trajectories, trace = run()
+    return _Outcome(
+        EXIT_OK,
+        f"simulate: wrote {Path(cfg.io['out_dir'])} "
+        f"({trace.n_paths} paths, {len(trace.times)} output times)",
+        trace=trace,
+        trajectories=trajectories if dump else None,
+        manifest_extra={"spectrum_tail_bound": noise_mod.stationary_tail_bound(cfg.spectrum)},
+    )
 
 
-def cmd_verify_linear(args) -> int:
-    cfg, document = _load(args)
+def cmd_verify_linear(cfg: RunConfig, run) -> _Outcome:
     if not cfg.params.linearized:
         raise ConfigError("model.linearized", "verify-linear requires the linearized switch")
-    _require_paths_for_stats(document)
-    out_dir = Path(cfg.io["out_dir"])
-    with Stopwatch() as clock:
-        _, trace = _run_trace(cfg, args.threads)
+    _, trace = run()
     oracle = trace.wa_half_analytic
     diff = trace.ens_mean - oracle
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -143,26 +140,20 @@ def cmd_verify_linear(args) -> int:
         "worst_z": float(z[worst]),
         "verdict": "pass" if passed else "fail",
     }
-    write_trace(out_dir, trace, cfg.io["formats"])
-    write_json(out_dir / "linear_report.json", report)
-    write_manifest(out_dir, document, clock.elapsed)
-    if not passed:
-        print(f"verify-linear: oracle mismatch, worst |z|={abs(report['worst_z']):.3g} "
-              f"at t={report['worst_time']:g}", file=sys.stderr)
-        return EXIT_ORACLE
-    print(f"verify-linear: pass (worst |z|={abs(report['worst_z']):.3g})")
-    return EXIT_OK
+    worst_z = f"worst |z|={abs(report['worst_z']):.3g}"
+    if passed:
+        code, summary = EXIT_OK, f"verify-linear: pass ({worst_z})"
+    else:
+        code, summary = EXIT_ORACLE, (f"verify-linear: oracle mismatch, {worst_z} "
+                                      f"at t={report['worst_time']:g}")
+    return _Outcome(code, summary, trace=trace, reports={"linear_report.json": report})
 
 
-def cmd_bounds(args) -> int:
-    cfg, document = _load(args)
-    _require_paths_for_stats(document)
+def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
     if len(cfg.sim.output_times) < 8:
         raise ConfigError("sim.output_times", "bound fitting needs at least 8 output times")
     gamma, threshold = _gamma_settings(cfg)
-    out_dir = Path(cfg.io["out_dir"])
-    with Stopwatch() as clock:
-        trajectories, trace = _run_trace(cfg, args.threads)
+    trajectories, trace = run()
 
     e0 = cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
     split = cfg.analysis["split"]
@@ -197,7 +188,9 @@ def cmd_bounds(args) -> int:
         reports.append({"kind": "theorem2b", "verdict": "not_applicable",
                         "notes": "sum mu_k^2 |lambda_k|^theta diverges under the decay rule"})
 
-    lemma1 = lab.lemma1_pathwise_check(trajectories[0], gamma, split=split)
+    # path 0 is replayed from its forcing draws for its ||V||_inf series
+    v_inf = convolution_sup_norms(cfg.sim, cfg.params, cfg.spectrum, 0)
+    lemma1 = lab.lemma1_pathwise_check(trajectories[0], v_inf, gamma, split=split)
     lemma1_out = {k: v for k, v in lemma1.items() if k != "residuals"}
     lemma1_out["kind"] = "lemma1"
 
@@ -219,19 +212,16 @@ def cmd_bounds(args) -> int:
         "lemma1": lemma1_out,
         "phi_table": phi_table,
     }
-    write_trace(out_dir, trace, cfg.io["formats"])
-    write_json(out_dir / "bounds_report.json", payload)
     if "csv" in cfg.io["formats"]:
-        _write_envelopes_csv(out_dir, trace, reports)
-    write_manifest(out_dir, document, clock.elapsed)
+        _write_envelopes_csv(Path(cfg.io["out_dir"]), trace, reports)
 
     failed = [r["kind"] for r in reports + [lemma1_out] if r["verdict"] == "fail"]
     summary = ", ".join(f"{r['kind']}={r['verdict']}" for r in reports + [lemma1_out])
     if failed:
-        print(f"bounds: violation in {failed} ({summary})", file=sys.stderr)
-        return EXIT_BOUND
-    print(f"bounds: {summary}")
-    return EXIT_OK
+        code, summary = EXIT_BOUND, f"bounds: violation in {failed} ({summary})"
+    else:
+        code, summary = EXIT_OK, f"bounds: {summary}"
+    return _Outcome(code, summary, trace=trace, reports={"bounds_report.json": payload})
 
 
 def _write_envelopes_csv(out_dir: Path, trace: lab.EnstrophyTrace, reports: list[dict]):
@@ -256,40 +246,30 @@ def _synthetic_trace(kind: str, window, lags) -> lab.EnstrophyTrace:
     return lab.EnstrophyTrace(times=times, ens_mean=ens, ens_se=zeros, n_paths=0)
 
 
-def cmd_holder(args) -> int:
-    cfg, document = _load(args)
+def cmd_holder(cfg: RunConfig, run) -> _Outcome:
     holder_cfg = cfg.analysis["holder"]
-    if "window" not in holder_cfg:
-        raise ConfigError("analysis.holder.window", "required for the holder command")
-    if "lags" not in holder_cfg:
-        raise ConfigError("analysis.holder.lags", "required for the holder command")
+    for key in ("window", "lags"):
+        if key not in holder_cfg:
+            raise ConfigError(f"analysis.holder.{key}", "required for the holder command")
     window, lags = holder_cfg["window"], holder_cfg["lags"]
-    out_dir = Path(cfg.io["out_dir"])
-    with Stopwatch() as clock:
-        if holder_cfg.get("synthetic"):
-            trace = _synthetic_trace(holder_cfg["synthetic"], window, lags)
-        else:
-            _require_paths_for_stats(document)
-            _, trace = _run_trace(cfg, args.threads)
+    if holder_cfg["synthetic"]:
+        trace = _synthetic_trace(holder_cfg["synthetic"], window, lags)
+    else:
+        _, trace = run()
     try:
         result = lab.holder_exponent_fit(trace, tuple(window), lags)
     except ValueError as err:
         raise ConfigError("analysis.holder", str(err))
-    write_json(out_dir / "holder_report.json", result)
-    write_manifest(out_dir, document, clock.elapsed)
     verdict = result["verdict"]
     exponent = result.get("exponent")
-    print(f"holder: {verdict}" + (f" (exponent {exponent:.4f})" if exponent is not None else ""))
-    return EXIT_REGULARITY if verdict == "fail" else EXIT_OK
+    summary = f"holder: {verdict}" + (f" (exponent {exponent:.4f})" if exponent is not None else "")
+    return _Outcome(EXIT_REGULARITY if verdict == "fail" else EXIT_OK, summary,
+                    reports={"holder_report.json": result})
 
 
-def cmd_asymptotics(args) -> int:
-    cfg, document = _load(args)
-    _require_paths_for_stats(document)
+def cmd_asymptotics(cfg: RunConfig, run) -> _Outcome:
     asym = cfg.analysis["asymptotics"]
-    out_dir = Path(cfg.io["out_dir"])
-    with Stopwatch() as clock:
-        _, trace = _run_trace(cfg, args.threads)
+    _, trace = run()
     ens0 = 0.5 * cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
     try:
         result = lab.asymptotics_check(
@@ -299,32 +279,50 @@ def cmd_asymptotics(args) -> int:
         )
     except ValueError as err:
         raise ConfigError("analysis.asymptotics", str(err))
-    write_trace(out_dir, trace, cfg.io["formats"])
-    write_json(out_dir / "asymptotics_report.json", result)
-    write_manifest(out_dir, document, clock.elapsed)
-    print(f"asymptotics[{asym['mode']}]: {result['verdict']}")
-    return EXIT_REGULARITY if result["verdict"] == "fail" else EXIT_OK
+    return _Outcome(EXIT_REGULARITY if result["verdict"] == "fail" else EXIT_OK,
+                    f"asymptotics[{asym['mode']}]: {result['verdict']}",
+                    trace=trace, reports={"asymptotics_report.json": result})
 
 
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "verify-linear": cmd_verify_linear,
-    "bounds": cmd_bounds,
-    "holder": cmd_holder,
-    "asymptotics": cmd_asymptotics,
+    "simulate": (cmd_simulate, "run the ensemble and write the enstrophy trace"),
+    "verify-linear": (cmd_verify_linear,
+                      "compare a linearized run against the analytic convolution variance"),
+    "bounds": (cmd_bounds, "evaluate the enstrophy bound envelopes and Gronwall diagnostics"),
+    "holder": (cmd_holder, "fit the increment exponent of the enstrophy curve"),
+    "asymptotics": (cmd_asymptotics, "check the small-time behaviour of the enstrophy"),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="stoqg",
+        description="stochastic quasi-geostrophic vorticity simulator and enstrophy lab",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config", required=True, help="path to the JSON run configuration")
+        cmd.add_argument("--out", default=None, help="output directory (overrides io.out_dir)")
+        cmd.add_argument("--paths", type=int, default=None, help="override sim.n_paths")
+        cmd.add_argument("--seed", type=int, default=None, help="override sim.master_seed")
+        cmd.add_argument("--threads", type=int, default=1, help="ensemble worker count")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _execute(_COMMANDS[args.command][0], args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowupError as err:
         print(f"blowup: {err}", file=sys.stderr)
         return EXIT_BLOWUP
+    except BrokenProcessPool as err:
+        print(f"worker crash: {err}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import DIRICHLET_C1
 from .dynamics import InitialCondition, ModelParams, SimConfig, snap_output_times
 from .noise import NoiseSpectrum, build_spectrum, spectrum_from_list
-from .spectral import Basis
+from .spectral import Basis, ParameterError
 
 _REQUIRED = object()
 
@@ -33,10 +33,10 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
-def _require(section: dict, path: str, allowed: dict[str, type | tuple]):
+def _require(section: dict, path: str, allowed: set[str]):
     if not isinstance(section, dict):
         raise ConfigError(path, "expected an object")
-    unknown = set(section) - set(allowed)
+    unknown = set(section) - allowed
     if unknown:
         key = sorted(unknown)[0]
         raise ConfigError(f"{path}.{key}", "unknown key")
@@ -55,72 +55,61 @@ def _get(section: dict, path: str, key: str, types, default=_REQUIRED):
     return value
 
 
-def _number_list(section: dict, path: str, key: str, default=None):
-    if key not in section:
-        return default
-    value = section[key]
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
+def _number_list(section: dict, path: str, key: str, default=_REQUIRED):
+    value = _get(section, path, key, list, default)
+    if value is None:
+        return None
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         raise ConfigError(f"{path}.{key}", "expected a list of numbers")
     return [float(v) for v in value]
 
 
-_MODEL_KEYS = {"nu": float, "r": float, "beta": float, "linearized": bool, "beta_term": bool}
-_SPECTRUM_KEYS = {"c_mu": float, "mu_exp": float, "theta": float, "mu_sq_list": list}
+_MODEL_KEYS = {"nu", "r", "beta", "linearized", "beta_term"}
+_SPECTRUM_KEYS = {"c_mu", "mu_exp", "theta", "mu_sq_list"}
 _SIM_KEYS = {
-    "M": int, "dt": float, "T": float, "output_times": dict, "n_paths": int,
-    "master_seed": int, "initial_condition": dict, "batch_size": int,
-    "store_fields": bool, "noise_fault_scale": float,
+    "M", "dt", "T", "output_times", "n_paths", "master_seed", "initial_condition",
+    "batch_size", "store_fields", "noise_fault_scale",
 }
-_ANALYSIS_KEYS = {
-    "gamma": (float, type(None)), "c1": (float, type(None)), "alpha_grid": list,
-    "split": float, "mu_tilde": (float, type(None)), "holder": dict, "asymptotics": dict,
-}
-_IO_KEYS = {"out_dir": str, "formats": list, "write_trajectories": bool}
+_ANALYSIS_KEYS = {"gamma", "c1", "alpha_grid", "split", "mu_tilde", "holder", "asymptotics"}
+_IO_KEYS = {"out_dir", "formats", "write_trajectories"}
+
+
+def _key_of(field: str) -> str:
+    """Config key path of the constructor argument a ParameterError names."""
+    for section, keys in (("model", _MODEL_KEYS), ("spectrum", _SPECTRUM_KEYS), ("sim", _SIM_KEYS)):
+        if field in keys:
+            return f"{section}.{field}"
+    return {"mu": "spectrum.mu_sq_list", "coeffs": "sim.initial_condition.values",
+            "sigma": "sim.initial_condition.sigma"}[field]
 
 
 def _normalize_model(raw: dict) -> dict:
     _require(raw, "model", _MODEL_KEYS)
-    out = {
+    return {
         "nu": _get(raw, "model", "nu", float),
         "r": _get(raw, "model", "r", float),
         "beta": _get(raw, "model", "beta", float, 0.0),
         "linearized": _get(raw, "model", "linearized", bool, False),
         "beta_term": _get(raw, "model", "beta_term", bool, True),
     }
-    if out["nu"] <= 0:
-        raise ConfigError("model.nu", "must be > 0")
-    if out["r"] <= 0:
-        raise ConfigError("model.r", "must be > 0")
-    if out["beta"] < 0:
-        raise ConfigError("model.beta", "must be >= 0")
-    return out
 
 
 def _normalize_spectrum(raw: dict) -> dict:
     _require(raw, "spectrum", _SPECTRUM_KEYS)
     theta = _get(raw, "spectrum", "theta", float)
-    if not 0.0 < theta < 1.0:
-        raise ConfigError("spectrum.theta", f"must lie in (0, 1), got {theta}")
     if "mu_sq_list" in raw:
         if "c_mu" in raw or "mu_exp" in raw:
             raise ConfigError("spectrum.mu_sq_list", "exclusive with c_mu / mu_exp")
-        mu_sq = _number_list(raw, "spectrum", "mu_sq_list")
-        if any(v < 0 for v in mu_sq):
-            raise ConfigError("spectrum.mu_sq_list", "entries must be nonnegative")
-        return {"mu_sq_list": mu_sq, "theta": theta}
-    c_mu = _get(raw, "spectrum", "c_mu", float)
-    mu_exp = _get(raw, "spectrum", "mu_exp", float)
-    if c_mu < 0:
-        raise ConfigError("spectrum.c_mu", "must be >= 0")
-    if c_mu > 0 and mu_exp <= theta:
-        raise ConfigError("spectrum.mu_exp", f"must exceed theta={theta} for summability")
-    return {"c_mu": c_mu, "mu_exp": mu_exp, "theta": theta}
+        return {"mu_sq_list": _number_list(raw, "spectrum", "mu_sq_list"), "theta": theta}
+    return {
+        "c_mu": _get(raw, "spectrum", "c_mu", float),
+        "mu_exp": _get(raw, "spectrum", "mu_exp", float),
+        "theta": theta,
+    }
 
 
 def _normalize_output_times(raw: dict, dt: float, T: float) -> dict:
-    _require(raw, "sim.output_times", {"kind": str, "n": int, "t_min": float, "times": list})
+    _require(raw, "sim.output_times", {"kind", "n", "t_min", "times"})
     kind = _get(raw, "sim.output_times", "kind", str)
     if kind == "uniform":
         n = _get(raw, "sim.output_times", "n", int)
@@ -136,92 +125,58 @@ def _normalize_output_times(raw: dict, dt: float, T: float) -> dict:
             raise ConfigError("sim.output_times.n", "need at least 2 output times")
         times = np.concatenate(([0.0], np.geomspace(t_min, T, n)))
     elif kind == "explicit":
-        listed = _number_list(raw, "sim.output_times", "times")
-        if not listed:
-            raise ConfigError("sim.output_times.times", "required for explicit grids")
-        times = np.asarray(listed, dtype=float)
+        times = np.asarray(_number_list(raw, "sim.output_times", "times"), dtype=float)
     else:
         raise ConfigError("sim.output_times.kind", f"unknown kind {kind!r}")
     snapped = snap_output_times(times, dt, T)
     return {"kind": "explicit", "times": [float(t) for t in snapped]}
 
 
-def _normalize_initial_condition(raw: dict, n_modes: int) -> dict:
-    _require(raw, "sim.initial_condition", {"type": str, "values": list, "sigma": (float, list)})
-    kind = _get(raw, "sim.initial_condition", "type", str)
+def _normalize_initial_condition(raw: dict) -> dict:
+    path = "sim.initial_condition"
+    _require(raw, path, {"type", "values", "sigma"})
+    kind = _get(raw, path, "type", str)
     if kind == "zero":
         return {"type": "zero"}
     if kind == "coeffs":
-        values = _number_list(raw, "sim.initial_condition", "values")
-        if values is None or len(values) != n_modes:
-            raise ConfigError("sim.initial_condition.values", f"need exactly {n_modes} coefficients")
-        return {"type": "coeffs", "values": values}
+        return {"type": "coeffs", "values": _number_list(raw, path, "values")}
     if kind == "gaussian":
         sigma = raw.get("sigma")
         if isinstance(sigma, (int, float)) and not isinstance(sigma, bool):
-            if sigma < 0:
-                raise ConfigError("sim.initial_condition.sigma", "must be >= 0")
             return {"type": "gaussian", "sigma": float(sigma)}
-        sigma = _number_list(raw, "sim.initial_condition", "sigma")
-        if sigma is None or len(sigma) != n_modes:
-            raise ConfigError("sim.initial_condition.sigma", f"need a number or {n_modes} entries")
-        if any(s < 0 for s in sigma):
-            raise ConfigError("sim.initial_condition.sigma", "entries must be >= 0")
-        return {"type": "gaussian", "sigma": sigma}
-    raise ConfigError("sim.initial_condition.type", f"unknown type {kind!r}")
+        return {"type": "gaussian", "sigma": _number_list(raw, path, "sigma")}
+    raise ConfigError(f"{path}.type", f"unknown type {kind!r}")
 
 
 def _normalize_sim(raw: dict) -> dict:
     _require(raw, "sim", _SIM_KEYS)
-    M = _get(raw, "sim", "M", int)
-    dt = _get(raw, "sim", "dt", float)
-    T = _get(raw, "sim", "T", float)
-    if M < 1:
-        raise ConfigError("sim.M", "must be >= 1")
-    if dt <= 0:
-        raise ConfigError("sim.dt", "must be > 0")
-    if T <= 0 or dt > T:
-        raise ConfigError("sim.T", "must satisfy 0 < dt <= T")
-    n_paths = _get(raw, "sim", "n_paths", int)
-    if n_paths < 1:
-        raise ConfigError("sim.n_paths", "must be >= 1")
-    seed = _get(raw, "sim", "master_seed", int)
-    if not 0 <= seed < 2**64:
-        raise ConfigError("sim.master_seed", "must be a 64-bit unsigned integer")
-    batch = _get(raw, "sim", "batch_size", int, 32)
-    if batch < 1:
-        raise ConfigError("sim.batch_size", "must be >= 1")
-    fault = _get(raw, "sim", "noise_fault_scale", float, 1.0)
-    if fault < 0:
-        raise ConfigError("sim.noise_fault_scale", "must be >= 0")
-    out_times = raw.get("output_times")
-    if out_times is None:
-        raise ConfigError("sim.output_times", "required key missing")
-    if not isinstance(out_times, dict):
-        raise ConfigError("sim.output_times", "expected an object with a 'kind'")
-    ic = raw.get("initial_condition", {"type": "zero"})
-    if not isinstance(ic, dict):
-        raise ConfigError("sim.initial_condition", "expected an object with a 'type'")
-    return {
-        "M": M, "dt": dt, "T": T,
-        "output_times": _normalize_output_times(out_times, dt, T),
-        "n_paths": n_paths, "master_seed": seed,
-        "initial_condition": _normalize_initial_condition(ic, M * M),
-        "batch_size": batch,
+    out = {
+        "M": _get(raw, "sim", "M", int),
+        "dt": _get(raw, "sim", "dt", float),
+        "T": _get(raw, "sim", "T", float),
+        "n_paths": _get(raw, "sim", "n_paths", int),
+        "master_seed": _get(raw, "sim", "master_seed", int),
+        "batch_size": _get(raw, "sim", "batch_size", int, 32),
         "store_fields": _get(raw, "sim", "store_fields", bool, False),
-        "noise_fault_scale": fault,
+        "noise_fault_scale": _get(raw, "sim", "noise_fault_scale", float, 1.0),
     }
+    out_times = _get(raw, "sim", "output_times", dict)
+    ic = _get(raw, "sim", "initial_condition", dict, {"type": "zero"})
+    SimConfig(output_times=[0.0], **out)  # range-checks the step grid before snapping onto it
+    out["output_times"] = _normalize_output_times(out_times, out["dt"], out["T"])
+    out["initial_condition"] = _normalize_initial_condition(ic)
+    return out
 
 
 def _normalize_holder(raw: dict) -> dict:
-    _require(raw, "analysis.holder", {"window": list, "lags": list, "synthetic": (str, type(None))})
+    _require(raw, "analysis.holder", {"window", "lags", "synthetic"})
     out = {}
-    window = _number_list(raw, "analysis.holder", "window")
+    window = _number_list(raw, "analysis.holder", "window", None)
     if window is not None:
         if len(window) != 2 or not 0 < window[0] < window[1]:
             raise ConfigError("analysis.holder.window", "expected [t0, t1] with 0 < t0 < t1")
         out["window"] = window
-    lags = _number_list(raw, "analysis.holder", "lags")
+    lags = _number_list(raw, "analysis.holder", "lags", None)
     if lags is not None:
         if len(lags) < 5 or min(lags) <= 0:
             raise ConfigError("analysis.holder.lags", "need >= 5 positive lags")
@@ -234,9 +189,7 @@ def _normalize_holder(raw: dict) -> dict:
 
 
 def _normalize_asymptotics(raw: dict) -> dict:
-    _require(raw, "analysis.asymptotics", {
-        "mode": str, "delta": float, "gamma_reg": float, "rho": float,
-    })
+    _require(raw, "analysis.asymptotics", {"mode", "delta", "gamma_reg", "rho"})
     mode = _get(raw, "analysis.asymptotics", "mode", str, "zero")
     if mode not in ("zero", "general"):
         raise ConfigError("analysis.asymptotics.mode", "must be 'zero' or 'general'")
@@ -297,26 +250,30 @@ def _normalize_io(raw: dict) -> dict:
 
 
 def normalize(raw: dict) -> dict:
-    """Validate and normalize a raw configuration document."""
+    """Validate and normalize a raw configuration document.
+
+    The normalizers check the schema: unknown keys, types, defaults and the
+    output-time grid. Value ranges are checked once, by the model
+    constructors; the ParameterError they raise is reported under the config
+    key of the argument it names.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
-    _require(raw, "<root>", {"model": dict, "spectrum": dict, "sim": dict,
-                             "analysis": dict, "io": dict})
+    _require(raw, "<root>", {"model", "spectrum", "sim", "analysis", "io"})
     for name in ("model", "spectrum", "sim"):
         if name not in raw:
             raise ConfigError(name, "required section missing")
-        if not isinstance(raw[name], dict):
-            raise ConfigError(name, "expected an object")
-    out = {
-        "model": _normalize_model(raw["model"]),
-        "spectrum": _normalize_spectrum(raw["spectrum"]),
-        "sim": _normalize_sim(raw["sim"]),
-        "analysis": _normalize_analysis(raw.get("analysis", {})),
-        "io": _normalize_io(raw.get("io", {})),
-    }
-    n_modes = out["sim"]["M"] ** 2
-    if "mu_sq_list" in out["spectrum"] and len(out["spectrum"]["mu_sq_list"]) != n_modes:
-        raise ConfigError("spectrum.mu_sq_list", f"need exactly {n_modes} entries for M={out['sim']['M']}")
+    try:
+        out = {
+            "model": _normalize_model(raw["model"]),
+            "spectrum": _normalize_spectrum(raw["spectrum"]),
+            "sim": _normalize_sim(raw["sim"]),
+            "analysis": _normalize_analysis(raw.get("analysis", {})),
+            "io": _normalize_io(raw.get("io", {})),
+        }
+        materialize(out)
+    except ParameterError as err:
+        raise ConfigError(_key_of(err.field), str(err)) from None
     return out
 
 
@@ -378,15 +335,19 @@ def materialize(document: dict) -> RunConfig:
     return RunConfig(params, spectrum, sim, document["analysis"], document["io"], document)
 
 
+def read_document(path: str | Path):
+    """Parse a JSON configuration file; a missing or malformed file is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError("<file>", f"config file not found: {path}") from None
+    except json.JSONDecodeError as err:
+        raise ConfigError("<file>", f"invalid JSON: {err}") from None
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Load, validate and materialize a JSON configuration file."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError("<file>", f"config file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise ConfigError("<file>", f"invalid JSON: {err}")
-    return materialize(normalize(raw))
+    return materialize(normalize(read_document(path)))
 
 
 def canonical_json(document: dict) -> str:

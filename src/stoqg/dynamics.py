@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .noise import ConvolutionState, NoiseSpectrum, ou_transition_std
 from .spectral import (
     Basis,
+    ParameterError,
     SpectralField,
     dealias_resolution,
+    grid_max_norm,
     jacobian,
     laplace_invert,
     x_derivative_projected,
@@ -52,11 +54,11 @@ class ModelParams:
 
     def __post_init__(self):
         if self.nu <= 0:
-            raise ValueError(f"viscosity nu must be > 0, got {self.nu}")
+            raise ParameterError("nu", f"must be > 0, got {self.nu}")
         if self.r <= 0:
-            raise ValueError(f"Ekman constant r must be > 0, got {self.r}")
+            raise ParameterError("r", f"must be > 0, got {self.r}")
         if self.beta < 0:
-            raise ValueError(f"Coriolis gradient beta must be >= 0, got {self.beta}")
+            raise ParameterError("beta", f"must be >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,8 @@ class InitialCondition:
             raise ValueError("initial condition of kind 'coeffs' needs coefficient values")
         if self.kind == "gaussian" and self.sigma is None:
             raise ValueError("initial condition of kind 'gaussian' needs sigma")
+        if self.kind == "gaussian" and np.any(np.asarray(self.sigma, dtype=float) < 0):
+            raise ParameterError("sigma", "entries must be >= 0")
 
     def sigmas(self, n_modes: int) -> np.ndarray:
         if self.kind != "gaussian":
@@ -82,7 +86,7 @@ class InitialCondition:
         if sig.ndim == 0:
             return np.full(n_modes, float(sig))
         if sig.shape != (n_modes,):
-            raise ValueError(f"sigma list must have {n_modes} entries, got {sig.shape}")
+            raise ParameterError("sigma", f"needs a number or {n_modes} entries, got {sig.shape}")
         return sig
 
     def mean_sq_norm(self, n_modes: int) -> float:
@@ -112,27 +116,34 @@ class SimConfig:
 
     def __post_init__(self):
         if self.M < 1:
-            raise ValueError(f"truncation M must be >= 1, got {self.M}")
+            raise ParameterError("M", f"must be >= 1, got {self.M}")
         if self.dt <= 0:
-            raise ValueError(f"step dt must be > 0, got {self.dt}")
+            raise ParameterError("dt", f"must be > 0, got {self.dt}")
         if self.T <= 0 or self.dt > self.T:
-            raise ValueError(f"horizon T must satisfy 0 < dt <= T, got dt={self.dt}, T={self.T}")
+            raise ParameterError("T", f"must satisfy 0 < dt <= T, got dt={self.dt}, T={self.T}")
         if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+            raise ParameterError("n_paths", f"must be >= 1, got {self.n_paths}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ParameterError("batch_size", f"must be >= 1, got {self.batch_size}")
         if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
+            raise ParameterError("master_seed", "must be a 64-bit unsigned integer")
+        if self.noise_fault_scale < 0:
+            raise ParameterError("noise_fault_scale", f"must be >= 0, got {self.noise_fault_scale}")
+        ic, n_modes = self.initial_condition, self.M * self.M
+        if ic.kind == "coeffs" and np.shape(ic.coeffs) != (n_modes,):
+            raise ParameterError("coeffs", f"needs {n_modes} entries, got {np.shape(ic.coeffs)}")
+        if ic.kind == "gaussian":
+            ic.sigmas(n_modes)  # rejects a per-mode list of the wrong length
         self.output_times = np.asarray(self.output_times, dtype=float)
         if self.output_times.size == 0:
-            raise ValueError("at least one output time is required")
+            raise ParameterError("output_times", "needs at least one entry")
         if np.any(np.diff(self.output_times) <= 0):
-            raise ValueError("output times must be strictly increasing")
+            raise ParameterError("output_times", "must be strictly increasing")
         if self.output_times[0] < 0 or self.output_times[-1] > self.T + 1e-9 * self.T:
-            raise ValueError("output times must lie within [0, T]")
+            raise ParameterError("output_times", "must lie within [0, T]")
         steps = self.output_steps()
         if np.any(np.abs(steps * self.dt - self.output_times) > 1e-9 * max(self.dt, 1.0)):
-            raise ValueError("output times must be multiples of dt; snap them at load time")
+            raise ParameterError("output_times", "must be multiples of dt; snap them at load time")
 
     def output_steps(self) -> np.ndarray:
         return np.rint(self.output_times / self.dt).astype(np.int64)
@@ -157,10 +168,10 @@ class PathTrajectory:
     """Per-path diagnostics recorded at the output times.
 
     Scalars per time: squared norms of the vorticity and its gradient, the
-    squared distance to the companion convolution (u_sq = ||omega - V||^2),
-    the companion's squared norm (wa_sq = ||W_A||^2), and the sup-norm
-    surrogate of the companion (v_inf, grid max at resolution 4M). The raw
-    coefficient snapshots are kept only when the run stores fields.
+    squared distance to the companion convolution (u_sq = ||omega - V||^2)
+    and the companion's squared norm (wa_sq = ||W_A||^2). The raw
+    coefficient snapshots are kept only when the run stores fields; the
+    companion's sup norm comes from `convolution_sup_norms`.
     """
 
     path_index: int
@@ -169,7 +180,6 @@ class PathTrajectory:
     grad_sq: np.ndarray
     u_sq: np.ndarray
     wa_sq: np.ndarray
-    v_inf: np.ndarray
     fields: np.ndarray | None = None
     failed_at: float | None = None
 
@@ -218,19 +228,31 @@ class _Stepper:
             self.project_left = (2.0 / P**2) * sin_mat
             self.project_right = sin_mat.T.copy()
             self.dx_matrix = basis.x_derivative_matrix()
+            self._work: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def drift2d(self, A2: np.ndarray) -> np.ndarray:
         """Projected drift -beta psi_x - J(psi, omega) in (..., M, M) layout."""
         psi2 = A2 * self.inv_lap
         out = 0.0
         if not self.params.linearized:
+            # the work arrays are reused: fresh grid-sized arrays on every step make
+            # the C allocator return their pages and fault them in again each step,
+            # which costs more than the arithmetic at M=16
+            work = self._work.get(A2.shape)
+            if work is None:
+                lead, n, M = A2.shape[:-2], self.sin_right.shape[1], self.basis.M
+                work = self._work[A2.shape] = (
+                    np.empty(lead + (n, M)), np.empty((4,) + lead + (n, n)), np.empty(lead + (M, n)))
+            half, grids, proj = work
             # left matrices carry the factor 2 of the orthonormal eigenfunctions
-            px = self.cosw2_left @ psi2 @ self.sin_right
-            py = self.sin2_left @ psi2 @ self.cosw_right
-            ox = self.cosw2_left @ A2 @ self.sin_right
-            oy = self.sin2_left @ A2 @ self.cosw_right
-            jac = px * oy - py * ox
-            out = -(self.project_left @ jac @ self.project_right)
+            products = (
+                (self.cosw2_left, psi2, self.sin_right), (self.sin2_left, psi2, self.cosw_right),
+                (self.cosw2_left, A2, self.sin_right), (self.sin2_left, A2, self.cosw_right),
+            )
+            px, py, ox, oy = (np.matmul(np.matmul(left, X, out=half), right, out=grid)
+                              for (left, X, right), grid in zip(products, grids))
+            jac = np.subtract(np.multiply(px, oy, out=px), np.multiply(py, ox, out=py), out=px)
+            out = -(np.matmul(self.project_left, jac, out=proj) @ self.project_right)
         if self.params.beta_term and self.params.beta != 0.0:
             out = out - self.params.beta * (self.dx_matrix @ psi2)
         return out
@@ -314,12 +336,7 @@ def _initial_coeffs(config: SimConfig, basis: Basis, rng: np.random.Generator) -
     if ic.kind == "zero":
         return np.zeros(basis.n_modes)
     if ic.kind == "coeffs":
-        vals = np.asarray(ic.coeffs, dtype=float)
-        if vals.shape != (basis.n_modes,):
-            raise ValueError(
-                f"initial coefficients must have {basis.n_modes} entries, got {vals.shape}"
-            )
-        return vals.copy()
+        return np.array(ic.coeffs, dtype=float)
     return ic.sigmas(basis.n_modes) * rng.standard_normal(basis.n_modes)
 
 
@@ -346,12 +363,9 @@ def _simulate_batch(
     grad_sq = np.empty((n_out, B))
     u_sq = np.empty((n_out, B))
     wa_sq = np.empty((n_out, B))
-    v_inf = np.empty((n_out, B))
     fields = np.empty((n_out, B, K)) if config.store_fields else None
     failed_at = [None] * B
 
-    P_max = 4 * basis.M
-    sin_max, _ = basis.trig_matrices(P_max)
     sq_wn = basis.sq_wavenumbers
 
     def record(slot: int, t: float):
@@ -360,8 +374,6 @@ def _simulate_batch(
         diff = a - v
         u_sq[slot] = np.sum(diff * diff, axis=1)
         wa_sq[slot] = np.sum(v * v, axis=1)
-        V2 = basis.to_grid2d(2.0 * v)
-        v_inf[slot] = np.max(np.abs(sin_max.T @ V2 @ sin_max), axis=(1, 2))
         if fields is not None:
             fields[slot] = a
         finite = np.isfinite(a).all(axis=1)
@@ -386,7 +398,6 @@ def _simulate_batch(
             grad_sq=grad_sq[:, b].copy(),
             u_sq=u_sq[:, b].copy(),
             wa_sq=wa_sq[:, b].copy(),
-            v_inf=v_inf[:, b].copy(),
             fields=fields[:, b].copy() if fields is not None else None,
             failed_at=failed_at[b],
         )
@@ -406,6 +417,25 @@ def simulate_path(
     if traj.failed_at is not None:
         raise BlowupError([(traj.path_index, traj.failed_at)])
     return traj
+
+
+def convolution_sup_norms(
+    config: SimConfig,
+    params: ModelParams,
+    spectrum: NoiseSpectrum,
+    path_index: int,
+) -> np.ndarray:
+    """||V||_inf of one path's companion convolution at the output times.
+
+    V depends only on the path's forcing draws and the rates lambda_k - r, so
+    replaying the path from rest with the drift switched off gives omega == V
+    bit for bit. The sup norm is the grid max at resolution 4M.
+    """
+    replay = replace(config, initial_condition=InitialCondition(), store_fields=True)
+    linear = replace(params, linearized=True, beta_term=False)
+    traj = simulate_path(replay, linear, spectrum, path_index)
+    return np.array([grid_max_norm(SpectralField(spectrum.basis, a), 4 * config.M)
+                     for a in traj.fields])
 
 
 def _basis_for(config: SimConfig, params: ModelParams, spectrum: NoiseSpectrum) -> Basis:

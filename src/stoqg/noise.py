@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Basis
+from .spectral import Basis, ParameterError
 
 
 @dataclass
@@ -45,20 +45,18 @@ class NoiseSpectrum:
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
         if self.mu.shape != (self.basis.n_modes,):
-            raise ValueError(
-                f"expected {self.basis.n_modes} amplitudes, got shape {self.mu.shape}"
-            )
+            raise ParameterError("mu", f"needs {self.basis.n_modes} entries, got {self.mu.shape}")
         if np.any(self.mu < 0):
-            raise ValueError("noise amplitudes must be nonnegative")
+            raise ParameterError("mu", "entries must be nonnegative")
         if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+            raise ParameterError("theta", f"must lie in (0, 1), got {self.theta}")
 
     @property
     def mu_sq(self) -> np.ndarray:
         return self.mu**2
 
 
-class SummabilityError(ValueError):
+class SummabilityError(ParameterError):
     """Raised when a generation rule violates the noise summability condition."""
 
 
@@ -71,13 +69,9 @@ def build_spectrum(basis: Basis, c_mu: float, mu_exp: float, theta: float) -> No
     untruncated covariance would be trace-class (mu_exp > 1).
     """
     if c_mu < 0:
-        raise ValueError(f"amplitude c_mu must be >= 0, got {c_mu}")
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+        raise ParameterError("c_mu", f"must be >= 0, got {c_mu}")
     if c_mu > 0 and mu_exp <= theta:
-        raise SummabilityError(
-            f"decay mu_exp={mu_exp} must exceed theta={theta} for a summable spectrum"
-        )
+        raise SummabilityError("mu_exp", f"must exceed theta={theta} for summability, got {mu_exp}")
     k = np.arange(1, basis.n_modes + 1, dtype=float)
     mu = np.sqrt(c_mu) * k ** (-mu_exp / 2.0)
     trace_class = (c_mu == 0) or (mu_exp > 1.0)
@@ -88,7 +82,7 @@ def spectrum_from_list(basis: Basis, mu_sq_list, theta: float) -> NoiseSpectrum:
     """Explicit-list spectrum; the list length must match the mode count."""
     mu_sq = np.asarray(mu_sq_list, dtype=float)
     if np.any(mu_sq < 0):
-        raise ValueError("mu_sq_list entries must be nonnegative")
+        raise ParameterError("mu_sq_list", "entries must be nonnegative")
     return NoiseSpectrum(basis, np.sqrt(mu_sq), theta, trace_class=True)
 
 

@@ -31,6 +31,14 @@ def dealias_resolution(M: int) -> int:
     return -(-3 * M // 2) + 1
 
 
+class ParameterError(ValueError):
+    """A model parameter is out of range; `field` names the argument it came in."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field} {message}")
+
+
 class Basis:
     """Truncated, rank-ordered sine basis with viscous eigenvalues.
 
@@ -44,9 +52,9 @@ class Basis:
 
     def __init__(self, M: int, nu: float):
         if M < 1:
-            raise ValueError(f"truncation order must be >= 1, got {M}")
+            raise ParameterError("M", f"must be >= 1, got {M}")
         if nu <= 0:
-            raise ValueError(f"viscosity must be > 0, got {nu}")
+            raise ParameterError("nu", f"must be > 0, got {nu}")
         self.M = int(M)
         self.nu = float(nu)
 

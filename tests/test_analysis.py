@@ -13,6 +13,7 @@ from stoqg import (
     asymptotics_check,
     build_basis,
     build_spectrum,
+    convolution_sup_norms,
     estimate_enstrophy,
     fit_and_validate_bound,
     gamma_threshold,
@@ -30,7 +31,7 @@ def fake_trajectory(times, omega_sq, index=0, **extra):
     times = np.asarray(times, dtype=float)
     omega_sq = np.asarray(omega_sq, dtype=float)
     zeros = np.zeros_like(omega_sq)
-    kw = dict(grad_sq=zeros, u_sq=zeros, wa_sq=zeros, v_inf=zeros)
+    kw = dict(grad_sq=zeros, u_sq=zeros, wa_sq=zeros)
     kw.update(extra)
     return PathTrajectory(path_index=index, times=times, omega_sq=omega_sq, **kw)
 
@@ -215,7 +216,7 @@ class TestLemma1:
         )
         traj = run_ensemble(cfg, params, spec)[0]
         gamma = gamma_threshold(1.0, 0.1, 0.0) + 0.1
-        result = lemma1_pathwise_check(traj, gamma)
+        result = lemma1_pathwise_check(traj, convolution_sup_norms(cfg, params, spec, 0), gamma)
         assert result["verdict"] == "pass"
         assert result["c_fit"] == 0.0
         assert np.all(result["residuals"] <= 0.0)
@@ -223,7 +224,8 @@ class TestLemma1:
     def test_zero_states_give_nonpositive_residuals(self):
         times = np.linspace(0.0, 1.0, 11)
         traj = fake_trajectory(times, np.zeros_like(times))
-        result = lemma1_pathwise_check(traj, gamma_threshold(1.0, 0.1, 0.0) + 0.1)
+        gamma = gamma_threshold(1.0, 0.1, 0.0) + 0.1
+        result = lemma1_pathwise_check(traj, np.zeros_like(times), gamma)
         assert result["verdict"] == "pass"
         assert np.all(result["residuals"] <= 0.0)
 
@@ -239,7 +241,7 @@ class TestLemma1:
         )
         traj = run_ensemble(cfg, params, spec)[0]
         gamma = gamma_threshold(1.0, 0.1, 0.0) + 0.1
-        result = lemma1_pathwise_check(traj, gamma)
+        result = lemma1_pathwise_check(traj, convolution_sup_norms(cfg, params, spec, 0), gamma)
         assert result["verdict"] == "pass"
         assert result["violation_fraction"] <= 0.05
 

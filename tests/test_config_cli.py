@@ -1,10 +1,14 @@
 """Strict config schema, CLI exit codes, artifact formats, reproducibility."""
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stoqg.cli
 from stoqg.cli import main
 from stoqg.config import ConfigError, config_sha256, load_config, normalize
 
@@ -89,6 +93,41 @@ class TestConfigSchema:
         times = doc["sim"]["output_times"]["times"]
         assert times[0] == 0.0 and times[1] == pytest.approx(1e-3)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "nu", 0.0),
+        ("model", "r", -0.1),
+        ("model", "beta", -1.0),
+        ("spectrum", "theta", 1.5),
+        ("spectrum", "c_mu", -1.0),
+        ("spectrum", "mu_exp", 0.05),
+        ("spectrum", "mu_sq_list", [1.0] * 15 + [-1.0]),
+        ("spectrum", "mu_sq_list", [1.0, 1.0]),
+        ("sim", "M", 0),
+        ("sim", "dt", 0.0),
+        ("sim", "T", -1.0),
+        ("sim", "n_paths", 0),
+        ("sim", "master_seed", -1),
+        ("sim", "batch_size", 0),
+        ("sim", "noise_fault_scale", -1.0),
+        ("sim.initial_condition", "values", [1.0, 2.0]),
+        ("sim.initial_condition", "sigma", -0.1),
+        ("sim.initial_condition", "sigma", [0.1] * 15 + [-0.1]),
+        ("sim.initial_condition", "sigma", [0.1, 0.2]),
+    ])
+    def test_range_rule_names_its_key(self, tmp_path, section, key, value):
+        cfg = base_config(str(tmp_path / "o"))
+        if key == "mu_sq_list":
+            cfg["spectrum"] = {"theta": 0.5}
+        if section == "sim.initial_condition":
+            cfg["sim"]["initial_condition"] = {"type": "coeffs" if key == "values" else "gaussian"}
+        target = cfg
+        for name in section.split("."):
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ConfigError) as err:
+            normalize(cfg)
+        assert err.value.key == f"{section}.{key}"
+
     def test_load_config_materializes(self, tmp_path):
         path = write_config(tmp_path, base_config(str(tmp_path / "o")))
         cfg = load_config(path)
@@ -99,6 +138,59 @@ class TestConfigSchema:
     def test_missing_file_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
+
+
+def _output_times(draw, dt, T):
+    kind = draw(st.sampled_from(["uniform", "geometric", "explicit"]))
+    if kind == "uniform":
+        return {"kind": kind, "n": draw(st.integers(2, 12))}
+    if kind == "geometric":
+        return {"kind": kind, "n": draw(st.integers(2, 12)),
+                "t_min": T * draw(st.floats(0.01, 0.99))}
+    return {"kind": kind, "times": draw(st.lists(st.floats(0.0, T), min_size=1, max_size=8))}
+
+
+def _initial_condition(draw, n_modes):
+    kind = draw(st.sampled_from(["zero", "coeffs", "gaussian", "gaussian_list"]))
+    if kind == "zero":
+        return {"type": "zero"}
+    if kind == "coeffs":
+        return {"type": "coeffs", "values": draw(st.lists(
+            st.floats(-10.0, 10.0), min_size=n_modes, max_size=n_modes))}
+    if kind == "gaussian":
+        return {"type": "gaussian", "sigma": draw(st.floats(0.0, 2.0))}
+    return {"type": "gaussian", "sigma": draw(st.lists(
+        st.floats(0.0, 2.0), min_size=n_modes, max_size=n_modes))}
+
+
+@st.composite
+def valid_documents(draw):
+    M = draw(st.integers(1, 6))
+    dt = draw(st.sampled_from([1e-4, 1e-3, 2.5e-3, 0.01, 0.02]))
+    T = dt * draw(st.integers(1, 200))
+    theta = draw(st.floats(0.05, 0.95))
+    if draw(st.booleans()):
+        spectrum = {"c_mu": draw(st.floats(0.0, 4.0)),
+                    "mu_exp": theta + draw(st.floats(0.01, 3.0)), "theta": theta}
+    else:
+        spectrum = {"mu_sq_list": draw(st.lists(st.floats(0.0, 4.0), min_size=M * M,
+                                                max_size=M * M)), "theta": theta}
+    sim = {"M": M, "dt": dt, "T": T, "output_times": _output_times(draw, dt, T),
+           "n_paths": draw(st.integers(1, 64)), "master_seed": draw(st.integers(0, 2**64 - 1)),
+           "initial_condition": _initial_condition(draw, M * M)}
+    return {"model": {"nu": draw(st.floats(0.01, 5.0)), "r": draw(st.floats(0.01, 2.0))},
+            "spectrum": spectrum, "sim": sim}
+
+
+class TestNormalizeProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_documents())
+    def test_normalize_is_idempotent_and_hash_stable(self, raw):
+        once = normalize(raw)
+        twice = normalize(json.loads(json.dumps(once)))
+        assert twice == once
+        assert config_sha256(twice) == config_sha256(once)
+        assert config_sha256(json.loads(json.dumps(once))) == config_sha256(once)
 
 
 class TestSimulateCommand:
@@ -155,6 +247,16 @@ class TestSimulateCommand:
     def test_single_path_exit_2(self, tmp_path):
         path = write_config(tmp_path, base_config(str(tmp_path / "o"), n_paths=1))
         assert main(["simulate", "--config", path]) == 2
+
+    def test_crashed_worker_exit_7(self, tmp_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise BrokenProcessPool("a process in the pool was terminated abruptly")
+
+        monkeypatch.setattr(stoqg.cli, "run_ensemble", crash)
+        path = write_config(tmp_path, base_config(str(tmp_path / "o")))
+        assert main(["simulate", "--config", path, "--threads", "2"]) == 7
+        err = capsys.readouterr().err
+        assert "terminated abruptly" in err and len(err.strip().splitlines()) == 1
 
     def test_trajectory_dump(self, tmp_path):
         out = tmp_path / "run"

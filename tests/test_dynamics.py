@@ -13,6 +13,7 @@ from stoqg import (
     build_basis,
     build_spectrum,
     convolution_state,
+    convolution_sup_norms,
     drift,
     field_from_modes,
     run_ensemble,
@@ -203,7 +204,8 @@ class TestDeterminism:
             rtol=1e-13,
         )
         np.testing.assert_allclose(
-            traj.v_inf, [0.09687473431106187, 0.1254303247789333], rtol=1e-13
+            convolution_sup_norms(cfg, params, spec, 0),
+            [0.09687473431106187, 0.1254303247789333], rtol=1e-13,
         )
 
 
@@ -358,6 +360,15 @@ class TestConfigPlumbing:
         assert InitialCondition("zero").mean_sq_norm(4) == 0.0
         assert InitialCondition("coeffs", coeffs=(3.0, 4.0, 0.0, 0.0)).mean_sq_norm(4) == 25.0
         assert InitialCondition("gaussian", sigma=2.0).mean_sq_norm(4) == pytest.approx(16.0)
+
+    def test_constructors_reject_negative_scales(self):
+        with pytest.raises(ValueError):
+            SimConfig(M=2, dt=0.01, T=1.0, output_times=np.array([0.0]),
+                      n_paths=1, master_seed=0, noise_fault_scale=-1.0)
+        with pytest.raises(ValueError):
+            InitialCondition("gaussian", sigma=-0.1)
+        with pytest.raises(ValueError):
+            InitialCondition("gaussian", sigma=(0.1, -0.2, 0.3, 0.4))
 
     def test_model_params_validation(self):
         with pytest.raises(ValueError):
