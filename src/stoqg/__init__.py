@@ -23,29 +23,24 @@ from .spectral import (  # noqa: F401
     zero_field,
 )
 from .noise import (  # noqa: F401
-    ConvolutionState,
     NoiseSpectrum,
     SummabilityError,
     analytic_convolution_variance,
     build_spectrum,
-    convolution_state,
-    ou_increment,
     phi_alpha,
     spectrum_from_list,
     trace,
 )
 from .dynamics import (  # noqa: F401
     BlowupError,
+    EnsembleRecord,
     InitialCondition,
     ModelParams,
-    PathTrajectory,
     SimConfig,
     convolution_sup_norms,
-    drift,
     run_ensemble,
     simulate_path,
     snap_output_times,
-    step,
 )
 from .analysis import (  # noqa: F401
     DIRICHLET_C1,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PathTrajectory
+from .dynamics import EnsembleRecord
 from .noise import NoiseSpectrum, analytic_convolution_variance
 
 #: Optimal Poincare constant ||u|| <= c1 ||grad u|| for Dirichlet data on the
@@ -97,7 +97,7 @@ class BoundReport:
 
 
 def estimate_enstrophy(
-    trajectories: list[PathTrajectory],
+    records: list[EnsembleRecord],
     spectrum: NoiseSpectrum | None = None,
     rates: np.ndarray | None = None,
 ) -> EnstrophyTrace:
@@ -106,16 +106,16 @@ def estimate_enstrophy(
     When a spectrum (and the convolution rates it was run with) is supplied,
     the analytic companion 0.5 E||W_A(t)||^2 is attached as well.
     """
-    if len(trajectories) < 2:
+    n = sum(len(r.path_index) for r in records)
+    if n < 2:
         raise ValueError("need at least 2 paths for a standard error")
-    times = trajectories[0].times
-    for traj in trajectories[1:]:
-        if not np.array_equal(traj.times, times):
-            raise ValueError("all trajectories must share the same output times")
-    n = len(trajectories)
-    ens = 0.5 * np.stack([t.omega_sq for t in trajectories])          # (n, T)
-    wa = 0.5 * np.stack([t.wa_sq for t in trajectories])
-    resid = np.stack([t.u_sq for t in trajectories])
+    times = records[0].times
+    for rec in records[1:]:
+        if not np.array_equal(rec.times, times):
+            raise ValueError("all records must share the same output times")
+    ens = 0.5 * np.concatenate([r.omega_sq for r in records])          # (n, T)
+    wa = 0.5 * np.concatenate([r.wa_sq for r in records])
+    resid = np.concatenate([r.u_sq for r in records])
     scale = math.sqrt(n)
     wa_half_analytic = None
     if spectrum is not None and rates is not None:
@@ -267,7 +267,8 @@ def fit_and_validate_bound(
 
 
 def lemma1_pathwise_check(
-    trajectory: PathTrajectory,
+    times: np.ndarray,
+    u_sq: np.ndarray,
     v_inf: np.ndarray,
     gamma: float,
     c_fit: float | None = None,
@@ -277,15 +278,16 @@ def lemma1_pathwise_check(
     """Discrete Gronwall residuals of d/dt ||U||^2 <= A(t) ||U||^2 + B(t).
 
     A(t) = 2 gamma + C (||V||_inf + ||V||_inf^2) and
-    B(t) = C ((1 + alpha^2) ||V||_inf^2 + ||V||_inf^4). `v_inf` is the
-    path's ||V||_inf series at the trajectory's times, e.g. the grid-max
-    surrogate from `dynamics.convolution_sup_norms`. When no constant is
-    given, the smallest C making every prefix residual nonpositive is fitted;
-    the reported violation fraction is measured on the suffix.
+    B(t) = C ((1 + alpha^2) ||V||_inf^2 + ||V||_inf^4). `u_sq` is one
+    path's ||U||^2 = ||omega - V||^2 series at `times` and `v_inf` its
+    ||V||_inf series, e.g. the grid-max surrogate from
+    `dynamics.convolution_sup_norms`. When no constant is given, the smallest
+    C making every prefix residual nonpositive is fitted; the reported
+    violation fraction is measured on the suffix.
     """
-    u = trajectory.u_sq
+    u = np.asarray(u_sq, dtype=float)
     v = np.asarray(v_inf, dtype=float)
-    t = trajectory.times
+    t = np.asarray(times, dtype=float)
     if len(t) < 3:
         return {"verdict": "not_applicable", "notes": "needs at least 3 output times"}
 

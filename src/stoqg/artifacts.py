@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .analysis import EnstrophyTrace
 from .config import config_sha256
-from .dynamics import PathTrajectory
+from .dynamics import EnsembleRecord
 
 
 def _fmt(value) -> str:
@@ -87,18 +87,19 @@ def write_trace(out_dir: Path, trace: EnstrophyTrace, formats: list[str]) -> Non
         write_json(out_dir / "trace.json", payload)
 
 
-def write_trajectories(out_dir: Path, trajectories: list[PathTrajectory]) -> None:
-    """One record per (path, time) with coefficients in rank order."""
-    first = next((t for t in trajectories if t.fields is not None), None)
+def write_trajectories(out_dir: Path, records: list[EnsembleRecord]) -> None:
+    """One row per (path, time) with coefficients in rank order."""
+    first = next((r for r in records if r.fields is not None), None)
     if first is None:
         raise ValueError("trajectory dump requires a run with store_fields enabled")
-    n_modes = first.fields.shape[1]
+    n_modes = first.fields.shape[2]
     header = ["path", "time"] + [f"c_{k}" for k in range(1, n_modes + 1)]
 
     def rows():
-        for traj in trajectories:
-            for i, t in enumerate(traj.times):
-                yield [traj.path_index, t, *traj.fields[i]]
+        for rec in records:
+            for path, fields in zip(rec.path_index, rec.fields):
+                for t, coeffs in zip(rec.times, fields):
+                    yield [path, t, *coeffs]
 
     write_csv(out_dir / "trajectories.csv", header, rows())
 

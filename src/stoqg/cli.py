@@ -52,7 +52,7 @@ class _Outcome:
     summary: str  # one line, on stdout for success and on stderr otherwise
     trace: lab.EnstrophyTrace | None = None
     reports: dict[str, dict] = field(default_factory=dict)  # JSON file name -> payload
-    trajectories: list | None = None
+    records: list | None = None  # per-batch ensemble records for trajectories.csv
     manifest_extra: dict | None = None
 
 
@@ -77,17 +77,17 @@ def _execute(command, args) -> int:
         if cfg.sim.n_paths < 2:
             raise ConfigError("sim.n_paths", "ensemble statistics need at least 2 paths")
         with clock:
-            trajectories = run_ensemble(cfg.sim, cfg.params, cfg.spectrum, n_workers=args.threads)
+            records = run_ensemble(cfg.sim, cfg.params, cfg.spectrum, n_workers=args.threads)
             solver_rates = cfg.basis.eigenvalues - cfg.params.r
-            trace = lab.estimate_enstrophy(trajectories, cfg.spectrum, solver_rates)
-        return trajectories, trace
+            trace = lab.estimate_enstrophy(records, cfg.spectrum, solver_rates)
+        return records, trace
 
     outcome = command(cfg, run)
     out_dir = Path(cfg.io["out_dir"])
     if outcome.trace is not None:
         write_trace(out_dir, outcome.trace, cfg.io["formats"])
-    if outcome.trajectories is not None:
-        write_trajectories(out_dir, outcome.trajectories)
+    if outcome.records is not None:
+        write_trajectories(out_dir, outcome.records)
     for name, payload in outcome.reports.items():
         write_json(out_dir / name, payload)
     write_manifest(out_dir, cfg.document, clock.elapsed, extra=outcome.manifest_extra)
@@ -110,13 +110,13 @@ def cmd_simulate(cfg: RunConfig, run) -> _Outcome:
     dump = cfg.io["write_trajectories"]
     if dump:
         cfg.sim.store_fields = cfg.document["sim"]["store_fields"] = True
-    trajectories, trace = run()
+    records, trace = run()
     return _Outcome(
         EXIT_OK,
         f"simulate: wrote {Path(cfg.io['out_dir'])} "
         f"({trace.n_paths} paths, {len(trace.times)} output times)",
         trace=trace,
-        trajectories=trajectories if dump else None,
+        records=records if dump else None,
         manifest_extra={"spectrum_tail_bound": noise_mod.stationary_tail_bound(cfg.spectrum)},
     )
 
@@ -153,7 +153,7 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
     if len(cfg.sim.output_times) < 8:
         raise ConfigError("sim.output_times", "bound fitting needs at least 8 output times")
     gamma, threshold = _gamma_settings(cfg)
-    trajectories, trace = run()
+    records, trace = run()
 
     e0 = cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
     split = cfg.analysis["split"]
@@ -190,7 +190,8 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
 
     # path 0 is replayed from its forcing draws for its ||V||_inf series
     v_inf = convolution_sup_norms(cfg.sim, cfg.params, cfg.spectrum, 0)
-    lemma1 = lab.lemma1_pathwise_check(trajectories[0], v_inf, gamma, split=split)
+    lemma1 = lab.lemma1_pathwise_check(records[0].times, records[0].u_sq[0], v_inf, gamma,
+                                       split=split)
     lemma1_out = {k: v for k, v in lemma1.items() if k != "residuals"}
     lemma1_out["kind"] = "lemma1"
 

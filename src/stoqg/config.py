@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,10 +49,21 @@ def _get(section: dict, path: str, key: str, types, default=_REQUIRED):
             raise ConfigError(f"{path}.{key}", "required key missing")
         return default
     value = section[key]
-    if types is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if types is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = _finite(f"{path}.{key}", value)
     if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
         raise ConfigError(f"{path}.{key}", f"expected {getattr(types, '__name__', types)}, got {type(value).__name__}")
+    return value
+
+
+def _finite(key: str, number: int | float) -> float:
+    """The number as a float; json.loads accepts NaN and Infinity, which no range rule catches."""
+    try:
+        value = float(number)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(key, "must be a finite number")
     return value
 
 
@@ -61,7 +73,7 @@ def _number_list(section: dict, path: str, key: str, default=_REQUIRED):
         return None
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         raise ConfigError(f"{path}.{key}", "expected a list of numbers")
-    return [float(v) for v in value]
+    return [_finite(f"{path}.{key}", v) for v in value]
 
 
 _MODEL_KEYS = {"nu", "r", "beta", "linearized", "beta_term"}
@@ -141,10 +153,9 @@ def _normalize_initial_condition(raw: dict) -> dict:
     if kind == "coeffs":
         return {"type": "coeffs", "values": _number_list(raw, path, "values")}
     if kind == "gaussian":
-        sigma = raw.get("sigma")
-        if isinstance(sigma, (int, float)) and not isinstance(sigma, bool):
-            return {"type": "gaussian", "sigma": float(sigma)}
-        return {"type": "gaussian", "sigma": _number_list(raw, path, "sigma")}
+        if isinstance(raw.get("sigma"), list):
+            return {"type": "gaussian", "sigma": _number_list(raw, path, "sigma")}
+        return {"type": "gaussian", "sigma": _get(raw, path, "sigma", float)}
     raise ConfigError(f"{path}.type", f"unknown type {kind!r}")
 
 
@@ -206,15 +217,18 @@ def _normalize_asymptotics(raw: dict) -> dict:
     }
 
 
+def _nullable(raw: dict, key: str, positive: bool = False) -> float | None:
+    """An analysis number that may be null, meaning: derive it from the model."""
+    if raw.get(key) is None:
+        return None
+    value = _get(raw, "analysis", key, float)
+    if positive and value <= 0:
+        raise ConfigError(f"analysis.{key}", "expected a positive number or null")
+    return value
+
+
 def _normalize_analysis(raw: dict) -> dict:
     _require(raw, "analysis", _ANALYSIS_KEYS)
-    gamma = raw.get("gamma")
-    if gamma is not None and (isinstance(gamma, bool) or not isinstance(gamma, (int, float))):
-        raise ConfigError("analysis.gamma", "expected a number or null")
-    c1 = raw.get("c1")
-    if c1 is not None:
-        if isinstance(c1, bool) or not isinstance(c1, (int, float)) or c1 <= 0:
-            raise ConfigError("analysis.c1", "expected a positive number or null")
     split = _get(raw, "analysis", "split", float, 0.5)
     if not 0.0 < split < 1.0:
         raise ConfigError("analysis.split", "must lie in (0, 1)")
@@ -222,16 +236,12 @@ def _normalize_analysis(raw: dict) -> dict:
                               default=[float(a) for a in np.geomspace(1e2, 1e4, 9)])
     if any(a < 0 for a in alpha_grid):
         raise ConfigError("analysis.alpha_grid", "entries must be >= 0")
-    mu_tilde = raw.get("mu_tilde")
-    if mu_tilde is not None:
-        if isinstance(mu_tilde, bool) or not isinstance(mu_tilde, (int, float)) or mu_tilde <= 0:
-            raise ConfigError("analysis.mu_tilde", "expected a positive number or null")
     return {
-        "gamma": None if gamma is None else float(gamma),
-        "c1": None if c1 is None else float(c1),
+        "gamma": _nullable(raw, "gamma"),
+        "c1": _nullable(raw, "c1", positive=True),
         "split": split,
         "alpha_grid": alpha_grid,
-        "mu_tilde": None if mu_tilde is None else float(mu_tilde),
+        "mu_tilde": _nullable(raw, "mu_tilde", positive=True),
         "holder": _normalize_holder(raw.get("holder", {})),
         "asymptotics": _normalize_asymptotics(raw.get("asymptotics", {})),
     }
@@ -240,7 +250,7 @@ def _normalize_analysis(raw: dict) -> dict:
 def _normalize_io(raw: dict) -> dict:
     _require(raw, "io", _IO_KEYS)
     formats = raw.get("formats", ["csv", "json"])
-    if not isinstance(formats, list) or not set(formats) <= {"csv", "json"} or not formats:
+    if not isinstance(formats, list) or not formats or not all(f in ("csv", "json") for f in formats):
         raise ConfigError("io.formats", "expected a nonempty subset of ['csv', 'json']")
     return {
         "out_dir": _get(raw, "io", "out_dir", str, "out"),

@@ -29,17 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .noise import ConvolutionState, NoiseSpectrum, ou_transition_std
-from .spectral import (
-    Basis,
-    ParameterError,
-    SpectralField,
-    dealias_resolution,
-    grid_max_norm,
-    jacobian,
-    laplace_invert,
-    x_derivative_projected,
-)
+from .noise import NoiseSpectrum, ou_transition_std
+from .spectral import Basis, ParameterError, SpectralField, dealias_resolution, grid_max_norm
 
 
 @dataclass(frozen=True)
@@ -164,24 +155,26 @@ def snap_output_times(times, dt: float, T: float) -> np.ndarray:
 
 
 @dataclass
-class PathTrajectory:
-    """Per-path diagnostics recorded at the output times.
+class EnsembleRecord:
+    """Diagnostics of one batch of paths at the output times, one row per path.
 
-    Scalars per time: squared norms of the vorticity and its gradient, the
-    squared distance to the companion convolution (u_sq = ||omega - V||^2)
-    and the companion's squared norm (wa_sq = ||W_A||^2). The raw
-    coefficient snapshots are kept only when the run stores fields; the
-    companion's sup norm comes from `convolution_sup_norms`.
+    Scalars, each (n_paths, n_out): squared norms of the vorticity and its
+    gradient, the squared distance to the companion convolution
+    (u_sq = ||omega - V||^2) and the companion's squared norm
+    (wa_sq = ||W_A||^2). The coefficient snapshots, (n_paths, n_out, M^2),
+    are kept only when the run stores fields; the companion's sup norm comes
+    from `convolution_sup_norms`. `failures` holds a (path, time) pair for
+    each path with nonfinite coefficients, at the first such output time.
     """
 
-    path_index: int
+    path_index: np.ndarray
     times: np.ndarray
     omega_sq: np.ndarray
     grad_sq: np.ndarray
     u_sq: np.ndarray
     wa_sq: np.ndarray
     fields: np.ndarray | None = None
-    failed_at: float | None = None
+    failures: list[tuple[int, float]] = field(default_factory=list)
 
 
 class BlowupError(RuntimeError):
@@ -272,53 +265,6 @@ class _Stepper:
         return a_new, v_new
 
 
-def drift(omega: SpectralField, params: ModelParams) -> SpectralField:
-    """Projected drift -beta psi_x - J(psi, omega) with psi = laplace_invert(omega).
-
-    The Ekman term -r omega is not part of the drift; it lives in the linear
-    propagator of the stepper. In linearized mode the Jacobian is dropped,
-    and with the beta switch off the beta term is dropped.
-    """
-    basis = omega.basis
-    total = np.zeros(basis.n_modes)
-    psi = laplace_invert(omega)
-    if not params.linearized:
-        total -= jacobian(psi, omega).coeffs
-    if params.beta_term and params.beta != 0.0:
-        total -= params.beta * x_derivative_projected(psi).coeffs
-    return SpectralField(basis, total)
-
-
-def step(
-    omega: SpectralField,
-    conv: ConvolutionState,
-    h: float,
-    noise: np.ndarray,
-    params: ModelParams,
-) -> tuple[SpectralField, ConvolutionState]:
-    """One exponential-Euler step; the companion state advances on the same draws.
-
-    The convolution state must carry the solver rates lambda_k - r; its mu
-    amplitudes define the forcing.
-    """
-    if h <= 0:
-        raise ValueError(f"step must be > 0, got {h}")
-    basis = omega.basis
-    expected = basis.eigenvalues - params.r
-    if not np.allclose(conv.rates, expected, rtol=1e-12, atol=0.0):
-        raise ValueError("convolution state rates must equal lambda_k - r")
-    noise = np.asarray(noise, dtype=float)
-    decay = np.exp(conv.rates * h)
-    eta = ou_transition_std(conv.mu, conv.rates, h) * noise
-    drift_term = drift(omega, params).coeffs
-    a_new = decay * omega.coeffs + h * phi1(conv.rates * h) * drift_term + eta
-    v_new = decay * conv.values + eta
-    return (
-        SpectralField(basis, a_new),
-        ConvolutionState(v_new, conv.rates, conv.mu, conv.t + h),
-    )
-
-
 def _path_generators(master_seed: int, path_index: int) -> tuple[np.random.Generator, np.random.Generator]:
     """Disjoint (initial-condition, forcing) generators for one path.
 
@@ -346,7 +292,7 @@ def _simulate_batch(
     spectrum: NoiseSpectrum,
     config: SimConfig,
     path_indices: np.ndarray,
-) -> list[PathTrajectory]:
+) -> EnsembleRecord:
     B = len(path_indices)
     K = basis.n_modes
     stepper = _Stepper(basis, params, spectrum, config.dt, config.noise_fault_scale)
@@ -359,23 +305,27 @@ def _simulate_batch(
     out_steps = config.output_steps()
     slot_of = {int(s): i for i, s in enumerate(out_steps)}
     n_out = len(out_steps)
-    omega_sq = np.empty((n_out, B))
-    grad_sq = np.empty((n_out, B))
-    u_sq = np.empty((n_out, B))
-    wa_sq = np.empty((n_out, B))
-    fields = np.empty((n_out, B, K)) if config.store_fields else None
+    rec = EnsembleRecord(
+        path_index=np.array(path_indices),
+        times=config.output_times.copy(),
+        omega_sq=np.empty((B, n_out)),
+        grad_sq=np.empty((B, n_out)),
+        u_sq=np.empty((B, n_out)),
+        wa_sq=np.empty((B, n_out)),
+        fields=np.empty((B, n_out, K)) if config.store_fields else None,
+    )
     failed_at = [None] * B
 
     sq_wn = basis.sq_wavenumbers
 
     def record(slot: int, t: float):
-        omega_sq[slot] = np.sum(a * a, axis=1)
-        grad_sq[slot] = np.sum(sq_wn * a * a, axis=1)
+        rec.omega_sq[:, slot] = np.sum(a * a, axis=1)
+        rec.grad_sq[:, slot] = np.sum(sq_wn * a * a, axis=1)
         diff = a - v
-        u_sq[slot] = np.sum(diff * diff, axis=1)
-        wa_sq[slot] = np.sum(v * v, axis=1)
-        if fields is not None:
-            fields[slot] = a
+        rec.u_sq[:, slot] = np.sum(diff * diff, axis=1)
+        rec.wa_sq[:, slot] = np.sum(v * v, axis=1)
+        if rec.fields is not None:
+            rec.fields[:, slot] = a
         finite = np.isfinite(a).all(axis=1)
         for b in np.flatnonzero(~finite):
             if failed_at[b] is None:
@@ -389,20 +339,8 @@ def _simulate_batch(
         if s in slot_of:
             record(slot_of[s], s * config.dt)
 
-    times = config.output_times.copy()
-    return [
-        PathTrajectory(
-            path_index=int(path_indices[b]),
-            times=times,
-            omega_sq=omega_sq[:, b].copy(),
-            grad_sq=grad_sq[:, b].copy(),
-            u_sq=u_sq[:, b].copy(),
-            wa_sq=wa_sq[:, b].copy(),
-            fields=fields[:, b].copy() if fields is not None else None,
-            failed_at=failed_at[b],
-        )
-        for b in range(B)
-    ]
+    rec.failures = [(int(p), t) for p, t in zip(path_indices, failed_at) if t is not None]
+    return rec
 
 
 def simulate_path(
@@ -410,13 +348,13 @@ def simulate_path(
     params: ModelParams,
     spectrum: NoiseSpectrum,
     path_index: int,
-) -> PathTrajectory:
+) -> EnsembleRecord:
     """Simulate one path; a pure function of (master_seed, path_index)."""
     basis = _basis_for(config, params, spectrum)
-    (traj,) = _simulate_batch(basis, params, spectrum, config, np.array([path_index]))
-    if traj.failed_at is not None:
-        raise BlowupError([(traj.path_index, traj.failed_at)])
-    return traj
+    rec = _simulate_batch(basis, params, spectrum, config, np.array([path_index]))
+    if rec.failures:
+        raise BlowupError(rec.failures)
+    return rec
 
 
 def convolution_sup_norms(
@@ -433,9 +371,9 @@ def convolution_sup_norms(
     """
     replay = replace(config, initial_condition=InitialCondition(), store_fields=True)
     linear = replace(params, linearized=True, beta_term=False)
-    traj = simulate_path(replay, linear, spectrum, path_index)
+    rec = simulate_path(replay, linear, spectrum, path_index)
     return np.array([grid_max_norm(SpectralField(spectrum.basis, a), 4 * config.M)
-                     for a in traj.fields])
+                     for a in rec.fields[0]])
 
 
 def _basis_for(config: SimConfig, params: ModelParams, spectrum: NoiseSpectrum) -> Basis:
@@ -457,8 +395,8 @@ def run_ensemble(
     params: ModelParams,
     spectrum: NoiseSpectrum,
     n_workers: int = 1,
-) -> list[PathTrajectory]:
-    """Simulate the full ensemble, in path-index order.
+) -> list[EnsembleRecord]:
+    """Simulate the full ensemble: one record per batch, in path-index order.
 
     Paths are grouped into batches of config.batch_size; the grouping depends
     only on the configuration, so any worker count produces bit-identical
@@ -473,11 +411,10 @@ def run_ensemble(
     payloads = [(basis, params, spectrum, config, batch) for batch in batches]
     if n_workers > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_batch_task, payloads))
+            records = list(pool.map(_batch_task, payloads))
     else:
-        results = [_batch_task(p) for p in payloads]
-    trajectories = [traj for group in results for traj in group]
-    failures = [(t.path_index, t.failed_at) for t in trajectories if t.failed_at is not None]
+        records = [_batch_task(p) for p in payloads]
+    failures = [failure for rec in records for failure in rec.failures]
     if failures:
         raise BlowupError(failures)
-    return trajectories
+    return records

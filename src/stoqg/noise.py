@@ -136,56 +136,11 @@ def stationary_tail_bound(spec: NoiseSpectrum) -> float:
     return spec.c_mu / (8.0 * np.pi * spec.basis.nu * spec.mu_exp * K**spec.mu_exp)
 
 
-@dataclass
-class ConvolutionState:
-    """Running stochastic-convolution coefficients for one realization.
-
-    Attributes:
-        values: current per-mode values v_k.
-        rates: per-mode rates l_k < 0 of the linear propagator.
-        mu: per-mode noise amplitudes feeding the increments.
-        t: current time.
-    """
-
-    values: np.ndarray
-    rates: np.ndarray
-    mu: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.rates = np.asarray(self.rates, dtype=float)
-        self.mu = np.asarray(self.mu, dtype=float)
-        if not (self.values.shape == self.rates.shape == self.mu.shape):
-            raise ValueError("values, rates and mu must have matching shapes")
-        if np.any(self.rates >= 0):
-            raise ValueError("convolution rates must be strictly negative")
-
-
-def convolution_state(spec: NoiseSpectrum, rates: np.ndarray) -> ConvolutionState:
-    """Fresh zero-valued convolution state for the given rates."""
-    rates = np.asarray(rates, dtype=float)
-    return ConvolutionState(np.zeros(spec.basis.n_modes), rates, spec.mu.copy())
-
-
 def ou_transition_std(mu: np.ndarray, rates: np.ndarray, h: float) -> np.ndarray:
-    """Standard deviation mu_k sqrt((1 - e^(2 l_k h)) / (-2 l_k)) of one step."""
-    return mu * np.sqrt((1.0 - np.exp(2.0 * rates * h)) / (-2.0 * rates))
+    """Standard deviation mu_k sqrt((1 - e^(2 l_k h)) / (-2 l_k)) of one step.
 
-
-def ou_increment(state: ConvolutionState, h: float, noise: np.ndarray) -> ConvolutionState:
-    """Advance the convolution by one exact OU transition.
-
-    v_k <- e^(l_k h) v_k + mu_k sqrt((1 - e^(2 l_k h)) / (-2 l_k)) * noise_k.
-    Because the transition is exact in distribution, the marginal law of
-    v_k(t) started from zero is Normal(0, mu_k^2 (1 - e^(2 l_k t)) / (-2 l_k))
-    for any partition of [0, t].
+    The transition v_k <- e^(l_k h) v_k + std_k * xi_k is exact in
+    distribution, so v_k(t) started from zero is
+    Normal(0, mu_k^2 (1 - e^(2 l_k t)) / (-2 l_k)) for any partition of [0, t].
     """
-    if h <= 0:
-        raise ValueError(f"step must be > 0, got {h}")
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != state.values.shape:
-        raise ValueError("noise vector must carry one entry per mode")
-    decay = np.exp(state.rates * h)
-    values = decay * state.values + ou_transition_std(state.mu, state.rates, h) * noise
-    return ConvolutionState(values, state.rates, state.mu, state.t + h)
+    return mu * np.sqrt((1.0 - np.exp(2.0 * rates * h)) / (-2.0 * rates))

@@ -56,9 +56,9 @@ def test_criterion_1_linear_oracle_equivalence():
     params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=True, beta_term=False)
     cfg = SimConfig(M=M, dt=1e-3, T=1.0, output_times=uniform_times(1.0, 11),
                     n_paths=2000, master_seed=20260810)
-    trajs = run_ensemble(cfg, params, spectrum, n_workers=WORKERS)
+    records = run_ensemble(cfg, params, spectrum, n_workers=WORKERS)
     rates = basis.eigenvalues - params.r
-    tr = estimate_enstrophy(trajs, spectrum, rates)
+    tr = estimate_enstrophy(records, spectrum, rates)
     oracle = 0.5 * np.array([
         np.sum(spectrum.mu_sq * (1.0 - np.exp(2.0 * rates * t)) / (-2.0 * rates))
         for t in tr.times
@@ -128,13 +128,13 @@ def test_criterion_4_deterministic_dissipation():
         return run_ensemble(cfg, params, spectrum)[0]
 
     coarse = run(1e-3)
-    ens = 0.5 * coarse.omega_sq
+    ens = 0.5 * coarse.omega_sq[0]
     assert np.all(np.diff(ens) <= 0.0), "discrete enstrophy increased"
 
-    def residual(traj, dt):
-        e = 0.5 * traj.omega_sq
-        return np.abs(np.diff(e) / dt + params.nu * traj.grad_sq[:-1]
-                      + params.r * traj.omega_sq[:-1])
+    def residual(rec, dt):
+        e = 0.5 * rec.omega_sq[0]
+        return np.abs(np.diff(e) / dt + params.nu * rec.grad_sq[0, :-1]
+                      + params.r * rec.omega_sq[0, :-1])
 
     fine = run(5e-4)
     r_coarse = np.mean(residual(coarse, 1e-3))
@@ -155,8 +155,8 @@ def test_criterion_5_trace_class_bound():
     assert gamma == pytest.approx(-19.739, abs=1e-3)
     cfg = SimConfig(M=M, dt=1e-3, T=1.0, output_times=uniform_times(1.0, 21),
                     n_paths=1000, master_seed=55)
-    trajs = run_ensemble(cfg, params, spectrum, n_workers=WORKERS)
-    tr = estimate_enstrophy(trajs, spectrum, basis.eigenvalues - params.r)
+    records = run_ensemble(cfg, params, spectrum, n_workers=WORKERS)
+    tr = estimate_enstrophy(records, spectrum, basis.eigenvalues - params.r)
     envelope = trace_class_envelope(0.0, gamma, trace(spectrum), tr.times)
     verdict = validate_bound(tr, envelope)
     assert verdict.verdict == "pass", f"violations at {verdict.violations}"
@@ -191,8 +191,8 @@ def test_criterion_7_holder_floor():
     cfg = SimConfig(M=M, dt=1e-3, T=0.52,
                     output_times=np.round(np.arange(0, n_out + 1) * 1e-3, 12),
                     n_paths=1000, master_seed=77)
-    trajs = run_ensemble(cfg, params, spectrum, n_workers=WORKERS)
-    tr = estimate_enstrophy(trajs)
+    records = run_ensemble(cfg, params, spectrum, n_workers=WORKERS)
+    tr = estimate_enstrophy(records)
     lags = [1e-3, 3e-3, 1e-2, 3.2e-2, 1e-1]
     result = holder_exponent_fit(tr, (0.005, 0.405), lags)
     if result["verdict"] == "not_applicable":
@@ -228,8 +228,8 @@ def test_criterion_8_small_time_asymptotics():
     snapped_i = np.unique(np.round(times_i / 1e-3) * 1e-3)
     cfg_i = SimConfig(M=M, dt=1e-3, T=0.1, output_times=snapped_i,
                       n_paths=200, master_seed=81)
-    trajs = run_ensemble(cfg_i, lin, spectrum, n_workers=WORKERS)
-    tr_i = estimate_enstrophy(trajs, spectrum, basis.eigenvalues - lin.r)
+    records = run_ensemble(cfg_i, lin, spectrum, n_workers=WORKERS)
+    tr_i = estimate_enstrophy(records, spectrum, basis.eigenvalues - lin.r)
     res_i = asymptotics_check(tr_i, spectrum, "zero", delta=0.5)
     ratios = np.asarray(res_i["ratio_empirical"])
     np.testing.assert_allclose(ratios, 1.0, rtol=1e-12)
@@ -244,8 +244,8 @@ def test_criterion_8_small_time_asymptotics():
     snapped = np.unique(np.round(geo / 1e-5) * 1e-5)
     cfg_ii = SimConfig(M=M, dt=1e-5, T=1e-2, output_times=snapped,
                        n_paths=4000, master_seed=82)
-    trajs2 = run_ensemble(cfg_ii, full, spectrum2, n_workers=WORKERS)
-    tr_ii = estimate_enstrophy(trajs2, spectrum2, basis.eigenvalues - full.r)
+    records2 = run_ensemble(cfg_ii, full, spectrum2, n_workers=WORKERS)
+    tr_ii = estimate_enstrophy(records2, spectrum2, basis.eigenvalues - full.r)
     res_ii = asymptotics_check(tr_ii, spectrum2, "zero", delta=delta, rho=0.01)
     ratio2 = np.asarray(res_ii["ratio_analytic"])[:2]
     assert np.all(np.abs(ratio2 - 1.0) <= 0.05), f"ratios {ratio2}"

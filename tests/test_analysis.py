@@ -5,10 +5,10 @@ import pytest
 
 from stoqg import (
     DIRICHLET_C1,
+    EnsembleRecord,
     EnstrophyTrace,
     InitialCondition,
     ModelParams,
-    PathTrajectory,
     SimConfig,
     asymptotics_check,
     build_basis,
@@ -27,13 +27,13 @@ from stoqg import (
 )
 
 
-def fake_trajectory(times, omega_sq, index=0, **extra):
+def fake_record(times, omega_sq, index=0):
+    """A one-path record with the given ||omega||^2 series and zero companions."""
     times = np.asarray(times, dtype=float)
-    omega_sq = np.asarray(omega_sq, dtype=float)
+    omega_sq = np.asarray(omega_sq, dtype=float)[None, :]
     zeros = np.zeros_like(omega_sq)
-    kw = dict(grad_sq=zeros, u_sq=zeros, wa_sq=zeros)
-    kw.update(extra)
-    return PathTrajectory(path_index=index, times=times, omega_sq=omega_sq, **kw)
+    return EnsembleRecord(path_index=np.array([index]), times=times, omega_sq=omega_sq,
+                          grad_sq=zeros, u_sq=zeros, wa_sq=zeros)
 
 
 def synthetic_trace(times, ens, se=None):
@@ -46,19 +46,19 @@ def synthetic_trace(times, ens, se=None):
 class TestEstimator:
     def test_rejects_single_path(self):
         with pytest.raises(ValueError):
-            estimate_enstrophy([fake_trajectory([0.0, 1.0], [1.0, 1.0])])
+            estimate_enstrophy([fake_record([0.0, 1.0], [1.0, 1.0])])
 
     def test_all_zero_paths(self):
-        trajs = [fake_trajectory([0.0, 1.0], [0.0, 0.0], i) for i in range(3)]
-        trace = estimate_enstrophy(trajs)
+        records = [fake_record([0.0, 1.0], [0.0, 0.0], i) for i in range(3)]
+        trace = estimate_enstrophy(records)
         assert np.all(trace.ens_mean == 0.0) and np.all(trace.ens_se == 0.0)
 
     def test_two_point_statistics(self):
-        trajs = [
-            fake_trajectory([0.5], [2.0], 0),
-            fake_trajectory([0.5], [4.0], 1),
+        records = [
+            fake_record([0.5], [2.0], 0),
+            fake_record([0.5], [4.0], 1),
         ]
-        trace = estimate_enstrophy(trajs)
+        trace = estimate_enstrophy(records)
         assert trace.ens_mean[0] == pytest.approx(1.5)
         assert trace.ens_se[0] == pytest.approx(0.5)
 
@@ -71,8 +71,8 @@ class TestEstimator:
             M=8, dt=0.02, T=0.4, output_times=np.round(np.arange(0, 11) * 0.04, 10),
             n_paths=500, master_seed=314,
         )
-        trajs = run_ensemble(cfg, params, spec)
-        trace = estimate_enstrophy(trajs, spec, b.eigenvalues - params.r)
+        records = run_ensemble(cfg, params, spec)
+        trace = estimate_enstrophy(records, spec, b.eigenvalues - params.r)
         assert trace.wa_half_analytic is not None
         dev = np.abs(trace.ens_mean - trace.wa_half_analytic)
         assert np.all(dev <= 3.0 * np.maximum(trace.ens_se, 1e-300))
@@ -214,18 +214,18 @@ class TestLemma1:
             M=8, dt=1e-4, T=0.04, output_times=np.round(np.arange(0, 401) * 1e-4, 12),
             n_paths=1, master_seed=0, initial_condition=InitialCondition("coeffs", coeffs=ic),
         )
-        traj = run_ensemble(cfg, params, spec)[0]
+        rec = run_ensemble(cfg, params, spec)[0]
         gamma = gamma_threshold(1.0, 0.1, 0.0) + 0.1
-        result = lemma1_pathwise_check(traj, convolution_sup_norms(cfg, params, spec, 0), gamma)
+        result = lemma1_pathwise_check(rec.times, rec.u_sq[0],
+                                       convolution_sup_norms(cfg, params, spec, 0), gamma)
         assert result["verdict"] == "pass"
         assert result["c_fit"] == 0.0
         assert np.all(result["residuals"] <= 0.0)
 
     def test_zero_states_give_nonpositive_residuals(self):
         times = np.linspace(0.0, 1.0, 11)
-        traj = fake_trajectory(times, np.zeros_like(times))
         gamma = gamma_threshold(1.0, 0.1, 0.0) + 0.1
-        result = lemma1_pathwise_check(traj, np.zeros_like(times), gamma)
+        result = lemma1_pathwise_check(times, np.zeros_like(times), np.zeros_like(times), gamma)
         assert result["verdict"] == "pass"
         assert np.all(result["residuals"] <= 0.0)
 
@@ -239,9 +239,10 @@ class TestLemma1:
             M=8, dt=1e-3, T=1.0, output_times=np.round(np.arange(0, 201) * 5e-3, 12),
             n_paths=1, master_seed=2718,
         )
-        traj = run_ensemble(cfg, params, spec)[0]
+        rec = run_ensemble(cfg, params, spec)[0]
         gamma = gamma_threshold(1.0, 0.1, 0.0) + 0.1
-        result = lemma1_pathwise_check(traj, convolution_sup_norms(cfg, params, spec, 0), gamma)
+        result = lemma1_pathwise_check(rec.times, rec.u_sq[0],
+                                       convolution_sup_norms(cfg, params, spec, 0), gamma)
         assert result["verdict"] == "pass"
         assert result["violation_fraction"] <= 0.05
 
@@ -300,8 +301,8 @@ class TestAsymptotics:
         times = np.round(np.array([0.0, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2, 3.2e-2]), 12)
         cfg = SimConfig(M=4, dt=1e-3, T=0.032, output_times=times,
                         n_paths=n_paths, master_seed=555)
-        trajs = run_ensemble(cfg, params, spec)
-        return spec, estimate_enstrophy(trajs, spec, b.eigenvalues - params.r)
+        records = run_ensemble(cfg, params, spec)
+        return spec, estimate_enstrophy(records, spec, b.eigenvalues - params.r)
 
     def test_zero_mode_empirical_ratio_is_one_for_linear_runs(self):
         spec, trace = self.zero_mode_linear_run()

@@ -113,6 +113,19 @@ class TestConfigSchema:
         ("sim.initial_condition", "sigma", -0.1),
         ("sim.initial_condition", "sigma", [0.1] * 15 + [-0.1]),
         ("sim.initial_condition", "sigma", [0.1, 0.2]),
+        # json.loads accepts NaN and Infinity, and NaN slips through every range rule
+        ("model", "nu", float("nan")),
+        ("model", "r", float("inf")),
+        ("spectrum", "c_mu", float("nan")),
+        ("spectrum", "mu_sq_list", [1.0] * 15 + [float("nan")]),
+        ("sim", "dt", float("nan")),
+        ("sim", "T", float("inf")),
+        ("sim.initial_condition", "sigma", float("nan")),
+        ("analysis", "gamma", float("nan")),
+        ("analysis", "c1", float("inf")),
+        ("analysis", "mu_tilde", float("nan")),
+        ("analysis", "alpha_grid", [1.0, float("inf")]),
+        ("model", "beta", 10**400),  # an integer literal beyond the float range
     ])
     def test_range_rule_names_its_key(self, tmp_path, section, key, value):
         cfg = base_config(str(tmp_path / "o"))
@@ -247,6 +260,13 @@ class TestSimulateCommand:
     def test_single_path_exit_2(self, tmp_path):
         path = write_config(tmp_path, base_config(str(tmp_path / "o"), n_paths=1))
         assert main(["simulate", "--config", path]) == 2
+
+    def test_unhashable_format_exit_2(self, tmp_path, capsys):
+        cfg = base_config(str(tmp_path / "o"))
+        cfg["io"]["formats"] = [{}]
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 2
+        assert "io.formats" in capsys.readouterr().err
 
     def test_crashed_worker_exit_7(self, tmp_path, capsys, monkeypatch):
         def crash(*args, **kwargs):

@@ -12,17 +12,17 @@ from stoqg import (
     analytic_convolution_variance,
     build_basis,
     build_spectrum,
-    convolution_state,
     convolution_sup_norms,
-    drift,
+    estimate_enstrophy,
     field_from_modes,
+    jacobian,
+    laplace_invert,
     run_ensemble,
     simulate_path,
     snap_output_times,
-    step,
-    zero_field,
 )
 from stoqg.dynamics import _Stepper, phi1
+from stoqg.noise import ou_transition_std
 from stoqg.spectral import SpectralField, x_derivative_projected
 
 
@@ -43,6 +43,25 @@ def small_config(**overrides):
     return SimConfig(**kw)
 
 
+def stepper_for(basis, params, c_mu=1.0):
+    return _Stepper(basis, params, build_spectrum(basis, c_mu, 2.0, 0.1), 0.01)
+
+
+def stepper_drift(omega: SpectralField, params) -> np.ndarray:
+    return stepper_for(omega.basis, params).drift_flat(omega.coeffs[None, :])[0]
+
+
+def reference_drift(omega: SpectralField, params) -> np.ndarray:
+    """-J(psi, omega) - beta psi_x from the per-field spectral operators."""
+    psi = laplace_invert(omega)
+    total = np.zeros(omega.basis.n_modes)
+    if not params.linearized:
+        total -= jacobian(psi, omega).coeffs
+    if params.beta_term and params.beta != 0.0:
+        total -= params.beta * x_derivative_projected(psi).coeffs
+    return total
+
+
 class TestPhi1:
     def test_limit_and_series(self):
         assert phi1(np.array([0.0]))[0] == 1.0
@@ -57,18 +76,18 @@ class TestDrift:
     def test_linearized_without_beta_is_zero(self, basis8, rng):
         params = linear_params()
         omega = SpectralField(basis8, rng.standard_normal(64))
-        assert np.all(drift(omega, params).coeffs == 0.0)
+        assert np.all(stepper_drift(omega, params) == 0.0)
 
     def test_beta_term_projection_values(self):
         # psi = -phi_11 / (2 pi^2); oracle values from the parity expansion
         b = build_basis(4, 1.0)
         omega = field_from_modes(b, {(1, 1): 1.0})
         params = ModelParams(nu=1.0, r=0.1, beta=1.0, linearized=True, beta_term=True)
-        d = drift(omega, params)
+        d = stepper_drift(omega, params)
         expected = {(2, 1): 4.0 / (3.0 * np.pi**2), (4, 1): 8.0 / (15.0 * np.pi**2)}
         for k in range(b.n_modes):
             want = expected.get((int(b.m[k]), int(b.n[k])), 0.0)
-            assert d.coeffs[k] == pytest.approx(want, abs=1e-14)
+            assert d[k] == pytest.approx(want, abs=1e-14)
 
     def test_eigenfield_jacobian_vanishes(self):
         # J(psi, omega) = 0 when psi is a multiple of omega: drift reduces to beta term
@@ -77,14 +96,14 @@ class TestDrift:
         full = ModelParams(nu=1.0, r=0.1, beta=1.0, linearized=False, beta_term=True)
         lin = ModelParams(nu=1.0, r=0.1, beta=1.0, linearized=True, beta_term=True)
         np.testing.assert_allclose(
-            drift(omega, full).coeffs, drift(omega, lin).coeffs, atol=1e-15
+            stepper_drift(omega, full), stepper_drift(omega, lin), atol=1e-15
         )
 
     def test_beta_switch_off(self, basis8, rng):
         omega = SpectralField(basis8, rng.standard_normal(64))
         on = ModelParams(nu=1.0, r=0.1, beta=2.0, linearized=False, beta_term=True)
         off = ModelParams(nu=1.0, r=0.1, beta=2.0, linearized=False, beta_term=False)
-        diff = drift(omega, on).coeffs - drift(omega, off).coeffs
+        diff = stepper_drift(omega, on) - stepper_drift(omega, off)
         expected = -2.0 * x_derivative_projected(
             SpectralField(basis8, omega.coeffs / -basis8.sq_wavenumbers)
         ).coeffs
@@ -93,41 +112,34 @@ class TestDrift:
 
 class TestStep:
     def test_pure_decay(self):
+        # no forcing: omega and the companion decay at the solver rates whatever the draws
         b = build_basis(2, 1.0)
-        spec = build_spectrum(b, 0.0, 2.0, 0.1)
         params = linear_params()
+        stepper = stepper_for(b, params, c_mu=0.0)
         omega = field_from_modes(b, {(1, 1): 1.0})
-        conv = convolution_state(spec, b.eigenvalues - params.r)
-        out, _ = step(omega, conv, 0.01, np.zeros(4), params)
-        assert out.coeffs[0] == pytest.approx(np.exp((-2 * np.pi**2 - 0.1) * 0.01), rel=1e-14)
-
-    def test_rejects_nonpositive_step(self):
-        b = build_basis(2, 1.0)
-        spec = build_spectrum(b, 1.0, 2.0, 0.1)
-        params = linear_params()
-        conv = convolution_state(spec, b.eigenvalues - params.r)
-        with pytest.raises(ValueError):
-            step(zero_field(b), conv, 0.0, np.zeros(4), params)
-
-    def test_rejects_mismatched_rates(self):
-        b = build_basis(2, 1.0)
-        spec = build_spectrum(b, 1.0, 2.0, 0.1)
-        conv = convolution_state(spec, b.eigenvalues)  # missing the -r shift
-        with pytest.raises(ValueError):
-            step(zero_field(b), conv, 0.01, np.zeros(4), linear_params())
+        a, v = stepper.advance(omega.coeffs[None, :], np.full((1, 4), 3.0), np.full((1, 4), 12.34))
+        assert a[0, 0] == pytest.approx(np.exp((-2 * np.pi**2 - 0.1) * 0.01), rel=1e-14)
+        np.testing.assert_allclose(v[0], 3.0 * np.exp((b.eigenvalues - params.r) * 0.01),
+                                   rtol=1e-14)
 
     def test_matches_batched_stepper(self, rng):
+        # the exponential-Euler step written out per field equals the batched advance
         b = build_basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.7, linearized=False, beta_term=True)
-        omega = SpectralField(b, 0.3 * rng.standard_normal(16))
-        conv = convolution_state(spec, b.eigenvalues - params.r)
-        xi = rng.standard_normal(16)
-        out_field, out_conv = step(omega, conv, 0.01, xi, params)
-        stepper = _Stepper(b, params, spec, 0.01)
-        a, v = stepper.advance(omega.coeffs[None, :], conv.values[None, :], xi[None, :])
-        np.testing.assert_allclose(out_field.coeffs, a[0], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(out_conv.values, v[0], rtol=1e-12, atol=1e-15)
+        h = 0.01
+        a0, v0 = 0.3 * rng.standard_normal((2, 2, 16))
+        xi = rng.standard_normal((2, 16))
+        stepper = _Stepper(b, params, spec, h)
+        a, v = stepper.advance(a0, v0, xi)
+        rates = b.eigenvalues - params.r
+        for i in range(2):
+            eta = ou_transition_std(spec.mu, rates, h) * xi[i]
+            drift = reference_drift(SpectralField(b, a0[i]), params)
+            want_a = np.exp(rates * h) * a0[i] + h * phi1(rates * h) * drift + eta
+            np.testing.assert_allclose(a[i], want_a, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(v[i], np.exp(rates * h) * v0[i] + eta,
+                                       rtol=1e-12, atol=1e-15)
 
 
 class TestLinearExactness:
@@ -135,16 +147,16 @@ class TestLinearExactness:
         # F == 0 and omega_0 = 0: the solution IS the stochastic convolution
         b = build_basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
-        traj = simulate_path(small_config(), linear_params(), spec, 0)
-        np.testing.assert_array_equal(traj.omega_sq, traj.wa_sq)
-        assert np.max(traj.u_sq) == 0.0
+        rec = simulate_path(small_config(), linear_params(), spec, 0)
+        np.testing.assert_array_equal(rec.omega_sq[0], rec.wa_sq[0])
+        assert np.max(rec.u_sq[0]) == 0.0
 
     def test_zero_spectrum_zero_ic_stays_zero(self):
         b = build_basis(4, 1.0)
         spec = build_spectrum(b, 0.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=1.0, linearized=False, beta_term=True)
-        traj = simulate_path(small_config(), params, spec, 0)
-        assert np.all(traj.omega_sq == 0.0)
+        rec = simulate_path(small_config(), params, spec, 0)
+        assert np.all(rec.omega_sq[0] == 0.0)
 
 
 class TestDeterminism:
@@ -174,9 +186,37 @@ class TestDeterminism:
         cfg = lambda: small_config(n_paths=10, batch_size=3, store_fields=True)
         serial = run_ensemble(cfg(), params, spec, n_workers=1)
         parallel = run_ensemble(cfg(), params, spec, n_workers=3)
-        assert [t.path_index for t in parallel] == list(range(10))
+        assert np.concatenate([r.path_index for r in parallel]).tolist() == list(range(10))
         for a, b_ in zip(serial, parallel):
             np.testing.assert_array_equal(a.fields, b_.fields)
+
+    @pytest.mark.parametrize("batch_size", [3, 10])  # 3+3+3+1 is uneven
+    def test_batch_size_does_not_change_paths(self, batch_size):
+        b = build_basis(4, 1.0)
+        spec = build_spectrum(b, 1.0, 2.0, 0.1)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=False, beta_term=True)
+
+        def run(size):
+            cfg = small_config(n_paths=10, batch_size=size, store_fields=True,
+                               initial_condition=InitialCondition("gaussian", sigma=0.3))
+            return run_ensemble(cfg, params, spec)
+
+        single, batched = run(1), run(batch_size)
+        assert len(batched) == -(-10 // batch_size)
+
+        def joined(records, name):
+            return np.concatenate([getattr(r, name) for r in records])
+
+        np.testing.assert_array_equal(joined(batched, "path_index"), joined(single, "path_index"))
+        for name in ("omega_sq", "fields"):
+            np.testing.assert_allclose(joined(batched, name), joined(single, name), rtol=1e-12)
+        rates = b.eigenvalues - params.r
+        want = estimate_enstrophy(single, spec, rates)
+        got = estimate_enstrophy(batched, spec, rates)
+        for name in ("times", "ens_mean", "ens_se", "wa_half_empirical", "wa_half_analytic",
+                     "resid_mean", "resid_se"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
+        assert got.n_paths == want.n_paths == 10
 
     def test_golden_trajectory_guards_rng_contract(self):
         # frozen output of the documented (master_seed, path_index) mapping;
@@ -190,15 +230,15 @@ class TestDeterminism:
             initial_condition=InitialCondition("gaussian", sigma=0.5),
             store_fields=True,
         )
-        traj = simulate_path(cfg, params, spec, 0)
+        rec = simulate_path(cfg, params, spec, 0)
         np.testing.assert_allclose(
-            traj.fields[0],
+            rec.fields[0, 0],
             [-0.4601643090687408, -0.1428684046642693, -0.26984576976547986,
              0.17546880275232649],
             rtol=1e-13,
         )
         np.testing.assert_allclose(
-            traj.fields[1],
+            rec.fields[0, 1],
             [-0.33286195220606446, -0.06344526550777917, -0.053959630213856434,
              0.054774242875657346],
             rtol=1e-13,
@@ -216,19 +256,19 @@ class TestTrajectoryRecords:
         params = ModelParams(nu=1.0, r=0.1, beta=0.4, linearized=False, beta_term=True)
         cfg = small_config(store_fields=True,
                            initial_condition=InitialCondition("gaussian", sigma=0.3))
-        traj = simulate_path(cfg, params, spec, 1)
-        for i in range(len(traj.times)):
-            om = traj.fields[i]
-            assert traj.omega_sq[i] == pytest.approx(np.sum(om**2), rel=1e-10)
-            assert traj.grad_sq[i] == pytest.approx(
+        rec = simulate_path(cfg, params, spec, 1)
+        for i in range(len(rec.times)):
+            om = rec.fields[0, i]
+            assert rec.omega_sq[0, i] == pytest.approx(np.sum(om**2), rel=1e-10)
+            assert rec.grad_sq[0, i] == pytest.approx(
                 np.sum(b.sq_wavenumbers * om**2), rel=1e-10
             )
 
     def test_times_strictly_increasing(self):
         b = build_basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
-        traj = simulate_path(small_config(), linear_params(), spec, 0)
-        assert np.all(np.diff(traj.times) > 0)
+        rec = simulate_path(small_config(), linear_params(), spec, 0)
+        assert np.all(np.diff(rec.times) > 0)
 
 
 class TestEnsembleStatistics:
@@ -240,10 +280,10 @@ class TestEnsembleStatistics:
             M=8, dt=0.05, T=0.5, output_times=np.round(np.arange(0, 11) * 0.05, 10),
             n_paths=600, master_seed=11,
         )
-        trajs = run_ensemble(cfg, params, spec)
-        ens = 0.5 * np.stack([t.omega_sq for t in trajs])
+        records = run_ensemble(cfg, params, spec)
+        ens = 0.5 * np.concatenate([r.omega_sq for r in records])
         mean = ens.mean(axis=0)
-        se = ens.std(axis=0, ddof=1) / np.sqrt(len(trajs))
+        se = ens.std(axis=0, ddof=1) / np.sqrt(len(ens))
         oracle = 0.5 * analytic_convolution_variance(
             spec, b.eigenvalues - params.r, cfg.output_times
         )
@@ -265,8 +305,8 @@ class TestConservation:
             n_paths=1, master_seed=0,
             initial_condition=InitialCondition("coeffs", coeffs=tuple(ic)),
         )
-        traj = run_ensemble(cfg, params, spec)[0]
-        assert np.all(np.diff(0.5 * traj.omega_sq) <= 0.0)
+        rec = run_ensemble(cfg, params, spec)[0]
+        assert np.all(np.diff(0.5 * rec.omega_sq[0]) <= 0.0)
 
     def test_energy_balance_residual_first_order(self, rng):
         # |d(enstrophy)/dt + nu ||grad w||^2 + r ||w||^2| halves with dt
@@ -284,9 +324,10 @@ class TestConservation:
                 n_paths=1, master_seed=0,
                 initial_condition=InitialCondition("coeffs", coeffs=ic),
             )
-            traj = run_ensemble(cfg, params, spec)[0]
-            ens = 0.5 * traj.omega_sq
-            resid = np.diff(ens) / h + params.nu * traj.grad_sq[:-1] + params.r * traj.omega_sq[:-1]
+            rec = run_ensemble(cfg, params, spec)[0]
+            ens = 0.5 * rec.omega_sq[0]
+            resid = (np.diff(ens) / h + params.nu * rec.grad_sq[0, :-1]
+                     + params.r * rec.omega_sq[0, :-1])
             return np.mean(np.abs(resid))
 
         r1, r2 = mean_residual(1e-3), mean_residual(5e-4)
@@ -313,7 +354,7 @@ class TestConservation:
                 master_seed=1, initial_condition=InitialCondition("coeffs", coeffs=tuple(ic)),
                 store_fields=True,
             )
-            return run_ensemble(cfg, params, spec)[0].fields[0]
+            return run_ensemble(cfg, params, spec)[0].fields[0, 0]
 
         e1 = np.linalg.norm(endpoint(2e-3) - ref)
         e2 = np.linalg.norm(endpoint(1e-3) - ref)

@@ -5,13 +5,10 @@ import pytest
 from scipy import stats
 
 from stoqg import (
-    ConvolutionState,
     SummabilityError,
     analytic_convolution_variance,
     build_basis,
     build_spectrum,
-    convolution_state,
-    ou_increment,
     phi_alpha,
     spectrum_from_list,
     trace,
@@ -165,25 +162,11 @@ class TestAnalyticVariance:
 
 
 class TestOUIncrement:
-    def test_pure_decay_without_forcing(self):
-        spec = spectrum_from_list(basis_with_lambda(2.0), [0.0], theta=0.5)
-        state = ConvolutionState(np.array([3.0]), np.array([-2.0]), spec.mu)
-        out = ou_increment(state, 0.5, np.array([12.34]))
-        assert out.values[0] == pytest.approx(3.0 * np.exp(-1.0), rel=1e-14)
-        assert out.t == pytest.approx(0.5)
-
     def test_unit_step_oracle_value(self):
         # Ito isometry: integral_0^1 e^(-2s) ds = (1 - e^-2)/2; sqrt = 0.657520
         spec = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
-        state = convolution_state(spec, np.array([-1.0]))
-        out = ou_increment(state, 1.0, np.array([1.0]))
-        assert out.values[0] == pytest.approx(0.6575198539828996, rel=1e-14)
-
-    def test_rejects_nonpositive_step(self):
-        spec = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
-        state = convolution_state(spec, np.array([-1.0]))
-        with pytest.raises(ValueError):
-            ou_increment(state, 0.0, np.array([1.0]))
+        std = ou_transition_std(spec.mu, np.array([-1.0]), 1.0)
+        assert std[0] == pytest.approx(0.6575198539828996, rel=1e-14)
 
     def test_split_step_distributional_equality(self):
         # two half-steps vs one full step: Kolmogorov-Smirnov below the 1%
