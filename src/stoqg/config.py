@@ -346,12 +346,12 @@ def materialize(document: dict) -> RunConfig:
 
 
 def read_document(path: str | Path):
-    """Parse a JSON configuration file; a missing or malformed file is a ConfigError."""
+    """Parse a JSON configuration file; a file that cannot be read or parsed is a ConfigError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError("<file>", f"config file not found: {path}") from None
-    except json.JSONDecodeError as err:
+    except OSError as err:  # missing, a directory, unreadable
+        raise ConfigError("<file>", f"cannot read config file {path}: {err.strerror or err}") from None
+    except ValueError as err:  # malformed JSON, not UTF-8, an integer literal over the digit limit
         raise ConfigError("<file>", f"invalid JSON: {err}") from None
 
 

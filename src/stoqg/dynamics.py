@@ -26,6 +26,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -196,68 +197,62 @@ def phi1(z: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """Precomputed batched exponential-Euler apparatus for one (basis, params, dt)."""
+    """Precomputed batched exponential-Euler apparatus for one (params, spectrum, dt)."""
 
-    def __init__(self, basis: Basis, params: ModelParams, spectrum: NoiseSpectrum, dt: float,
-                 fault_scale: float = 1.0):
-        self.basis = basis
-        self.params = params
-        self.n_modes = basis.n_modes
+    def __init__(self, params: ModelParams, spectrum: NoiseSpectrum, dt: float, fault_scale: float = 1.0):
+        basis = self.basis = spectrum.basis
         self.rates = basis.eigenvalues - params.r
         self.decay = np.exp(self.rates * dt)
         self.drift_weight = dt * phi1(self.rates * dt)
         self.noise_std = fault_scale * ou_transition_std(spectrum.mu, self.rates, dt)
 
         self.inv_lap = basis.to_grid2d(-1.0 / basis.sq_wavenumbers).reshape(basis.M, basis.M)
-        self.needs_drift = (not params.linearized) or (params.beta_term and params.beta != 0.0)
-        if self.needs_drift:
+        self.advective = not params.linearized
+        self.beta = params.beta if params.beta_term else 0.0
+        self.needs_drift = self.advective or self.beta != 0.0
+        self._work: dict[tuple[int, ...], list[np.ndarray]] = {}
+        if self.advective:
             P = dealias_resolution(basis.M)
-            sin_mat, cos_mat = basis.trig_matrices(P)
-            cosw = np.arange(1, basis.M + 1)[:, None] * np.pi * cos_mat
-            self.sin_right = sin_mat
-            self.cosw_right = cosw
-            self.sin2_left = 2.0 * sin_mat.T.copy()
-            self.cosw2_left = 2.0 * cosw.T.copy()
+            sin_mat, dsin_mat = basis.trig_matrices(P)
+            # left factors carry the factor 2 of the orthonormal eigenfunctions;
+            # left[i] X right[i] is the grid of d/dx (i = 0) or d/dy (i = 1) of X
+            self.left = np.stack([2.0 * dsin_mat.T, 2.0 * sin_mat.T])[:, None, None]
+            self.right = np.stack([sin_mat, dsin_mat])[:, None, None]
             self.project_left = (2.0 / P**2) * sin_mat
             self.project_right = sin_mat.T.copy()
+        if self.beta != 0.0:
             self.dx_matrix = basis.x_derivative_matrix()
-            self._work: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def drift2d(self, A2: np.ndarray) -> np.ndarray:
-        """Projected drift -beta psi_x - J(psi, omega) in (..., M, M) layout."""
-        psi2 = A2 * self.inv_lap
-        out = 0.0
-        if not self.params.linearized:
-            # the work arrays are reused: fresh grid-sized arrays on every step make
-            # the C allocator return their pages and fault them in again each step,
-            # which costs more than the arithmetic at M=16
-            work = self._work.get(A2.shape)
-            if work is None:
-                lead, n, M = A2.shape[:-2], self.sin_right.shape[1], self.basis.M
-                work = self._work[A2.shape] = (
-                    np.empty(lead + (n, M)), np.empty((4,) + lead + (n, n)), np.empty(lead + (M, n)))
-            half, grids, proj = work
-            # left matrices carry the factor 2 of the orthonormal eigenfunctions
-            products = (
-                (self.cosw2_left, psi2, self.sin_right), (self.sin2_left, psi2, self.cosw_right),
-                (self.cosw2_left, A2, self.sin_right), (self.sin2_left, A2, self.cosw_right),
-            )
-            px, py, ox, oy = (np.matmul(np.matmul(left, X, out=half), right, out=grid)
-                              for (left, X, right), grid in zip(products, grids))
-            jac = np.subtract(np.multiply(px, oy, out=px), np.multiply(py, ox, out=py), out=px)
-            out = -(np.matmul(self.project_left, jac, out=proj) @ self.project_right)
-        if self.params.beta_term and self.params.beta != 0.0:
-            out = out - self.params.beta * (self.dx_matrix @ psi2)
-        return out
 
     def drift_flat(self, a: np.ndarray) -> np.ndarray:
+        """Projected drift -beta psi_x - J(psi, omega) of a batch of states (B, K)."""
         if not self.needs_drift:
             return np.zeros_like(a)
-        A2 = self.basis.to_grid2d(a)
-        return self.basis.from_grid2d(self.drift2d(A2))
+        # the work arrays are reused: fresh grid-sized arrays on every step make the
+        # C allocator return their pages and fault them in again each step, which
+        # costs more than the arithmetic at M=16
+        work = self._work.get(a.shape)
+        if work is None:
+            B, M, n = a.shape[0], self.basis.M, dealias_resolution(self.basis.M) - 1
+            work = self._work[a.shape] = [np.empty((2, B, M, M))]
+            if self.advective:
+                work += [np.empty((2, 2, B, n, M)), np.empty((2, 2, B, n, n)), np.empty((B, M, n))]
+        fields = work[0]
+        fields[1] = self.basis.to_grid2d(a)
+        psi2 = np.multiply(fields[1], self.inv_lap, out=fields[0])
+        out = 0.0
+        if self.advective:
+            half, grids, proj = work[1:]
+            # grids[i, j]: d/dx (i = 0) or d/dy (i = 1) of psi (j = 0) or omega (j = 1)
+            np.matmul(np.matmul(self.left, fields, out=half), self.right, out=grids)
+            (px, ox), (py, oy) = grids
+            jac = np.subtract(np.multiply(px, oy, out=px), np.multiply(py, ox, out=py), out=px)
+            out = -(np.matmul(self.project_left, jac, out=proj) @ self.project_right)
+        if self.beta != 0.0:
+            out = out - self.beta * (self.dx_matrix @ psi2)
+        return self.basis.from_grid2d(out)
 
     def advance(self, a: np.ndarray, v: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step for a batch: state (..., K), standard normals xi (..., K)."""
+        """One step for a batch: states a, v and standard normals xi, each (B, K)."""
         eta = self.noise_std * xi
         drift = self.drift_flat(a) if self.needs_drift else 0.0
         a_new = self.decay * a + self.drift_weight * drift + eta
@@ -287,15 +282,15 @@ def _initial_coeffs(config: SimConfig, basis: Basis, rng: np.random.Generator) -
 
 
 def _simulate_batch(
-    basis: Basis,
     params: ModelParams,
     spectrum: NoiseSpectrum,
     config: SimConfig,
     path_indices: np.ndarray,
 ) -> EnsembleRecord:
+    basis = spectrum.basis
     B = len(path_indices)
     K = basis.n_modes
-    stepper = _Stepper(basis, params, spectrum, config.dt, config.noise_fault_scale)
+    stepper = _Stepper(params, spectrum, config.dt, config.noise_fault_scale)
 
     gens = [_path_generators(config.master_seed, int(p)) for p in path_indices]
     a = np.stack([_initial_coeffs(config, basis, ic_rng) for ic_rng, _ in gens])
@@ -350,8 +345,8 @@ def simulate_path(
     path_index: int,
 ) -> EnsembleRecord:
     """Simulate one path; a pure function of (master_seed, path_index)."""
-    basis = _basis_for(config, params, spectrum)
-    rec = _simulate_batch(basis, params, spectrum, config, np.array([path_index]))
+    _check_basis(config, params, spectrum)
+    rec = _simulate_batch(params, spectrum, config, np.array([path_index]))
     if rec.failures:
         raise BlowupError(rec.failures)
     return rec
@@ -376,18 +371,13 @@ def convolution_sup_norms(
                      for a in rec.fields[0]])
 
 
-def _basis_for(config: SimConfig, params: ModelParams, spectrum: NoiseSpectrum) -> Basis:
+def _check_basis(config: SimConfig, params: ModelParams, spectrum: NoiseSpectrum):
+    """The run's basis is the spectrum's; it must match the config's M and the params' nu."""
     basis = spectrum.basis
     if basis.M != config.M:
         raise ValueError(f"spectrum basis M={basis.M} does not match config M={config.M}")
     if basis.nu != params.nu:
         raise ValueError(f"spectrum basis nu={basis.nu} does not match params nu={params.nu}")
-    return basis
-
-
-def _batch_task(args):
-    basis, params, spectrum, config, indices = args
-    return _simulate_batch(basis, params, spectrum, config, indices)
 
 
 def run_ensemble(
@@ -402,18 +392,18 @@ def run_ensemble(
     only on the configuration, so any worker count produces bit-identical
     results. Raises BlowupError listing every failing path.
     """
-    basis = _basis_for(config, params, spectrum)
+    _check_basis(config, params, spectrum)
     indices = np.arange(config.n_paths)
     batches = [
         indices[lo: lo + config.batch_size]
         for lo in range(0, config.n_paths, config.batch_size)
     ]
-    payloads = [(basis, params, spectrum, config, batch) for batch in batches]
+    columns = (repeat(params), repeat(spectrum), repeat(config), batches)
     if n_workers > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(_batch_task, payloads))
+            records = list(pool.map(_simulate_batch, *columns))
     else:
-        records = [_batch_task(p) for p in payloads]
+        records = list(map(_simulate_batch, *columns))
     failures = [failure for rec in records for failure in rec.failures]
     if failures:
         raise BlowupError(failures)

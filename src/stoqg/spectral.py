@@ -98,15 +98,16 @@ class Basis:
         return np.arange(1, P) / P
 
     def trig_matrices(self, P: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached sine/cosine sample matrices, both of shape (M, P-1).
+        """Cached sine samples and their derivatives, both of shape (M, P-1).
 
-        sin_mat[m-1, i] = sin(m pi x_i) and cos_mat[m-1, i] = cos(m pi x_i)
-        at the interior points of resolution P.
+        sin_mat[m-1, i] = sin(m pi x_i) and dsin_mat[m-1, i] = m pi cos(m pi x_i)
+        at the interior points x_i of resolution P.
         """
         cached = self._trig_cache.get(P)
         if cached is None:
-            phase = np.outer(np.arange(1, self.M + 1) * np.pi, self.grid_points(P))
-            cached = (np.sin(phase), np.cos(phase))
+            wave = np.arange(1, self.M + 1) * np.pi
+            phase = np.outer(wave, self.grid_points(P))
+            cached = (np.sin(phase), wave[:, None] * np.cos(phase))
             self._trig_cache[P] = cached
         return cached
 
@@ -234,12 +235,9 @@ def from_grid(g: GridField, basis: Basis) -> SpectralField:
 def _derivative_grids(f: SpectralField, P: int) -> tuple[np.ndarray, np.ndarray]:
     """(f_x, f_y) point values in the mixed cosine-sine representation."""
     basis = f.basis
-    sin_mat, cos_mat = basis.trig_matrices(P)
-    wave = np.arange(1, basis.M + 1) * np.pi
+    sin_mat, dsin_mat = basis.trig_matrices(P)
     A = basis.to_grid2d(2.0 * f.coeffs)
-    fx = (wave[:, None] * cos_mat).T @ A @ sin_mat
-    fy = sin_mat.T @ A @ (wave[:, None] * cos_mat)
-    return fx, fy
+    return dsin_mat.T @ A @ sin_mat, sin_mat.T @ A @ dsin_mat
 
 
 def _check_dealias(M: int, P: int):

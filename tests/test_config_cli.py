@@ -1,7 +1,11 @@
 """Strict config schema, CLI exit codes, artifact formats, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,23 @@ class TestSimulateCommand:
                      "--threads", "3"]) == 0
         assert (tmp_path / "b" / "trace.csv").read_bytes() == one
 
+    def test_blas_thread_count_byte_identical(self, tmp_path):
+        # the drift GEMMs give the same bits whatever OpenBLAS threading the child runs with
+        cfg = base_config(str(tmp_path / "o"), M=32, dt=1e-3, T=0.01, n_paths=4,
+                          initial_condition={"type": "gaussian", "sigma": 0.1})
+        cfg["model"].update({"linearized": False, "beta": 0.2, "beta_term": True})
+        path = write_config(tmp_path, cfg)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        traces = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "stoqg.cli", "simulate", "--config", path,
+                            "--out", str(out)], env=env, check=True, timeout=300)
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = base_config(str(tmp_path / "o"))
         cfg["spectrum"]["theta"] = 1.5
@@ -267,6 +288,18 @@ class TestSimulateCommand:
         path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", path]) == 2
         assert "io.formats" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["long_integer", "utf16_bom", "directory"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "long_integer":  # beyond Python's int-string digit limit
+            path.write_text('{"model": {"nu": 1' + "0" * 5000 + "}}", encoding="utf-8")
+        elif kind == "utf16_bom":
+            path.write_bytes(b"\xff\xfe" + json.dumps(base_config(str(tmp_path / "o"))).encode("utf-16-le"))
+        else:
+            path.mkdir()
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_crashed_worker_exit_7(self, tmp_path, capsys, monkeypatch):
         def crash(*args, **kwargs):

@@ -44,7 +44,7 @@ def small_config(**overrides):
 
 
 def stepper_for(basis, params, c_mu=1.0):
-    return _Stepper(basis, params, build_spectrum(basis, c_mu, 2.0, 0.1), 0.01)
+    return _Stepper(params, build_spectrum(basis, c_mu, 2.0, 0.1), 0.01)
 
 
 def stepper_drift(omega: SpectralField, params) -> np.ndarray:
@@ -109,8 +109,39 @@ class TestDrift:
         ).coeffs
         np.testing.assert_allclose(diff, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("M", [8, 16, 32])
+    def test_jacobian_identities_on_batch(self, rng, M):
+        # <J(psi, omega), omega> = <J(psi, omega), psi> = 0 for the production drift
+        b = build_basis(M, 1.0)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
+        omega = rng.standard_normal((32, M * M))
+        psi = omega / -b.sq_wavenumbers
+        d = stepper_for(b, params).drift_flat(omega)
+        scale = np.sqrt(np.sum(b.sq_wavenumbers * psi**2, axis=1)
+                        * np.sum(b.sq_wavenumbers * omega**2, axis=1))
+        r1 = np.abs(np.sum(d * omega, axis=1)) / (scale * np.linalg.norm(omega, axis=1))
+        r2 = np.abs(np.sum(d * psi, axis=1)) / (scale * np.linalg.norm(psi, axis=1))
+        assert np.max(r1) <= 1e-12 and np.max(r2) <= 1e-12
+
 
 class TestStep:
+    @pytest.mark.parametrize("linearized, beta_term, calls_per_step", [
+        (False, False, 1), (False, True, 1), (True, True, 1), (True, False, 0),
+    ])
+    def test_drift_evaluated_once_per_step(self, monkeypatch, linearized, beta_term, calls_per_step):
+        calls = []
+        drift_flat = _Stepper.drift_flat
+
+        def counted(self, a):
+            calls.append(a.shape)
+            return drift_flat(self, a)
+
+        monkeypatch.setattr(_Stepper, "drift_flat", counted)
+        b = build_basis(4, 1.0)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.5, linearized=linearized, beta_term=beta_term)
+        run_ensemble(small_config(n_paths=5, batch_size=3), params, build_spectrum(b, 1.0, 2.0, 0.1))
+        assert calls == calls_per_step * ([(3, 16)] * 10 + [(2, 16)] * 10)
+
     def test_pure_decay(self):
         # no forcing: omega and the companion decay at the solver rates whatever the draws
         b = build_basis(2, 1.0)
@@ -122,15 +153,16 @@ class TestStep:
         np.testing.assert_allclose(v[0], 3.0 * np.exp((b.eigenvalues - params.r) * 0.01),
                                    rtol=1e-14)
 
-    def test_matches_batched_stepper(self, rng):
+    @pytest.mark.parametrize("M", [4, 16, 32])  # drift grids P = 7, 25, 49
+    def test_matches_batched_stepper(self, rng, M):
         # the exponential-Euler step written out per field equals the batched advance
-        b = build_basis(4, 1.0)
+        b = build_basis(M, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.7, linearized=False, beta_term=True)
         h = 0.01
-        a0, v0 = 0.3 * rng.standard_normal((2, 2, 16))
-        xi = rng.standard_normal((2, 16))
-        stepper = _Stepper(b, params, spec, h)
+        a0, v0 = 0.3 * rng.standard_normal((2, 2, M * M))
+        xi = rng.standard_normal((2, M * M))
+        stepper = _Stepper(params, spec, h)
         a, v = stepper.advance(a0, v0, xi)
         rates = b.eigenvalues - params.r
         for i in range(2):
@@ -341,7 +373,7 @@ class TestConservation:
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
         ic = 0.5 * rng.standard_normal(M * M) / (1.0 + np.arange(M * M))
         rates = b.eigenvalues - params.r
-        stepper = _Stepper(b, params, spec, 1.0)
+        stepper = _Stepper(params, spec, 1.0)
 
         def rhs(_t, a):
             return rates * a + stepper.drift_flat(a[None, :])[0]
