@@ -21,12 +21,6 @@ from .config import config_sha256
 from .dynamics import EnsembleRecord
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def atomic_write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -40,8 +34,9 @@ def atomic_write_text(path: Path, text: str):
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Rows hold Python ints and floats (e.g. from `ndarray.tolist()`), written by repr."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -70,7 +65,7 @@ def write_trace(out_dir: Path, trace: EnstrophyTrace, formats: list[str]) -> Non
     wa = trace.wa_half_analytic
     wa_var = 2.0 * wa if wa is not None else np.full_like(trace.times, np.nan)
     if "csv" in formats:
-        rows = zip(trace.times, trace.ens_mean, trace.ens_se, wa_var)
+        rows = zip(*(c.tolist() for c in (trace.times, trace.ens_mean, trace.ens_se, wa_var)))
         write_csv(out_dir / "trace.csv", ["time", "ens_mean", "ens_se", "wa_var_analytic"], rows)
     if "json" in formats:
         payload = {
@@ -97,9 +92,11 @@ def write_trajectories(out_dir: Path, records: list[EnsembleRecord]) -> None:
 
     def rows():
         for rec in records:
-            for path, fields in zip(rec.path_index, rec.fields):
-                for t, coeffs in zip(rec.times, fields):
-                    yield [path, t, *coeffs]
+            times = rec.times.tolist()
+            # one path's fields at a time: a whole batch as Python floats costs MBs
+            for path, fields in zip(rec.path_index.tolist(), rec.fields):
+                for t, coeffs in zip(times, fields.tolist()):
+                    yield (path, t, *coeffs)
 
     write_csv(out_dir / "trajectories.csv", header, rows())
 

@@ -236,7 +236,7 @@ def _write_envelopes_csv(out_dir: Path, trace: lab.EnstrophyTrace, reports: list
     header.append("analytic_wa_var")
     wa = trace.wa_half_analytic
     columns.append(2.0 * wa if wa is not None else np.full_like(trace.times, np.nan))
-    write_csv(out_dir / "envelopes.csv", header, zip(*columns))
+    write_csv(out_dir / "envelopes.csv", header, zip(*(c.tolist() for c in columns)))
 
 
 def _synthetic_trace(kind: str, window, lags) -> lab.EnstrophyTrace:

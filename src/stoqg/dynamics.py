@@ -252,12 +252,27 @@ class _Stepper:
         return self.basis.from_grid2d(out)
 
     def advance(self, a: np.ndarray, v: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step for a batch: states a, v and standard normals xi, each (B, K)."""
+        """One step for a batch, in place: states a, v and standard normals xi, each (B, K).
+
+        a and v are overwritten with the new states and returned; xi is only read.
+        The operations keep the order of decay * a + drift_weight * drift + eta.
+        """
         eta = self.noise_std * xi
-        drift = self.drift_flat(a) if self.needs_drift else 0.0
-        a_new = self.decay * a + self.drift_weight * drift + eta
-        v_new = self.decay * v + eta
-        return a_new, v_new
+        if self.needs_drift:
+            drift = self.drift_flat(a)
+            drift *= self.drift_weight
+        else:
+            drift = 0.0  # adding it still turns a -0.0 into +0.0
+        a *= self.decay
+        a += drift
+        a += eta
+        v *= self.decay
+        v += eta
+        return a, v
+
+
+# byte budget of one block of forcing draws: (B, n, K) doubles per batch
+_DRAW_BLOCK_BYTES = 2**20
 
 
 def _path_generators(master_seed: int, path_index: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -287,6 +302,15 @@ def _simulate_batch(
     config: SimConfig,
     path_indices: np.ndarray,
 ) -> EnsembleRecord:
+    """Simulate one batch of paths and record it at the output times.
+
+    Each path's forcing generator fills its rows of one reused (B, n, K)
+    buffer with a single draw per block of n steps (n from _DRAW_BLOCK_BYTES;
+    the last block holds only the steps left). A block draw gives the same
+    numbers as n draws of K, so results do not depend on the block length.
+    The state is advanced in place, and the four squared norms of each
+    output come from one reduction over a reused (4, B, K) buffer.
+    """
     basis = spectrum.basis
     B = len(path_indices)
     K = basis.n_modes
@@ -298,41 +322,52 @@ def _simulate_batch(
     noise_rngs = [noise_rng for _, noise_rng in gens]
 
     out_steps = config.output_steps()
+    n_steps = int(out_steps[-1])
     slot_of = {int(s): i for i, s in enumerate(out_steps)}
     n_out = len(out_steps)
+    series = np.empty((4, B, n_out))  # omega_sq, grad_sq, u_sq, wa_sq
     rec = EnsembleRecord(
         path_index=np.array(path_indices),
         times=config.output_times.copy(),
-        omega_sq=np.empty((B, n_out)),
-        grad_sq=np.empty((B, n_out)),
-        u_sq=np.empty((B, n_out)),
-        wa_sq=np.empty((B, n_out)),
+        omega_sq=series[0],
+        grad_sq=series[1],
+        u_sq=series[2],
+        wa_sq=series[3],
         fields=np.empty((B, n_out, K)) if config.store_fields else None,
     )
     failed_at = [None] * B
 
     sq_wn = basis.sq_wavenumbers
+    squares = np.empty((4, B, K))
 
     def record(slot: int, t: float):
-        rec.omega_sq[:, slot] = np.sum(a * a, axis=1)
-        rec.grad_sq[:, slot] = np.sum(sq_wn * a * a, axis=1)
-        diff = a - v
-        rec.u_sq[:, slot] = np.sum(diff * diff, axis=1)
-        rec.wa_sq[:, slot] = np.sum(v * v, axis=1)
+        np.multiply(a, a, out=squares[0])
+        np.multiply(np.multiply(sq_wn, a, out=squares[1]), a, out=squares[1])
+        diff = np.subtract(a, v, out=squares[2])
+        np.multiply(diff, diff, out=diff)
+        np.multiply(v, v, out=squares[3])
+        np.sum(squares, axis=2, out=series[:, :, slot])
         if rec.fields is not None:
             rec.fields[:, slot] = a
-        finite = np.isfinite(a).all(axis=1)
-        for b in np.flatnonzero(~finite):
-            if failed_at[b] is None:
-                failed_at[b] = t
+        # a nonfinite coefficient makes omega_sq nonfinite; a finite state whose
+        # square overflows is not a failure, so the exact test is on a itself
+        if not np.isfinite(series[0, :, slot]).all():
+            for b in np.flatnonzero(~np.isfinite(a).all(axis=1)):
+                if failed_at[b] is None:
+                    failed_at[b] = t
 
     if 0 in slot_of:
         record(slot_of[0], 0.0)
-    for s in range(1, int(out_steps[-1]) + 1):
-        xi = np.stack([rng.standard_normal(K) for rng in noise_rngs])
-        a, v = stepper.advance(a, v, xi)
-        if s in slot_of:
-            record(slot_of[s], s * config.dt)
+    block = max(1, _DRAW_BLOCK_BYTES // (B * K * 8))
+    xi_block = np.empty((B, min(block, n_steps), K))
+    for first in range(1, n_steps + 1, block):
+        n = min(block, n_steps + 1 - first)
+        for rng, rows in zip(noise_rngs, xi_block):
+            rng.standard_normal(out=rows[:n])
+        for s in range(first, first + n):
+            stepper.advance(a, v, xi_block[:, s - first])
+            if s in slot_of:
+                record(slot_of[s], s * config.dt)
 
     rec.failures = [(int(p), t) for p, t in zip(path_indices, failed_at) if t is not None]
     return rec

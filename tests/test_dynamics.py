@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from stoqg import (
@@ -21,7 +23,8 @@ from stoqg import (
     simulate_path,
     snap_output_times,
 )
-from stoqg.dynamics import _Stepper, phi1
+from stoqg import dynamics
+from stoqg.dynamics import _path_generators, _simulate_batch, _Stepper, phi1
 from stoqg.noise import ou_transition_std
 from stoqg.spectral import SpectralField, x_derivative_projected
 
@@ -148,10 +151,20 @@ class TestStep:
         params = linear_params()
         stepper = stepper_for(b, params, c_mu=0.0)
         omega = field_from_modes(b, {(1, 1): 1.0})
-        a, v = stepper.advance(omega.coeffs[None, :], np.full((1, 4), 3.0), np.full((1, 4), 12.34))
+        a0, v0 = omega.coeffs[None, :].copy(), np.full((1, 4), 3.0)
+        a, v = stepper.advance(a0, v0, np.full((1, 4), 12.34))
+        assert a is a0 and v is v0  # advanced in place
         assert a[0, 0] == pytest.approx(np.exp((-2 * np.pi**2 - 0.1) * 0.01), rel=1e-14)
         np.testing.assert_allclose(v[0], 3.0 * np.exp((b.eigenvalues - params.r) * 0.01),
                                    rtol=1e-14)
+
+    def test_step_without_drift_keeps_sign_of_zero_rule(self):
+        # as decay * a + drift_weight * 0.0 + eta did: a -0.0 state becomes +0.0,
+        # while the companion, which never adds a drift, keeps -0.0 + -0.0 = -0.0
+        stepper = stepper_for(build_basis(2, 1.0), linear_params(), c_mu=0.0)
+        a, v = stepper.advance(np.full((1, 4), -0.0), np.full((1, 4), -0.0), np.full((1, 4), -1.0))
+        assert not np.signbit(a).any()
+        assert np.signbit(v).all()
 
     @pytest.mark.parametrize("M", [4, 16, 32])  # drift grids P = 7, 25, 49
     def test_matches_batched_stepper(self, rng, M):
@@ -163,7 +176,7 @@ class TestStep:
         a0, v0 = 0.3 * rng.standard_normal((2, 2, M * M))
         xi = rng.standard_normal((2, M * M))
         stepper = _Stepper(params, spec, h)
-        a, v = stepper.advance(a0, v0, xi)
+        a, v = stepper.advance(a0.copy(), v0.copy(), xi)
         rates = b.eigenvalues - params.r
         for i in range(2):
             eta = ou_transition_std(spec.mu, rates, h) * xi[i]
@@ -250,6 +263,29 @@ class TestDeterminism:
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
         assert got.n_paths == want.n_paths == 10
 
+    def test_draw_block_does_not_change_paths(self, monkeypatch):
+        # batches of 32 and 8 paths at M=4; 300 steps: the 32-path batch draws one full
+        # block and a short one, the 8-path batch one short block; outputs fall on the
+        # last step of the first block, the first of the next, and off the block edges
+        block = dynamics._DRAW_BLOCK_BYTES // (32 * 16 * 8)
+        assert 100 < block < 299 and 300 % block
+        b = build_basis(4, 1.0)
+        spec = build_spectrum(b, 1.0, 2.0, 0.1)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=False, beta_term=True)
+        cfg = SimConfig(
+            M=4, dt=1e-3, T=0.3, output_times=np.array([0, 100, block, block + 1, 300]) * 1e-3,
+            n_paths=40, master_seed=11, batch_size=32, store_fields=True,
+            initial_condition=InitialCondition("gaussian", sigma=0.3),
+        )
+        blocked = run_ensemble(cfg, params, spec)
+        monkeypatch.setattr(dynamics, "_DRAW_BLOCK_BYTES", 1)  # one step per draw
+        stepwise = run_ensemble(cfg, params, spec)
+        assert len(blocked) == len(stepwise) == 2
+        for got, want in zip(blocked, stepwise):
+            for name in ("path_index", "omega_sq", "grad_sq", "u_sq", "wa_sq", "fields"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.failures == want.failures
+
     def test_golden_trajectory_guards_rng_contract(self):
         # frozen output of the documented (master_seed, path_index) mapping;
         # a change here means the reproducibility contract was broken
@@ -279,6 +315,20 @@ class TestDeterminism:
             convolution_sup_norms(cfg, params, spec, 0),
             [0.09687473431106187, 0.1254303247789333], rtol=1e-13,
         )
+
+
+class TestBlockedDraws:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), K=st.integers(1, 1024), n=st.integers(1, 20))
+    def test_block_draw_equals_per_step_draws(self, seed, K, n):
+        # the forcing stream of a path does not depend on how many steps one call draws
+        _, block_rng = _path_generators(seed, 0)
+        _, step_rng = _path_generators(seed, 0)
+        buf = np.empty((n + 1, K))
+        block_rng.standard_normal(out=buf[:n])
+        want = np.stack([step_rng.standard_normal(K) for _ in range(n)])
+        assert buf[:n].tobytes() == want.tobytes()
+        assert block_rng.bit_generator.state == step_rng.bit_generator.state
 
 
 class TestTrajectoryRecords:
@@ -408,6 +458,23 @@ class TestBlowupHandling:
         failing = sorted(p for p, _ in err.value.failures)
         assert failing == [0, 1]
         assert all(t in (0.01, 0.02) for _, t in err.value.failures)
+
+    @pytest.mark.parametrize("value, failures", [
+        (np.nan, [(0, 0.0), (1, 0.0)]),
+        (1e200, []),  # finite, though omega_sq overflows
+    ])
+    def test_failure_means_a_nonfinite_coefficient(self, value, failures):
+        b = build_basis(2, 1.0)
+        spec = build_spectrum(b, 1.0, 2.0, 0.1)
+        cfg = SimConfig(
+            M=2, dt=0.01, T=0.02, output_times=np.array([0.0, 0.01, 0.02]),
+            n_paths=2, master_seed=5,
+            initial_condition=InitialCondition("coeffs", coeffs=(value, 0.5, 0.0, -0.5)),
+        )
+        with np.errstate(all="ignore"):
+            rec = _simulate_batch(linear_params(), spec, cfg, np.arange(2))
+        assert rec.failures == failures
+        assert not np.isfinite(rec.omega_sq).any()
 
 
 class TestConfigPlumbing:
