@@ -1,8 +1,14 @@
 """Artifact persistence: CSV time series, JSON reports, run manifests.
 
-Files are written atomically (temp file in the target directory, then
-rename). Floats are serialized with Python's shortest round-trip repr, so a
-rerun that produces bit-identical doubles produces byte-identical files.
+Files are written atomically: the text goes into a temp file in the target
+directory, which is renamed over the target only after the last chunk, so a
+reader never sees a partial file and a failed write leaves an existing target
+as it was. New files get the mode a plain `open(path, "w")` would give them
+(0o666 less the umask). CSV rows are formatted and written one at a time, so
+writing `trajectories.csv` holds one path's coefficients in memory, not the
+whole dump.
+Floats are serialized with Python's shortest round-trip repr, so a rerun that
+produces bit-identical doubles produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import json
 import os
 import tempfile
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +28,24 @@ from .config import config_sha256
 from .dynamics import EnsembleRecord
 
 
-def atomic_write_text(path: Path, text: str):
+def _new_file_mode() -> int:
+    """The mode `open(path, "w")` gives a new file: 0o666 less the process umask."""
+    umask = os.umask(0)  # reading the umask means setting it; put it straight back
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+def _atomic_write(path: Path, chunks) -> None:
+    """Write an iterable of str chunks to path; path appears only after the last one.
+
+    If a chunk raises, the temp file is removed and an existing path keeps its bytes.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            os.fchmod(handle.fileno(), _new_file_mode())  # mkstemp creates 0600
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -35,9 +54,8 @@ def atomic_write_text(path: Path, text: str):
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Rows hold Python ints and floats (e.g. from `ndarray.tolist()`), written by repr."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines = (",".join(map(repr, row)) + "\n" for row in rows)
+    _atomic_write(path, chain([",".join(header) + "\n"], lines))
 
 
 def _jsonable(obj):
@@ -57,7 +75,7 @@ def _jsonable(obj):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"])
 
 
 def write_trace(out_dir: Path, trace: EnstrophyTrace, formats: list[str]) -> None:

@@ -295,6 +295,13 @@ _COMMANDS = {
 }
 
 
+def _worker_count(text: str) -> int:
+    """The --threads value: a count of worker processes, at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stoqg",
@@ -307,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output directory (overrides io.out_dir)")
         cmd.add_argument("--paths", type=int, default=None, help="override sim.n_paths")
         cmd.add_argument("--seed", type=int, default=None, help="override sim.master_seed")
-        cmd.add_argument("--threads", type=int, default=1, help="ensemble worker count")
+        cmd.add_argument("--threads", type=_worker_count, default=1,
+                         help="ensemble worker processes, >= 1 (never more than the batch count)")
     return parser
 
 

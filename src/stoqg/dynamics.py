@@ -435,7 +435,8 @@ def run_ensemble(
     ]
     columns = (repeat(params), repeat(spectrum), repeat(config), batches)
     if n_workers > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # a fork pool starts every worker at the first submit: fork no idle ones
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(batches))) as pool:
             records = list(pool.map(_simulate_batch, *columns))
     else:
         records = list(map(_simulate_batch, *columns))

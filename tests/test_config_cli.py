@@ -242,6 +242,15 @@ class TestSimulateCommand:
                      "--threads", "3"]) == 0
         assert (tmp_path / "b" / "trace.csv").read_bytes() == one
 
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_bad_thread_count_exit_2(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path, base_config(str(tmp_path / "o")))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", path, "--threads", threads])
+        assert exc.value.code == 2
+        assert "argument --threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_blas_thread_count_byte_identical(self, tmp_path):
         # the drift GEMMs give the same bits whatever OpenBLAS threading the child runs with
         cfg = base_config(str(tmp_path / "o"), M=32, dt=1e-3, T=0.01, n_paths=4,

@@ -235,6 +235,30 @@ class TestDeterminism:
         for a, b_ in zip(serial, parallel):
             np.testing.assert_array_equal(a.fields, b_.fields)
 
+    def test_pool_never_exceeds_batch_count(self, monkeypatch):
+        # a fork pool forks all max_workers processes at the first submit
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        sizes = []
+        monkeypatch.setattr(dynamics, "ProcessPoolExecutor", SerialPool)
+        b = build_basis(4, 1.0)
+        spec = build_spectrum(b, 1.0, 2.0, 0.1)
+        records = run_ensemble(small_config(n_paths=6, batch_size=3), linear_params(), spec,
+                               n_workers=8)
+        assert sizes == [2]
+        assert [r.path_index.tolist() for r in records] == [[0, 1, 2], [3, 4, 5]]
+
     @pytest.mark.parametrize("batch_size", [3, 10])  # 3+3+3+1 is uneven
     def test_batch_size_does_not_change_paths(self, batch_size):
         b = build_basis(4, 1.0)
