@@ -191,24 +191,6 @@ def theorem2_shape(
     return e_omega0_sq * np.exp(2.0 * gamma * times) + times**power * integral + 1.0
 
 
-def theorem2_envelope(
-    case: str,
-    e_omega0_sq: float,
-    c_fit: float,
-    gamma: float,
-    times,
-    mu_tilde: float | None = None,
-    mu_exp: float | None = None,
-) -> BoundEnvelope:
-    """Global-bound envelope C * (E||omega0||^2 e^(2 gamma t) + t^q Integral + 1)."""
-    times = np.asarray(times, dtype=float)
-    shape = theorem2_shape(case, e_omega0_sq, gamma, times, mu_tilde, mu_exp)
-    params = {"case": case, "C": c_fit, "gamma": gamma, "e_omega0_sq": e_omega0_sq}
-    if case == "a":
-        params["mu_tilde"] = mu_tilde
-    return BoundEnvelope(f"theorem2{case}", params, times, c_fit * shape)
-
-
 def validate_bound(trace: EnstrophyTrace, envelope: BoundEnvelope) -> BoundReport:
     """Check envelope dominance with the 3-standard-error allowance, no fitting."""
     lower = trace.ens_mean - 3.0 * trace.ens_se

@@ -31,7 +31,7 @@ from itertools import repeat
 import numpy as np
 
 from .noise import NoiseSpectrum, ou_transition_std
-from .spectral import Basis, ParameterError, SpectralField, dealias_resolution, grid_max_norm
+from .spectral import Basis, ParameterError, dealias_resolution, grid_max_norm
 
 
 @dataclass(frozen=True)
@@ -402,8 +402,7 @@ def convolution_sup_norms(
     replay = replace(config, initial_condition=InitialCondition(), store_fields=True)
     linear = replace(params, linearized=True, beta_term=False)
     rec = simulate_path(replay, linear, spectrum, path_index)
-    return np.array([grid_max_norm(SpectralField(spectrum.basis, a), 4 * config.M)
-                     for a in rec.fields[0]])
+    return np.array([grid_max_norm(spectrum.basis, a, 4 * config.M) for a in rec.fields[0]])
 
 
 def _check_basis(config: SimConfig, params: ModelParams, spectrum: NoiseSpectrum):

@@ -1,25 +1,19 @@
 import numpy as np
 import pytest
 
-from stoqg import build_basis
+from stoqg import Basis
 
 
 @pytest.fixture(scope="session")
 def basis16():
-    return build_basis(16, 1.0)
+    return Basis(16, 1.0)
 
 
 @pytest.fixture(scope="session")
 def basis8():
-    return build_basis(8, 1.0)
+    return Basis(8, 1.0)
 
 
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260810)
-
-
-def gauss_grid(n_nodes: int = 64):
-    """Gauss-Legendre nodes/weights mapped onto (0, 1), for quadrature oracles."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    return 0.5 * (nodes + 1.0), 0.5 * weights

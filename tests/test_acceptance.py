@@ -11,29 +11,25 @@ import time
 import numpy as np
 import pytest
 
+import reference as ref
 from stoqg import (
+    Basis,
     InitialCondition,
     ModelParams,
     SimConfig,
-    SpectralField,
-    build_basis,
     build_spectrum,
     estimate_enstrophy,
     gamma_threshold,
-    gradient_norm,
     holder_exponent_fit,
-    jacobian,
-    parseval_norm,
     phi_alpha,
     run_ensemble,
-    to_grid,
-    from_grid,
     trace,
     trace_class_envelope,
     validate_bound,
     asymptotics_check,
 )
 from stoqg.cli import main
+from stoqg.dynamics import _Stepper
 
 WORKERS = 4
 
@@ -51,7 +47,7 @@ def test_criterion_1_linear_oracle_equivalence():
     # 11 output times: Ens(t) within 3 SE of the closed-form OU variance
     started = time.perf_counter()
     M = 16
-    basis = build_basis(M, 1.0)
+    basis = Basis(M, 1.0)
     spectrum = build_spectrum(basis, 1.0, 2.0, 0.1)
     params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=True, beta_term=False)
     cfg = SimConfig(M=M, dt=1e-3, T=1.0, output_times=uniform_times(1.0, 11),
@@ -72,48 +68,63 @@ def test_criterion_1_linear_oracle_equivalence():
 
 
 def test_criterion_2_jacobian_identities():
+    # on the drift a run executes, -J(psi, omega) - beta psi_x with
+    # psi = Lap^-1 omega: <J, omega> = <J, psi> = 0, and with the beta term
+    # <drift, psi> = 0 still, since <psi_x, psi> = 0
     M = 16
-    basis = build_basis(M, 1.0)
+    basis = Basis(M, 1.0)
+    spectrum = build_spectrum(basis, 1.0, 2.0, 0.1)
     rng = np.random.default_rng(2)
-    worst_ortho = 0.0
-    for _ in range(100):
-        psi = SpectralField(basis, rng.standard_normal(M * M))
-        omega = SpectralField(basis, rng.standard_normal(M * M))
-        j = jacobian(psi, omega).coeffs
-        scale = gradient_norm(psi) * gradient_norm(omega)
-        r1 = abs(np.dot(j, omega.coeffs)) / (scale * parseval_norm(omega))
-        r2 = abs(np.dot(j, psi.coeffs)) / (scale * parseval_norm(psi))
-        worst_ortho = max(worst_ortho, r1, r2)
-        assert r1 <= 1e-8 and r2 <= 1e-8
-    f = SpectralField(basis, rng.standard_normal(M * M))
-    self_j = np.max(np.abs(jacobian(f, f).coeffs))
+    omega = rng.standard_normal((100, M * M))
+    psi = ref.inverse_laplacian(basis, omega)
+    grad_psi = np.sqrt(np.sum(basis.sq_wavenumbers * psi**2, axis=1))
+    grad_omega = np.sqrt(np.sum(basis.sq_wavenumbers * omega**2, axis=1))
+
+    def drift(beta):
+        params = ModelParams(nu=1.0, r=0.1, beta=beta, linearized=False, beta_term=True)
+        return _Stepper(params, spectrum, 1e-3).drift_flat(omega)
+
+    j = -drift(0.0)
+    scale = grad_psi * grad_omega
+    r1 = np.abs(np.sum(j * omega, axis=1)) / (scale * np.linalg.norm(omega, axis=1))
+    r2 = np.abs(np.sum(j * psi, axis=1)) / (scale * np.linalg.norm(psi, axis=1))
+    beta = 0.7
+    r3 = (np.abs(np.sum(drift(beta) * psi, axis=1))
+          / ((scale + beta * grad_psi) * np.linalg.norm(psi, axis=1)))
+    worst_ortho = max(r1.max(), r2.max(), r3.max())
+    assert np.all(r1 <= 1e-8) and np.all(r2 <= 1e-8) and np.all(r3 <= 1e-8)
+    # second opinion: the reference Jacobian of a general pair with itself
+    f = rng.standard_normal(M * M)
+    self_j = np.max(np.abs(ref.jacobian(basis, f, f)))
     assert self_j <= 1e-12
     report(2, f"jacobian identities, worst relative pairing {worst_ortho:.2e}")
 
 
 def test_criterion_3_parseval_and_transforms():
+    # the basis' grid transforms round-trip, and the grid and the Gauss-Legendre
+    # quadrature of f^2 both give ||f||^2 = sum a_k^2, the norm a run records
     rng = np.random.default_rng(3)
     worst = 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(96)
-    x, w = 0.5 * (nodes + 1.0), 0.5 * weights
+    x, w = ref.gauss_grid(96)
     for M in (4, 8, 16):
-        basis = build_basis(M, 1.0)
-        f = SpectralField(basis, rng.standard_normal(M * M))
-        back = from_grid(to_grid(f, 2 * M + 1), basis)
-        rt_err = np.max(np.abs(back.coeffs - f.coeffs)) / np.max(np.abs(f.coeffs))
-        sx = np.sin(np.outer(basis.m * np.pi, x))
-        sy = np.sin(np.outer(basis.n * np.pi, x))
-        vals = np.einsum("k,ki,kj->ij", 2.0 * f.coeffs, sx, sy)
-        quad = np.einsum("ij,i,j->", vals**2, w, w)
-        q_err = abs(parseval_norm(f) ** 2 - quad) / parseval_norm(f) ** 2
-        worst = max(worst, rt_err, q_err)
-        assert rt_err <= 1e-10 and q_err <= 1e-10
+        basis = Basis(M, 1.0)
+        a = rng.standard_normal(M * M)
+        P = 2 * M + 1
+        sin_mat, _ = basis.trig_matrices(P)
+        grid = sin_mat.T @ basis.to_grid2d(2.0 * a) @ sin_mat
+        back = basis.from_grid2d((2.0 / P**2) * (sin_mat @ grid @ sin_mat.T))
+        rt_err = np.max(np.abs(back - a)) / np.max(np.abs(a))
+        norm_sq = np.sum(a**2)
+        grid_err = abs(np.sum(grid**2) / P**2 - norm_sq) / norm_sq
+        q_err = abs(w @ ref.evaluate(basis, a, x)[0] ** 2 @ w - norm_sq) / norm_sq
+        worst = max(worst, rt_err, grid_err, q_err)
+        assert rt_err <= 1e-10 and grid_err <= 1e-10 and q_err <= 1e-10
     report(3, f"parseval/transform agreement, worst relative error {worst:.2e}")
 
 
 def test_criterion_4_deterministic_dissipation():
     M = 16
-    basis = build_basis(M, 1.0)
+    basis = Basis(M, 1.0)
     spectrum = build_spectrum(basis, 0.0, 2.0, 0.1)
     params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
     rng = np.random.default_rng(4)
@@ -148,7 +159,7 @@ def test_criterion_5_trace_class_bound():
     # constant-free envelope dominates the full nonlinear run; at t=1 the
     # envelope is within 10% of its long-time limit -Tr(Q)/(4 gamma)
     M = 16
-    basis = build_basis(M, 1.0)
+    basis = Basis(M, 1.0)
     spectrum = build_spectrum(basis, 1.0, 2.0, 0.1)
     params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
     gamma = gamma_threshold(params.nu, params.r, 0.0) + 0.1
@@ -171,7 +182,7 @@ def test_criterion_6_phi_alpha_scaling():
     # mu_k^2 = k^-0.6, theta = 0.1, M = 32: log-log slope over [1e2, 1e4]
     # equals theta - mu_exp = -0.5 within 10%; nu = 2 places the eigenvalue
     # range around the fit window
-    basis = build_basis(32, 2.0)
+    basis = Basis(32, 2.0)
     spectrum = build_spectrum(basis, 1.0, 0.6, 0.1)
     alphas = np.geomspace(1e2, 1e4, 9)
     values = np.array([phi_alpha(spectrum, a) for a in alphas])
@@ -184,7 +195,7 @@ def test_criterion_7_holder_floor():
     # pipeline trace of the criterion-5 physics on a dense grid; geometric
     # lags spanning [1e-3, 1e-1]; exponent floor 0.25 - 0.05 = 0.20
     M = 16
-    basis = build_basis(M, 1.0)
+    basis = Basis(M, 1.0)
     spectrum = build_spectrum(basis, 1.0, 2.0, 0.1)
     params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
     n_out = 520
@@ -221,7 +232,7 @@ def test_criterion_8_small_time_asymptotics():
     # (i) zero-IC linearized run: Ens(t) equals half the recorded convolution
     # variance to 1e-12 (pathwise identity omega == W_A)
     M = 16
-    basis = build_basis(M, 1.0)
+    basis = Basis(M, 1.0)
     spectrum = build_spectrum(basis, 1.0, 2.0, 0.1)
     lin = ModelParams(nu=1.0, r=1e-9, beta=0.0, linearized=True, beta_term=False)
     times_i = np.round(np.concatenate(([0.0], np.geomspace(1e-3, 1e-1, 7))), 12)
@@ -255,7 +266,7 @@ def test_criterion_8_small_time_asymptotics():
 
     # (iii) deterministic omega_0 = phi_11, zero noise: |Ens(t) - Ens(0)|
     # fits exponent 1.0 +- 0.05
-    basis2 = build_basis(2, 1.0)
+    basis2 = Basis(2, 1.0)
     spectrum0 = build_spectrum(basis2, 0.0, 2.0, 0.1)
     det = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
     geo3 = np.concatenate(([0.0], np.geomspace(1e-4, 1e-3, 7)))

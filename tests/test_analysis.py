@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stoqg import (
+    Basis,
     DIRICHLET_C1,
     EnsembleRecord,
     EnstrophyTrace,
@@ -11,7 +12,6 @@ from stoqg import (
     ModelParams,
     SimConfig,
     asymptotics_check,
-    build_basis,
     build_spectrum,
     convolution_sup_norms,
     estimate_enstrophy,
@@ -20,7 +20,6 @@ from stoqg import (
     holder_exponent_fit,
     lemma1_pathwise_check,
     run_ensemble,
-    theorem2_envelope,
     theorem2_shape,
     trace_class_envelope,
     validate_bound,
@@ -64,7 +63,7 @@ class TestEstimator:
 
     @pytest.mark.parametrize("mu_exp", [2.0, 0.5])  # trace-class and not
     def test_linear_system_matches_analytic(self, mu_exp):
-        b = build_basis(8, 1.0)
+        b = Basis(8, 1.0)
         spec = build_spectrum(b, 1.0, mu_exp, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=True, beta_term=False)
         cfg = SimConfig(
@@ -78,7 +77,7 @@ class TestEstimator:
         assert np.all(dev <= 3.0 * np.maximum(trace.ens_se, 1e-300))
 
     def test_se_shrinks_with_sqrt_paths(self):
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=True, beta_term=False)
 
@@ -142,8 +141,8 @@ class TestTraceClassEnvelope:
 class TestTheorem2:
     def test_case_b_frozen_value(self):
         # closed-form integral: t (1 - e^(2 gamma t)) / (-2 gamma) + 1 at t=1
-        env = theorem2_envelope("b", 0.0, 1.0, -1.0, np.array([1.0]))
-        assert env.values[0] == pytest.approx(0.43233235838169365 + 1.0, rel=1e-12)
+        shape = theorem2_shape("b", 0.0, -1.0, np.array([1.0]))
+        assert shape[0] == pytest.approx(0.43233235838169365 + 1.0, rel=1e-12)
 
     def test_case_a_with_unit_exponent_matches_case_b(self):
         times = np.linspace(0.0, 2.0, 7)
@@ -152,8 +151,8 @@ class TestTheorem2:
         np.testing.assert_allclose(a, b, rtol=1e-14)
 
     def test_value_at_time_zero(self):
-        env = theorem2_envelope("b", 4.0, 2.0, -1.0, np.array([0.0]))
-        assert env.values[0] == pytest.approx(2.0 * (4.0 + 1.0))
+        # E||omega_0||^2 + 1, whatever gamma
+        assert theorem2_shape("b", 4.0, -1.0, np.array([0.0]))[0] == pytest.approx(4.0 + 1.0)
 
     def test_rejects_bad_mu_tilde(self):
         with pytest.raises(ValueError):
@@ -205,7 +204,7 @@ class TestLemma1:
         # V == 0: A = 2 gamma, B = 0; exponential decay dominates for
         # gamma above the threshold (dt small enough that the forward
         # difference does not eat the gamma margin)
-        b = build_basis(8, 1.0)
+        b = Basis(8, 1.0)
         spec = build_spectrum(b, 0.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
         rng = np.random.default_rng(3)
@@ -232,7 +231,7 @@ class TestLemma1:
     def test_stochastic_run_violation_fraction(self):
         # run long enough that prefix and suffix both sample the
         # statistically stationary regime
-        b = build_basis(8, 1.0)
+        b = Basis(8, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
         cfg = SimConfig(
@@ -295,7 +294,7 @@ class TestHolderFit:
 
 class TestAsymptotics:
     def zero_mode_linear_run(self, n_paths=64, r=0.1):
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=r, beta=0.0, linearized=True, beta_term=False)
         times = np.round(np.array([0.0, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2, 3.2e-2]), 12)
@@ -312,7 +311,7 @@ class TestAsymptotics:
 
     def test_general_mode_deterministic_decay_exponent_one(self):
         # omega_0 = phi_11, zero noise: |Ens(t) - Ens(0)| = O(t) exactly
-        b = build_basis(2, 1.0)
+        b = Basis(2, 1.0)
         spec = build_spectrum(b, 0.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
         times = np.round(np.concatenate(([0.0], np.geomspace(1e-4, 1e-3, 7))), 12)
@@ -328,12 +327,12 @@ class TestAsymptotics:
     def test_general_mode_noise_floor(self):
         times = np.array([0.0, 1e-4, 1e-3, 1e-2])
         trace = synthetic_trace(times, np.full(4, 5.0), se=np.full(4, 2.0))
-        spec = build_spectrum(build_basis(2, 1.0), 1.0, 2.0, 0.1)
+        spec = build_spectrum(Basis(2, 1.0), 1.0, 2.0, 0.1)
         result = asymptotics_check(trace, spec, "general", delta=0.5, ens0=5.0)
         assert result["verdict"] == "not_applicable"
 
     def test_rejects_unknown_mode(self):
-        spec = build_spectrum(build_basis(2, 1.0), 1.0, 2.0, 0.1)
+        spec = build_spectrum(Basis(2, 1.0), 1.0, 2.0, 0.1)
         trace = synthetic_trace(np.array([1e-3, 1e-2, 1e-1]), np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             asymptotics_check(trace, spec, "weird", delta=0.5)

@@ -320,6 +320,19 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "terminated abruptly" in err and len(err.strip().splitlines()) == 1
 
+    def test_out_of_memory_exit_8(self, tmp_path, capsys, monkeypatch):
+        # what numpy raises when a dump's (n_paths, n_out, M^2) field array does not fit
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 15.3 GiB for an array with shape "
+                              "(32, 20001, 4096) and data type float64")
+
+        monkeypatch.setattr(stoqg.cli, "run_ensemble", exhausted)
+        path = write_config(tmp_path, base_config(str(tmp_path / "o")))
+        assert main(["simulate", "--config", path]) == 8
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     def test_trajectory_dump(self, tmp_path):
         out = tmp_path / "run"
         cfg = base_config(str(out), n_paths=3)
@@ -363,6 +376,52 @@ class TestVerifyLinearCommand:
         path = write_config(tmp_path, cfg)
         assert main(["verify-linear", "--config", path]) == 4
         assert "z" in capsys.readouterr().err
+
+    @staticmethod
+    def lin16_dense_cfg(out_dir, seed):
+        # 64 linearized M=16 paths with an output at each of 500 steps: 500 z-scores
+        cfg = base_config(out_dir, M=16, dt=1e-3, T=0.5, n_paths=64, master_seed=seed)
+        cfg["sim"]["output_times"] = {"kind": "uniform", "n": 501}
+        return cfg
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_many_output_times_pass(self, tmp_path, seed):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, self.lin16_dense_cfg(str(out), seed))
+        assert main(["verify-linear", "--config", path]) == 0
+        report = json.loads((out / "linear_report.json").read_text())
+        assert report["z_threshold"] == pytest.approx(4.5486, abs=1e-4)
+        assert abs(report["worst_z"]) <= report["z_threshold"]
+
+    def test_small_noise_fault_caught_at_many_output_times(self, tmp_path):
+        cfg = self.lin16_dense_cfg(str(tmp_path / "run"), 1)
+        cfg["sim"]["noise_fault_scale"] = 1.1
+        assert main(["verify-linear", "--config", write_config(tmp_path, cfg)]) == 4
+
+    def test_oracle_se_is_exact(self, tmp_path):
+        # the standard error of 0.5 ||V(t)||^2 under the oracle, not of the sample
+        out = tmp_path / "run"
+        cfg = self.linear_cfg(str(out))
+        assert main(["verify-linear", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads((out / "linear_report.json").read_text())
+        spec = load_config(write_config(tmp_path, cfg, "again.json")).spectrum
+        rates = spec.basis.eigenvalues - 0.1
+        for t, se in zip(report["times"], report["oracle_se"]):
+            s_k = spec.mu_sq * (1.0 - np.exp(2.0 * rates * t)) / (-2.0 * rates)
+            assert se == pytest.approx(np.sqrt(0.5 * np.sum(s_k**2) / 400), rel=1e-12, abs=0.0)
+        assert report["z_threshold"] == pytest.approx(3.4601, abs=1e-4)  # 5 positive output times
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sim", "initial_condition", {"type": "gaussian", "sigma": 0.1}),
+        ("model", "beta_term", True),
+    ])
+    def test_drift_outside_the_oracle_exit_2(self, tmp_path, capsys, section, key, value):
+        cfg = self.linear_cfg(str(tmp_path / "o"))
+        cfg[section][key] = value
+        cfg["model"]["beta"] = 0.2
+        assert main(["verify-linear", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_single_path_exit_2(self, tmp_path):
         path = write_config(tmp_path, self.linear_cfg(str(tmp_path / "o"), n_paths=1))

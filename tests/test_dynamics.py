@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from stoqg import (
+    Basis,
     BlowupError,
     InitialCondition,
     ModelParams,
     SimConfig,
     analytic_convolution_variance,
-    build_basis,
     build_spectrum,
     convolution_sup_norms,
     estimate_enstrophy,
-    field_from_modes,
-    jacobian,
-    laplace_invert,
     run_ensemble,
     simulate_path,
     snap_output_times,
@@ -26,7 +23,8 @@ from stoqg import (
 from stoqg import dynamics
 from stoqg.dynamics import _path_generators, _simulate_batch, _Stepper, phi1
 from stoqg.noise import ou_transition_std
-from stoqg.spectral import SpectralField, x_derivative_projected
+
+import reference as ref
 
 
 def linear_params(**kw):
@@ -50,19 +48,14 @@ def stepper_for(basis, params, c_mu=1.0):
     return _Stepper(params, build_spectrum(basis, c_mu, 2.0, 0.1), 0.01)
 
 
-def stepper_drift(omega: SpectralField, params) -> np.ndarray:
-    return stepper_for(omega.basis, params).drift_flat(omega.coeffs[None, :])[0]
+def stepper_drift(basis, omega, params) -> np.ndarray:
+    return stepper_for(basis, params).drift_flat(omega[None, :])[0]
 
 
-def reference_drift(omega: SpectralField, params) -> np.ndarray:
-    """-J(psi, omega) - beta psi_x from the per-field spectral operators."""
-    psi = laplace_invert(omega)
-    total = np.zeros(omega.basis.n_modes)
-    if not params.linearized:
-        total -= jacobian(psi, omega).coeffs
-    if params.beta_term and params.beta != 0.0:
-        total -= params.beta * x_derivative_projected(psi).coeffs
-    return total
+def reference_drift(basis, omega, params) -> np.ndarray:
+    """-J(psi, omega) - beta psi_x from the reference calculus."""
+    beta = params.beta if params.beta_term else 0.0
+    return ref.drift(basis, omega, beta, advective=not params.linearized)
 
 
 class TestPhi1:
@@ -78,15 +71,13 @@ class TestPhi1:
 class TestDrift:
     def test_linearized_without_beta_is_zero(self, basis8, rng):
         params = linear_params()
-        omega = SpectralField(basis8, rng.standard_normal(64))
-        assert np.all(stepper_drift(omega, params) == 0.0)
+        assert np.all(stepper_drift(basis8, rng.standard_normal(64), params) == 0.0)
 
     def test_beta_term_projection_values(self):
         # psi = -phi_11 / (2 pi^2); oracle values from the parity expansion
-        b = build_basis(4, 1.0)
-        omega = field_from_modes(b, {(1, 1): 1.0})
+        b = Basis(4, 1.0)
         params = ModelParams(nu=1.0, r=0.1, beta=1.0, linearized=True, beta_term=True)
-        d = stepper_drift(omega, params)
+        d = stepper_drift(b, ref.modes(b, {(1, 1): 1.0}), params)
         expected = {(2, 1): 4.0 / (3.0 * np.pi**2), (4, 1): 8.0 / (15.0 * np.pi**2)}
         for k in range(b.n_modes):
             want = expected.get((int(b.m[k]), int(b.n[k])), 0.0)
@@ -94,28 +85,26 @@ class TestDrift:
 
     def test_eigenfield_jacobian_vanishes(self):
         # J(psi, omega) = 0 when psi is a multiple of omega: drift reduces to beta term
-        b = build_basis(4, 1.0)
-        omega = field_from_modes(b, {(1, 1): 1.0})
+        b = Basis(4, 1.0)
+        omega = ref.modes(b, {(1, 1): 1.0})
         full = ModelParams(nu=1.0, r=0.1, beta=1.0, linearized=False, beta_term=True)
         lin = ModelParams(nu=1.0, r=0.1, beta=1.0, linearized=True, beta_term=True)
         np.testing.assert_allclose(
-            stepper_drift(omega, full), stepper_drift(omega, lin), atol=1e-15
+            stepper_drift(b, omega, full), stepper_drift(b, omega, lin), atol=1e-15
         )
 
     def test_beta_switch_off(self, basis8, rng):
-        omega = SpectralField(basis8, rng.standard_normal(64))
+        omega = rng.standard_normal(64)
         on = ModelParams(nu=1.0, r=0.1, beta=2.0, linearized=False, beta_term=True)
         off = ModelParams(nu=1.0, r=0.1, beta=2.0, linearized=False, beta_term=False)
-        diff = stepper_drift(omega, on) - stepper_drift(omega, off)
-        expected = -2.0 * x_derivative_projected(
-            SpectralField(basis8, omega.coeffs / -basis8.sq_wavenumbers)
-        ).coeffs
+        diff = stepper_drift(basis8, omega, on) - stepper_drift(basis8, omega, off)
+        expected = ref.drift(basis8, omega, beta=2.0, advective=False)
         np.testing.assert_allclose(diff, expected, atol=1e-12)
 
     @pytest.mark.parametrize("M", [8, 16, 32])
     def test_jacobian_identities_on_batch(self, rng, M):
         # <J(psi, omega), omega> = <J(psi, omega), psi> = 0 for the production drift
-        b = build_basis(M, 1.0)
+        b = Basis(M, 1.0)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
         omega = rng.standard_normal((32, M * M))
         psi = omega / -b.sq_wavenumbers
@@ -140,18 +129,17 @@ class TestStep:
             return drift_flat(self, a)
 
         monkeypatch.setattr(_Stepper, "drift_flat", counted)
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         params = ModelParams(nu=1.0, r=0.1, beta=0.5, linearized=linearized, beta_term=beta_term)
         run_ensemble(small_config(n_paths=5, batch_size=3), params, build_spectrum(b, 1.0, 2.0, 0.1))
         assert calls == calls_per_step * ([(3, 16)] * 10 + [(2, 16)] * 10)
 
     def test_pure_decay(self):
         # no forcing: omega and the companion decay at the solver rates whatever the draws
-        b = build_basis(2, 1.0)
+        b = Basis(2, 1.0)
         params = linear_params()
         stepper = stepper_for(b, params, c_mu=0.0)
-        omega = field_from_modes(b, {(1, 1): 1.0})
-        a0, v0 = omega.coeffs[None, :].copy(), np.full((1, 4), 3.0)
+        a0, v0 = ref.modes(b, {(1, 1): 1.0})[None, :], np.full((1, 4), 3.0)
         a, v = stepper.advance(a0, v0, np.full((1, 4), 12.34))
         assert a is a0 and v is v0  # advanced in place
         assert a[0, 0] == pytest.approx(np.exp((-2 * np.pi**2 - 0.1) * 0.01), rel=1e-14)
@@ -161,7 +149,7 @@ class TestStep:
     def test_step_without_drift_keeps_sign_of_zero_rule(self):
         # as decay * a + drift_weight * 0.0 + eta did: a -0.0 state becomes +0.0,
         # while the companion, which never adds a drift, keeps -0.0 + -0.0 = -0.0
-        stepper = stepper_for(build_basis(2, 1.0), linear_params(), c_mu=0.0)
+        stepper = stepper_for(Basis(2, 1.0), linear_params(), c_mu=0.0)
         a, v = stepper.advance(np.full((1, 4), -0.0), np.full((1, 4), -0.0), np.full((1, 4), -1.0))
         assert not np.signbit(a).any()
         assert np.signbit(v).all()
@@ -169,7 +157,7 @@ class TestStep:
     @pytest.mark.parametrize("M", [4, 16, 32])  # drift grids P = 7, 25, 49
     def test_matches_batched_stepper(self, rng, M):
         # the exponential-Euler step written out per field equals the batched advance
-        b = build_basis(M, 1.0)
+        b = Basis(M, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.7, linearized=False, beta_term=True)
         h = 0.01
@@ -180,7 +168,7 @@ class TestStep:
         rates = b.eigenvalues - params.r
         for i in range(2):
             eta = ou_transition_std(spec.mu, rates, h) * xi[i]
-            drift = reference_drift(SpectralField(b, a0[i]), params)
+            drift = reference_drift(b, a0[i], params)
             want_a = np.exp(rates * h) * a0[i] + h * phi1(rates * h) * drift + eta
             np.testing.assert_allclose(a[i], want_a, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(v[i], np.exp(rates * h) * v0[i] + eta,
@@ -190,14 +178,14 @@ class TestStep:
 class TestLinearExactness:
     def test_omega_equals_convolution_with_zero_drift(self):
         # F == 0 and omega_0 = 0: the solution IS the stochastic convolution
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         rec = simulate_path(small_config(), linear_params(), spec, 0)
         np.testing.assert_array_equal(rec.omega_sq[0], rec.wa_sq[0])
         assert np.max(rec.u_sq[0]) == 0.0
 
     def test_zero_spectrum_zero_ic_stays_zero(self):
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 0.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=1.0, linearized=False, beta_term=True)
         rec = simulate_path(small_config(), params, spec, 0)
@@ -206,7 +194,7 @@ class TestLinearExactness:
 
 class TestDeterminism:
     def test_same_seed_same_path_bit_identical(self):
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.3, linearized=False, beta_term=True)
         cfg = small_config(store_fields=True,
@@ -216,7 +204,7 @@ class TestDeterminism:
         np.testing.assert_array_equal(t1.fields, t2.fields)
 
     def test_single_path_ensemble_reduces_to_simulate_path(self):
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
         cfg = small_config(n_paths=1, store_fields=True)
@@ -225,7 +213,7 @@ class TestDeterminism:
         np.testing.assert_array_equal(ens[0].fields, solo.fields)
 
     def test_worker_count_bit_identical(self):
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
         cfg = lambda: small_config(n_paths=10, batch_size=3, store_fields=True)
@@ -252,21 +240,22 @@ class TestDeterminism:
 
         sizes = []
         monkeypatch.setattr(dynamics, "ProcessPoolExecutor", SerialPool)
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         records = run_ensemble(small_config(n_paths=6, batch_size=3), linear_params(), spec,
                                n_workers=8)
         assert sizes == [2]
         assert [r.path_index.tolist() for r in records] == [[0, 1, 2], [3, 4, 5]]
 
-    @pytest.mark.parametrize("batch_size", [3, 10])  # 3+3+3+1 is uneven
-    def test_batch_size_does_not_change_paths(self, batch_size):
-        b = build_basis(4, 1.0)
+    # 3+3+3+1 is uneven; M = 32 runs the P = 49 drift grid
+    @pytest.mark.parametrize("M, batch_size", [(4, 3), (4, 10), (32, 4)], ids=["3", "10", "M32-4"])
+    def test_batch_size_does_not_change_paths(self, M, batch_size):
+        b = Basis(M, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=False, beta_term=True)
 
         def run(size):
-            cfg = small_config(n_paths=10, batch_size=size, store_fields=True,
+            cfg = small_config(M=M, n_paths=10, batch_size=size, store_fields=True,
                                initial_condition=InitialCondition("gaussian", sigma=0.3))
             return run_ensemble(cfg, params, spec)
 
@@ -276,15 +265,14 @@ class TestDeterminism:
         def joined(records, name):
             return np.concatenate([getattr(r, name) for r in records])
 
-        np.testing.assert_array_equal(joined(batched, "path_index"), joined(single, "path_index"))
-        for name in ("omega_sq", "fields"):
-            np.testing.assert_allclose(joined(batched, name), joined(single, name), rtol=1e-12)
+        for name in ("path_index", "omega_sq", "grad_sq", "u_sq", "wa_sq", "fields"):
+            np.testing.assert_array_equal(joined(batched, name), joined(single, name), err_msg=name)
         rates = b.eigenvalues - params.r
         want = estimate_enstrophy(single, spec, rates)
         got = estimate_enstrophy(batched, spec, rates)
         for name in ("times", "ens_mean", "ens_se", "wa_half_empirical", "wa_half_analytic",
                      "resid_mean", "resid_se"):
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
         assert got.n_paths == want.n_paths == 10
 
     def test_draw_block_does_not_change_paths(self, monkeypatch):
@@ -293,7 +281,7 @@ class TestDeterminism:
         # last step of the first block, the first of the next, and off the block edges
         block = dynamics._DRAW_BLOCK_BYTES // (32 * 16 * 8)
         assert 100 < block < 299 and 300 % block
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=False, beta_term=True)
         cfg = SimConfig(
@@ -313,7 +301,7 @@ class TestDeterminism:
     def test_golden_trajectory_guards_rng_contract(self):
         # frozen output of the documented (master_seed, path_index) mapping;
         # a change here means the reproducibility contract was broken
-        basis = build_basis(2, 1.0)
+        basis = Basis(2, 1.0)
         spec = build_spectrum(basis, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.5, linearized=False, beta_term=True)
         cfg = SimConfig(
@@ -357,7 +345,7 @@ class TestBlockedDraws:
 
 class TestTrajectoryRecords:
     def test_scalars_consistent_with_stored_fields(self, rng):
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.4, linearized=False, beta_term=True)
         cfg = small_config(store_fields=True,
@@ -371,7 +359,7 @@ class TestTrajectoryRecords:
             )
 
     def test_times_strictly_increasing(self):
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         rec = simulate_path(small_config(), linear_params(), spec, 0)
         assert np.all(np.diff(rec.times) > 0)
@@ -379,7 +367,7 @@ class TestTrajectoryRecords:
 
 class TestEnsembleStatistics:
     def test_linear_mean_matches_analytic_oracle(self):
-        b = build_basis(8, 1.0)
+        b = Basis(8, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = linear_params()
         cfg = SimConfig(
@@ -400,7 +388,7 @@ class TestConservation:
     def test_deterministic_dissipation_monotone(self, rng):
         # zero noise, beta = 0: discrete enstrophy non-increasing at every step
         M = 16
-        b = build_basis(M, 1.0)
+        b = Basis(M, 1.0)
         spec = build_spectrum(b, 0.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
         ic = rng.standard_normal(M * M) / (1.0 + b.sq_wavenumbers / np.pi**2)
@@ -417,7 +405,7 @@ class TestConservation:
     def test_energy_balance_residual_first_order(self, rng):
         # |d(enstrophy)/dt + nu ||grad w||^2 + r ||w||^2| halves with dt
         M = 8
-        b = build_basis(M, 1.0)
+        b = Basis(M, 1.0)
         spec = build_spectrum(b, 0.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
         ic = tuple(rng.standard_normal(M * M) / (1.0 + b.sq_wavenumbers / np.pi**2))
@@ -442,7 +430,7 @@ class TestConservation:
     def test_deterministic_convergence_first_order(self, rng):
         # halving h halves the error against a high-order reference integrator
         M = 8
-        b = build_basis(M, 1.0)
+        b = Basis(M, 1.0)
         spec = build_spectrum(b, 0.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
         ic = 0.5 * rng.standard_normal(M * M) / (1.0 + np.arange(M * M))
@@ -469,7 +457,7 @@ class TestConservation:
 
 class TestBlowupHandling:
     def test_blowup_reported_with_paths_and_time(self):
-        b = build_basis(2, 1.0)
+        b = Basis(2, 1.0)
         spec = build_spectrum(b, 0.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
         cfg = SimConfig(
@@ -488,7 +476,7 @@ class TestBlowupHandling:
         (1e200, []),  # finite, though omega_sq overflows
     ])
     def test_failure_means_a_nonfinite_coefficient(self, value, failures):
-        b = build_basis(2, 1.0)
+        b = Basis(2, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         cfg = SimConfig(
             M=2, dt=0.01, T=0.02, output_times=np.array([0.0, 0.01, 0.02]),

@@ -5,9 +5,9 @@ import pytest
 from scipy import stats
 
 from stoqg import (
+    Basis,
     SummabilityError,
     analytic_convolution_variance,
-    build_basis,
     build_spectrum,
     phi_alpha,
     spectrum_from_list,
@@ -18,38 +18,38 @@ from stoqg.noise import ou_transition_std, stationary_tail_bound
 
 def basis_with_lambda(value: float):
     """Single-mode basis whose eigenvalue equals -value (value > 0)."""
-    return build_basis(1, value / (2 * np.pi**2))
+    return Basis(1, value / (2 * np.pi**2))
 
 
 class TestBuildSpectrum:
     def test_rejects_summability_violation(self):
-        b = build_basis(2, 1.0)
+        b = Basis(2, 1.0)
         with pytest.raises(SummabilityError):
             build_spectrum(b, c_mu=1.0, mu_exp=0.0, theta=0.1)
 
     def test_rejects_bad_theta(self):
-        b = build_basis(2, 1.0)
+        b = Basis(2, 1.0)
         for theta in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(ValueError):
                 build_spectrum(b, c_mu=1.0, mu_exp=2.0, theta=theta)
 
     def test_power_rule_values(self):
         # c_mu=4, mu_exp=2 on 3 modes: mu^2 = {4, 1, 4/9}, trace 49/9
-        b = build_basis(2, 1.0)
+        b = Basis(2, 1.0)
         spec = build_spectrum(b, c_mu=4.0, mu_exp=2.0, theta=0.5)
         np.testing.assert_allclose(spec.mu_sq[:3], [4.0, 1.0, 4.0 / 9.0])
         partial = spectrum_from_list(b, [4.0, 1.0, 4.0 / 9.0, 0.0], theta=0.5)
         assert trace(partial) == pytest.approx(49.0 / 9.0)
 
     def test_non_trace_class_flag(self):
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, c_mu=1.0, mu_exp=0.5, theta=0.25)
         assert not spec.trace_class
         assert build_spectrum(b, c_mu=1.0, mu_exp=2.0, theta=0.25).trace_class
         assert build_spectrum(b, c_mu=0.0, mu_exp=0.5, theta=0.25).trace_class
 
     def test_explicit_list_roundtrip(self):
-        b = build_basis(2, 1.0)
+        b = Basis(2, 1.0)
         spec = spectrum_from_list(b, [1.0, 0.0, 0.25, 4.0], theta=0.3)
         np.testing.assert_allclose(spec.mu, [1.0, 0.0, 0.5, 2.0])
         with pytest.raises(ValueError):
@@ -58,26 +58,26 @@ class TestBuildSpectrum:
 
 class TestTrace:
     def test_unit_modes(self):
-        b = build_basis(2, 1.0)
+        b = Basis(2, 1.0)
         assert trace(spectrum_from_list(b, [1.0, 1.0, 1.0, 0.0], theta=0.5)) == 3.0
 
     def test_zero_spectrum(self):
-        b = build_basis(2, 1.0)
+        b = Basis(2, 1.0)
         assert trace(build_spectrum(b, 0.0, 2.0, 0.5)) == 0.0
 
     def test_partial_sum_oracle(self):
         # direct-summation oracle at two truncations of mu_k^2 = k^-2
-        b10 = build_basis(10, 1.0)
+        b10 = Basis(10, 1.0)
         spec = build_spectrum(b10, 1.0, 2.0, 0.5)
         assert trace(spec) == pytest.approx(1.6349839001848931, rel=1e-12)
-        b16 = build_basis(16, 1.0)
+        b16 = Basis(16, 1.0)
         assert trace(build_spectrum(b16, 1.0, 2.0, 0.5)) == pytest.approx(
             np.sum(1.0 / np.arange(1, 257.0) ** 2), rel=1e-14
         )
 
     def test_tail_bound_diagnostic(self):
-        b8 = build_basis(8, 1.0)
-        b16 = build_basis(16, 1.0)
+        b8 = Basis(8, 1.0)
+        b16 = Basis(16, 1.0)
         t8 = stationary_tail_bound(build_spectrum(b8, 1.0, 2.0, 0.5))
         t16 = stationary_tail_bound(build_spectrum(b16, 1.0, 2.0, 0.5))
         assert 0.0 < t16 < t8
@@ -90,7 +90,7 @@ class TestPhiAlpha:
         assert phi_alpha(spec, 0.0) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
     def test_strictly_decreasing_to_zero(self):
-        b = build_basis(4, 1.0)
+        b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 1.5, 0.2)
         alphas = np.geomspace(1e-2, 1e6, 20)
         values = [phi_alpha(spec, a) for a in alphas]
@@ -98,7 +98,7 @@ class TestPhiAlpha:
         assert values[-1] < 1e-4 * values[0]
 
     def test_termwise_bound(self):
-        b = build_basis(6, 1.0)
+        b = Basis(6, 1.0)
         spec = build_spectrum(b, 2.0, 1.2, 0.3)
         lam_abs = -b.eigenvalues
         cap = np.sum(spec.mu_sq * lam_abs**spec.theta)
@@ -108,7 +108,7 @@ class TestPhiAlpha:
     def test_scaling_exponent(self):
         # numeric fit of the alpha^(theta - mu_exp) regime; the eigenvalue
         # range of the nu=2, M=32 basis brackets the fit window [1e2, 1e4]
-        b = build_basis(32, 2.0)
+        b = Basis(32, 2.0)
         spec = build_spectrum(b, 1.0, 0.6, 0.1)
         alphas = np.geomspace(1e2, 1e4, 9)
         values = np.array([phi_alpha(spec, a) for a in alphas])
@@ -128,12 +128,12 @@ class TestAnalyticVariance:
         assert var == pytest.approx(0.43233235838169365, rel=1e-14)
 
     def test_zero_at_time_zero(self):
-        b = build_basis(3, 1.0)
+        b = Basis(3, 1.0)
         spec = build_spectrum(b, 2.0, 1.5, 0.2)
         assert analytic_convolution_variance(spec, b.eigenvalues, 0.0) == 0.0
 
     def test_increasing_concave_saturating(self):
-        b = build_basis(3, 1.0)
+        b = Basis(3, 1.0)
         spec = build_spectrum(b, 2.0, 1.5, 0.2)
         rates = b.eigenvalues / 20.0  # slow decay keeps increments resolvable
         ts = np.linspace(0.0, 2.0, 50)
@@ -148,7 +148,7 @@ class TestAnalyticVariance:
     def test_small_time_growth_exponent(self):
         # consistency with the small-time power law: slope >= delta - 0.05
         delta = 0.5
-        b = build_basis(32, 1.0)
+        b = Basis(32, 1.0)
         spec = build_spectrum(b, 1.0, delta, 0.1)
         ts = np.geomspace(1e-5, 1e-3, 9)
         var = analytic_convolution_variance(spec, b.eigenvalues, ts)
@@ -186,7 +186,7 @@ class TestOUIncrement:
         # empirical variance within 4 standard errors of the estimator,
         # under an uneven step schedule partitioning [0, 0.7]
         n = 100_000
-        b = build_basis(2, 1.0)
+        b = Basis(2, 1.0)
         spec = spectrum_from_list(b, [1.0, 0.5, 0.25, 2.0], theta=0.5)
         rates = b.eigenvalues / 50.0  # slow rates so variance accumulates
         rng = np.random.default_rng(77)
