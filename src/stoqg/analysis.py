@@ -281,8 +281,8 @@ def lemma1_pathwise_check(
     n_fit = max(1, int(round(split * n)))
     prefix_unfixable = int(np.sum((gain[:n_fit] == 0) & (base[:n_fit] > 0)))
     if c_fit is None:
-        # points with zero forcing gain cannot be repaired by any constant;
-        # they enter the violation count instead of the fit
+        # prefix points with zero forcing gain cannot be repaired by any constant;
+        # they are left out of the fit and reported only as prefix_unfixable
         with np.errstate(divide="ignore", invalid="ignore"):
             needed = np.where(gain > 0, base / gain, 0.0)
         c_fit = float(max(0.0, np.max(needed[:n_fit])))

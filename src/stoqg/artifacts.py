@@ -58,24 +58,18 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     _atomic_write(path, chain([",".join(header) + "\n"], lines))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _numpy_to_python(obj):
+    """json.dumps fallback: arrays become lists and numpy scalars Python numbers."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, [json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"])
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_numpy_to_python)
+    _atomic_write(path, [text + "\n"])
 
 
 def write_trace(out_dir: Path, trace: EnstrophyTrace, formats: list[str]) -> None:

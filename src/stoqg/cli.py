@@ -53,7 +53,6 @@ class _Outcome:
     summary: str  # one line, on stdout for success and on stderr otherwise
     trace: lab.EnstrophyTrace | None = None
     reports: dict[str, dict] = field(default_factory=dict)  # JSON file name -> payload
-    records: list | None = None  # per-batch ensemble records for trajectories.csv
     manifest_extra: dict | None = None
 
 
@@ -69,12 +68,18 @@ def _load(args) -> RunConfig:
 
 
 def _execute(command, args) -> int:
-    """Load, let the command run and report, then write its artifacts and manifest."""
+    """Load, let the command run and report, then write its artifacts and manifest.
+
+    A command that ran the ensemble with `io.write_trajectories` on also writes
+    trajectories.csv.
+    """
     cfg = _load(args)
     clock = Stopwatch()
+    records = None
 
     def run():
         """The ensemble and its enstrophy trace, timed for the manifest."""
+        nonlocal records
         if cfg.sim.n_paths < 2:
             raise ConfigError("sim.n_paths", "ensemble statistics need at least 2 paths")
         with clock:
@@ -87,8 +92,8 @@ def _execute(command, args) -> int:
     out_dir = Path(cfg.io["out_dir"])
     if outcome.trace is not None:
         write_trace(out_dir, outcome.trace, cfg.io["formats"])
-    if outcome.records is not None:
-        write_trajectories(out_dir, outcome.records)
+    if records is not None and cfg.io["write_trajectories"]:
+        write_trajectories(out_dir, records)
     for name, payload in outcome.reports.items():
         write_json(out_dir / name, payload)
     write_manifest(out_dir, cfg.document, clock.elapsed, extra=outcome.manifest_extra)
@@ -108,16 +113,12 @@ def _gamma_settings(cfg: RunConfig) -> tuple[float, float]:
 
 
 def cmd_simulate(cfg: RunConfig, run) -> _Outcome:
-    dump = cfg.io["write_trajectories"]
-    if dump:
-        cfg.sim.store_fields = cfg.document["sim"]["store_fields"] = True
-    records, trace = run()
+    _, trace = run()
     return _Outcome(
         EXIT_OK,
         f"simulate: wrote {Path(cfg.io['out_dir'])} "
         f"({trace.n_paths} paths, {len(trace.times)} output times)",
         trace=trace,
-        records=records if dump else None,
         manifest_extra={"spectrum_tail_bound": noise_mod.stationary_tail_bound(cfg.spectrum)},
     )
 
@@ -259,24 +260,13 @@ def _write_envelopes_csv(out_dir: Path, trace: lab.EnstrophyTrace, reports: list
     write_csv(out_dir / "envelopes.csv", header, zip(*(c.tolist() for c in columns)))
 
 
-def _synthetic_trace(kind: str, window, lags) -> lab.EnstrophyTrace:
-    t0 = float(window[0])
-    times = np.concatenate(([t0], t0 + np.asarray(sorted(lags), dtype=float)))
-    ens = np.sqrt(times) if kind == "sqrt" else times
-    zeros = np.zeros_like(times)
-    return lab.EnstrophyTrace(times=times, ens_mean=ens, ens_se=zeros, n_paths=0)
-
-
 def cmd_holder(cfg: RunConfig, run) -> _Outcome:
     holder_cfg = cfg.analysis["holder"]
     for key in ("window", "lags"):
         if key not in holder_cfg:
             raise ConfigError(f"analysis.holder.{key}", "required for the holder command")
     window, lags = holder_cfg["window"], holder_cfg["lags"]
-    if holder_cfg["synthetic"]:
-        trace = _synthetic_trace(holder_cfg["synthetic"], window, lags)
-    else:
-        _, trace = run()
+    _, trace = run()
     try:
         result = lab.holder_exponent_fit(trace, tuple(window), lags)
     except ValueError as err:

@@ -3,9 +3,11 @@
 Configs are JSON documents with sections model / spectrum / sim / analysis /
 io. Validation is strict: unknown keys are rejected and every error names the
 offending key path, because silently ignored typos are the main
-reproducibility hazard in experiment configs. Loading normalizes the
-document (defaults filled in, output times snapped onto the step grid);
-normalization is idempotent, so load -> serialize -> load is a fixed point.
+reproducibility hazard in experiment configs. Loading is two passes:
+`normalize` checks the schema (defaults filled in, output times snapped onto
+the step grid) and is idempotent, so normalize -> serialize -> normalize is a
+fixed point; `materialize` builds each model object once, and the value
+ranges are checked there, by the constructors.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,7 +83,7 @@ _MODEL_KEYS = {"nu", "r", "beta", "linearized", "beta_term"}
 _SPECTRUM_KEYS = {"c_mu", "mu_exp", "theta", "mu_sq_list"}
 _SIM_KEYS = {
     "M", "dt", "T", "output_times", "n_paths", "master_seed", "initial_condition",
-    "batch_size", "store_fields", "noise_fault_scale",
+    "batch_size", "noise_fault_scale",
 }
 _ANALYSIS_KEYS = {"gamma", "c1", "alpha_grid", "split", "mu_tilde", "holder", "asymptotics"}
 _IO_KEYS = {"out_dir", "formats", "write_trajectories"}
@@ -93,6 +96,15 @@ def _key_of(field: str) -> str:
             return f"{section}.{field}"
     return {"mu": "spectrum.mu_sq_list", "coeffs": "sim.initial_condition.values",
             "sigma": "sim.initial_condition.sigma"}[field]
+
+
+@contextmanager
+def _keyed():
+    """Report a constructor's ParameterError as a ConfigError under the config key it names."""
+    try:
+        yield
+    except ParameterError as err:
+        raise ConfigError(_key_of(err.field), str(err)) from None
 
 
 def _normalize_model(raw: dict) -> dict:
@@ -168,19 +180,19 @@ def _normalize_sim(raw: dict) -> dict:
         "n_paths": _get(raw, "sim", "n_paths", int),
         "master_seed": _get(raw, "sim", "master_seed", int),
         "batch_size": _get(raw, "sim", "batch_size", int, 32),
-        "store_fields": _get(raw, "sim", "store_fields", bool, False),
         "noise_fault_scale": _get(raw, "sim", "noise_fault_scale", float, 1.0),
     }
     out_times = _get(raw, "sim", "output_times", dict)
     ic = _get(raw, "sim", "initial_condition", dict, {"type": "zero"})
-    SimConfig(output_times=[0.0], **out)  # range-checks the step grid before snapping onto it
+    with _keyed():
+        SimConfig(output_times=[0.0], **out)  # range-checks the step grid before snapping onto it
     out["output_times"] = _normalize_output_times(out_times, out["dt"], out["T"])
     out["initial_condition"] = _normalize_initial_condition(ic)
     return out
 
 
 def _normalize_holder(raw: dict) -> dict:
-    _require(raw, "analysis.holder", {"window", "lags", "synthetic"})
+    _require(raw, "analysis.holder", {"window", "lags"})
     out = {}
     window = _number_list(raw, "analysis.holder", "window", None)
     if window is not None:
@@ -192,10 +204,6 @@ def _normalize_holder(raw: dict) -> dict:
         if len(lags) < 5 or min(lags) <= 0:
             raise ConfigError("analysis.holder.lags", "need >= 5 positive lags")
         out["lags"] = sorted(lags)
-    synthetic = raw.get("synthetic")
-    if synthetic is not None and synthetic not in ("sqrt", "linear"):
-        raise ConfigError("analysis.holder.synthetic", "must be 'sqrt' or 'linear'")
-    out["synthetic"] = synthetic
     return out
 
 
@@ -260,12 +268,11 @@ def _normalize_io(raw: dict) -> dict:
 
 
 def normalize(raw: dict) -> dict:
-    """Validate and normalize a raw configuration document.
+    """Check the schema of a raw configuration document and normalize it.
 
-    The normalizers check the schema: unknown keys, types, defaults and the
-    output-time grid. Value ranges are checked once, by the model
-    constructors; the ParameterError they raise is reported under the config
-    key of the argument it names.
+    The normalizers check unknown keys, types, defaults and the output-time
+    grid; the step grid is range-checked before times are snapped onto it.
+    Every other value range is checked by `materialize`.
     """
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
@@ -273,18 +280,13 @@ def normalize(raw: dict) -> dict:
     for name in ("model", "spectrum", "sim"):
         if name not in raw:
             raise ConfigError(name, "required section missing")
-    try:
-        out = {
-            "model": _normalize_model(raw["model"]),
-            "spectrum": _normalize_spectrum(raw["spectrum"]),
-            "sim": _normalize_sim(raw["sim"]),
-            "analysis": _normalize_analysis(raw.get("analysis", {})),
-            "io": _normalize_io(raw.get("io", {})),
-        }
-        materialize(out)
-    except ParameterError as err:
-        raise ConfigError(_key_of(err.field), str(err)) from None
-    return out
+    return {
+        "model": _normalize_model(raw["model"]),
+        "spectrum": _normalize_spectrum(raw["spectrum"]),
+        "sim": _normalize_sim(raw["sim"]),
+        "analysis": _normalize_analysis(raw.get("analysis", {})),
+        "io": _normalize_io(raw.get("io", {})),
+    }
 
 
 @dataclass
@@ -314,34 +316,30 @@ class RunConfig:
 
 
 def materialize(document: dict) -> RunConfig:
-    """Build model objects from a normalized configuration document."""
-    model = document["model"]
-    params = ModelParams(
-        nu=model["nu"], r=model["r"], beta=model["beta"],
-        linearized=model["linearized"], beta_term=model["beta_term"],
-    )
-    sim_doc = document["sim"]
-    basis = Basis(sim_doc["M"], model["nu"])
-    spec_doc = document["spectrum"]
-    if "mu_sq_list" in spec_doc:
-        spectrum = spectrum_from_list(basis, spec_doc["mu_sq_list"], spec_doc["theta"])
-    else:
-        spectrum = build_spectrum(basis, spec_doc["c_mu"], spec_doc["mu_exp"], spec_doc["theta"])
-    ic_doc = sim_doc["initial_condition"]
-    if ic_doc["type"] == "zero":
-        ic = InitialCondition("zero")
-    elif ic_doc["type"] == "coeffs":
-        ic = InitialCondition("coeffs", coeffs=tuple(ic_doc["values"]))
-    else:
-        sigma = ic_doc["sigma"]
-        ic = InitialCondition("gaussian", sigma=tuple(sigma) if isinstance(sigma, list) else sigma)
-    sim = SimConfig(
-        M=sim_doc["M"], dt=sim_doc["dt"], T=sim_doc["T"],
-        output_times=np.asarray(sim_doc["output_times"]["times"], dtype=float),
-        n_paths=sim_doc["n_paths"], master_seed=sim_doc["master_seed"],
-        initial_condition=ic, batch_size=sim_doc["batch_size"],
-        store_fields=sim_doc["store_fields"], noise_fault_scale=sim_doc["noise_fault_scale"],
-    )
+    """Build each model object once from a normalized document, checking the value ranges.
+
+    A run stores its fields exactly when it dumps them (`io.write_trajectories`).
+    """
+    with _keyed():
+        params = ModelParams(**document["model"])
+        sim_doc = dict(document["sim"])
+        basis = Basis(sim_doc["M"], params.nu)
+        spec_doc = document["spectrum"]
+        if "mu_sq_list" in spec_doc:
+            spectrum = spectrum_from_list(basis, spec_doc["mu_sq_list"], spec_doc["theta"])
+        else:
+            spectrum = build_spectrum(basis, spec_doc["c_mu"], spec_doc["mu_exp"], spec_doc["theta"])
+        ic_doc = sim_doc.pop("initial_condition")
+        if ic_doc["type"] == "zero":
+            ic = InitialCondition("zero")
+        elif ic_doc["type"] == "coeffs":
+            ic = InitialCondition("coeffs", coeffs=tuple(ic_doc["values"]))
+        else:
+            sigma = ic_doc["sigma"]
+            ic = InitialCondition("gaussian", sigma=tuple(sigma) if isinstance(sigma, list) else sigma)
+        sim_doc["output_times"] = sim_doc["output_times"]["times"]
+        sim = SimConfig(**sim_doc, initial_condition=ic,
+                        store_fields=document["io"]["write_trajectories"])
     return RunConfig(params, spectrum, sim, document["analysis"], document["io"], document)
 
 
@@ -353,11 +351,6 @@ def read_document(path: str | Path):
         raise ConfigError("<file>", f"cannot read config file {path}: {err.strerror or err}") from None
     except ValueError as err:  # malformed JSON, not UTF-8, an integer literal over the digit limit
         raise ConfigError("<file>", f"invalid JSON: {err}") from None
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Load, validate and materialize a JSON configuration file."""
-    return materialize(normalize(read_document(path)))
 
 
 def canonical_json(document: dict) -> str:
