@@ -12,8 +12,8 @@ violation, 6 regularity failure, 7 crashed ensemble worker, 8 out of memory.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -339,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlowupError as err:
         print(f"blowup: {err}", file=sys.stderr)
         return EXIT_BLOWUP
-    except BrokenProcessPool as err:
+    except concurrent.futures.BrokenExecutor as err:
         print(f"worker crash: {err}", file=sys.stderr)
         return EXIT_WORKER
     except MemoryError as err:

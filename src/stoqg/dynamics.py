@@ -23,8 +23,8 @@ reproducible under any parallel schedule.
 
 from __future__ import annotations
 
+import concurrent.futures
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -151,8 +151,13 @@ def snap_output_times(times, dt: float, T: float) -> np.ndarray:
             f"snapped {int(np.sum(moved))} output time(s) onto the dt={dt} grid",
             stacklevel=2,
         )
-    snapped = np.unique(np.clip(snapped, 0.0, np.rint(T / dt) * dt))
-    return snapped
+    # sorted, each entry kept unless it equals its left neighbour: np.unique's
+    # result, without the numpy.ma import its first call costs every process
+    snapped = np.sort(np.clip(snapped, 0.0, np.rint(T / dt) * dt))
+    keep = np.empty(snapped.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(snapped[1:], snapped[:-1], out=keep[1:])
+    return snapped[keep]
 
 
 @dataclass
@@ -196,8 +201,21 @@ def phi1(z: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + z / 2.0 + z**2 / 6.0, out)
 
 
+# byte budget of each per-batch work block: the forcing draws, (B, n, K) doubles,
+# and the drift's two grid-sized work arrays, 4 * 8 * Q * (M + Q) bytes a path
+_BATCH_BLOCK_BYTES = 2**20
+
+
 class _Stepper:
-    """Precomputed batched exponential-Euler apparatus for one (params, spectrum, dt)."""
+    """Precomputed batched exponential-Euler apparatus for one (params, spectrum, dt).
+
+    `drift_flat` evaluates a batch in chunks of at most `chunk` paths: as many
+    as fit _BATCH_BLOCK_BYTES with their derivative grids on the dealiased
+    P-grid (Q = P - 1 interior points a side), at least one. That is a whole
+    32-path batch at M=16, 8 paths at M=32 and 2 at M=64, so the drift's work
+    arrays stop growing with the batch past the budget. Every product and
+    elementwise operation acts per path, so the chunking changes no bit.
+    """
 
     def __init__(self, params: ModelParams, spectrum: NoiseSpectrum, dt: float, fault_scale: float = 1.0):
         basis = self.basis = spectrum.basis
@@ -210,9 +228,15 @@ class _Stepper:
         self.advective = not params.linearized
         self.beta = params.beta if params.beta_term else 0.0
         self.needs_drift = self.advective or self.beta != 0.0
+        P = dealias_resolution(basis.M)
+        self.chunk = max(1, _BATCH_BLOCK_BYTES // (32 * (P - 1) * (basis.M + P - 1)))
+        # work arrays are reused, per chunk shape and per batch shape: fresh
+        # arrays of 128 KiB and more on every step make the C allocator return
+        # their pages and fault them in again each step, which costs more than
+        # the arithmetic (grid-sized ones at M=16, the (B, K) ones at M=32)
         self._work: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self._step_work: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         if self.advective:
-            P = dealias_resolution(basis.M)
             sin_mat, dsin_mat = basis.trig_matrices(P)
             # left factors carry the factor 2 of the orthonormal eigenfunctions;
             # left[i] X right[i] is the grid of d/dx (i = 0) or d/dy (i = 1) of X
@@ -223,33 +247,42 @@ class _Stepper:
         if self.beta != 0.0:
             self.dx_matrix = basis.x_derivative_matrix()
 
-    def drift_flat(self, a: np.ndarray) -> np.ndarray:
-        """Projected drift -beta psi_x - J(psi, omega) of a batch of states (B, K)."""
+    def drift_flat(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Projected drift -beta psi_x - J(psi, omega) of a batch of states (B, K).
+
+        Written into `out` (B, K) if given, else into a new array.
+        """
+        if out is None:
+            out = np.empty_like(a)
         if not self.needs_drift:
-            return np.zeros_like(a)
-        # the work arrays are reused: fresh grid-sized arrays on every step make the
-        # C allocator return their pages and fault them in again each step, which
-        # costs more than the arithmetic at M=16
+            out.fill(0.0)
+            return out
+        for lo in range(0, len(a), self.chunk):
+            self._drift_chunk(a[lo:lo + self.chunk], out[lo:lo + self.chunk])
+        return out
+
+    def _drift_chunk(self, a: np.ndarray, out: np.ndarray):
+        """The drift of one chunk of states (C, K), written into out (C, K)."""
         work = self._work.get(a.shape)
         if work is None:
-            B, M, n = a.shape[0], self.basis.M, dealias_resolution(self.basis.M) - 1
-            work = self._work[a.shape] = [np.empty((2, B, M, M))]
+            C, M, n = a.shape[0], self.basis.M, dealias_resolution(self.basis.M) - 1
+            work = self._work[a.shape] = [np.empty((2, C, M, M))]
             if self.advective:
-                work += [np.empty((2, 2, B, n, M)), np.empty((2, 2, B, n, n)), np.empty((B, M, n))]
+                work += [np.empty((2, 2, C, n, M)), np.empty((2, 2, C, n, n)), np.empty((C, M, n))]
         fields = work[0]
         fields[1] = self.basis.to_grid2d(a)
         psi2 = np.multiply(fields[1], self.inv_lap, out=fields[0])
-        out = 0.0
+        drift = 0.0
         if self.advective:
             half, grids, proj = work[1:]
             # grids[i, j]: d/dx (i = 0) or d/dy (i = 1) of psi (j = 0) or omega (j = 1)
             np.matmul(np.matmul(self.left, fields, out=half), self.right, out=grids)
             (px, ox), (py, oy) = grids
             jac = np.subtract(np.multiply(px, oy, out=px), np.multiply(py, ox, out=py), out=px)
-            out = -(np.matmul(self.project_left, jac, out=proj) @ self.project_right)
+            drift = -(np.matmul(self.project_left, jac, out=proj) @ self.project_right)
         if self.beta != 0.0:
-            out = out - self.beta * (self.dx_matrix @ psi2)
-        return self.basis.from_grid2d(out)
+            drift = drift - self.beta * (self.dx_matrix @ psi2)
+        self.basis.from_grid2d(drift, out=out)
 
     def advance(self, a: np.ndarray, v: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One step for a batch, in place: states a, v and standard normals xi, each (B, K).
@@ -257,9 +290,12 @@ class _Stepper:
         a and v are overwritten with the new states and returned; xi is only read.
         The operations keep the order of decay * a + drift_weight * drift + eta.
         """
-        eta = self.noise_std * xi
+        buffers = self._step_work.get(a.shape)
+        if buffers is None:
+            buffers = self._step_work[a.shape] = (np.empty_like(a), np.empty_like(a))
+        eta = np.multiply(self.noise_std, xi, out=buffers[0])
         if self.needs_drift:
-            drift = self.drift_flat(a)
+            drift = self.drift_flat(a, out=buffers[1])
             drift *= self.drift_weight
         else:
             drift = 0.0  # adding it still turns a -0.0 into +0.0
@@ -269,10 +305,6 @@ class _Stepper:
         v *= self.decay
         v += eta
         return a, v
-
-
-# byte budget of one block of forcing draws: (B, n, K) doubles per batch
-_DRAW_BLOCK_BYTES = 2**20
 
 
 def _path_generators(master_seed: int, path_index: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -305,7 +337,7 @@ def _simulate_batch(
     """Simulate one batch of paths and record it at the output times.
 
     Each path's forcing generator fills its rows of one reused (B, n, K)
-    buffer with a single draw per block of n steps (n from _DRAW_BLOCK_BYTES;
+    buffer with a single draw per block of n steps (n from _BATCH_BLOCK_BYTES;
     the last block holds only the steps left). A block draw gives the same
     numbers as n draws of K, so results do not depend on the block length.
     The state is advanced in place, and the four squared norms of each
@@ -358,7 +390,7 @@ def _simulate_batch(
 
     if 0 in slot_of:
         record(slot_of[0], 0.0)
-    block = max(1, _DRAW_BLOCK_BYTES // (B * K * 8))
+    block = max(1, _BATCH_BLOCK_BYTES // (B * K * 8))
     xi_block = np.empty((B, min(block, n_steps), K))
     for first in range(1, n_steps + 1, block):
         n = min(block, n_steps + 1 - first)
@@ -435,7 +467,8 @@ def run_ensemble(
     columns = (repeat(params), repeat(spectrum), repeat(config), batches)
     if n_workers > 1 and len(batches) > 1:
         # a fork pool starts every worker at the first submit: fork no idle ones
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(batches))) as pool:
+        # the pool's module, and multiprocessing with it, load only here
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(n_workers, len(batches))) as pool:
             records = list(pool.map(_simulate_batch, *columns))
     else:
         records = list(map(_simulate_batch, *columns))

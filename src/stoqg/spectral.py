@@ -102,10 +102,12 @@ class Basis:
         shaped = np.take(coeffs, self._scatter_idx, axis=-1)
         return shaped.reshape(coeffs.shape[:-1] + (self.M, self.M))
 
-    def from_grid2d(self, coeffs2d: np.ndarray) -> np.ndarray:
-        """Gather an (..., M, M) coefficient array back into rank order."""
+    def from_grid2d(self, coeffs2d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Gather an (..., M, M) coefficient array back into rank order, into out if given."""
         flat = coeffs2d.reshape(coeffs2d.shape[:-2] + (self.n_modes,))
-        return np.take(flat, self._gather_idx, axis=-1)
+        # the indices are a permutation, so "clip" never acts; unlike the default
+        # "raise", it lets take write into out without a buffered copy
+        return np.take(flat, self._gather_idx, axis=-1, out=out, mode="clip")
 
     def x_derivative_matrix(self) -> np.ndarray:
         """Exact L^2 projection of d/dx onto the truncated sine basis.

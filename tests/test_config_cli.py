@@ -290,22 +290,43 @@ class TestSimulateCommand:
         assert "argument --threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @staticmethod
+    def _child_env(**extra) -> dict:
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        return {**os.environ, **extra,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def test_blas_thread_count_byte_identical(self, tmp_path):
-        # the drift GEMMs give the same bits whatever OpenBLAS threading the child runs with
-        cfg = base_config(str(tmp_path / "o"), M=32, dt=1e-3, T=0.01, n_paths=4,
+        # the drift GEMMs give the same bits whatever BLAS threading the child runs with;
+        # 10 paths at M=32 run the drift as a chunk of 8 paths and one of 2
+        cfg = base_config(str(tmp_path / "o"), M=32, dt=1e-3, T=0.01, n_paths=10,
                           initial_condition={"type": "gaussian", "sigma": 0.1})
         cfg["model"].update({"linearized": False, "beta": 0.2, "beta_term": True})
+        cfg["io"]["write_trajectories"] = True
         path = write_config(tmp_path, cfg)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        traces = []
+        outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            env = self._child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                                  MKL_NUM_THREADS=threads)
             subprocess.run([sys.executable, "-m", "stoqg.cli", "simulate", "--config", path,
                             "--out", str(out)], env=env, check=True, timeout=300)
-            traces.append((out / "trace.csv").read_bytes())
-        assert traces[0] == traces[1]
+            outputs.append([(out / name).read_bytes() for name in ("trace.csv", "trajectories.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_one_worker_run_loads_no_pool_or_masked_arrays(self, tmp_path):
+        # a 1-worker run never opens a process pool, and snapping the output times
+        # does not go through np.unique, whose first call imports numpy.ma
+        cfg = base_config(str(tmp_path / "o"))
+        cfg["model"].update({"linearized": False, "beta": 0.2, "beta_term": True})
+        path = write_config(tmp_path, cfg)
+        probe = ("import sys, stoqg.cli\n"
+                 f"code = stoqg.cli.main(['simulate', '--config', {path!r}])\n"
+                 "print(code, [m for m in ('numpy.ma', 'multiprocessing', "
+                 "'concurrent.futures.process') if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", probe], env=self._child_env(),
+                              capture_output=True, text=True, check=True, timeout=300)
+        assert done.stdout.splitlines()[-1] == "0 []"
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = base_config(str(tmp_path / "o"))

@@ -1,5 +1,8 @@
 """Exponential-Euler stepping, ensemble reproducibility, conservation laws."""
 
+import concurrent.futures
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +118,30 @@ class TestDrift:
         r2 = np.abs(np.sum(d * psi, axis=1)) / (scale * np.linalg.norm(psi, axis=1))
         assert np.max(r1) <= 1e-12 and np.max(r2) <= 1e-12
 
+    @pytest.mark.parametrize("M, chunk", [(16, 34), (32, 8), (64, 2)])
+    def test_chunk_rule(self, M, chunk):
+        # paths per chunk: half and grids, 4 * 8 * Q * (M + Q) bytes a path, fit the budget
+        params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
+        assert stepper_for(Basis(M, 1.0), params).chunk == chunk
+
+    # 11 = 8 + 3 paths at M=32 and 5 = 2 + 2 + 1 at M=64: each ends on a remainder chunk
+    @pytest.mark.parametrize("M, B", [(32, 11), (64, 5)])
+    def test_chunked_drift_equals_per_path_and_whole_batch(self, monkeypatch, rng, M, B):
+        b = Basis(M, 1.0)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=False, beta_term=True)
+        a = 0.3 * rng.standard_normal((B, M * M))
+        chunked = stepper_for(b, params)
+        monkeypatch.setattr(dynamics, "_BATCH_BLOCK_BYTES", 1)
+        per_path = stepper_for(b, params)
+        monkeypatch.setattr(dynamics, "_BATCH_BLOCK_BYTES", 2**40)
+        whole = stepper_for(b, params)
+        assert per_path.chunk == 1 < chunked.chunk < B <= whole.chunk and B % chunked.chunk
+        got = chunked.drift_flat(a).tobytes()
+        assert got == per_path.drift_flat(a).tobytes() == whole.drift_flat(a).tobytes()
+        out = np.empty_like(a)
+        assert chunked.drift_flat(a, out=out) is out  # again, on the reused work arrays
+        assert out.tobytes() == got
+
 
 class TestStep:
     @pytest.mark.parametrize("linearized, beta_term, calls_per_step", [
@@ -124,15 +151,37 @@ class TestStep:
         calls = []
         drift_flat = _Stepper.drift_flat
 
-        def counted(self, a):
+        def counted(self, a, **kwargs):
             calls.append(a.shape)
-            return drift_flat(self, a)
+            return drift_flat(self, a, **kwargs)
 
         monkeypatch.setattr(_Stepper, "drift_flat", counted)
         b = Basis(4, 1.0)
         params = ModelParams(nu=1.0, r=0.1, beta=0.5, linearized=linearized, beta_term=beta_term)
         run_ensemble(small_config(n_paths=5, batch_size=3), params, build_spectrum(b, 1.0, 2.0, 0.1))
         assert calls == calls_per_step * ([(3, 16)] * 10 + [(2, 16)] * 10)
+
+    def test_one_drift_call_per_batch_step_when_chunked(self, monkeypatch):
+        # a traced drift_flat span covers one batch-step, however many chunks it runs
+        calls, chunks = [], []
+        drift_flat, drift_chunk = _Stepper.drift_flat, _Stepper._drift_chunk
+
+        def counted(self, a, **kwargs):
+            calls.append(a.shape)
+            return drift_flat(self, a, **kwargs)
+
+        def counted_chunk(self, a, out):
+            chunks.append(a.shape)
+            return drift_chunk(self, a, out)
+
+        monkeypatch.setattr(_Stepper, "drift_flat", counted)
+        monkeypatch.setattr(_Stepper, "_drift_chunk", counted_chunk)
+        b = Basis(32, 1.0)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.2, linearized=False, beta_term=True)
+        cfg = small_config(M=32, n_paths=13, batch_size=10)  # batches of 10 and 3 paths
+        run_ensemble(cfg, params, build_spectrum(b, 1.0, 2.0, 0.1))
+        assert calls == [(10, 1024)] * 10 + [(3, 1024)] * 10
+        assert chunks == [(8, 1024), (2, 1024)] * 10 + [(3, 1024)] * 10
 
     def test_pure_decay(self):
         # no forcing: omega and the companion decay at the solver rates whatever the draws
@@ -239,7 +288,7 @@ class TestDeterminism:
                 return map(fn, *iterables)
 
         sizes = []
-        monkeypatch.setattr(dynamics, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         records = run_ensemble(small_config(n_paths=6, batch_size=3), linear_params(), spec,
@@ -279,7 +328,7 @@ class TestDeterminism:
         # batches of 32 and 8 paths at M=4; 300 steps: the 32-path batch draws one full
         # block and a short one, the 8-path batch one short block; outputs fall on the
         # last step of the first block, the first of the next, and off the block edges
-        block = dynamics._DRAW_BLOCK_BYTES // (32 * 16 * 8)
+        block = dynamics._BATCH_BLOCK_BYTES // (32 * 16 * 8)
         assert 100 < block < 299 and 300 % block
         b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
@@ -290,13 +339,46 @@ class TestDeterminism:
             initial_condition=InitialCondition("gaussian", sigma=0.3),
         )
         blocked = run_ensemble(cfg, params, spec)
-        monkeypatch.setattr(dynamics, "_DRAW_BLOCK_BYTES", 1)  # one step per draw
+        monkeypatch.setattr(dynamics, "_BATCH_BLOCK_BYTES", 1)  # one step per draw
         stepwise = run_ensemble(cfg, params, spec)
         assert len(blocked) == len(stepwise) == 2
         for got, want in zip(blocked, stepwise):
             for name in ("path_index", "omega_sq", "grad_sq", "u_sq", "wa_sq", "fields"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert got.failures == want.failures
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(2, 40), n_paths=st.integers(1, 7), batch_size=st.integers(1, 7),
+           budget=st.integers(0, 20).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1) - 1)),
+           n_steps=st.integers(1, 4), linearized=st.booleans(),
+           sigma=st.sampled_from([0.3, 1e155]), seed=st.integers(0, 2**64 - 1))
+    def test_stepper_over_time_matches_one_path_batches(self, M, n_paths, batch_size, budget,
+                                                        n_steps, linearized, sigma, seed):
+        # any batching and any byte budget (draw blocks and drift chunks) give the
+        # bits of one-path batches; sigma=1e155 overflows the drift at the first step
+        b = Basis(M, 1.0)
+        spec = build_spectrum(b, 1.0, 2.0, 0.1)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=linearized, beta_term=True)
+
+        def run(size):
+            cfg = SimConfig(M=M, dt=1e-3, T=n_steps * 1e-3,
+                            output_times=np.arange(n_steps + 1) * 1e-3, n_paths=n_paths,
+                            master_seed=seed, batch_size=size, store_fields=True,
+                            initial_condition=InitialCondition("gaussian", sigma=sigma))
+            try:
+                with np.errstate(all="ignore"):
+                    records = run_ensemble(cfg, params, spec)
+            except BlowupError as err:
+                return None, err.failures
+            names = ("path_index", "omega_sq", "grad_sq", "u_sq", "wa_sq", "fields")
+            return {n: np.concatenate([getattr(r, n) for r in records]).tobytes() for n in names}, []
+
+        want = run(1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_BATCH_BLOCK_BYTES", min(budget, dynamics._BATCH_BLOCK_BYTES))
+            got = run(batch_size)
+        assert got == want
+        assert (want[0] is None) == (sigma > 1.0 and not linearized)
 
     def test_golden_trajectory_guards_rng_contract(self):
         # frozen output of the documented (master_seed, path_index) mapping;
@@ -499,6 +581,21 @@ class TestConfigPlumbing:
         with pytest.warns(UserWarning):
             snapped = snap_output_times([0.0, 0.014, 0.03], dt=0.01, T=0.1)
         np.testing.assert_allclose(snapped, [0.0, 0.01, 0.03])
+
+    @settings(max_examples=200, deadline=None)
+    @given(dt=st.sampled_from([1e-3, 0.01, 0.1, 0.3]), n_steps=st.integers(1, 40),
+           raw=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=30),
+           copies=st.integers(1, 3))
+    def test_snap_equals_np_unique(self, dt, n_steps, raw, copies):
+        # duplicates, exact and after snapping, and times clipped to 0 and to T
+        T = n_steps * dt
+        times = np.array(raw * copies) * T
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = snap_output_times(times, dt=dt, T=T)
+        want = np.unique(np.clip(np.rint(times / dt) * dt, 0.0, np.rint(T / dt) * dt))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_gaussian_sigma_shapes(self):
         ic = InitialCondition("gaussian", sigma=0.5)
