@@ -10,7 +10,8 @@ Theoretical envelopes with generic constants are handled by a
 fit-then-validate protocol: the smallest admissible constant is fitted on a
 prefix of the output times (against mean + 3 SE), and the verdict is earned
 on the held-out suffix (violated when mean - 3 SE exceeds the envelope). All
-statistical comparisons use the 3-standard-error Monte Carlo allowance.
+statistical comparisons use the 3-standard-error Monte Carlo allowance. The
+rules on the settings raise `ParameterError` and need no trace.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .dynamics import EnsembleRecord
 from .noise import NoiseSpectrum, analytic_convolution_variance
+from .spectral import ParameterError
 
 #: Optimal Poincare constant ||u|| <= c1 ||grad u|| for Dirichlet data on the
 #: unit square: c1^2 = 1 / (2 pi^2), from the principal eigenvalue.
@@ -139,11 +141,30 @@ def gamma_threshold(nu: float, r: float, beta: float, c1: float = DIRICHLET_C1) 
     return -nu / c1**2 - r + c1 * beta
 
 
-def _exp_integral(gamma: float, times: np.ndarray) -> np.ndarray:
-    """Closed form of int_0^t e^(2 gamma tau) dtau (t itself when gamma = 0)."""
-    if gamma == 0.0:
-        return times.astype(float)
-    return (np.exp(2.0 * gamma * times) - 1.0) / (2.0 * gamma)
+def _growth(gamma: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^(2 gamma t) and int_0^t e^(2 gamma tau) dtau (t when gamma = 0).
+
+    Every envelope scales with them, so a gamma they overflow on is out of range.
+    """
+    with np.errstate(over="ignore"):
+        growth = np.exp(2.0 * gamma * times)
+    if not np.all(np.isfinite(growth)):
+        raise ParameterError("gamma", f"{gamma:g} makes e^(2 gamma t) overflow by t={times[-1]:g}")
+    return growth, times.astype(float) if gamma == 0.0 else (growth - 1.0) / (2.0 * gamma)
+
+
+def admissible_gamma(gamma: float | None, nu: float, r: float, beta: float, times) -> tuple[float, float]:
+    """The growth rate of the bounds and the threshold it must exceed.
+
+    None picks threshold + 0.1. The envelopes must stay finite on the output times.
+    """
+    threshold = gamma_threshold(nu, r, beta)
+    if gamma is None:
+        gamma = threshold + 0.1
+    if gamma <= threshold:
+        raise ParameterError("gamma", f"must exceed gamma_threshold={threshold:.6g}")
+    _growth(gamma, np.asarray(times, dtype=float))
+    return gamma, threshold
 
 
 def trace_class_envelope(ens0: float, gamma: float, tr_q: float, times) -> BoundEnvelope:
@@ -157,11 +178,25 @@ def trace_class_envelope(ens0: float, gamma: float, tr_q: float, times) -> Bound
         raise ValueError("Ens(0) and Tr(Q) must be nonnegative")
     if not np.isfinite(tr_q):
         raise ValueError("trace-class envelope needs a finite Tr(Q)")
-    values = ens0 * np.exp(2.0 * gamma * times) + 0.5 * tr_q * _exp_integral(gamma, times)
+    growth, integral = _growth(gamma, times)
+    values = ens0 * growth + 0.5 * tr_q * integral
     params = {"ens0": ens0, "gamma": gamma, "tr_q": tr_q, "gamma_zero_limit_form": gamma == 0.0}
     if gamma < 0:
         params["long_time_limit"] = -tr_q / (4.0 * gamma)
     return BoundEnvelope("trace_class", params, times, values)
+
+
+def admissible_mu_tilde(mu_tilde: float | None, mu_exp: float | None) -> float | None:
+    """The mu_tilde of Theorem 2(a): in (0, mu_exp), or positive without a decay rule.
+
+    None picks 0.9 min(mu_exp, 1), or None without a positive decay exponent.
+    """
+    if mu_tilde is None:
+        return None if mu_exp is None or mu_exp <= 0 else 0.9 * min(mu_exp, 1.0)
+    upper = math.inf if mu_exp is None else mu_exp
+    if not 0.0 < mu_tilde < upper:
+        raise ParameterError("mu_tilde", f"must lie in (0, mu_exp={upper:g}), got {mu_tilde:g}")
+    return mu_tilde
 
 
 def theorem2_shape(
@@ -179,16 +214,17 @@ def theorem2_shape(
     constant is left to the fitting protocol.
     """
     times = np.asarray(times, dtype=float)
-    integral = _exp_integral(gamma, times)
     if case == "a":
-        if mu_tilde is None or not (mu_exp is not None and 0.0 < mu_tilde < mu_exp):
-            raise ValueError(f"case (a) needs mu_tilde in (0, mu_exp), got {mu_tilde}")
+        if mu_tilde is None or mu_exp is None:
+            raise ValueError("case (a) needs mu_tilde and mu_exp")
+        admissible_mu_tilde(mu_tilde, mu_exp)
         power = (2.0 - mu_tilde) / mu_tilde
     elif case == "b":
         power = 1.0
     else:
         raise ValueError(f"unknown envelope case {case!r}")
-    return e_omega0_sq * np.exp(2.0 * gamma * times) + times**power * integral + 1.0
+    growth, integral = _growth(gamma, times)
+    return e_omega0_sq * growth + times**power * integral + 1.0
 
 
 def validate_bound(trace: EnstrophyTrace, envelope: BoundEnvelope) -> BoundReport:
@@ -202,6 +238,12 @@ def validate_bound(trace: EnstrophyTrace, envelope: BoundEnvelope) -> BoundRepor
         envelope=envelope,
         violations=violations,
     )
+
+
+def check_fit_times(times) -> None:
+    """The fit protocol needs at least 8 output times."""
+    if len(times) < 8:
+        raise ParameterError("output_times", f"must number >= 8 for the fit protocol, got {len(times)}")
 
 
 def fit_and_validate_bound(
@@ -219,9 +261,8 @@ def fit_and_validate_bound(
     traces are reported as not applicable.
     """
     shape_values = np.asarray(shape_values, dtype=float)
+    check_fit_times(trace.times)
     n = len(trace.times)
-    if n < 8:
-        raise ValueError(f"fit protocol needs >= 8 output times, got {n}")
     if not 0.0 < split < 1.0:
         raise ValueError(f"split fraction must lie in (0, 1), got {split}")
     if np.all(trace.ens_mean == 0.0):
@@ -314,34 +355,26 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), se
 
 
-def holder_exponent_fit(trace: EnstrophyTrace, window: tuple[float, float], lags) -> dict:
-    """Increment-exponent fit of the enstrophy curve over a time window.
+def holder_pairs(times: np.ndarray, window, lags) -> tuple[np.ndarray, np.ndarray, list]:
+    """The rule on the increment fit's window and lags, and the time pairs it compares.
 
-    For each lag h, the maximal |Ens(t+h) - Ens(t)| over pairs inside the
-    window is computed; the fitted quantity is the log-log slope of these
-    maxima against the lags. Lags whose maximal increment stays below the
-    3-standard-error noise floor (combined in quadrature at the maximizing
-    pair) are dropped; if fewer than 5 usable lags spanning a decade remain,
-    the fit is reported as not applicable. The verdict passes for slopes
-    >= 1/4 - 0.05, a one-sided floor: smoother traces pass too.
+    The window [t0, t1] needs 0 < t0 < t1 and 2 output times inside; the lags need
+    >= 5 positive values spanning a decade, each realized inside the window. Returns
+    the window's mask, the sorted lags and per lag its (src, dst) windowed indices.
     """
-    t0, t1 = float(window[0]), float(window[1])
-    if not 0.0 < t0 < t1:
-        raise ValueError(f"window must satisfy 0 < t0 < t1, got {window}")
+    if len(window) != 2 or not 0.0 < window[0] < window[1]:
+        raise ParameterError("window", f"must be [t0, t1] with 0 < t0 < t1, got {list(window)}")
     lags = np.asarray(sorted(lags), dtype=float)
-    if len(lags) < 5 or lags[-1] / lags[0] < 10.0 - 1e-12:
-        raise ValueError("need >= 5 lags spanning at least one decade")
+    if len(lags) < 5 or lags[0] <= 0 or lags[-1] / lags[0] < 10.0 - 1e-12:
+        raise ParameterError("lags", "must hold >= 5 positive values spanning at least one decade")
 
-    inside = (trace.times >= t0 - 1e-12) & (trace.times <= t1 + 1e-12)
-    times = trace.times[inside]
-    ens = trace.ens_mean[inside]
-    se = trace.ens_se[inside]
+    inside = (times >= window[0] - 1e-12) & (times <= window[1] + 1e-12)
+    times = times[inside]
     if len(times) < 2:
-        raise ValueError("window contains fewer than 2 output times")
+        raise ParameterError("window", "contains fewer than 2 output times")
 
-    max_inc = np.empty(len(lags))
-    floors = np.empty(len(lags))
-    for i, h in enumerate(lags):
+    pairs = []
+    for h in lags:
         targets = times + h
         j = np.searchsorted(times, targets)
         j = np.clip(j, 0, len(times) - 1)
@@ -353,9 +386,29 @@ def holder_exponent_fit(trace: EnstrophyTrace, window: tuple[float, float], lags
         j = np.where(ok, j, jm)
         ok = ok | ok_m
         if not np.any(ok):
-            raise ValueError(f"no output-time pairs realize lag {h:g} inside the window")
-        src = np.flatnonzero(ok)
-        dst = j[ok]
+            raise ParameterError("lags", f"include {h:g}, which no output-time pair inside the window realizes")
+        pairs.append((np.flatnonzero(ok), j[ok]))
+    return inside, lags, pairs
+
+
+def holder_exponent_fit(trace: EnstrophyTrace, window: tuple[float, float], lags) -> dict:
+    """Increment-exponent fit of the enstrophy curve over a time window.
+
+    For each lag h, the maximal |Ens(t+h) - Ens(t)| over pairs inside the
+    window is computed; the fitted quantity is the log-log slope of these
+    maxima against the lags. Lags whose maximal increment stays below the
+    3-standard-error noise floor (combined in quadrature at the maximizing
+    pair) are dropped; if fewer than 5 usable lags spanning a decade remain,
+    the fit is reported as not applicable. The verdict passes for slopes
+    >= 1/4 - 0.05, a one-sided floor: smoother traces pass too.
+    """
+    inside, lags, pairs = holder_pairs(trace.times, window, lags)
+    ens = trace.ens_mean[inside]
+    se = trace.ens_se[inside]
+
+    max_inc = np.empty(len(lags))
+    floors = np.empty(len(lags))
+    for i, (src, dst) in enumerate(pairs):
         inc = np.abs(ens[dst] - ens[src])
         best = int(np.argmax(inc))
         max_inc[i] = inc[best]
@@ -363,7 +416,7 @@ def holder_exponent_fit(trace: EnstrophyTrace, window: tuple[float, float], lags
 
     usable = max_inc > floors
     result = {
-        "window": [t0, t1],
+        "window": [float(window[0]), float(window[1])],
         "lags": lags.tolist(),
         "max_increments": max_inc.tolist(),
         "noise_floors": floors.tolist(),
@@ -382,6 +435,20 @@ def holder_exponent_fit(trace: EnstrophyTrace, window: tuple[float, float], lags
         "verdict": "pass" if slope >= 0.25 - 0.05 else "fail",
     })
     return result
+
+
+def check_asymptotics(mode: str, delta: float) -> None:
+    """The small-time check runs in mode "zero" or "general", with delta in (0, 1)."""
+    if mode not in ("zero", "general"):
+        raise ParameterError("mode", f"must be 'zero' or 'general', got {mode!r}")
+    if not 0.0 < delta < 1.0:
+        raise ParameterError("delta", f"must lie in (0, 1), got {delta:g}")
+
+
+def check_small_times(times) -> None:
+    """The small-time check needs at least 3 positive output times."""
+    if np.sum(np.asarray(times) > 0) < 3:
+        raise ParameterError("output_times", "must include >= 3 positive times for the asymptotics check")
 
 
 def asymptotics_check(
@@ -404,12 +471,10 @@ def asymptotics_check(
     floor 1/2 - 2 rho - 0.05. The solver's companion uses rates lambda_k - r,
     an O(t) relative discrepancy at small times, noted in the report.
     """
-    if mode not in ("zero", "general"):
-        raise ValueError(f"unknown asymptotics mode {mode!r}")
+    check_asymptotics(mode, delta)
+    check_small_times(trace.times)
     pos = trace.times > 0
     t = trace.times[pos]
-    if len(t) < 3:
-        raise ValueError("asymptotics check needs at least 3 positive output times")
 
     if mode == "general":
         if ens0 is None:

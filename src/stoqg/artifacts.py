@@ -72,26 +72,24 @@ def write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, [text + "\n"])
 
 
-def write_trace(out_dir: Path, trace: EnstrophyTrace, formats: list[str]) -> None:
-    """Persist the enstrophy trace as trace.csv and/or trace.json."""
+def write_trace(out_dir: Path, trace: EnstrophyTrace) -> None:
+    """Persist the enstrophy trace as trace.csv and trace.json."""
     wa = trace.wa_half_analytic
     wa_var = 2.0 * wa if wa is not None else np.full_like(trace.times, np.nan)
-    if "csv" in formats:
-        rows = zip(*(c.tolist() for c in (trace.times, trace.ens_mean, trace.ens_se, wa_var)))
-        write_csv(out_dir / "trace.csv", ["time", "ens_mean", "ens_se", "wa_var_analytic"], rows)
-    if "json" in formats:
-        payload = {
-            "times": trace.times,
-            "ens_mean": trace.ens_mean,
-            "ens_se": trace.ens_se,
-            "wa_var_analytic": wa_var,
-            "n_paths": trace.n_paths,
-        }
-        if trace.wa_half_empirical is not None:
-            payload["wa_var_empirical"] = 2.0 * trace.wa_half_empirical
-        if trace.resid_mean is not None:
-            payload["residual_mean"] = trace.resid_mean
-        write_json(out_dir / "trace.json", payload)
+    rows = zip(*(c.tolist() for c in (trace.times, trace.ens_mean, trace.ens_se, wa_var)))
+    write_csv(out_dir / "trace.csv", ["time", "ens_mean", "ens_se", "wa_var_analytic"], rows)
+    payload = {
+        "times": trace.times,
+        "ens_mean": trace.ens_mean,
+        "ens_se": trace.ens_se,
+        "wa_var_analytic": wa_var,
+        "n_paths": trace.n_paths,
+    }
+    if trace.wa_half_empirical is not None:
+        payload["wa_var_empirical"] = 2.0 * trace.wa_half_empirical
+    if trace.resid_mean is not None:
+        payload["residual_mean"] = trace.resid_mean
+    write_json(out_dir / "trace.json", payload)
 
 
 def write_trajectories(out_dir: Path, records: list[EnsembleRecord]) -> None:

@@ -29,7 +29,7 @@ from .artifacts import (
     write_trace,
     write_trajectories,
 )
-from .config import ConfigError, RunConfig, materialize, normalize, read_document
+from .config import ConfigError, RunConfig, keyed, materialize, normalize, read_document
 from .dynamics import BlowupError, convolution_sup_norms, run_ensemble
 
 EXIT_OK = 0
@@ -70,8 +70,8 @@ def _load(args) -> RunConfig:
 def _execute(command, args) -> int:
     """Load, let the command run and report, then write its artifacts and manifest.
 
-    A command that ran the ensemble with `io.write_trajectories` on also writes
-    trajectories.csv.
+    A command checks the rules of its settings before it calls `run`. A command
+    that ran the ensemble with `io.write_trajectories` on also writes trajectories.csv.
     """
     cfg = _load(args)
     clock = Stopwatch()
@@ -88,10 +88,11 @@ def _execute(command, args) -> int:
             trace = lab.estimate_enstrophy(records, cfg.spectrum, solver_rates)
         return records, trace
 
-    outcome = command(cfg, run)
+    with keyed():  # a rule's ParameterError is a config error under its key
+        outcome = command(cfg, run)
     out_dir = Path(cfg.io["out_dir"])
     if outcome.trace is not None:
-        write_trace(out_dir, outcome.trace, cfg.io["formats"])
+        write_trace(out_dir, outcome.trace)
     if records is not None and cfg.io["write_trajectories"]:
         write_trajectories(out_dir, records)
     for name, payload in outcome.reports.items():
@@ -99,17 +100,6 @@ def _execute(command, args) -> int:
     write_manifest(out_dir, cfg.document, clock.elapsed, extra=outcome.manifest_extra)
     print(outcome.summary, file=sys.stdout if outcome.code == EXIT_OK else sys.stderr)
     return outcome.code
-
-
-def _gamma_settings(cfg: RunConfig) -> tuple[float, float]:
-    beta_eff = cfg.params.beta if cfg.params.beta_term else 0.0
-    threshold = lab.gamma_threshold(cfg.params.nu, cfg.params.r, beta_eff, cfg.c1())
-    gamma = cfg.analysis["gamma"]
-    if gamma is None:
-        gamma = threshold + 0.1
-    if gamma <= threshold:
-        raise ConfigError("analysis.gamma", f"must exceed gamma_threshold={threshold:.6g}")
-    return gamma, threshold
 
 
 def cmd_simulate(cfg: RunConfig, run) -> _Outcome:
@@ -171,14 +161,15 @@ def cmd_verify_linear(cfg: RunConfig, run) -> _Outcome:
 
 
 def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
-    if len(cfg.sim.output_times) < 8:
-        raise ConfigError("sim.output_times", "bound fitting needs at least 8 output times")
-    gamma, threshold = _gamma_settings(cfg)
+    times = cfg.sim.output_times
+    lab.check_fit_times(times)
+    gamma, threshold = lab.admissible_gamma(cfg.analysis["gamma"], cfg.params.nu, cfg.params.r,
+                                            cfg.params.beta if cfg.params.beta_term else 0.0, times)
+    mu_exp = cfg.spectrum.mu_exp
+    mu_tilde = lab.admissible_mu_tilde(cfg.analysis["mu_tilde"], mu_exp)
     records, trace = run()
 
     e0 = cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
-    split = cfg.analysis["split"]
-    times = trace.times
     reports: list[dict] = []
 
     if cfg.spectrum.trace_class:
@@ -188,22 +179,18 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
         reports.append({"kind": "trace_class", "verdict": "not_applicable",
                         "notes": "spectrum is not trace-class"})
 
-    mu_exp = cfg.spectrum.mu_exp
-    mu_tilde = cfg.mu_tilde_default()
-    if mu_exp is not None and mu_exp > 0 and mu_tilde is not None:
+    if mu_exp is not None and mu_tilde is not None:
         shape = lab.theorem2_shape("a", e0, gamma, times, mu_tilde, mu_exp)
-        rep = lab.fit_and_validate_bound(trace, shape, split, kind="theorem2a",
+        rep = lab.fit_and_validate_bound(trace, shape, kind="theorem2a",
                                          params={"gamma": gamma, "mu_tilde": mu_tilde})
         reports.append(rep.to_dict())
     else:
         reports.append({"kind": "theorem2a", "verdict": "not_applicable",
                         "notes": "no power-law decay rule available"})
 
-    theta_summable = cfg.spectrum.mu_exp is None or (cfg.spectrum.mu_exp - cfg.spectrum.theta > 1.0)
-    if theta_summable:
+    if mu_exp is None or mu_exp - cfg.spectrum.theta > 1.0:  # sum mu_k^2 |lambda_k|^theta converges
         shape = lab.theorem2_shape("b", e0, gamma, times)
-        rep = lab.fit_and_validate_bound(trace, shape, split, kind="theorem2b",
-                                         params={"gamma": gamma})
+        rep = lab.fit_and_validate_bound(trace, shape, kind="theorem2b", params={"gamma": gamma})
         reports.append(rep.to_dict())
     else:
         reports.append({"kind": "theorem2b", "verdict": "not_applicable",
@@ -211,12 +198,11 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
 
     # path 0 is replayed from its forcing draws for its ||V||_inf series
     v_inf = convolution_sup_norms(cfg.sim, cfg.params, cfg.spectrum, 0)
-    lemma1 = lab.lemma1_pathwise_check(records[0].times, records[0].u_sq[0], v_inf, gamma,
-                                       split=split)
+    lemma1 = lab.lemma1_pathwise_check(records[0].times, records[0].u_sq[0], v_inf, gamma)
     lemma1_out = {k: v for k, v in lemma1.items() if k != "residuals"}
     lemma1_out["kind"] = "lemma1"
 
-    alphas = np.asarray(cfg.analysis["alpha_grid"], dtype=float)
+    alphas = np.geomspace(1e2, 1e4, 9)
     phi_values = np.array([noise_mod.phi_alpha(cfg.spectrum, a) for a in alphas])
     phi_table = {
         "alpha": alphas,
@@ -228,14 +214,13 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
     payload = {
         "gamma": gamma,
         "gamma_threshold": threshold,
-        "c1": cfg.c1(),
+        "c1": lab.DIRICHLET_C1,
         "spectrum_tail_bound": noise_mod.stationary_tail_bound(cfg.spectrum),
         "bounds": reports,
         "lemma1": lemma1_out,
         "phi_table": phi_table,
     }
-    if "csv" in cfg.io["formats"]:
-        _write_envelopes_csv(Path(cfg.io["out_dir"]), trace, reports)
+    _write_envelopes_csv(Path(cfg.io["out_dir"]), trace, reports)
 
     failed = [r["kind"] for r in reports + [lemma1_out] if r["verdict"] == "fail"]
     summary = ", ".join(f"{r['kind']}={r['verdict']}" for r in reports + [lemma1_out])
@@ -261,16 +246,11 @@ def _write_envelopes_csv(out_dir: Path, trace: lab.EnstrophyTrace, reports: list
 
 
 def cmd_holder(cfg: RunConfig, run) -> _Outcome:
-    holder_cfg = cfg.analysis["holder"]
-    for key in ("window", "lags"):
-        if key not in holder_cfg:
-            raise ConfigError(f"analysis.holder.{key}", "required for the holder command")
-    window, lags = holder_cfg["window"], holder_cfg["lags"]
+    holder = cfg.analysis["holder"]  # checked against the output times at load
+    if not holder:
+        raise ConfigError("analysis.holder.window", "required for the holder command")
     _, trace = run()
-    try:
-        result = lab.holder_exponent_fit(trace, tuple(window), lags)
-    except ValueError as err:
-        raise ConfigError("analysis.holder", str(err))
+    result = lab.holder_exponent_fit(trace, holder["window"], holder["lags"])
     verdict = result["verdict"]
     exponent = result.get("exponent")
     summary = f"holder: {verdict}" + (f" (exponent {exponent:.4f})" if exponent is not None else "")
@@ -280,16 +260,13 @@ def cmd_holder(cfg: RunConfig, run) -> _Outcome:
 
 def cmd_asymptotics(cfg: RunConfig, run) -> _Outcome:
     asym = cfg.analysis["asymptotics"]
+    lab.check_small_times(cfg.sim.output_times)  # mode and delta were checked at load
     _, trace = run()
     ens0 = 0.5 * cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
-    try:
-        result = lab.asymptotics_check(
-            trace, cfg.spectrum, asym["mode"], asym["delta"],
-            gamma_reg=asym["gamma_reg"], rho=asym["rho"],
-            ens0=ens0 if asym["mode"] == "general" else None,
-        )
-    except ValueError as err:
-        raise ConfigError("analysis.asymptotics", str(err))
+    result = lab.asymptotics_check(
+        trace, cfg.spectrum, asym["mode"], asym["delta"], gamma_reg=asym["gamma_reg"],
+        ens0=ens0 if asym["mode"] == "general" else None,
+    )
     return _Outcome(EXIT_REGULARITY if result["verdict"] == "fail" else EXIT_OK,
                     f"asymptotics[{asym['mode']}]: {result['verdict']}",
                     trace=trace, reports={"asymptotics_report.json": result})

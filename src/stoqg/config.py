@@ -7,7 +7,8 @@ reproducibility hazard in experiment configs. Loading is two passes:
 `normalize` checks the schema (defaults filled in, output times snapped onto
 the step grid) and is idempotent, so normalize -> serialize -> normalize is a
 fixed point; `materialize` builds each model object once, and the value
-ranges are checked there, by the constructors.
+ranges are checked there: by the constructors, and for the analysis settings
+by the rules in `analysis`, so a bad setting fails before any path runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import DIRICHLET_C1
+from .analysis import admissible_mu_tilde, check_asymptotics, holder_pairs
 from .dynamics import InitialCondition, ModelParams, SimConfig, snap_output_times
 from .noise import NoiseSpectrum, build_spectrum, spectrum_from_list
 from .spectral import Basis, ParameterError
@@ -37,17 +38,33 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
-def _require(section: dict, path: str, allowed: set[str]):
+# the keys of every section, by path; a key that is itself a path holds a section
+_SCHEMA = {
+    "<root>": {"model", "spectrum", "sim", "analysis", "io"},
+    "model": {"nu", "r", "beta", "linearized", "beta_term"},
+    "spectrum": {"c_mu", "mu_exp", "theta", "mu_sq_list"},
+    "sim": {"M", "dt", "T", "output_times", "n_paths", "master_seed", "initial_condition",
+            "batch_size", "noise_fault_scale"},
+    "sim.output_times": {"kind", "n", "t_min", "times"},
+    "sim.initial_condition": {"type", "values", "sigma"},
+    "analysis": {"gamma", "mu_tilde", "holder", "asymptotics"},
+    "analysis.holder": {"window", "lags"},
+    "analysis.asymptotics": {"mode", "delta", "gamma_reg"},
+    "io": {"out_dir", "write_trajectories"},
+}
+
+
+def _require(section: dict, path: str):
     if not isinstance(section, dict):
         raise ConfigError(path, "expected an object")
-    unknown = set(section) - allowed
+    unknown = set(section) - _SCHEMA[path]
     if unknown:
         key = sorted(unknown)[0]
         raise ConfigError(f"{path}.{key}", "unknown key")
 
 
 def _get(section: dict, path: str, key: str, types, default=_REQUIRED):
-    if key not in section:
+    if key not in section or section[key] is None and default is None:  # null stands for a None default
         if default is _REQUIRED:
             raise ConfigError(f"{path}.{key}", "required key missing")
         return default
@@ -70,37 +87,24 @@ def _finite(key: str, number: int | float) -> float:
     return value
 
 
-def _number_list(section: dict, path: str, key: str, default=_REQUIRED):
-    value = _get(section, path, key, list, default)
-    if value is None:
-        return None
+def _number_list(section: dict, path: str, key: str):
+    value = _get(section, path, key, list)
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         raise ConfigError(f"{path}.{key}", "expected a list of numbers")
     return [_finite(f"{path}.{key}", v) for v in value]
 
 
-_MODEL_KEYS = {"nu", "r", "beta", "linearized", "beta_term"}
-_SPECTRUM_KEYS = {"c_mu", "mu_exp", "theta", "mu_sq_list"}
-_SIM_KEYS = {
-    "M", "dt", "T", "output_times", "n_paths", "master_seed", "initial_condition",
-    "batch_size", "noise_fault_scale",
-}
-_ANALYSIS_KEYS = {"gamma", "c1", "alpha_grid", "split", "mu_tilde", "holder", "asymptotics"}
-_IO_KEYS = {"out_dir", "formats", "write_trajectories"}
-
-
 def _key_of(field: str) -> str:
-    """Config key path of the constructor argument a ParameterError names."""
-    for section, keys in (("model", _MODEL_KEYS), ("spectrum", _SPECTRUM_KEYS), ("sim", _SIM_KEYS)):
-        if field in keys:
-            return f"{section}.{field}"
-    return {"mu": "spectrum.mu_sq_list", "coeffs": "sim.initial_condition.values",
-            "sigma": "sim.initial_condition.sigma"}[field]
+    """Config key path of the argument or setting a ParameterError names; leaf names are unique."""
+    for path, keys in _SCHEMA.items():
+        if field in keys and path != "<root>":
+            return f"{path}.{field}"
+    return {"mu": "spectrum.mu_sq_list", "coeffs": "sim.initial_condition.values"}[field]
 
 
 @contextmanager
-def _keyed():
-    """Report a constructor's ParameterError as a ConfigError under the config key it names."""
+def keyed():
+    """Report a ParameterError of a constructor or an analysis rule as a ConfigError under its key."""
     try:
         yield
     except ParameterError as err:
@@ -108,7 +112,7 @@ def _keyed():
 
 
 def _normalize_model(raw: dict) -> dict:
-    _require(raw, "model", _MODEL_KEYS)
+    _require(raw, "model")
     return {
         "nu": _get(raw, "model", "nu", float),
         "r": _get(raw, "model", "r", float),
@@ -119,7 +123,7 @@ def _normalize_model(raw: dict) -> dict:
 
 
 def _normalize_spectrum(raw: dict) -> dict:
-    _require(raw, "spectrum", _SPECTRUM_KEYS)
+    _require(raw, "spectrum")
     theta = _get(raw, "spectrum", "theta", float)
     if "mu_sq_list" in raw:
         if "c_mu" in raw or "mu_exp" in raw:
@@ -133,7 +137,7 @@ def _normalize_spectrum(raw: dict) -> dict:
 
 
 def _normalize_output_times(raw: dict, dt: float, T: float) -> dict:
-    _require(raw, "sim.output_times", {"kind", "n", "t_min", "times"})
+    _require(raw, "sim.output_times")
     kind = _get(raw, "sim.output_times", "kind", str)
     if kind == "uniform":
         n = _get(raw, "sim.output_times", "n", int)
@@ -158,7 +162,7 @@ def _normalize_output_times(raw: dict, dt: float, T: float) -> dict:
 
 def _normalize_initial_condition(raw: dict) -> dict:
     path = "sim.initial_condition"
-    _require(raw, path, {"type", "values", "sigma"})
+    _require(raw, path)
     kind = _get(raw, path, "type", str)
     if kind == "zero":
         return {"type": "zero"}
@@ -172,7 +176,7 @@ def _normalize_initial_condition(raw: dict) -> dict:
 
 
 def _normalize_sim(raw: dict) -> dict:
-    _require(raw, "sim", _SIM_KEYS)
+    _require(raw, "sim")
     out = {
         "M": _get(raw, "sim", "M", int),
         "dt": _get(raw, "sim", "dt", float),
@@ -184,7 +188,7 @@ def _normalize_sim(raw: dict) -> dict:
     }
     out_times = _get(raw, "sim", "output_times", dict)
     ic = _get(raw, "sim", "initial_condition", dict, {"type": "zero"})
-    with _keyed():
+    with keyed():
         SimConfig(output_times=[0.0], **out)  # range-checks the step grid before snapping onto it
     out["output_times"] = _normalize_output_times(out_times, out["dt"], out["T"])
     out["initial_condition"] = _normalize_initial_condition(ic)
@@ -192,77 +196,34 @@ def _normalize_sim(raw: dict) -> dict:
 
 
 def _normalize_holder(raw: dict) -> dict:
-    _require(raw, "analysis.holder", {"window", "lags"})
-    out = {}
-    window = _number_list(raw, "analysis.holder", "window", None)
-    if window is not None:
-        if len(window) != 2 or not 0 < window[0] < window[1]:
-            raise ConfigError("analysis.holder.window", "expected [t0, t1] with 0 < t0 < t1")
-        out["window"] = window
-    lags = _number_list(raw, "analysis.holder", "lags", None)
-    if lags is not None:
-        if len(lags) < 5 or min(lags) <= 0:
-            raise ConfigError("analysis.holder.lags", "need >= 5 positive lags")
-        out["lags"] = sorted(lags)
-    return out
+    """Optional, but a holder section names both its window and its lags."""
+    _require(raw, "analysis.holder")
+    return {key: _number_list(raw, "analysis.holder", key) for key in ("window", "lags")} if raw else {}
 
 
 def _normalize_asymptotics(raw: dict) -> dict:
-    _require(raw, "analysis.asymptotics", {"mode", "delta", "gamma_reg", "rho"})
-    mode = _get(raw, "analysis.asymptotics", "mode", str, "zero")
-    if mode not in ("zero", "general"):
-        raise ConfigError("analysis.asymptotics.mode", "must be 'zero' or 'general'")
-    delta = _get(raw, "analysis.asymptotics", "delta", float, 0.5)
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("analysis.asymptotics.delta", "must lie in (0, 1)")
-    rho = _get(raw, "analysis.asymptotics", "rho", float, 0.01)
-    if not 0.0 < rho < 0.25:
-        raise ConfigError("analysis.asymptotics.rho", "must lie in (0, 1/4)")
+    _require(raw, "analysis.asymptotics")
     return {
-        "mode": mode, "delta": delta,
+        "mode": _get(raw, "analysis.asymptotics", "mode", str, "zero"),
+        "delta": _get(raw, "analysis.asymptotics", "delta", float, 0.5),
         "gamma_reg": _get(raw, "analysis.asymptotics", "gamma_reg", float, 1.0),
-        "rho": rho,
     }
 
 
-def _nullable(raw: dict, key: str, positive: bool = False) -> float | None:
-    """An analysis number that may be null, meaning: derive it from the model."""
-    if raw.get(key) is None:
-        return None
-    value = _get(raw, "analysis", key, float)
-    if positive and value <= 0:
-        raise ConfigError(f"analysis.{key}", "expected a positive number or null")
-    return value
-
-
 def _normalize_analysis(raw: dict) -> dict:
-    _require(raw, "analysis", _ANALYSIS_KEYS)
-    split = _get(raw, "analysis", "split", float, 0.5)
-    if not 0.0 < split < 1.0:
-        raise ConfigError("analysis.split", "must lie in (0, 1)")
-    alpha_grid = _number_list(raw, "analysis", "alpha_grid",
-                              default=[float(a) for a in np.geomspace(1e2, 1e4, 9)])
-    if any(a < 0 for a in alpha_grid):
-        raise ConfigError("analysis.alpha_grid", "entries must be >= 0")
+    _require(raw, "analysis")
     return {
-        "gamma": _nullable(raw, "gamma"),
-        "c1": _nullable(raw, "c1", positive=True),
-        "split": split,
-        "alpha_grid": alpha_grid,
-        "mu_tilde": _nullable(raw, "mu_tilde", positive=True),
+        "gamma": _get(raw, "analysis", "gamma", float, None),  # None: derived from the model
+        "mu_tilde": _get(raw, "analysis", "mu_tilde", float, None),
         "holder": _normalize_holder(raw.get("holder", {})),
         "asymptotics": _normalize_asymptotics(raw.get("asymptotics", {})),
     }
 
 
 def _normalize_io(raw: dict) -> dict:
-    _require(raw, "io", _IO_KEYS)
-    formats = raw.get("formats", ["csv", "json"])
-    if not isinstance(formats, list) or not formats or not all(f in ("csv", "json") for f in formats):
-        raise ConfigError("io.formats", "expected a nonempty subset of ['csv', 'json']")
+    _require(raw, "io")
     return {
         "out_dir": _get(raw, "io", "out_dir", str, "out"),
-        "formats": sorted(set(formats)),
         "write_trajectories": _get(raw, "io", "write_trajectories", bool, False),
     }
 
@@ -276,7 +237,7 @@ def normalize(raw: dict) -> dict:
     """
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
-    _require(raw, "<root>", {"model", "spectrum", "sim", "analysis", "io"})
+    _require(raw, "<root>")
     for name in ("model", "spectrum", "sim"):
         if name not in raw:
             raise ConfigError(name, "required section missing")
@@ -304,23 +265,16 @@ class RunConfig:
     def basis(self) -> Basis:
         return self.spectrum.basis
 
-    def c1(self) -> float:
-        return self.analysis["c1"] if self.analysis["c1"] is not None else DIRICHLET_C1
-
-    def mu_tilde_default(self) -> float | None:
-        if self.analysis["mu_tilde"] is not None:
-            return self.analysis["mu_tilde"]
-        if self.spectrum.mu_exp is None or self.spectrum.mu_exp <= 0:
-            return None
-        return 0.9 * min(self.spectrum.mu_exp, 1.0)
-
 
 def materialize(document: dict) -> RunConfig:
     """Build each model object once from a normalized document, checking the value ranges.
 
-    A run stores its fields exactly when it dumps them (`io.write_trajectories`).
+    The analysis settings are checked here against the model and the output
+    times, whatever the command: a holder section, if given, must be one the
+    output grid realizes. A run stores its fields exactly when it dumps them
+    (`io.write_trajectories`).
     """
-    with _keyed():
+    with keyed():
         params = ModelParams(**document["model"])
         sim_doc = dict(document["sim"])
         basis = Basis(sim_doc["M"], params.nu)
@@ -340,7 +294,12 @@ def materialize(document: dict) -> RunConfig:
         sim_doc["output_times"] = sim_doc["output_times"]["times"]
         sim = SimConfig(**sim_doc, initial_condition=ic,
                         store_fields=document["io"]["write_trajectories"])
-    return RunConfig(params, spectrum, sim, document["analysis"], document["io"], document)
+        analysis = document["analysis"]
+        admissible_mu_tilde(analysis["mu_tilde"], spectrum.mu_exp)
+        if analysis["holder"]:
+            holder_pairs(sim.output_times, **analysis["holder"])
+        check_asymptotics(analysis["asymptotics"]["mode"], analysis["asymptotics"]["delta"])
+    return RunConfig(params, spectrum, sim, analysis, document["io"], document)
 
 
 def read_document(path: str | Path):

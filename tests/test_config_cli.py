@@ -129,10 +129,14 @@ class TestConfigSchema:
         ("sim", "T", float("inf")),
         ("sim.initial_condition", "sigma", float("nan")),
         ("analysis", "gamma", float("nan")),
-        ("analysis", "c1", float("inf")),
         ("analysis", "mu_tilde", float("nan")),
-        ("analysis", "alpha_grid", [1.0, float("inf")]),
         ("model", "beta", 10**400),  # an integer literal beyond the float range
+        # the analysis rules run at load too, whatever the command
+        ("analysis", "mu_tilde", -1.0),
+        ("analysis", "mu_tilde", 2.0),  # not below spectrum.mu_exp
+        ("analysis.asymptotics", "mode", "weird"),
+        ("analysis.asymptotics", "delta", 1.5),
+        ("analysis.holder", "window", [0.05, 0.01]),
     ])
     def test_range_rule_names_its_key(self, tmp_path, section, key, value):
         cfg = base_config(str(tmp_path / "o"))
@@ -140,9 +144,11 @@ class TestConfigSchema:
             cfg["spectrum"] = {"theta": 0.5}
         if section == "sim.initial_condition":
             cfg["sim"]["initial_condition"] = {"type": "coeffs" if key == "values" else "gaussian"}
+        if section == "analysis.holder":
+            cfg["analysis"]["holder"] = {"lags": [0.01, 0.02, 0.03, 0.05, 0.1]}
         target = cfg
         for name in section.split("."):
-            target = target[name]
+            target = target.setdefault(name, {})
         target[key] = value
         with pytest.raises(ConfigError) as err:
             materialize(normalize(cfg))
@@ -162,16 +168,52 @@ class TestConfigSchema:
     @pytest.mark.parametrize("section, key, value", [
         ("sim", "store_fields", True),
         ("analysis.holder", "synthetic", "sqrt"),
+        ("io", "formats", ["csv"]),
+        ("analysis", "split", 0.5),
+        ("analysis", "alpha_grid", [100.0, 1000.0]),
+        ("analysis", "c1", 1.0),
+        ("analysis.asymptotics", "rho", 0.01),
     ])
     def test_retired_key_exit_2(self, tmp_path, capsys, section, key, value):
         cfg = base_config(str(tmp_path / "o"))
-        cfg["analysis"]["holder"] = {}
         target = cfg
         for name in section.split("."):
-            target = target[name]
+            target = target.setdefault(name, {})
         target[key] = value
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_leaf_keys_are_pinned(self, tmp_path):
+        # a new config knob has to change this set on purpose
+        pinned = {
+            "model.nu", "model.r", "model.beta", "model.linearized", "model.beta_term",
+            "spectrum.c_mu", "spectrum.mu_exp", "spectrum.theta", "spectrum.mu_sq_list",
+            "sim.M", "sim.dt", "sim.T", "sim.n_paths", "sim.master_seed", "sim.batch_size",
+            "sim.noise_fault_scale", "sim.output_times.kind", "sim.output_times.n",
+            "sim.output_times.t_min", "sim.output_times.times", "sim.initial_condition.type",
+            "sim.initial_condition.values", "sim.initial_condition.sigma",
+            "analysis.gamma", "analysis.mu_tilde", "analysis.holder.window", "analysis.holder.lags",
+            "analysis.asymptotics.mode", "analysis.asymptotics.delta",
+            "analysis.asymptotics.gamma_reg", "io.out_dir", "io.write_trajectories",
+        }
+        schema = stoqg.config._SCHEMA
+        leaves = {key if path == "<root>" else f"{path}.{key}"
+                  for path, keys in schema.items() for key in keys} - set(schema)
+        assert len(pinned) == 32 and leaves == pinned
+
+        def leaf_paths(doc, prefix=""):
+            for key, value in doc.items():
+                if isinstance(value, dict):
+                    yield from leaf_paths(value, f"{prefix}{key}.")
+                else:
+                    yield f"{prefix}{key}"
+
+        cfg = base_config(str(tmp_path / "o"), initial_condition={"type": "gaussian", "sigma": 0.1})
+        cfg["analysis"]["holder"] = {"window": [0.01, 0.1], "lags": [0.01, 0.02, 0.03, 0.05, 0.1]}
+        listed = base_config(str(tmp_path / "o"))
+        listed["spectrum"] = {"mu_sq_list": [1.0] * 16, "theta": 0.5}
+        for doc in (cfg, listed):
+            assert set(leaf_paths(normalize(doc))) <= pinned
 
     def test_one_load_builds_each_model_object_once(self, tmp_path, monkeypatch):
         counts = Counter()
@@ -350,13 +392,6 @@ class TestSimulateCommand:
     def test_single_path_exit_2(self, tmp_path):
         path = write_config(tmp_path, base_config(str(tmp_path / "o"), n_paths=1))
         assert main(["simulate", "--config", path]) == 2
-
-    def test_unhashable_format_exit_2(self, tmp_path, capsys):
-        cfg = base_config(str(tmp_path / "o"))
-        cfg["io"]["formats"] = [{}]
-        path = write_config(tmp_path, cfg)
-        assert main(["simulate", "--config", path]) == 2
-        assert "io.formats" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["long_integer", "utf16_bom", "directory"])
     def test_unreadable_config_exit_2(self, tmp_path, capsys, kind):
@@ -567,15 +602,6 @@ class TestBoundsCommand:
         assert kinds["trace_class"]["verdict"] == "fail"
         assert kinds["trace_class"]["violations"]
 
-    def test_c1_override_moves_threshold(self, tmp_path):
-        cfg = self.bounds_cfg(str(tmp_path / "o"))
-        cfg["analysis"]["c1"] = 1.0  # weaker Poincare constant: threshold -nu - r
-        cfg["analysis"]["gamma"] = -1.0
-        path = write_config(tmp_path, cfg)
-        assert main(["bounds", "--config", path]) == 0
-        report = json.loads((tmp_path / "o" / "bounds_report.json").read_text())
-        assert report["gamma_threshold"] == pytest.approx(-1.1)
-
     def test_gamma_below_threshold_exit_2(self, tmp_path, capsys):
         cfg = self.bounds_cfg(str(tmp_path / "o"))
         cfg["analysis"]["gamma"] = -100.0
@@ -588,6 +614,46 @@ class TestBoundsCommand:
         cfg["sim"]["output_times"] = {"kind": "uniform", "n": 5}
         path = write_config(tmp_path, cfg)
         assert main(["bounds", "--config", path]) == 2
+
+
+class TestConfigErrorsBeforeEnsemble:
+    LAGS = [0.01, 0.02, 0.03, 0.05, 0.1]
+
+    @pytest.mark.parametrize("command, section, settings, key", [
+        ("holder", "holder", {"window": [0.01, 0.09], "lags": [0.01, 0.02, 0.03, 0.04, 0.05]},
+         "analysis.holder.lags"),  # less than a decade
+        ("holder", "holder", {"window": [0.011, 0.019], "lags": LAGS},
+         "analysis.holder.window"),  # no output time inside
+        ("holder", "holder", {"window": [0.01, 0.1], "lags": [0.005] + LAGS[1:]},
+         "analysis.holder.lags"),  # no output-time pair is 0.005 apart
+        ("simulate", "holder", {"window": [0.01, 0.1], "lags": [0.005] + LAGS[1:]},
+         "analysis.holder.lags"),  # checked at load, whatever the command
+        ("asymptotics", "sim", {"output_times": {"kind": "explicit", "times": [0.0, 0.05, 0.1]}},
+         "sim.output_times"),  # fewer than 3 positive output times
+        ("bounds", "analysis", {"mu_tilde": 5.0}, "analysis.mu_tilde"),  # not below mu_exp = 2
+        ("bounds", "analysis", {"gamma": 1e4}, "analysis.gamma"),  # e^(2 gamma T) overflows
+        ("bounds", "sim", {"output_times": {"kind": "uniform", "n": 5}},
+         "sim.output_times"),  # the fit protocol needs 8
+    ])
+    def test_exit_2_without_running(self, tmp_path, capsys, monkeypatch, command, section,
+                                    settings, key):
+        calls = []
+        ensemble = stoqg.cli.run_ensemble
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(stoqg.cli, "run_ensemble", counted)
+        cfg = base_config(str(tmp_path / "o"))
+        if section == "holder":
+            cfg["analysis"]["holder"] = settings
+        else:
+            cfg[section].update(settings)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert key + ":" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "o").exists()
 
 
 class TestHolderCommand:
