@@ -134,11 +134,9 @@ def estimate_enstrophy(
     )
 
 
-def gamma_threshold(nu: float, r: float, beta: float, c1: float = DIRICHLET_C1) -> float:
-    """Admissibility threshold -nu/c1^2 - r + c1*beta for the growth rate gamma."""
-    if c1 <= 0:
-        raise ValueError(f"Poincare constant must be > 0, got {c1}")
-    return -nu / c1**2 - r + c1 * beta
+def gamma_threshold(nu: float, r: float, beta: float) -> float:
+    """Admissibility threshold -nu/c1^2 - r + c1*beta for gamma, with c1 = DIRICHLET_C1."""
+    return -nu / DIRICHLET_C1**2 - r + DIRICHLET_C1 * beta
 
 
 def _growth(gamma: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +222,12 @@ def theorem2_shape(
     else:
         raise ValueError(f"unknown envelope case {case!r}")
     growth, integral = _growth(gamma, times)
-    return e_omega0_sq * growth + times**power * integral + 1.0
+    # t^power * integral is O(t^(2/mu_tilde)), so it tends to 0 at t = 0 even for the
+    # negative power of mu_tilde > 2, where the product evaluates to inf * 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        polynomial = times**power * integral
+    polynomial[times == 0.0] = 0.0
+    return e_omega0_sq * growth + polynomial + 1.0
 
 
 def validate_bound(trace: EnstrophyTrace, envelope: BoundEnvelope) -> BoundReport:
@@ -249,26 +252,22 @@ def check_fit_times(times) -> None:
 def fit_and_validate_bound(
     trace: EnstrophyTrace,
     shape_values: np.ndarray,
-    split: float = 0.5,
     kind: str = "fitted",
     params: dict | None = None,
 ) -> BoundReport:
     """Fit the smallest dominating constant on a prefix, validate on the suffix.
 
     The constant C is the smallest one with C * shape >= mean + 3 SE on the
-    first `split` fraction of the times; the verdict is pass when
+    first half of the times (rounded half to even); the verdict is pass when
     mean - 3 SE <= C * shape everywhere on the remainder. Degenerate all-zero
     traces are reported as not applicable.
     """
     shape_values = np.asarray(shape_values, dtype=float)
     check_fit_times(trace.times)
-    n = len(trace.times)
-    if not 0.0 < split < 1.0:
-        raise ValueError(f"split fraction must lie in (0, 1), got {split}")
     if np.all(trace.ens_mean == 0.0):
         return BoundReport(kind=kind, verdict="not_applicable", notes="degenerate all-zero trace")
 
-    n_fit = max(1, int(round(split * n)))
+    n_fit = round(len(trace.times) / 2)
     upper = trace.ens_mean + 3.0 * trace.ens_se
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(shape_values > 0, upper / shape_values, np.where(upper > 0, np.inf, 0.0))
@@ -294,19 +293,16 @@ def lemma1_pathwise_check(
     u_sq: np.ndarray,
     v_inf: np.ndarray,
     gamma: float,
-    c_fit: float | None = None,
-    split: float = 0.5,
-    alpha: float = 0.0,
 ) -> dict:
     """Discrete Gronwall residuals of d/dt ||U||^2 <= A(t) ||U||^2 + B(t).
 
     A(t) = 2 gamma + C (||V||_inf + ||V||_inf^2) and
-    B(t) = C ((1 + alpha^2) ||V||_inf^2 + ||V||_inf^4). `u_sq` is one
-    path's ||U||^2 = ||omega - V||^2 series at `times` and `v_inf` its
+    B(t) = C ((1 + alpha^2) ||V||_inf^2 + ||V||_inf^4) with alpha = 0. `u_sq`
+    is one path's ||U||^2 = ||omega - V||^2 series at `times` and `v_inf` its
     ||V||_inf series, e.g. the grid-max surrogate from
-    `dynamics.convolution_sup_norms`. When no constant is given, the smallest
-    C making every prefix residual nonpositive is fitted; the reported
-    violation fraction is measured on the suffix.
+    `dynamics.convolution_sup_norms`. The smallest C making every residual on
+    the first half of the intervals (rounded half to even) nonpositive is
+    fitted; the reported violation fraction is measured on the rest.
     """
     u = np.asarray(u_sq, dtype=float)
     v = np.asarray(v_inf, dtype=float)
@@ -316,25 +312,23 @@ def lemma1_pathwise_check(
 
     dt = np.diff(t)
     base = np.diff(u) / dt - 2.0 * gamma * u[:-1]
-    gain = (v[:-1] + v[:-1] ** 2) * u[:-1] + (1.0 + alpha**2) * v[:-1] ** 2 + v[:-1] ** 4
+    gain = (v[:-1] + v[:-1] ** 2) * u[:-1] + v[:-1] ** 2 + v[:-1] ** 4
 
-    n = len(base)
-    n_fit = max(1, int(round(split * n)))
+    n_fit = round(len(base) / 2)
     prefix_unfixable = int(np.sum((gain[:n_fit] == 0) & (base[:n_fit] > 0)))
-    if c_fit is None:
-        # prefix points with zero forcing gain cannot be repaired by any constant;
-        # they are left out of the fit and reported only as prefix_unfixable
-        with np.errstate(divide="ignore", invalid="ignore"):
-            needed = np.where(gain > 0, base / gain, 0.0)
-        c_fit = float(max(0.0, np.max(needed[:n_fit])))
+    # prefix points with zero forcing gain cannot be repaired by any constant;
+    # they are left out of the fit and reported only as prefix_unfixable
+    with np.errstate(divide="ignore", invalid="ignore"):
+        needed = np.where(gain > 0, base / gain, 0.0)
+    c_fit = float(max(0.0, np.max(needed[:n_fit])))
     residuals = base - c_fit * gain
     suffix = residuals[n_fit:]
     frac = float(np.mean(suffix > 0)) if suffix.size else 0.0
     return {
         "verdict": "pass" if frac <= 0.05 else "fail",
-        "c_fit": float(c_fit),
+        "c_fit": c_fit,
         "gamma": gamma,
-        "alpha": alpha,
+        "alpha": 0.0,
         "violation_fraction": frac,
         "n_fit": n_fit,
         "prefix_unfixable": prefix_unfixable,
@@ -457,7 +451,6 @@ def asymptotics_check(
     mode: str,
     delta: float,
     gamma_reg: float = 1.0,
-    rho: float = 0.01,
     ens0: float | None = None,
 ) -> dict:
     """Small-time behaviour of Ens(t) against the convolution asymptotics.
@@ -468,8 +461,8 @@ def asymptotics_check(
     lambda_k, i.e. the unshifted viscous semigroup) and requires the ratio to
     sit within [0.95, 1.05] at the two smallest times; additionally fits the
     exponent of the residual E||omega - W_A||^2 against the drift-regularity
-    floor 1/2 - 2 rho - 0.05. The solver's companion uses rates lambda_k - r,
-    an O(t) relative discrepancy at small times, noted in the report.
+    floor 1/2 - 2 rho - 0.05 at rho = 0.01. The solver's companion uses rates
+    lambda_k - r, an O(t) relative discrepancy at small times, noted in the report.
     """
     check_asymptotics(mode, delta)
     check_small_times(trace.times)
@@ -527,7 +520,7 @@ def asymptotics_check(
         usable = resid > np.maximum(floor, 0.0)
         if np.sum(usable) >= 2:
             slope, slope_se = _ols_loglog(t[usable], resid[usable])
-            threshold = 0.5 - 2.0 * rho - 0.05
+            threshold = 0.5 - 2.0 * 0.01 - 0.05  # 1/2 - 2 rho - 0.05 at rho = 0.01
             residual_ok = slope >= threshold
             result.update({
                 "residual_exponent": slope,

@@ -6,7 +6,8 @@ artifacts plus a manifest into the output directory.
 
 Exit codes are stable: 0 success (including not-applicable checks), 2 config
 validation error, 3 path blowup, 4 linear-oracle mismatch, 5 bound
-violation, 6 regularity failure, 7 crashed ensemble worker, 8 out of memory.
+violation (trace_class, theorem2a or theorem2b), 6 regularity failure, 7
+crashed ensemble worker, 8 out of memory.
 """
 
 from __future__ import annotations
@@ -222,7 +223,10 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
     }
     _write_envelopes_csv(Path(cfg.io["out_dir"]), trace, reports)
 
-    failed = [r["kind"] for r in reports + [lemma1_out] if r["verdict"] == "fail"]
+    # lemma1 is a diagnostic: its constant is the largest ratio on the first half of
+    # the intervals, and a correct run's exchangeable ratios put their largest one in
+    # the second half, which fails the verdict, about half the time
+    failed = [r["kind"] for r in reports if r["verdict"] == "fail"]
     summary = ", ".join(f"{r['kind']}={r['verdict']}" for r in reports + [lemma1_out])
     if failed:
         code, summary = EXIT_BOUND, f"bounds: violation in {failed} ({summary})"

@@ -44,7 +44,7 @@ _SCHEMA = {
     "model": {"nu", "r", "beta", "linearized", "beta_term"},
     "spectrum": {"c_mu", "mu_exp", "theta", "mu_sq_list"},
     "sim": {"M", "dt", "T", "output_times", "n_paths", "master_seed", "initial_condition",
-            "batch_size", "noise_fault_scale"},
+            "batch_size"},
     "sim.output_times": {"kind", "n", "t_min", "times"},
     "sim.initial_condition": {"type", "values", "sigma"},
     "analysis": {"gamma", "mu_tilde", "holder", "asymptotics"},
@@ -184,7 +184,6 @@ def _normalize_sim(raw: dict) -> dict:
         "n_paths": _get(raw, "sim", "n_paths", int),
         "master_seed": _get(raw, "sim", "master_seed", int),
         "batch_size": _get(raw, "sim", "batch_size", int, 32),
-        "noise_fault_scale": _get(raw, "sim", "noise_fault_scale", float, 1.0),
     }
     out_times = _get(raw, "sim", "output_times", dict)
     ic = _get(raw, "sim", "initial_condition", dict, {"type": "zero"})

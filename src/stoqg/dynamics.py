@@ -104,7 +104,6 @@ class SimConfig:
     initial_condition: InitialCondition = field(default_factory=InitialCondition)
     batch_size: int = 32
     store_fields: bool = False
-    noise_fault_scale: float = 1.0  # test hook: mis-scales solver noise only
 
     def __post_init__(self):
         if self.M < 1:
@@ -119,8 +118,6 @@ class SimConfig:
             raise ParameterError("batch_size", f"must be >= 1, got {self.batch_size}")
         if not 0 <= self.master_seed < 2**64:
             raise ParameterError("master_seed", "must be a 64-bit unsigned integer")
-        if self.noise_fault_scale < 0:
-            raise ParameterError("noise_fault_scale", f"must be >= 0, got {self.noise_fault_scale}")
         ic, n_modes = self.initial_condition, self.M * self.M
         if ic.kind == "coeffs" and np.shape(ic.coeffs) != (n_modes,):
             raise ParameterError("coeffs", f"needs {n_modes} entries, got {np.shape(ic.coeffs)}")
@@ -217,12 +214,12 @@ class _Stepper:
     elementwise operation acts per path, so the chunking changes no bit.
     """
 
-    def __init__(self, params: ModelParams, spectrum: NoiseSpectrum, dt: float, fault_scale: float = 1.0):
+    def __init__(self, params: ModelParams, spectrum: NoiseSpectrum, dt: float):
         basis = self.basis = spectrum.basis
         self.rates = basis.eigenvalues - params.r
         self.decay = np.exp(self.rates * dt)
         self.drift_weight = dt * phi1(self.rates * dt)
-        self.noise_std = fault_scale * ou_transition_std(spectrum.mu, self.rates, dt)
+        self.noise_std = ou_transition_std(spectrum.mu, self.rates, dt)
 
         self.inv_lap = basis.to_grid2d(-1.0 / basis.sq_wavenumbers).reshape(basis.M, basis.M)
         self.advective = not params.linearized
@@ -346,7 +343,7 @@ def _simulate_batch(
     basis = spectrum.basis
     B = len(path_indices)
     K = basis.n_modes
-    stepper = _Stepper(params, spectrum, config.dt, config.noise_fault_scale)
+    stepper = _Stepper(params, spectrum, config.dt)
 
     gens = [_path_generators(config.master_seed, int(p)) for p in path_indices]
     a = np.stack([_initial_coeffs(config, basis, ic_rng) for ic_rng, _ in gens])

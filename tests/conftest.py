@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import stoqg.dynamics
 from stoqg import Basis
 
 
@@ -17,3 +18,20 @@ def basis8():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture()
+def noise_fault(monkeypatch):
+    """`noise_fault(scale)` mis-scales the solver's noise for the rest of the test.
+
+    Only the stepper's OU transition std is scaled; the analytic oracles in
+    `stoqg.noise` and `stoqg.analysis` keep the true spectrum. The patch lives
+    in this process (a spawned or forkserver worker would not see it), so a
+    faulted run keeps to one worker.
+    """
+    exact = stoqg.dynamics.ou_transition_std
+
+    def inject(scale: float):
+        monkeypatch.setattr(stoqg.dynamics, "ou_transition_std", lambda *args: scale * exact(*args))
+
+    return inject

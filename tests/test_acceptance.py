@@ -257,7 +257,7 @@ def test_criterion_8_small_time_asymptotics():
                        n_paths=4000, master_seed=82)
     records2 = run_ensemble(cfg_ii, full, spectrum2, n_workers=WORKERS)
     tr_ii = estimate_enstrophy(records2, spectrum2, basis.eigenvalues - full.r)
-    res_ii = asymptotics_check(tr_ii, spectrum2, "zero", delta=delta, rho=0.01)
+    res_ii = asymptotics_check(tr_ii, spectrum2, "zero", delta=delta)
     ratio2 = np.asarray(res_ii["ratio_analytic"])[:2]
     assert np.all(np.abs(ratio2 - 1.0) <= 0.05), f"ratios {ratio2}"
     assert "residual_exponent" in res_ii, "residuals below Monte Carlo resolution"

@@ -5,7 +5,6 @@ import pytest
 
 from stoqg import (
     Basis,
-    DIRICHLET_C1,
     EnsembleRecord,
     EnstrophyTrace,
     InitialCondition,
@@ -92,7 +91,7 @@ class TestEstimator:
 
 class TestGammaThreshold:
     def test_dirichlet_value(self):
-        got = gamma_threshold(1.0, 0.1, 0.0, DIRICHLET_C1)
+        got = gamma_threshold(1.0, 0.1, 0.0)
         assert got == pytest.approx(-2 * np.pi**2 - 0.1)
         assert got == pytest.approx(-19.839, abs=1e-3)
 
@@ -102,11 +101,7 @@ class TestGammaThreshold:
 
     def test_algebraic_inversion(self):
         beta = np.pi * np.sqrt(2.0) * (2 * np.pi**2 + 2.0)
-        assert gamma_threshold(1.0, 1.0, beta, DIRICHLET_C1) == pytest.approx(1.0)
-
-    def test_rejects_bad_c1(self):
-        with pytest.raises(ValueError):
-            gamma_threshold(1.0, 0.1, 0.0, c1=0.0)
+        assert gamma_threshold(1.0, 1.0, beta) == pytest.approx(1.0)
 
 
 class TestTraceClassEnvelope:
@@ -154,6 +149,14 @@ class TestTheorem2:
         # E||omega_0||^2 + 1, whatever gamma
         assert theorem2_shape("b", 4.0, -1.0, np.array([0.0]))[0] == pytest.approx(4.0 + 1.0)
 
+    def test_time_zero_limit_of_negative_power(self):
+        # mu_tilde > 2 gives t a negative power, but t^power * int_0^t e^(2 gamma s) ds
+        # is O(t^(2/mu_tilde)) and tends to 0; a RuntimeWarning fails the suite
+        times = np.array([0.0, 0.05, 0.1])
+        shape = theorem2_shape("a", 4.0, -1.0, times, mu_tilde=2.5, mu_exp=3.0)
+        assert shape[0] == 4.0 + 1.0
+        assert np.all(np.isfinite(shape))
+
     def test_rejects_bad_mu_tilde(self):
         with pytest.raises(ValueError):
             theorem2_shape("a", 0.0, -1.0, np.array([1.0]), mu_tilde=2.5, mu_exp=2.0)
@@ -166,7 +169,7 @@ class TestFitProtocol:
         times = np.linspace(0.0, 1.0, 12)
         shape = theorem2_shape("b", 1.0, -2.0, times)
         trace = synthetic_trace(times, 2.0 * shape)
-        report = fit_and_validate_bound(trace, shape, split=0.5, kind="theorem2b")
+        report = fit_and_validate_bound(trace, shape, kind="theorem2b")
         assert report.verdict == "pass"
         assert report.fitted["C"] == pytest.approx(2.0, rel=1e-12)
 
@@ -174,7 +177,7 @@ class TestFitProtocol:
         times = np.linspace(0.0, 2.0, 16)
         shape = theorem2_shape("b", 0.5, -1.0, times)
         trace = synthetic_trace(times, 3.7 * shape, se=1e-4 * shape)
-        report = fit_and_validate_bound(trace, shape, split=0.5)
+        report = fit_and_validate_bound(trace, shape)
         assert report.fitted["C"] == pytest.approx(3.7, rel=0.01)
         assert report.verdict == "pass"
 
@@ -183,7 +186,7 @@ class TestFitProtocol:
         times = np.linspace(0.0, 3.0, 16)
         shape = np.exp(2 * gamma * times) + 1e-12  # decaying envelope family
         trace = synthetic_trace(times, np.exp(3.0 * abs(gamma) * times))
-        report = fit_and_validate_bound(trace, shape, split=0.5)
+        report = fit_and_validate_bound(trace, shape)
         assert report.verdict == "fail"
         assert report.violations
 

@@ -115,7 +115,7 @@ class TestConfigSchema:
         ("sim", "n_paths", 0),
         ("sim", "master_seed", -1),
         ("sim", "batch_size", 0),
-        ("sim", "noise_fault_scale", -1.0),
+        ("sim", "master_seed", 2**64),  # one past the 64-bit range
         ("sim.initial_condition", "values", [1.0, 2.0]),
         ("sim.initial_condition", "sigma", -0.1),
         ("sim.initial_condition", "sigma", [0.1] * 15 + [-0.1]),
@@ -173,6 +173,7 @@ class TestConfigSchema:
         ("analysis", "alpha_grid", [100.0, 1000.0]),
         ("analysis", "c1", 1.0),
         ("analysis.asymptotics", "rho", 0.01),
+        ("sim", "noise_fault_scale", 2.0),
     ])
     def test_retired_key_exit_2(self, tmp_path, capsys, section, key, value):
         cfg = base_config(str(tmp_path / "o"))
@@ -189,7 +190,7 @@ class TestConfigSchema:
             "model.nu", "model.r", "model.beta", "model.linearized", "model.beta_term",
             "spectrum.c_mu", "spectrum.mu_exp", "spectrum.theta", "spectrum.mu_sq_list",
             "sim.M", "sim.dt", "sim.T", "sim.n_paths", "sim.master_seed", "sim.batch_size",
-            "sim.noise_fault_scale", "sim.output_times.kind", "sim.output_times.n",
+            "sim.output_times.kind", "sim.output_times.n",
             "sim.output_times.t_min", "sim.output_times.times", "sim.initial_condition.type",
             "sim.initial_condition.values", "sim.initial_condition.sigma",
             "analysis.gamma", "analysis.mu_tilde", "analysis.holder.window", "analysis.holder.lags",
@@ -199,7 +200,7 @@ class TestConfigSchema:
         schema = stoqg.config._SCHEMA
         leaves = {key if path == "<root>" else f"{path}.{key}"
                   for path, keys in schema.items() for key in keys} - set(schema)
-        assert len(pinned) == 32 and leaves == pinned
+        assert len(pinned) == 31 and leaves == pinned
 
         def leaf_paths(doc, prefix=""):
             for key, value in doc.items():
@@ -473,9 +474,9 @@ class TestVerifyLinearCommand:
         assert report["verdict"] == "pass"
         assert abs(report["worst_z"]) <= 3.0
 
-    def test_injected_noise_fault_caught(self, tmp_path, capsys):
+    def test_injected_noise_fault_caught(self, tmp_path, capsys, noise_fault):
         cfg = self.linear_cfg(str(tmp_path / "run"))
-        cfg["sim"]["noise_fault_scale"] = 2.0  # solver-only mis-scaling
+        noise_fault(2.0)
         path = write_config(tmp_path, cfg)
         assert main(["verify-linear", "--config", path]) == 4
         assert "z" in capsys.readouterr().err
@@ -496,9 +497,9 @@ class TestVerifyLinearCommand:
         assert report["z_threshold"] == pytest.approx(4.5486, abs=1e-4)
         assert abs(report["worst_z"]) <= report["z_threshold"]
 
-    def test_small_noise_fault_caught_at_many_output_times(self, tmp_path):
+    def test_small_noise_fault_caught_at_many_output_times(self, tmp_path, noise_fault):
         cfg = self.lin16_dense_cfg(str(tmp_path / "run"), 1)
-        cfg["sim"]["noise_fault_scale"] = 1.1
+        noise_fault(1.1)
         assert main(["verify-linear", "--config", write_config(tmp_path, cfg)]) == 4
 
     def test_oracle_se_is_exact(self, tmp_path):
@@ -588,12 +589,12 @@ class TestBoundsCommand:
         assert "envelope_trace_class" in header
         assert header[-1] == "analytic_wa_var"
 
-    def test_violated_bound_exit_5(self, tmp_path, capsys):
+    def test_violated_bound_exit_5(self, tmp_path, capsys, noise_fault):
         # solver-only noise inflation pushes the true enstrophy far above
         # the constant-free envelope
         out = tmp_path / "run"
         cfg = self.bounds_cfg(str(out))
-        cfg["sim"]["noise_fault_scale"] = 3.0
+        noise_fault(3.0)
         path = write_config(tmp_path, cfg)
         assert main(["bounds", "--config", path]) == 5
         assert "trace_class" in capsys.readouterr().err
@@ -601,6 +602,33 @@ class TestBoundsCommand:
         kinds = {r["kind"]: r for r in report["bounds"]}
         assert kinds["trace_class"]["verdict"] == "fail"
         assert kinds["trace_class"]["violations"]
+
+    def test_mu_tilde_above_two(self, tmp_path):
+        # t^((2 - mu_tilde)/mu_tilde) has a negative power; the envelope is finite at t = 0
+        out = tmp_path / "run"
+        cfg = base_config(str(out))
+        cfg["spectrum"]["mu_exp"] = 3.0
+        cfg["analysis"]["mu_tilde"] = 2.5
+        assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads((out / "bounds_report.json").read_text())
+        theorem2a = {r["kind"]: r for r in report["bounds"]}["theorem2a"]
+        assert theorem2a["params"]["mu_tilde"] == 2.5
+        assert np.all(np.isfinite(theorem2a["envelope"]))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_lemma1_failure_is_a_diagnostic(self, tmp_path, capsys, seed):
+        # nl16_pool's physics at 32 paths: lemma1 fails at each seed (exit 5 when it
+        # set the exit code); the bound verdicts pass
+        out = tmp_path / "run"
+        cfg = base_config(str(out), M=16, dt=1e-3, T=1.0, n_paths=32, master_seed=seed)
+        cfg["model"]["linearized"] = False
+        cfg["sim"]["output_times"] = {"kind": "uniform", "n": 21}
+        assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads((out / "bounds_report.json").read_text())
+        assert report["lemma1"]["verdict"] == "fail"
+        assert {r["kind"]: r["verdict"] for r in report["bounds"]} == {
+            "trace_class": "pass", "theorem2a": "pass", "theorem2b": "pass"}
+        assert "lemma1=fail" in capsys.readouterr().out
 
     def test_gamma_below_threshold_exit_2(self, tmp_path, capsys):
         cfg = self.bounds_cfg(str(tmp_path / "o"))
@@ -703,14 +731,14 @@ class TestAsymptoticsCommand:
         ratios = np.asarray(report["ratio_empirical"])
         np.testing.assert_allclose(ratios, 1.0, rtol=1e-12)
 
-    def test_faulted_ratio_exit_6(self, tmp_path):
+    def test_faulted_ratio_exit_6(self, tmp_path, noise_fault):
         # inflated solver noise breaks the small-time ratio against the
         # analytic convolution variance
         out = tmp_path / "run"
         cfg = base_config(str(out), M=8, dt=1e-4, T=1e-2, n_paths=200)
         cfg["spectrum"] = {"c_mu": 1.0, "mu_exp": 0.5, "theta": 0.1}
         cfg["sim"]["output_times"] = {"kind": "geometric", "t_min": 1e-4, "n": 7}
-        cfg["sim"]["noise_fault_scale"] = 2.0
+        noise_fault(2.0)
         cfg["analysis"]["asymptotics"] = {"mode": "zero", "delta": 0.5}
         path = write_config(tmp_path, cfg)
         assert main(["asymptotics", "--config", path]) == 6

@@ -612,9 +612,6 @@ class TestConfigPlumbing:
 
     def test_constructors_reject_negative_scales(self):
         with pytest.raises(ValueError):
-            SimConfig(M=2, dt=0.01, T=1.0, output_times=np.array([0.0]),
-                      n_paths=1, master_seed=0, noise_fault_scale=-1.0)
-        with pytest.raises(ValueError):
             InitialCondition("gaussian", sigma=-0.1)
         with pytest.raises(ValueError):
             InitialCondition("gaussian", sigma=(0.1, -0.2, 0.3, 0.4))
