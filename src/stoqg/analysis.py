@@ -431,12 +431,14 @@ def holder_exponent_fit(trace: EnstrophyTrace, window: tuple[float, float], lags
     return result
 
 
-def check_asymptotics(mode: str, delta: float) -> None:
-    """The small-time check runs in mode "zero" or "general", with delta in (0, 1)."""
+def check_asymptotics(mode: str, delta: float, gamma_reg: float) -> None:
+    """The small-time check runs in mode "zero" or "general", delta in (0, 1), gamma_reg in (0, 1]."""
     if mode not in ("zero", "general"):
         raise ParameterError("mode", f"must be 'zero' or 'general', got {mode!r}")
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta", f"must lie in (0, 1), got {delta:g}")
+    if not 0.0 < gamma_reg <= 1.0:
+        raise ParameterError("gamma_reg", f"must lie in (0, 1], got {gamma_reg:g}")
 
 
 def check_small_times(times) -> None:
@@ -464,7 +466,7 @@ def asymptotics_check(
     floor 1/2 - 2 rho - 0.05 at rho = 0.01. The solver's companion uses rates
     lambda_k - r, an O(t) relative discrepancy at small times, noted in the report.
     """
-    check_asymptotics(mode, delta)
+    check_asymptotics(mode, delta, gamma_reg)
     check_small_times(trace.times)
     pos = trace.times > 0
     t = trace.times[pos]

@@ -75,6 +75,7 @@ def _execute(command, args) -> int:
     that ran the ensemble with `io.write_trajectories` on also writes trajectories.csv.
     """
     cfg = _load(args)
+    out_dir = Path(cfg.io["out_dir"])
     clock = Stopwatch()
     records = None
 
@@ -83,6 +84,10 @@ def _execute(command, args) -> int:
         nonlocal records
         if cfg.sim.n_paths < 2:
             raise ConfigError("sim.n_paths", "ensemble statistics need at least 2 paths")
+        try:  # a directory that cannot hold the artifacts fails before the ensemble runs
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError("io.out_dir", f"cannot create {out_dir}: {err.strerror or err}") from None
         with clock:
             records = run_ensemble(cfg.sim, cfg.params, cfg.spectrum, n_workers=args.threads)
             solver_rates = cfg.basis.eigenvalues - cfg.params.r
@@ -91,7 +96,6 @@ def _execute(command, args) -> int:
 
     with keyed():  # a rule's ParameterError is a config error under its key
         outcome = command(cfg, run)
-    out_dir = Path(cfg.io["out_dir"])
     if outcome.trace is not None:
         write_trace(out_dir, outcome.trace)
     if records is not None and cfg.io["write_trajectories"]:
@@ -264,7 +268,7 @@ def cmd_holder(cfg: RunConfig, run) -> _Outcome:
 
 def cmd_asymptotics(cfg: RunConfig, run) -> _Outcome:
     asym = cfg.analysis["asymptotics"]
-    lab.check_small_times(cfg.sim.output_times)  # mode and delta were checked at load
+    lab.check_small_times(cfg.sim.output_times)  # mode, delta and gamma_reg were checked at load
     _, trace = run()
     ens0 = 0.5 * cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
     result = lab.asymptotics_check(

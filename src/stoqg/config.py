@@ -154,6 +154,8 @@ def _normalize_output_times(raw: dict, dt: float, T: float) -> dict:
         times = np.concatenate(([0.0], np.geomspace(t_min, T, n)))
     elif kind == "explicit":
         times = np.asarray(_number_list(raw, "sim.output_times", "times"), dtype=float)
+        if np.any((times < 0.0) | (times > T + 1e-9 * T)):  # snapping would clip them silently
+            raise ConfigError("sim.output_times.times", "must lie within [0, T]")
     else:
         raise ConfigError("sim.output_times.kind", f"unknown kind {kind!r}")
     snapped = snap_output_times(times, dt, T)
@@ -297,7 +299,7 @@ def materialize(document: dict) -> RunConfig:
         admissible_mu_tilde(analysis["mu_tilde"], spectrum.mu_exp)
         if analysis["holder"]:
             holder_pairs(sim.output_times, **analysis["holder"])
-        check_asymptotics(analysis["asymptotics"]["mode"], analysis["asymptotics"]["delta"])
+        check_asymptotics(**analysis["asymptotics"])
     return RunConfig(params, spectrum, sim, analysis, document["io"], document)
 
 

@@ -232,7 +232,7 @@ class _Stepper:
         # their pages and fault them in again each step, which costs more than
         # the arithmetic (grid-sized ones at M=16, the (B, K) ones at M=32)
         self._work: dict[tuple[int, ...], list[np.ndarray]] = {}
-        self._step_work: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._step_work: dict[tuple[int, ...], np.ndarray] = {}
         if self.advective:
             sin_mat, dsin_mat = basis.trig_matrices(P)
             # left factors carry the factor 2 of the orthonormal eigenfunctions;
@@ -281,18 +281,17 @@ class _Stepper:
             drift = drift - self.beta * (self.dx_matrix @ psi2)
         self.basis.from_grid2d(drift, out=out)
 
-    def advance(self, a: np.ndarray, v: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step for a batch, in place: states a, v and standard normals xi, each (B, K).
+    def advance(self, a: np.ndarray, v: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step for a batch, in place: states a, v and OU increments eta, each (B, K).
 
-        a and v are overwritten with the new states and returned; xi is only read.
+        a and v are overwritten with the new states and returned; eta is only read.
         The operations keep the order of decay * a + drift_weight * drift + eta.
         """
-        buffers = self._step_work.get(a.shape)
-        if buffers is None:
-            buffers = self._step_work[a.shape] = (np.empty_like(a), np.empty_like(a))
-        eta = np.multiply(self.noise_std, xi, out=buffers[0])
         if self.needs_drift:
-            drift = self.drift_flat(a, out=buffers[1])
+            drift = self._step_work.get(a.shape)
+            if drift is None:
+                drift = self._step_work[a.shape] = np.empty_like(a)
+            self.drift_flat(a, out=drift)
             drift *= self.drift_weight
         else:
             drift = 0.0  # adding it still turns a -0.0 into +0.0
@@ -336,7 +335,8 @@ def _simulate_batch(
     Each path's forcing generator fills its rows of one reused (B, n, K)
     buffer with a single draw per block of n steps (n from _BATCH_BLOCK_BYTES;
     the last block holds only the steps left). A block draw gives the same
-    numbers as n draws of K, so results do not depend on the block length.
+    numbers as n draws of K, so results do not depend on the block length;
+    one multiply by the OU transition stds makes the block the steps' increments.
     The state is advanced in place, and the four squared norms of each
     output come from one reduction over a reused (4, B, K) buffer.
     """
@@ -388,13 +388,14 @@ def _simulate_batch(
     if 0 in slot_of:
         record(slot_of[0], 0.0)
     block = max(1, _BATCH_BLOCK_BYTES // (B * K * 8))
-    xi_block = np.empty((B, min(block, n_steps), K))
+    eta_block = np.empty((B, min(block, n_steps), K))
     for first in range(1, n_steps + 1, block):
         n = min(block, n_steps + 1 - first)
-        for rng, rows in zip(noise_rngs, xi_block):
+        for rng, rows in zip(noise_rngs, eta_block):
             rng.standard_normal(out=rows[:n])
+        eta_block[:, :n] *= stepper.noise_std
         for s in range(first, first + n):
-            stepper.advance(a, v, xi_block[:, s - first])
+            stepper.advance(a, v, eta_block[:, s - first])
             if s in slot_of:
                 record(slot_of[s], s * config.dt)
 

@@ -93,6 +93,15 @@ class TestConfigSchema:
             doc = normalize(cfg)
         assert doc["sim"]["output_times"]["times"] == [0.0, 0.01, 0.05]
 
+    @pytest.mark.parametrize("times", [[-0.5, 0.1, 5.0], [-0.01, 0.1], [0.0, 1.01]])
+    def test_explicit_times_outside_run_are_rejected(self, tmp_path, times):
+        # on-grid times outside [0, T] would be clipped onto 0 and T without a warning
+        cfg = base_config(str(tmp_path / "o"), T=1.0)
+        cfg["sim"]["output_times"] = {"kind": "explicit", "times": times}
+        with pytest.raises(ConfigError) as err:
+            normalize(cfg)
+        assert err.value.key == "sim.output_times.times"
+
     def test_geometric_grid_prepends_zero(self, tmp_path):
         cfg = base_config(str(tmp_path / "o"), dt=1e-4, T=0.01)
         cfg["sim"]["output_times"] = {"kind": "geometric", "t_min": 1e-3, "n": 5}
@@ -137,6 +146,9 @@ class TestConfigSchema:
         ("analysis.asymptotics", "mode", "weird"),
         ("analysis.asymptotics", "delta", 1.5),
         ("analysis.holder", "window", [0.05, 0.01]),
+        ("analysis.asymptotics", "gamma_reg", 0.0),  # a Hoelder exponent lies in (0, 1]
+        ("analysis.asymptotics", "gamma_reg", -1.0),
+        ("analysis.asymptotics", "gamma_reg", 1.5),
     ])
     def test_range_rule_names_its_key(self, tmp_path, section, key, value):
         cfg = base_config(str(tmp_path / "o"))
@@ -647,6 +659,19 @@ class TestBoundsCommand:
 class TestConfigErrorsBeforeEnsemble:
     LAGS = [0.01, 0.02, 0.03, 0.05, 0.1]
 
+    @pytest.fixture()
+    def ensemble_calls(self, monkeypatch):
+        """The argument tuples of each `run_ensemble` call the CLI makes."""
+        calls = []
+        ensemble = stoqg.cli.run_ensemble
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(stoqg.cli, "run_ensemble", counted)
+        return calls
+
     @pytest.mark.parametrize("command, section, settings, key", [
         ("holder", "holder", {"window": [0.01, 0.09], "lags": [0.01, 0.02, 0.03, 0.04, 0.05]},
          "analysis.holder.lags"),  # less than a decade
@@ -662,17 +687,15 @@ class TestConfigErrorsBeforeEnsemble:
         ("bounds", "analysis", {"gamma": 1e4}, "analysis.gamma"),  # e^(2 gamma T) overflows
         ("bounds", "sim", {"output_times": {"kind": "uniform", "n": 5}},
          "sim.output_times"),  # the fit protocol needs 8
+        ("simulate", "sim", {"output_times": {"kind": "explicit", "times": [-0.5, 0.1, 5.0]}},
+         "sim.output_times.times"),  # outside [0, T]
+        ("asymptotics", "analysis", {"asymptotics": {"mode": "general", "gamma_reg": 0.0}},
+         "analysis.asymptotics.gamma_reg"),  # a verdict that cannot fail
+        ("asymptotics", "analysis", {"asymptotics": {"mode": "general", "gamma_reg": -1.0}},
+         "analysis.asymptotics.gamma_reg"),
     ])
-    def test_exit_2_without_running(self, tmp_path, capsys, monkeypatch, command, section,
+    def test_exit_2_without_running(self, tmp_path, capsys, ensemble_calls, command, section,
                                     settings, key):
-        calls = []
-        ensemble = stoqg.cli.run_ensemble
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return ensemble(*args, **kwargs)
-
-        monkeypatch.setattr(stoqg.cli, "run_ensemble", counted)
         cfg = base_config(str(tmp_path / "o"))
         if section == "holder":
             cfg["analysis"]["holder"] = settings
@@ -680,8 +703,16 @@ class TestConfigErrorsBeforeEnsemble:
             cfg[section].update(settings)
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         assert key + ":" in capsys.readouterr().err
-        assert calls == []
+        assert ensemble_calls == []
         assert not (tmp_path / "o").exists()
+
+    def test_out_dir_naming_a_file_exits_2_without_running(self, tmp_path, capsys, ensemble_calls):
+        out = tmp_path / "o"
+        out.write_text("kept")
+        assert main(["simulate", "--config", write_config(tmp_path, base_config(str(out)))]) == 2
+        assert "io.out_dir:" in capsys.readouterr().err
+        assert ensemble_calls == []
+        assert out.read_text() == "kept"
 
 
 class TestHolderCommand:

@@ -189,7 +189,7 @@ class TestStep:
         params = linear_params()
         stepper = stepper_for(b, params, c_mu=0.0)
         a0, v0 = ref.modes(b, {(1, 1): 1.0})[None, :], np.full((1, 4), 3.0)
-        a, v = stepper.advance(a0, v0, np.full((1, 4), 12.34))
+        a, v = stepper.advance(a0, v0, stepper.noise_std * np.full((1, 4), 12.34))
         assert a is a0 and v is v0  # advanced in place
         assert a[0, 0] == pytest.approx(np.exp((-2 * np.pi**2 - 0.1) * 0.01), rel=1e-14)
         np.testing.assert_allclose(v[0], 3.0 * np.exp((b.eigenvalues - params.r) * 0.01),
@@ -199,7 +199,8 @@ class TestStep:
         # as decay * a + drift_weight * 0.0 + eta did: a -0.0 state becomes +0.0,
         # while the companion, which never adds a drift, keeps -0.0 + -0.0 = -0.0
         stepper = stepper_for(Basis(2, 1.0), linear_params(), c_mu=0.0)
-        a, v = stepper.advance(np.full((1, 4), -0.0), np.full((1, 4), -0.0), np.full((1, 4), -1.0))
+        eta = stepper.noise_std * np.full((1, 4), -1.0)  # -0.0 increments
+        a, v = stepper.advance(np.full((1, 4), -0.0), np.full((1, 4), -0.0), eta)
         assert not np.signbit(a).any()
         assert np.signbit(v).all()
 
@@ -211,17 +212,33 @@ class TestStep:
         params = ModelParams(nu=1.0, r=0.1, beta=0.7, linearized=False, beta_term=True)
         h = 0.01
         a0, v0 = 0.3 * rng.standard_normal((2, 2, M * M))
-        xi = rng.standard_normal((2, M * M))
-        stepper = _Stepper(params, spec, h)
-        a, v = stepper.advance(a0.copy(), v0.copy(), xi)
         rates = b.eigenvalues - params.r
+        eta = ou_transition_std(spec.mu, rates, h) * rng.standard_normal((2, M * M))
+        stepper = _Stepper(params, spec, h)
+        a, v = stepper.advance(a0.copy(), v0.copy(), eta)
         for i in range(2):
-            eta = ou_transition_std(spec.mu, rates, h) * xi[i]
             drift = reference_drift(b, a0[i], params)
-            want_a = np.exp(rates * h) * a0[i] + h * phi1(rates * h) * drift + eta
+            want_a = np.exp(rates * h) * a0[i] + h * phi1(rates * h) * drift + eta[i]
             np.testing.assert_allclose(a[i], want_a, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(v[i], np.exp(rates * h) * v0[i] + eta,
+            np.testing.assert_allclose(v[i], np.exp(rates * h) * v0[i] + eta[i],
                                        rtol=1e-12, atol=1e-15)
+
+    def test_composed_increment_is_one_step_of_twice_the_size(self, rng):
+        # e^(l h) eta1 + eta2 is the OU increment over 2h: a 2h step on it equals
+        # two h-steps on eta1, eta2, which is how step sizes share one forcing path
+        b = Basis(16, 1.0)
+        spec = build_spectrum(b, 1.0, 2.0, 0.1)
+        fine, coarse = _Stepper(linear_params(), spec, 0.01), _Stepper(linear_params(), spec, 0.02)
+        np.testing.assert_allclose(
+            np.sqrt(fine.decay**2 * fine.noise_std**2 + fine.noise_std**2), coarse.noise_std,
+            rtol=1e-12)
+        a0, v0 = rng.standard_normal((2, 3, b.n_modes))
+        eta1, eta2 = fine.noise_std * rng.standard_normal((2, 3, b.n_modes))
+        a, v = fine.advance(a0.copy(), v0.copy(), eta1)
+        fine.advance(a, v, eta2)
+        a2, v2 = coarse.advance(a0.copy(), v0.copy(), fine.decay * eta1 + eta2)
+        np.testing.assert_allclose(a2, a, rtol=1e-12)
+        np.testing.assert_allclose(v2, v, rtol=1e-12)
 
 
 class TestLinearExactness:
