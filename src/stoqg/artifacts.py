@@ -4,11 +4,14 @@ Files are written atomically: the text goes into a temp file in the target
 directory, which is renamed over the target only after the last chunk, so a
 reader never sees a partial file and a failed write leaves an existing target
 as it was. New files get the mode a plain `open(path, "w")` would give them
-(0o666 less the umask). CSV rows are formatted and written one at a time, so
-writing `trajectories.csv` holds one path's coefficients in memory, not the
-whole dump.
-Floats are serialized with Python's shortest round-trip repr, so a rerun that
-produces bit-identical doubles produces byte-identical files.
+(0o666 less the umask). Files are written chunk by chunk: `trajectories.csv`
+a few rows at a time, so writing it takes working memory independent of the
+dump's size.
+Floats are serialized as Python's shortest round-trip repr, so a rerun that
+produces bit-identical doubles produces byte-identical files. The small
+tables format each value with `repr`; the trajectory dump goes through
+`_ryu.repr_join`, a vectorized shortest round-trip kernel (Ryu's algorithm)
+whose bytes are `repr`'s, with bounded working memory.
 """
 
 from __future__ import annotations
@@ -92,23 +95,45 @@ def write_trace(out_dir: Path, trace: EnstrophyTrace) -> None:
     write_json(out_dir / "trace.json", payload)
 
 
+# values of the dump formatted per `repr_join` call, in whole rows (at least
+# one): with its text, the kernel's working set is about 230 bytes a value, so
+# a write holds under 1 MB with the kernel's tables (two rows at M=32)
+_DUMP_CHUNK_VALUES = 3072
+
+
 def write_trajectories(out_dir: Path, records: list[EnsembleRecord]) -> None:
-    """One row per (path, time) with coefficients in rank order."""
+    """One row per (path, time) with coefficients in rank order.
+
+    Each path's rows are formatted a few at a time by `_ryu.repr_join`, through
+    one reused input block and working set, so the dump is never held in memory.
+    """
+    # imported here: stoqg.cli loads this module at start-up, and runs that write
+    # no dump need not load the kernel, nor compile it where bytecode is not cached
+    from ._ryu import ReprWork, repr_join
+
     first = next((r for r in records if r.fields is not None), None)
     if first is None:
         raise ValueError("trajectory dump requires a run with store_fields enabled")
     n_modes = first.fields.shape[2]
     header = ["path", "time"] + [f"c_{k}" for k in range(1, n_modes + 1)]
+    per_chunk = max(1, _DUMP_CHUNK_VALUES // (n_modes + 1))
+    block = np.empty((per_chunk, n_modes + 1))
+    work = ReprWork(block.size)
 
-    def rows():
+    def chunks():
+        yield ",".join(header) + "\n"
         for rec in records:
-            times = rec.times.tolist()
-            # one path's fields at a time: a whole batch as Python floats costs MBs
             for path, fields in zip(rec.path_index.tolist(), rec.fields):
-                for t, coeffs in zip(times, fields.tolist()):
-                    yield (path, t, *coeffs)
+                prefix = f"{path},"
+                for lo in range(0, len(rec.times), per_chunk):
+                    rows = block[:min(per_chunk, len(rec.times) - lo)]
+                    rows[:, 0] = rec.times[lo:lo + len(rows)]
+                    rows[:, 1:] = fields[lo:lo + len(rows)]
+                    yield prefix
+                    yield repr_join(rows, work).replace("\n", "\n" + prefix)
+                    yield "\n"
 
-    write_csv(out_dir / "trajectories.csv", header, rows())
+    _atomic_write(out_dir / "trajectories.csv", chunks())
 
 
 def write_manifest(out_dir: Path, document: dict, wall_time_s: float, extra: dict | None = None) -> None:

@@ -97,10 +97,16 @@ class Basis:
             self._trig_cache[P] = cached
         return cached
 
-    def to_grid2d(self, coeffs: np.ndarray) -> np.ndarray:
-        """Scatter rank-ordered coefficients into the (..., M, M) layout."""
-        shaped = np.take(coeffs, self._scatter_idx, axis=-1)
-        return shaped.reshape(coeffs.shape[:-1] + (self.M, self.M))
+    def to_grid2d(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Scatter rank-ordered coefficients into the (..., M, M) layout, into out if given.
+
+        out must be C-contiguous, so that its flat view is the array itself.
+        """
+        if out is None:
+            out = np.empty(coeffs.shape[:-1] + (self.M, self.M), dtype=coeffs.dtype)
+        flat = np.reshape(out, coeffs.shape, copy=False)
+        np.take(coeffs, self._scatter_idx, axis=-1, out=flat, mode="clip")  # see from_grid2d
+        return out
 
     def from_grid2d(self, coeffs2d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gather an (..., M, M) coefficient array back into rank order, into out if given."""

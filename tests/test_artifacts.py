@@ -1,4 +1,5 @@
-"""Atomic, streamed artifact writers: bytes, failure cleanup, file modes, memory."""
+"""Atomic, streamed artifact writers: bytes, failure cleanup, file modes, memory;
+the vectorized float formatting kernel against repr, its oracle."""
 
 import os
 import stat
@@ -6,7 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stoqg._ryu import repr_join
 from stoqg.artifacts import write_csv, write_json, write_trajectories
 from stoqg.dynamics import EnsembleRecord
 
@@ -60,6 +64,67 @@ class TestStreamedCsv:
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+def repr_oracle(values: np.ndarray) -> str:
+    return ",".join(map(repr, values.tolist()))
+
+
+def edge_values() -> np.ndarray:
+    """Zeros, subnormals, extremes, every power of ten with both neighbours, the
+    fixed/scientific switch points, 2**53 and 2**54, exact dyadics (the trailing-zero
+    branch, with halves that round to even), every power of two below 2**50 (whose
+    rounding interval is asymmetric), 15-, 16- and 17-digit values, nan and infinities."""
+    powers = [float(f"1e{e}") for e in range(-323, 309)]
+    neighbours = [np.nextafter(p, d) for p in powers for d in (0.0, np.inf)]
+    twos = np.ldexp(1.0, np.arange(-1074, 50)).tolist()
+    return np.array([
+        0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308,
+        1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0,
+        2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**54, 2.0**50, np.nextafter(2.0**50, 0),
+        0.5, 0.25, 100.0, -0.5, 3.0, 2.0**-60, 2.0**-1022, 0.125, 1.5, 1048576.0,
+        0.1, 0.3, 1 / 3, 2 / 3, 123456789012345.0, 1234567890123456.0, 0.1234567890123456,
+        0.12345678901234568, 1.2345678901234567e-05, 9007199254740991.0,
+        903041892098739.25, -213077307271050.625, 112030791690135.125,
+        6.378276598180247e-17, 2933556525.3156905, -3.044793134289668e-147,
+        float("nan"), -float("nan"), float("inf"), -float("inf"),
+    ] + powers + neighbours + twos)
+
+
+class TestReprJoin:
+    def test_edge_values(self):
+        values = edge_values()
+        assert repr_join(values) == repr_oracle(values)
+
+    def test_sweep_of_random_bit_patterns(self):
+        # a million random patterns over every exponent field the kernel formats itself
+        # (subnormals up to |x| < 2**50; above, it defers to repr, so the oracle would
+        # only check repr against itself, at about 1.8 us a value)
+        rng = np.random.default_rng(20250101)
+        bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64) & np.uint64(0x800F_FFFF_FFFF_FFFF)
+        bits |= rng.integers(0, 1073, 10**6, dtype=np.uint64) << np.uint64(52)
+        for chunk in np.split(bits.view(np.float64), 10):
+            assert repr_join(chunk) == repr_oracle(chunk)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert repr_join(values) == repr_oracle(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float(self, floats):
+        values = np.array(floats, dtype=np.float64)
+        assert repr_join(values) == repr_oracle(values)
+
+    def test_rows_are_joined_by_newlines(self):
+        values = np.random.default_rng(5).standard_normal((3, 7)) * 1e-3
+        assert repr_join(values) == "\n".join(map(repr_oracle, values))
+
+    def test_empty(self):
+        assert repr_join(np.array([])) == ""
+
+
 class TestFileMode:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_new_files_respect_umask(self, tmp_path, umask, mode):
@@ -89,11 +154,33 @@ def synthetic_records(n_paths=8, n_times=11, n_modes=1024, batch=4):
     return records
 
 
+def special_records(n_modes: int, n_times=5, batch=2):
+    """Fields and times holding edge values; time 0.0 first, then one all-zero row."""
+    specials = edge_values()
+    times = np.array([0.0, 0.5, 2.0**-60, 1e-4, 0.25][:n_times])
+    records = []
+    for lo in range(0, 2 * batch, batch):
+        fields = np.resize(np.roll(specials, 7 * lo), (batch, n_times, n_modes))
+        fields[0, 1] = 0.0
+        zeros = np.zeros((batch, n_times))
+        records.append(EnsembleRecord(
+            path_index=np.arange(lo, lo + batch), times=times,
+            omega_sq=zeros, grad_sq=zeros, u_sq=zeros, wa_sq=zeros, fields=fields,
+        ))
+    return records
+
+
 class TestTrajectoryDump:
-    def test_bytes_match_joined_formula(self, tmp_path):
-        records = synthetic_records(n_paths=4, n_times=3, n_modes=5, batch=2)
+    @pytest.mark.parametrize("records", [
+        synthetic_records(n_paths=4, n_times=3, n_modes=5, batch=2),
+        special_records(n_modes=7),
+        special_records(n_modes=1, n_times=4),
+        special_records(n_modes=1023),
+    ], ids=["normals", "specials-7", "specials-1", "specials-1023"])
+    def test_bytes_match_joined_formula(self, tmp_path, records):
         write_trajectories(tmp_path, records)
-        header = ["path", "time"] + [f"c_{k}" for k in range(1, 6)]
+        n_modes = records[0].fields.shape[2]
+        header = ["path", "time"] + [f"c_{k}" for k in range(1, n_modes + 1)]
         rows = [(int(p), float(t), *map(float, rec.fields[i, j]))
                 for rec in records for i, p in enumerate(rec.path_index)
                 for j, t in enumerate(rec.times)]

@@ -173,6 +173,13 @@ class TestTransforms:
         x = b.grid_points(13)
         np.testing.assert_allclose(to_grid(b, a, 13), ref.evaluate(b, a, x)[0], atol=1e-12)
 
+    def test_scatter_into_out(self, rng):
+        b = Basis(16, 1.0)
+        a = rng.standard_normal((3, 256))
+        out = np.empty((2, 3, 16, 16))[1]
+        assert b.to_grid2d(a, out=out) is out
+        assert out.tobytes() == b.to_grid2d(a).tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(M=st.integers(2, 32), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_round_trip_any_truncation(self, M, seed, data):
