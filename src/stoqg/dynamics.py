@@ -198,9 +198,8 @@ def phi1(z: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + z / 2.0 + z**2 / 6.0, out)
 
 
-# byte budget of each per-batch work block: the forcing draws with their OU
-# increments, two blocks of B * n * K doubles, and the drift's two grid-sized
-# work arrays, 4 * 8 * Q * (M + Q) bytes a path
+# byte budget of each per-batch work block: the forcing draws, (B, n, K) doubles,
+# and the drift's two grid-sized work arrays, 4 * 8 * Q * (M + Q) bytes a path
 _BATCH_BLOCK_BYTES = 2**20
 
 
@@ -336,10 +335,8 @@ def _simulate_batch(
     Each path's forcing generator fills its rows of one reused (B, n, K)
     buffer with a single draw per block of n steps (n from _BATCH_BLOCK_BYTES;
     the last block holds only the steps left). A block draw gives the same
-    numbers as n draws of K, so results do not depend on the block length.
-    One multiply by the OU transition stds writes the steps' increments into
-    a second, step-major (n, B, K) buffer, so each step adds a contiguous
-    (B, K) increment.
+    numbers as n draws of K, so results do not depend on the block length;
+    one multiply by the OU transition stds makes the block the steps' increments.
     The state is advanced in place, and the four squared norms of each
     output come from one reduction over a reused (4, B, K) buffer.
     """
@@ -390,16 +387,15 @@ def _simulate_batch(
 
     if 0 in slot_of:
         record(slot_of[0], 0.0)
-    block = max(1, _BATCH_BLOCK_BYTES // (2 * B * K * 8))
-    draws = np.empty((B, min(block, n_steps), K))
-    increments = np.empty((min(block, n_steps), B, K))
+    block = max(1, _BATCH_BLOCK_BYTES // (B * K * 8))
+    eta_block = np.empty((B, min(block, n_steps), K))
     for first in range(1, n_steps + 1, block):
         n = min(block, n_steps + 1 - first)
-        for rng, rows in zip(noise_rngs, draws):
+        for rng, rows in zip(noise_rngs, eta_block):
             rng.standard_normal(out=rows[:n])
-        np.multiply(draws[:, :n], stepper.noise_std, out=increments[:n].transpose(1, 0, 2))
-        for s, eta in zip(range(first, first + n), increments):
-            stepper.advance(a, v, eta)
+        eta_block[:, :n] *= stepper.noise_std
+        for s in range(first, first + n):
+            stepper.advance(a, v, eta_block[:, s - first])
             if s in slot_of:
                 record(slot_of[s], s * config.dt)
 

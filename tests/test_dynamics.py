@@ -183,21 +183,6 @@ class TestStep:
         assert calls == [(10, 1024)] * 10 + [(3, 1024)] * 10
         assert chunks == [(8, 1024), (2, 1024)] * 10 + [(3, 1024)] * 10
 
-    def test_increments_reach_advance_contiguous(self, monkeypatch):
-        # a draw block of many steps: each step's (B, K) increment is one contiguous block
-        layouts = []
-        advance = _Stepper.advance
-
-        def spied(self, a, v, eta):
-            layouts.append((eta.shape, eta.flags.c_contiguous))
-            return advance(self, a, v, eta)
-
-        monkeypatch.setattr(_Stepper, "advance", spied)
-        b = Basis(4, 1.0)
-        params = ModelParams(nu=1.0, r=0.1, beta=0.5, linearized=False, beta_term=True)
-        run_ensemble(small_config(n_paths=5, batch_size=3), params, build_spectrum(b, 1.0, 2.0, 0.1))
-        assert layouts == [((3, 16), True)] * 10 + [((2, 16), True)] * 10
-
     def test_pure_decay(self):
         # no forcing: omega and the companion decay at the solver rates whatever the draws
         b = Basis(2, 1.0)
@@ -360,7 +345,7 @@ class TestDeterminism:
         # batches of 32 and 8 paths at M=4; 300 steps: the 32-path batch draws one full
         # block and a short one, the 8-path batch one short block; outputs fall on the
         # last step of the first block, the first of the next, and off the block edges
-        block = dynamics._BATCH_BLOCK_BYTES // (2 * 32 * 16 * 8)  # draws and increments
+        block = dynamics._BATCH_BLOCK_BYTES // (32 * 16 * 8)
         assert 100 < block < 299 and 300 % block
         b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)

@@ -179,6 +179,9 @@ class TestTransforms:
         out = np.empty((2, 3, 16, 16))[1]
         assert b.to_grid2d(a, out=out) is out
         assert out.tobytes() == b.to_grid2d(a).tobytes()
+        # a strided out would be scattered into a copy: refused, not silently ignored
+        with pytest.raises(ValueError, match="C-contiguous"):
+            b.to_grid2d(a, out=np.empty((3, 16, 32))[..., ::2])
 
     @settings(max_examples=40, deadline=None)
     @given(M=st.integers(2, 32), seed=st.integers(0, 2**32 - 1), data=st.data())
