@@ -54,6 +54,13 @@ class EnstrophyTrace:
         if np.any(self.ens_mean < 0) or np.any(self.ens_se < 0):
             raise ValueError("enstrophy estimates and standard errors must be nonnegative")
 
+    @property
+    def wa_var_analytic(self) -> np.ndarray:
+        """The analytic E||W_A||^2 at the trace times, NaN where no spectrum was supplied."""
+        if self.wa_half_analytic is None:
+            return np.full_like(self.times, np.nan)
+        return 2.0 * self.wa_half_analytic
+
 
 @dataclass
 class BoundEnvelope:
@@ -230,11 +237,11 @@ def theorem2_shape(
     return e_omega0_sq * growth + polynomial + 1.0
 
 
-def validate_bound(trace: EnstrophyTrace, envelope: BoundEnvelope) -> BoundReport:
-    """Check envelope dominance with the 3-standard-error allowance, no fitting."""
-    lower = trace.ens_mean - 3.0 * trace.ens_se
-    bad = lower > envelope.values
-    violations = [float(t) for t in trace.times[bad]]
+def validate_bound(trace: EnstrophyTrace, envelope: BoundEnvelope, start: int = 0) -> BoundReport:
+    """Check envelope dominance with the 3-standard-error allowance from output `start` on, no fitting."""
+    lower = trace.ens_mean[start:] - 3.0 * trace.ens_se[start:]
+    bad = lower > envelope.values[start:]
+    violations = [float(t) for t in trace.times[start:][bad]]
     return BoundReport(
         kind=envelope.kind,
         verdict="fail" if violations else "pass",
@@ -276,16 +283,9 @@ def fit_and_validate_bound(
         return BoundReport(kind=kind, verdict="not_applicable", notes="no finite constant dominates the prefix")
 
     envelope = BoundEnvelope(kind, dict(params or {}, C=c_fit), trace.times, c_fit * shape_values)
-    lower = trace.ens_mean - 3.0 * trace.ens_se
-    bad = lower[n_fit:] > envelope.values[n_fit:]
-    violations = [float(t) for t in trace.times[n_fit:][bad]]
-    return BoundReport(
-        kind=kind,
-        verdict="fail" if violations else "pass",
-        envelope=envelope,
-        violations=violations,
-        fitted={"C": c_fit, "n_fit": n_fit},
-    )
+    report = validate_bound(trace, envelope, start=n_fit)
+    report.fitted = {"C": c_fit, "n_fit": n_fit}
+    return report
 
 
 def lemma1_pathwise_check(

@@ -77,8 +77,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 def write_trace(out_dir: Path, trace: EnstrophyTrace) -> None:
     """Persist the enstrophy trace as trace.csv and trace.json."""
-    wa = trace.wa_half_analytic
-    wa_var = 2.0 * wa if wa is not None else np.full_like(trace.times, np.nan)
+    wa_var = trace.wa_var_analytic
     rows = zip(*(c.tolist() for c in (trace.times, trace.ens_mean, trace.ens_se, wa_var)))
     write_csv(out_dir / "trace.csv", ["time", "ens_mean", "ens_se", "wa_var_analytic"], rows)
     payload = {

@@ -248,8 +248,7 @@ def _write_envelopes_csv(out_dir: Path, trace: lab.EnstrophyTrace, reports: list
             header.append(f"envelope_{rep['kind']}")
             columns.append(np.asarray(rep["envelope"]))
     header.append("analytic_wa_var")
-    wa = trace.wa_half_analytic
-    columns.append(2.0 * wa if wa is not None else np.full_like(trace.times, np.nan))
+    columns.append(trace.wa_var_analytic)
     write_csv(out_dir / "envelopes.csv", header, zip(*(c.tolist() for c in columns)))
 
 

@@ -1,9 +1,10 @@
 """Run-configuration schema: strict JSON ingestion and normalization.
 
 Configs are JSON documents with sections model / spectrum / sim / analysis /
-io. Validation is strict: unknown keys are rejected and every error names the
-offending key path, because silently ignored typos are the main
-reproducibility hazard in experiment configs. Loading is two passes:
+io, each key declared once in `_SCHEMA`. Validation is strict: unknown keys,
+and keys of a variant the config did not choose, are rejected, and every
+error names the offending key path, because silently ignored typos are the
+main reproducibility hazard in experiment configs. Loading is two passes:
 `normalize` checks the schema (defaults filled in, output times snapped onto
 the step grid) and is idempotent, so normalize -> serialize -> normalize is a
 fixed point; `materialize` builds each model object once, and the value
@@ -27,7 +28,8 @@ from .dynamics import InitialCondition, ModelParams, SimConfig, snap_output_time
 from .noise import NoiseSpectrum, build_spectrum, spectrum_from_list
 from .spectral import Basis, ParameterError
 
-_REQUIRED = object()
+_REQUIRED, _OPTIONAL = object(), object()
+_NUMBERS = "list of numbers"  # the type of a key that takes a list of finite numbers
 
 
 class ConfigError(ValueError):
@@ -38,42 +40,106 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
-# the keys of every section, by path; a key that is itself a path holds a section
+@dataclass(frozen=True)
+class _Variants:
+    """A section whose other keys are those of the variant its `key` names."""
+
+    key: str
+    variants: dict
+
+
+# The one declaration of the config: each key maps to (type, default). A type is float,
+# int, bool, str, _NUMBERS or a tuple of these, or a section: a dict of its keys or
+# _Variants. A default is _REQUIRED, _OPTIONAL (left out when absent), None for a value
+# the code derives (null stands for it too), a value, or for a section the raw section.
 _SCHEMA = {
-    "<root>": {"model", "spectrum", "sim", "analysis", "io"},
-    "model": {"nu", "r", "beta", "linearized", "beta_term"},
-    "spectrum": {"c_mu", "mu_exp", "theta", "mu_sq_list"},
-    "sim": {"M", "dt", "T", "output_times", "n_paths", "master_seed", "initial_condition",
-            "batch_size"},
-    "sim.output_times": {"kind", "n", "t_min", "times"},
-    "sim.initial_condition": {"type", "values", "sigma"},
-    "analysis": {"gamma", "mu_tilde", "holder", "asymptotics"},
-    "analysis.holder": {"window", "lags"},
-    "analysis.asymptotics": {"mode", "delta", "gamma_reg"},
-    "io": {"out_dir", "write_trajectories"},
+    "model": ({"nu": (float, _REQUIRED), "r": (float, _REQUIRED), "beta": (float, 0.0),
+               "linearized": (bool, False), "beta_term": (bool, True)}, _REQUIRED),
+    "spectrum": ({"mu_sq_list": (_NUMBERS, _OPTIONAL), "c_mu": (float, _OPTIONAL),
+                  "mu_exp": (float, _OPTIONAL), "theta": (float, _REQUIRED)}, _REQUIRED),
+    "sim": ({
+        "M": (int, _REQUIRED), "dt": (float, _REQUIRED), "T": (float, _REQUIRED),
+        "n_paths": (int, _REQUIRED), "master_seed": (int, _REQUIRED), "batch_size": (int, 32),
+        "output_times": (_Variants("kind", {
+            "uniform": {"n": (int, _REQUIRED)},
+            "geometric": {"n": (int, _REQUIRED), "t_min": (float, _REQUIRED)},
+            "explicit": {"times": (_NUMBERS, _REQUIRED)},
+        }), _REQUIRED),
+        "initial_condition": (_Variants("type", {
+            "zero": {},
+            "coeffs": {"values": (_NUMBERS, _REQUIRED)},
+            "gaussian": {"sigma": ((float, _NUMBERS), _REQUIRED)},
+        }), {"type": "zero"}),
+    }, _REQUIRED),
+    "analysis": ({
+        "gamma": (float, None), "mu_tilde": (float, None),
+        "holder": ({"window": (_NUMBERS, _OPTIONAL), "lags": (_NUMBERS, _OPTIONAL)}, {}),
+        "asymptotics": ({"mode": (str, "zero"), "delta": (float, 0.5),
+                         "gamma_reg": (float, 1.0)}, {}),
+    }, {}),
+    "io": ({"out_dir": (str, "out"), "write_trajectories": (bool, False)}, {}),
 }
 
 
-def _require(section: dict, path: str):
-    if not isinstance(section, dict):
+def _key(path: str, key: str) -> str:
+    return key if path == "<root>" else f"{path}.{key}"
+
+
+def _reject(path: str, keys, message: str):
+    """Name the first of the offending `keys`, if there is one."""
+    if keys:
+        raise ConfigError(_key(path, min(keys)), message)
+
+
+def _keys(table) -> dict:
+    """Every key a section takes, with its (type, default); a variant's keys included."""
+    if not isinstance(table, _Variants):
+        return table
+    return {table.key: (str, _REQUIRED),
+            **{key: spec for keys in table.variants.values() for key, spec in keys.items()}}
+
+
+def _walk(raw, path: str, table) -> dict:
+    """Check a section against its table: unknown keys, types and defaults."""
+    if not isinstance(raw, dict):
         raise ConfigError(path, "expected an object")
-    unknown = set(section) - _SCHEMA[path]
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"{path}.{key}", "unknown key")
+    _reject(path, raw.keys() - _keys(table).keys(), "unknown key")
+    if isinstance(table, _Variants):
+        choice, variants = table.key, table.variants
+        variant = _value(raw, path, choice, str, _REQUIRED)
+        if variant not in variants:
+            raise ConfigError(_key(path, choice), f"unknown {choice} {variant!r}")
+        table = {choice: (str, _REQUIRED), **variants[variant]}
+        _reject(path, raw.keys() - table.keys(), f"does not apply to {choice} {variant!r}")
+    return {key: _value(raw, path, key, kind, default) for key, (kind, default) in table.items()
+            if key in raw or default is not _OPTIONAL}
 
 
-def _get(section: dict, path: str, key: str, types, default=_REQUIRED):
-    if key not in section or section[key] is None and default is None:  # null stands for a None default
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}", "required key missing")
-        return default
-    value = section[key]
-    if types is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = _finite(f"{path}.{key}", value)
-    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-        raise ConfigError(f"{path}.{key}", f"expected {getattr(types, '__name__', types)}, got {type(value).__name__}")
-    return value
+def _matches(value, want) -> bool:
+    if want is _NUMBERS:
+        return isinstance(value, list) and all(_matches(v, float) for v in value)
+    if want is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, want) and (want is bool or not isinstance(value, bool))
+
+
+def _value(section: dict, path: str, key: str, kind, default):
+    """The checked value of one key, its default filled in; a section is walked."""
+    name, value = _key(path, key), section.get(key, default)
+    if value is None and default is None:  # null stands for a None default
+        return None
+    if value is _REQUIRED:
+        raise ConfigError(name, "required key missing")
+    if isinstance(kind, (dict, _Variants)):
+        return _walk(value, name, kind)
+    wants = kind if isinstance(kind, tuple) else (kind,)
+    for want in wants:
+        if _matches(value, want):
+            if want is _NUMBERS:
+                return [_finite(name, v) for v in value]
+            return _finite(name, value) if want is float else value
+    names = " or ".join(getattr(want, "__name__", want) for want in wants)
+    raise ConfigError(name, f"expected {names}, got {type(value).__name__}")
 
 
 def _finite(key: str, number: int | float) -> float:
@@ -87,18 +153,19 @@ def _finite(key: str, number: int | float) -> float:
     return value
 
 
-def _number_list(section: dict, path: str, key: str):
-    value = _get(section, path, key, list)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        raise ConfigError(f"{path}.{key}", "expected a list of numbers")
-    return [_finite(f"{path}.{key}", v) for v in value]
+def _key_paths(table=_SCHEMA, path: str = "<root>"):
+    """Every key path `_SCHEMA` declares: sections, leaves and each variant's keys."""
+    for key, (kind, _) in _keys(table).items():
+        yield _key(path, key)
+        if isinstance(kind, (dict, _Variants)):
+            yield from _key_paths(kind, _key(path, key))
 
 
 def _key_of(field: str) -> str:
-    """Config key path of the argument or setting a ParameterError names; leaf names are unique."""
-    for path, keys in _SCHEMA.items():
-        if field in keys and path != "<root>":
-            return f"{path}.{field}"
+    """Config key path of the argument or setting a ParameterError names; key names are unique."""
+    for path in _key_paths():
+        if path.rpartition(".")[2] == field:
+            return path
     return {"mu": "spectrum.mu_sq_list", "coeffs": "sim.initial_condition.values"}[field]
 
 
@@ -111,144 +178,47 @@ def keyed():
         raise ConfigError(_key_of(err.field), str(err)) from None
 
 
-def _normalize_model(raw: dict) -> dict:
-    _require(raw, "model")
-    return {
-        "nu": _get(raw, "model", "nu", float),
-        "r": _get(raw, "model", "r", float),
-        "beta": _get(raw, "model", "beta", float, 0.0),
-        "linearized": _get(raw, "model", "linearized", bool, False),
-        "beta_term": _get(raw, "model", "beta_term", bool, True),
-    }
-
-
-def _normalize_spectrum(raw: dict) -> dict:
-    _require(raw, "spectrum")
-    theta = _get(raw, "spectrum", "theta", float)
-    if "mu_sq_list" in raw:
-        if "c_mu" in raw or "mu_exp" in raw:
-            raise ConfigError("spectrum.mu_sq_list", "exclusive with c_mu / mu_exp")
-        return {"mu_sq_list": _number_list(raw, "spectrum", "mu_sq_list"), "theta": theta}
-    return {
-        "c_mu": _get(raw, "spectrum", "c_mu", float),
-        "mu_exp": _get(raw, "spectrum", "mu_exp", float),
-        "theta": theta,
-    }
-
-
-def _normalize_output_times(raw: dict, dt: float, T: float) -> dict:
-    _require(raw, "sim.output_times")
-    kind = _get(raw, "sim.output_times", "kind", str)
+def _output_grid(spec: dict, dt: float, T: float) -> dict:
+    """The times a `sim.output_times` variant names, snapped onto the step grid."""
+    kind = spec["kind"]
+    if kind == "geometric" and not 0.0 < spec["t_min"] < T:
+        raise ConfigError("sim.output_times.t_min", "must lie in (0, T)")
+    if kind != "explicit" and spec["n"] < 2:
+        raise ConfigError("sim.output_times.n", "need at least 2 output times")
     if kind == "uniform":
-        n = _get(raw, "sim.output_times", "n", int)
-        if n < 2:
-            raise ConfigError("sim.output_times.n", "need at least 2 output times")
-        times = np.linspace(0.0, T, n)
+        times = np.linspace(0.0, T, spec["n"])
     elif kind == "geometric":
-        n = _get(raw, "sim.output_times", "n", int)
-        t_min = _get(raw, "sim.output_times", "t_min", float)
-        if not 0.0 < t_min < T:
-            raise ConfigError("sim.output_times.t_min", "must lie in (0, T)")
-        if n < 2:
-            raise ConfigError("sim.output_times.n", "need at least 2 output times")
-        times = np.concatenate(([0.0], np.geomspace(t_min, T, n)))
-    elif kind == "explicit":
-        times = np.asarray(_number_list(raw, "sim.output_times", "times"), dtype=float)
+        times = np.concatenate(([0.0], np.geomspace(spec["t_min"], T, spec["n"])))
+    else:
+        times = np.asarray(spec["times"], dtype=float)
         if np.any((times < 0.0) | (times > T + 1e-9 * T)):  # snapping would clip them silently
             raise ConfigError("sim.output_times.times", "must lie within [0, T]")
-    else:
-        raise ConfigError("sim.output_times.kind", f"unknown kind {kind!r}")
-    snapped = snap_output_times(times, dt, T)
-    return {"kind": "explicit", "times": [float(t) for t in snapped]}
-
-
-def _normalize_initial_condition(raw: dict) -> dict:
-    path = "sim.initial_condition"
-    _require(raw, path)
-    kind = _get(raw, path, "type", str)
-    if kind == "zero":
-        return {"type": "zero"}
-    if kind == "coeffs":
-        return {"type": "coeffs", "values": _number_list(raw, path, "values")}
-    if kind == "gaussian":
-        if isinstance(raw.get("sigma"), list):
-            return {"type": "gaussian", "sigma": _number_list(raw, path, "sigma")}
-        return {"type": "gaussian", "sigma": _get(raw, path, "sigma", float)}
-    raise ConfigError(f"{path}.type", f"unknown type {kind!r}")
-
-
-def _normalize_sim(raw: dict) -> dict:
-    _require(raw, "sim")
-    out = {
-        "M": _get(raw, "sim", "M", int),
-        "dt": _get(raw, "sim", "dt", float),
-        "T": _get(raw, "sim", "T", float),
-        "n_paths": _get(raw, "sim", "n_paths", int),
-        "master_seed": _get(raw, "sim", "master_seed", int),
-        "batch_size": _get(raw, "sim", "batch_size", int, 32),
-    }
-    out_times = _get(raw, "sim", "output_times", dict)
-    ic = _get(raw, "sim", "initial_condition", dict, {"type": "zero"})
-    with keyed():
-        SimConfig(output_times=[0.0], **out)  # range-checks the step grid before snapping onto it
-    out["output_times"] = _normalize_output_times(out_times, out["dt"], out["T"])
-    out["initial_condition"] = _normalize_initial_condition(ic)
-    return out
-
-
-def _normalize_holder(raw: dict) -> dict:
-    """Optional, but a holder section names both its window and its lags."""
-    _require(raw, "analysis.holder")
-    return {key: _number_list(raw, "analysis.holder", key) for key in ("window", "lags")} if raw else {}
-
-
-def _normalize_asymptotics(raw: dict) -> dict:
-    _require(raw, "analysis.asymptotics")
-    return {
-        "mode": _get(raw, "analysis.asymptotics", "mode", str, "zero"),
-        "delta": _get(raw, "analysis.asymptotics", "delta", float, 0.5),
-        "gamma_reg": _get(raw, "analysis.asymptotics", "gamma_reg", float, 1.0),
-    }
-
-
-def _normalize_analysis(raw: dict) -> dict:
-    _require(raw, "analysis")
-    return {
-        "gamma": _get(raw, "analysis", "gamma", float, None),  # None: derived from the model
-        "mu_tilde": _get(raw, "analysis", "mu_tilde", float, None),
-        "holder": _normalize_holder(raw.get("holder", {})),
-        "asymptotics": _normalize_asymptotics(raw.get("asymptotics", {})),
-    }
-
-
-def _normalize_io(raw: dict) -> dict:
-    _require(raw, "io")
-    return {
-        "out_dir": _get(raw, "io", "out_dir", str, "out"),
-        "write_trajectories": _get(raw, "io", "write_trajectories", bool, False),
-    }
+    return {"kind": "explicit", "times": [float(t) for t in snap_output_times(times, dt, T)]}
 
 
 def normalize(raw: dict) -> dict:
-    """Check the schema of a raw configuration document and normalize it.
+    """Check a raw configuration document against `_SCHEMA` and normalize it.
 
-    The normalizers check unknown keys, types, defaults and the output-time
-    grid; the step grid is range-checked before times are snapped onto it.
-    Every other value range is checked by `materialize`.
+    The walk checks unknown keys, types and defaults; the rules here check what
+    involves more than one key, and the step grid is range-checked before the
+    output times are snapped onto it. Every other value range is checked by
+    `materialize`.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "configuration must be a JSON object")
-    _require(raw, "<root>")
-    for name in ("model", "spectrum", "sim"):
-        if name not in raw:
-            raise ConfigError(name, "required section missing")
-    return {
-        "model": _normalize_model(raw["model"]),
-        "spectrum": _normalize_spectrum(raw["spectrum"]),
-        "sim": _normalize_sim(raw["sim"]),
-        "analysis": _normalize_analysis(raw.get("analysis", {})),
-        "io": _normalize_io(raw.get("io", {})),
-    }
+    doc = _walk(raw, "<root>", _SCHEMA)
+    spectrum, power_rule = doc["spectrum"], {"c_mu", "mu_exp"}
+    if "mu_sq_list" not in spectrum:
+        _reject("spectrum", power_rule - spectrum.keys(), "required key missing")
+    elif power_rule & spectrum.keys():
+        raise ConfigError("spectrum.mu_sq_list", "exclusive with c_mu / mu_exp")
+    sim = doc["sim"]
+    with keyed():  # range-checks the step grid before snapping onto it
+        SimConfig(**{key: value for key, value in sim.items() if not isinstance(value, dict)},
+                  output_times=[0.0])
+    sim["output_times"] = _output_grid(sim["output_times"], sim["dt"], sim["T"])
+    holder = doc["analysis"]["holder"]
+    if holder:  # optional, but one names both its window and its lags
+        _reject("analysis.holder", {"window", "lags"} - holder.keys(), "required key missing")
+    return doc
 
 
 @dataclass

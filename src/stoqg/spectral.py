@@ -103,9 +103,8 @@ class Basis:
         out must be C-contiguous, so that its flat view is the array itself.
         """
         if out is None:
-            shaped = np.take(coeffs, self._scatter_idx, axis=-1)
-            return shaped.reshape(coeffs.shape[:-1] + (self.M, self.M))
-        if not out.flags.c_contiguous:
+            out = np.empty(coeffs.shape[:-1] + (self.M, self.M), dtype=coeffs.dtype)
+        elif not out.flags.c_contiguous:
             raise ValueError("to_grid2d needs a C-contiguous out")
         flat = out.reshape(coeffs.shape)  # a view of out, which is C-contiguous
         np.take(coeffs, self._scatter_idx, axis=-1, out=flat, mode="clip")  # see from_grid2d

@@ -1,5 +1,6 @@
 """Strict config schema, CLI exit codes, artifact formats, reproducibility."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,6 +21,30 @@ from stoqg.cli import main
 from stoqg.config import ConfigError, config_sha256, materialize, normalize, read_document
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the minimal linear run of the README's Configuration section
+README_CONFIG = {
+    "model": {"nu": 1.0, "r": 0.1, "beta": 0.0, "linearized": True, "beta_term": False},
+    "spectrum": {"c_mu": 1.0, "mu_exp": 2.0, "theta": 0.1},
+    "sim": {"M": 16, "dt": 0.001, "T": 1.0, "output_times": {"kind": "uniform", "n": 11},
+            "n_paths": 2000, "master_seed": 12345, "initial_condition": {"type": "zero"}},
+    "analysis": {},
+    "io": {"out_dir": "out"},
+}
+
+
+def perfbench_document(name: str, seed: int) -> dict:
+    """The config document the benchmark builds for workload `name` at `seed`."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up while the file runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS[name].build(seed, False)
 
 
 def base_config(out_dir: str, **sim_overrides) -> dict:
@@ -209,9 +234,8 @@ class TestConfigSchema:
             "analysis.asymptotics.mode", "analysis.asymptotics.delta",
             "analysis.asymptotics.gamma_reg", "io.out_dir", "io.write_trajectories",
         }
-        schema = stoqg.config._SCHEMA
-        leaves = {key if path == "<root>" else f"{path}.{key}"
-                  for path, keys in schema.items() for key in keys} - set(schema)
+        paths = set(stoqg.config._key_paths())  # every variant's keys included
+        leaves = paths - {path.rpartition(".")[0] for path in paths}
         assert len(pinned) == 31 and leaves == pinned
 
         def leaf_paths(doc, prefix=""):
@@ -227,6 +251,36 @@ class TestConfigSchema:
         listed["spectrum"] = {"mu_sq_list": [1.0] * 16, "theta": 0.5}
         for doc in (cfg, listed):
             assert set(leaf_paths(normalize(doc))) <= pinned
+
+    @pytest.mark.parametrize("name, digest", [
+        ("readme", "a12d985e44456cdc5985e831205c854a4267f913f198cdb114ee3ac155cd54da"),
+        ("nl16_pool", "385af3ecc70edeaa648773300d5cdbf419980ff9b87bcc461b45954dd3678597"),
+        ("lin16_dense", "94847629b1cfbbdf050cbbcad2a1d8f3af282aa3cbcf20c49f4d3bd2c58b6b46"),
+        ("nl32_dump", "ea763b0f39dad070f709a5e89397cfaebf86ae99f2372ac371b1b1b64c26d431"),
+    ])
+    def test_normalized_documents_are_pinned(self, name, digest):
+        # a moved default, type coercion or snapped output grid changes these hashes
+        doc = README_CONFIG if name == "readme" else perfbench_document(name, 1)
+        assert config_sha256(normalize(doc)) == digest
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("output_times", {"kind": "uniform", "n": 11, "times": [0.05]},
+         "sim.output_times.times: does not apply to kind 'uniform'"),
+        ("output_times", {"kind": "uniform", "n": 11, "t_min": 0.01},
+         "sim.output_times.t_min: does not apply to kind 'uniform'"),
+        ("output_times", {"kind": "explicit", "times": [0.0, 0.05], "n": 3},
+         "sim.output_times.n: does not apply to kind 'explicit'"),
+        ("initial_condition", {"type": "zero", "sigma": 3.0},
+         "sim.initial_condition.sigma: does not apply to type 'zero'"),
+        ("initial_condition", {"type": "gaussian", "sigma": 0.1, "values": [0.0] * 16},
+         "sim.initial_condition.values: does not apply to type 'gaussian'"),
+    ])
+    def test_key_of_another_variant_exit_2(self, tmp_path, capsys, section, value, message):
+        cfg = base_config(str(tmp_path / "o"))
+        cfg["sim"][section] = value
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_one_load_builds_each_model_object_once(self, tmp_path, monkeypatch):
         counts = Counter()
