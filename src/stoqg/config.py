@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import admissible_mu_tilde, check_asymptotics, holder_pairs
-from .dynamics import InitialCondition, ModelParams, SimConfig, snap_output_times
+from .dynamics import (
+    MAX_ARRAY_VALUES,
+    InitialCondition,
+    ModelParams,
+    SimConfig,
+    snap_output_times,
+)
 from .noise import NoiseSpectrum, build_spectrum, spectrum_from_list
 from .spectral import Basis, ParameterError
 
@@ -183,8 +189,8 @@ def _output_grid(spec: dict, dt: float, T: float) -> dict:
     kind = spec["kind"]
     if kind == "geometric" and not 0.0 < spec["t_min"] < T:
         raise ConfigError("sim.output_times.t_min", "must lie in (0, T)")
-    if kind != "explicit" and spec["n"] < 2:
-        raise ConfigError("sim.output_times.n", "need at least 2 output times")
+    if kind != "explicit" and not 2 <= spec["n"] <= MAX_ARRAY_VALUES:
+        raise ConfigError("sim.output_times.n", f"must lie in [2, {MAX_ARRAY_VALUES}], got {spec['n']}")
     if kind == "uniform":
         times = np.linspace(0.0, T, spec["n"])
     elif kind == "geometric":

@@ -11,7 +11,9 @@ omega), and eta_k is an exact Ornstein-Uhlenbeck increment. The linear
 subsystem is therefore integrated without any time-discretization error;
 only the drift carries the first-order error. A pure-convolution companion
 state is advanced with the same eta draws, giving each path its own exact
-record of the forced linear response.
+record of the forced linear response. A run without a drift that starts from
+rest is that companion (omega == W_A, Lemma 1 with U == 0), so it steps one
+state and records the companion's norms from it.
 
 Paths are deterministic functions of (master_seed, path_index): every path
 derives its generators from a seed sequence spawned with the path index as
@@ -24,6 +26,7 @@ reproducible under any parallel schedule.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -91,6 +94,12 @@ class InitialCondition:
         return float(np.sum(self.sigmas(n_modes) ** 2))
 
 
+# the largest count a config may size one array by: from about twice this, 8 bytes
+# a value (with np.arange's padding) overflow np.intp, and numpy raises ValueError
+# where a count that only exceeds memory raises MemoryError
+MAX_ARRAY_VALUES = np.iinfo(np.intp).max // 16
+
+
 @dataclass
 class SimConfig:
     """Truncation, stepping, output and ensemble controls for one run."""
@@ -108,12 +117,15 @@ class SimConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ParameterError("M", f"must be >= 1, got {self.M}")
+        if self.M * self.M > MAX_ARRAY_VALUES:
+            raise ParameterError("M", f"must be <= {math.isqrt(MAX_ARRAY_VALUES)} to size an "
+                                      f"array of M^2 coefficients, got {self.M}")
         if self.dt <= 0:
             raise ParameterError("dt", f"must be > 0, got {self.dt}")
         if self.T <= 0 or self.dt > self.T:
             raise ParameterError("T", f"must satisfy 0 < dt <= T, got dt={self.dt}, T={self.T}")
-        if self.n_paths < 1:
-            raise ParameterError("n_paths", f"must be >= 1, got {self.n_paths}")
+        if not 1 <= self.n_paths <= MAX_ARRAY_VALUES:
+            raise ParameterError("n_paths", f"must lie in [1, {MAX_ARRAY_VALUES}], got {self.n_paths}")
         if self.batch_size < 1:
             raise ParameterError("batch_size", f"must be >= 1, got {self.batch_size}")
         if not 0 <= self.master_seed < 2**64:
@@ -164,7 +176,9 @@ class EnsembleRecord:
     Scalars, each (n_paths, n_out): squared norms of the vorticity and its
     gradient, the squared distance to the companion convolution
     (u_sq = ||omega - V||^2) and the companion's squared norm
-    (wa_sq = ||W_A||^2). The coefficient snapshots, (n_paths, n_out, M^2),
+    (wa_sq = ||W_A||^2). A run without a drift from zero initial coefficients
+    steps no companion: omega is W_A there, so u_sq is 0 and wa_sq is omega_sq,
+    the bits two states give. The coefficient snapshots, (n_paths, n_out, M^2),
     are kept only when the run stores fields; the companion's sup norm comes
     from `convolution_sup_norms`. `failures` holds a (path, time) pair for
     each path with nonfinite coefficients, at the first such output time.
@@ -281,11 +295,14 @@ class _Stepper:
             drift = drift - self.beta * (self.dx_matrix @ psi2)
         self.basis.from_grid2d(drift, out=out)
 
-    def advance(self, a: np.ndarray, v: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def advance(self, a: np.ndarray, v: np.ndarray | None,
+                eta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """One step for a batch, in place: states a, v and OU increments eta, each (B, K).
 
         a and v are overwritten with the new states and returned; eta is only read.
         The operations keep the order of decay * a + drift_weight * drift + eta.
+        v is None when the batch keeps no companion (its state is the companion):
+        then only a is advanced, and (a, None) is returned.
         """
         if self.needs_drift:
             drift = self._step_work.get(a.shape)
@@ -298,8 +315,9 @@ class _Stepper:
         a *= self.decay
         a += drift
         a += eta
-        v *= self.decay
-        v += eta
+        if v is not None:
+            v *= self.decay
+            v += eta
         return a, v
 
 
@@ -339,6 +357,13 @@ def _simulate_batch(
     one multiply by the OU transition stds makes the block the steps' increments.
     The state is advanced in place, and the four squared norms of each
     output come from one reduction over a reused (4, B, K) buffer.
+
+    Without a drift, a batch whose initial coefficients are all zero keeps no
+    companion: the state and the companion would take the same operations on
+    the same increments, so they are equal as reals at every step (only a
+    zero's sign may differ). Its outputs reduce only a^2 and (sq_wn a) a, and
+    u_sq = 0 and wa_sq = omega_sq are filled in after the loop: the bits the
+    two-state reduction gives.
     """
     basis = spectrum.basis
     B = len(path_indices)
@@ -347,7 +372,7 @@ def _simulate_batch(
 
     gens = [_path_generators(config.master_seed, int(p)) for p in path_indices]
     a = np.stack([_initial_coeffs(config, basis, ic_rng) for ic_rng, _ in gens])
-    v = np.zeros((B, K))
+    v = np.zeros((B, K)) if stepper.needs_drift or a.any() else None
     noise_rngs = [noise_rng for _, noise_rng in gens]
 
     out_steps = config.output_steps()
@@ -367,15 +392,15 @@ def _simulate_batch(
     failed_at = [None] * B
 
     sq_wn = basis.sq_wavenumbers
-    squares = np.empty((4, B, K))
+    squares = np.empty((2 if v is None else 4, B, K))
 
     def record(slot: int, t: float):
-        np.multiply(a, a, out=squares[0])
+        np.square(a, out=squares[0])
         np.multiply(np.multiply(sq_wn, a, out=squares[1]), a, out=squares[1])
-        diff = np.subtract(a, v, out=squares[2])
-        np.multiply(diff, diff, out=diff)
-        np.multiply(v, v, out=squares[3])
-        np.sum(squares, axis=2, out=series[:, :, slot])
+        if v is not None:
+            np.square(np.subtract(a, v, out=squares[2]), out=squares[2])
+            np.square(v, out=squares[3])
+        np.add.reduce(squares, axis=2, out=series[:len(squares), :, slot])
         if rec.fields is not None:
             rec.fields[:, slot] = a
         # a nonfinite coefficient makes omega_sq nonfinite; a finite state whose
@@ -399,6 +424,9 @@ def _simulate_batch(
             if s in slot_of:
                 record(slot_of[s], s * config.dt)
 
+    if v is None:
+        series[2] = 0.0
+        series[3] = series[0]
     rec.failures = [(int(p), t) for p, t in zip(path_indices, failed_at) if t is not None]
     return rec
 

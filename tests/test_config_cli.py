@@ -174,6 +174,10 @@ class TestConfigSchema:
         ("analysis.asymptotics", "gamma_reg", 0.0),  # a Hoelder exponent lies in (0, 1]
         ("analysis.asymptotics", "gamma_reg", -1.0),
         ("analysis.asymptotics", "gamma_reg", 1.5),
+        # counts numpy cannot size an array by: ValueError, not MemoryError, past the rule
+        ("sim", "M", 2**64),
+        ("sim", "n_paths", 2**64),
+        ("sim.output_times", "n", 2**64),
     ])
     def test_range_rule_names_its_key(self, tmp_path, section, key, value):
         cfg = base_config(str(tmp_path / "o"))
@@ -747,6 +751,10 @@ class TestConfigErrorsBeforeEnsemble:
          "analysis.asymptotics.gamma_reg"),  # a verdict that cannot fail
         ("asymptotics", "analysis", {"asymptotics": {"mode": "general", "gamma_reg": -1.0}},
          "analysis.asymptotics.gamma_reg"),
+        ("simulate", "sim", {"n_paths": 2**64}, "sim.n_paths"),  # run_ensemble's np.arange raised
+        ("simulate", "sim", {"M": 2**64}, "sim.M"),
+        ("simulate", "sim", {"output_times": {"kind": "uniform", "n": 2**64}},
+         "sim.output_times.n"),
     ])
     def test_exit_2_without_running(self, tmp_path, capsys, ensemble_calls, command, section,
                                     settings, key):

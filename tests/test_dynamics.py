@@ -203,6 +203,20 @@ class TestStep:
         a, v = stepper.advance(np.full((1, 4), -0.0), np.full((1, 4), -0.0), eta)
         assert not np.signbit(a).any()
         assert np.signbit(v).all()
+        a, v = stepper.advance(np.full((1, 4), -0.0), None, eta)  # no companion: the same rule
+        assert not np.signbit(a).any() and v is None
+
+    @pytest.mark.parametrize("linearized", [True, False])
+    def test_step_without_companion_advances_the_state_only(self, rng, linearized):
+        params = ModelParams(nu=1.0, r=0.1, linearized=linearized, beta_term=False)
+        stepper = stepper_for(Basis(4, 1.0), params)
+        a0, v0 = 0.3 * rng.standard_normal((2, 3, 16))
+        eta = stepper.noise_std * rng.standard_normal((3, 16))
+        want, _ = stepper.advance(a0.copy(), v0, eta)
+        a = a0.copy()
+        got = stepper.advance(a, None, eta)
+        assert got[0] is a and got[1] is None
+        assert a.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("M", [4, 16, 32])  # drift grids P = 7, 25, 49
     def test_matches_batched_stepper(self, rng, M):
@@ -367,15 +381,17 @@ class TestDeterminism:
     @settings(max_examples=60, deadline=None)
     @given(M=st.integers(2, 40), n_paths=st.integers(1, 7), batch_size=st.integers(1, 7),
            budget=st.integers(0, 20).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1) - 1)),
-           n_steps=st.integers(1, 4), linearized=st.booleans(),
-           sigma=st.sampled_from([0.3, 1e155]), seed=st.integers(0, 2**64 - 1))
+           n_steps=st.integers(1, 4), linearized=st.booleans(), beta_term=st.booleans(),
+           sigma=st.sampled_from([0.3, 1e155, 0.0]), seed=st.integers(0, 2**64 - 1))
     def test_stepper_over_time_matches_one_path_batches(self, M, n_paths, batch_size, budget,
-                                                        n_steps, linearized, sigma, seed):
+                                                        n_steps, linearized, beta_term, sigma,
+                                                        seed):
         # any batching and any byte budget (draw blocks and drift chunks) give the
-        # bits of one-path batches; sigma=1e155 overflows the drift at the first step
+        # bits of one-path batches; sigma=1e155 overflows the drift at the first step,
+        # and sigma=0.0 without a drift term keeps one state
         b = Basis(M, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
-        params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=linearized, beta_term=True)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=linearized, beta_term=beta_term)
 
         def run(size):
             cfg = SimConfig(M=M, dt=1e-3, T=n_steps * 1e-3,
@@ -426,6 +442,62 @@ class TestDeterminism:
             convolution_sup_norms(cfg, params, spec, 0),
             [0.09687473431106187, 0.1254303247789333], rtol=1e-13,
         )
+
+
+def two_state_reference(config, params, spectrum, path_indices):
+    """The batch's record with the companion stepped as its own state, on the same draws.
+
+    Each step draws K values per path, which a draw block reproduces bit for bit.
+    """
+    basis, K = spectrum.basis, spectrum.basis.n_modes
+    stepper = _Stepper(params, spectrum, config.dt)
+    gens = [_path_generators(config.master_seed, int(p)) for p in path_indices]
+    a = np.stack([dynamics._initial_coeffs(config, basis, ic_rng) for ic_rng, _ in gens])
+    v = np.zeros_like(a)
+    out_steps = config.output_steps().tolist()
+    series = {name: [] for name in ("omega_sq", "grad_sq", "u_sq", "wa_sq", "fields")}
+    for s in range(out_steps[-1] + 1):
+        if s:
+            eta = np.stack([rng.standard_normal(K) for _, rng in gens]) * stepper.noise_std
+            stepper.advance(a, v, eta)
+        if s in out_steps:
+            for name, value in (("omega_sq", a * a), ("grad_sq", basis.sq_wavenumbers * a * a),
+                                ("u_sq", (a - v) ** 2), ("wa_sq", v * v)):
+                series[name].append(np.sum(value, axis=1))
+            series["fields"].append(a.copy())
+    return {name: np.stack(rows, axis=1) for name, rows in series.items()}
+
+
+class TestOneState:
+    """A run without a drift from rest steps only omega, which is its companion W_A."""
+
+    @pytest.mark.parametrize("beta_term, c_mu, ic, one_state", [
+        (False, 1.0, InitialCondition(), True),
+        (False, 0.0, InitialCondition("coeffs", coeffs=(-0.0,) * 16), True),  # -0.0 increments
+        (False, 1.0, InitialCondition("gaussian", sigma=0.0), True),
+        (False, 1.0, InitialCondition("gaussian", sigma=0.3), False),
+        (True, 1.0, InitialCondition(), False),  # the beta term is a drift
+    ], ids=["zero", "minus-zero", "sigma-0", "nonzero-ic", "beta-term"])
+    def test_matches_two_state_reference(self, monkeypatch, beta_term, c_mu, ic, one_state):
+        b = Basis(4, 1.0)
+        spec = build_spectrum(b, c_mu, 2.0, 0.1)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.5, linearized=True, beta_term=beta_term)
+        cfg = small_config(n_paths=5, batch_size=3, store_fields=True, initial_condition=ic)
+        want = [two_state_reference(cfg, params, spec, idx) for idx in ([0, 1, 2], [3, 4])]
+        companions = []
+        advance = _Stepper.advance
+
+        def spied(self, a, v, eta):
+            companions.append(v is not None)
+            return advance(self, a, v, eta)
+
+        monkeypatch.setattr(_Stepper, "advance", spied)
+        records = run_ensemble(cfg, params, spec)
+        assert companions == [not one_state] * 20  # 10 steps for each of the 2 batches
+        for rec, ref_rec in zip(records, want):
+            for name, value in ref_rec.items():
+                assert getattr(rec, name).tobytes() == value.tobytes(), name
+        assert all(np.all(rec.u_sq == 0.0) for rec in records) == one_state
 
 
 class TestBlockedDraws:
