@@ -6,7 +6,7 @@ functions. The command line and the benchmark import the modules directly."""
 
 __version__ = "0.1.0"
 
-from .spectral import Basis, grid_max_norm  # noqa: F401
+from .spectral import Basis  # noqa: F401
 from .noise import (  # noqa: F401
     SummabilityError,
     analytic_convolution_variance,
@@ -21,9 +21,7 @@ from .dynamics import (  # noqa: F401
     InitialCondition,
     ModelParams,
     SimConfig,
-    convolution_sup_norms,
     run_ensemble,
-    simulate_path,
     snap_output_times,
 )
 from .analysis import (  # noqa: F401
@@ -34,7 +32,6 @@ from .analysis import (  # noqa: F401
     fit_and_validate_bound,
     gamma_threshold,
     holder_exponent_fit,
-    lemma1_pathwise_check,
     theorem2_shape,
     trace_class_envelope,
     validate_bound,

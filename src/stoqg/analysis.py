@@ -2,9 +2,9 @@
 
 Estimates Ens(t) = 0.5 E||omega(t)||^2 over an ensemble of trajectories and
 confronts the estimates with the theoretical machinery: the constant-free
-trace-class envelope, the fitted global envelopes, the pathwise Gronwall
-diagnostic, the Hoelder regularity floor of the enstrophy curve, and its
-small-time asymptotics against the analytic convolution variance.
+trace-class envelope, the fitted global envelopes, the Hoelder regularity
+floor of the enstrophy curve, and its small-time asymptotics against the
+analytic convolution variance.
 
 Theoretical envelopes with generic constants are handled by a
 fit-then-validate protocol: the smallest admissible constant is fitted on a
@@ -286,54 +286,6 @@ def fit_and_validate_bound(
     report = validate_bound(trace, envelope, start=n_fit)
     report.fitted = {"C": c_fit, "n_fit": n_fit}
     return report
-
-
-def lemma1_pathwise_check(
-    times: np.ndarray,
-    u_sq: np.ndarray,
-    v_inf: np.ndarray,
-    gamma: float,
-) -> dict:
-    """Discrete Gronwall residuals of d/dt ||U||^2 <= A(t) ||U||^2 + B(t).
-
-    A(t) = 2 gamma + C (||V||_inf + ||V||_inf^2) and
-    B(t) = C ((1 + alpha^2) ||V||_inf^2 + ||V||_inf^4) with alpha = 0. `u_sq`
-    is one path's ||U||^2 = ||omega - V||^2 series at `times` and `v_inf` its
-    ||V||_inf series, e.g. the grid-max surrogate from
-    `dynamics.convolution_sup_norms`. The smallest C making every residual on
-    the first half of the intervals (rounded half to even) nonpositive is
-    fitted; the reported violation fraction is measured on the rest.
-    """
-    u = np.asarray(u_sq, dtype=float)
-    v = np.asarray(v_inf, dtype=float)
-    t = np.asarray(times, dtype=float)
-    if len(t) < 3:
-        return {"verdict": "not_applicable", "notes": "needs at least 3 output times"}
-
-    dt = np.diff(t)
-    base = np.diff(u) / dt - 2.0 * gamma * u[:-1]
-    gain = (v[:-1] + v[:-1] ** 2) * u[:-1] + v[:-1] ** 2 + v[:-1] ** 4
-
-    n_fit = round(len(base) / 2)
-    prefix_unfixable = int(np.sum((gain[:n_fit] == 0) & (base[:n_fit] > 0)))
-    # prefix points with zero forcing gain cannot be repaired by any constant;
-    # they are left out of the fit and reported only as prefix_unfixable
-    with np.errstate(divide="ignore", invalid="ignore"):
-        needed = np.where(gain > 0, base / gain, 0.0)
-    c_fit = float(max(0.0, np.max(needed[:n_fit])))
-    residuals = base - c_fit * gain
-    suffix = residuals[n_fit:]
-    frac = float(np.mean(suffix > 0)) if suffix.size else 0.0
-    return {
-        "verdict": "pass" if frac <= 0.05 else "fail",
-        "c_fit": c_fit,
-        "gamma": gamma,
-        "alpha": 0.0,
-        "violation_fraction": frac,
-        "n_fit": n_fit,
-        "prefix_unfixable": prefix_unfixable,
-        "residuals": residuals,
-    }
 
 
 def _ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from .artifacts import (
     write_trajectories,
 )
 from .config import ConfigError, RunConfig, keyed, materialize, normalize, read_document
-from .dynamics import BlowupError, convolution_sup_norms, run_ensemble
+from .dynamics import BlowupError, run_ensemble
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,6 +44,20 @@ EXIT_MEMORY = 8
 
 # command-line flag -> the config key it overrides
 _OVERRIDES = (("paths", "sim", "n_paths"), ("seed", "sim", "master_seed"), ("out", "io", "out_dir"))
+
+# what a run can fail with once it has started -> its exit code and the prefix of
+# its one-line message
+_RUN_FAILURES = {
+    BlowupError: (EXIT_BLOWUP, "blowup"),
+    concurrent.futures.BrokenExecutor: (EXIT_WORKER, "worker crash"),
+    MemoryError: (EXIT_MEMORY, "out of memory"),
+}
+
+
+def _run_failure(err: Exception) -> tuple[int, str]:
+    """The exit code and the one-line message of a run that raised one of _RUN_FAILURES."""
+    code, prefix = next(v for kind, v in _RUN_FAILURES.items() if isinstance(err, kind))
+    return code, f"{prefix}: {err}"
 
 
 @dataclass
@@ -73,35 +87,49 @@ def _execute(command, args) -> int:
 
     A command checks the rules of its settings before it calls `run`. A command
     that ran the ensemble with `io.write_trajectories` on also writes trajectories.csv.
+    A run that fails after `run` has made the out dir leaves a manifest there
+    with the exit code, the error message and, for a blowup, the failing
+    (path, time) pairs.
     """
     cfg = _load(args)
     out_dir = Path(cfg.io["out_dir"])
     clock = Stopwatch()
     records = None
+    started = False
 
     def run():
         """The ensemble and its enstrophy trace, timed for the manifest."""
-        nonlocal records
+        nonlocal records, started
         if cfg.sim.n_paths < 2:
             raise ConfigError("sim.n_paths", "ensemble statistics need at least 2 paths")
         try:  # a directory that cannot hold the artifacts fails before the ensemble runs
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise ConfigError("io.out_dir", f"cannot create {out_dir}: {err.strerror or err}") from None
+        started = True
         with clock:
             records = run_ensemble(cfg.sim, cfg.params, cfg.spectrum, n_workers=args.threads)
             solver_rates = cfg.basis.eigenvalues - cfg.params.r
             trace = lab.estimate_enstrophy(records, cfg.spectrum, solver_rates)
         return records, trace
 
-    with keyed():  # a rule's ParameterError is a config error under its key
-        outcome = command(cfg, run)
-    if outcome.trace is not None:
-        write_trace(out_dir, outcome.trace)
-    if records is not None and cfg.io["write_trajectories"]:
-        write_trajectories(out_dir, records)
-    for name, payload in outcome.reports.items():
-        write_json(out_dir / name, payload)
+    try:
+        with keyed():  # a rule's ParameterError is a config error under its key
+            outcome = command(cfg, run)
+        if outcome.trace is not None:
+            write_trace(out_dir, outcome.trace)
+        if records is not None and cfg.io["write_trajectories"]:
+            write_trajectories(out_dir, records)
+        for name, payload in outcome.reports.items():
+            write_json(out_dir / name, payload)
+    except tuple(_RUN_FAILURES) as err:
+        if started:
+            code, message = _run_failure(err)
+            extra = {"exit_code": code, "error": message}
+            if isinstance(err, BlowupError):
+                extra["failures"] = [[path, time] for path, time in err.failures]
+            write_manifest(out_dir, cfg.document, clock.elapsed, extra=extra)
+        raise
     write_manifest(out_dir, cfg.document, clock.elapsed, extra=outcome.manifest_extra)
     print(outcome.summary, file=sys.stdout if outcome.code == EXIT_OK else sys.stderr)
     return outcome.code
@@ -172,7 +200,7 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
                                             cfg.params.beta if cfg.params.beta_term else 0.0, times)
     mu_exp = cfg.spectrum.mu_exp
     mu_tilde = lab.admissible_mu_tilde(cfg.analysis["mu_tilde"], mu_exp)
-    records, trace = run()
+    _, trace = run()
 
     e0 = cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
     reports: list[dict] = []
@@ -201,12 +229,6 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
         reports.append({"kind": "theorem2b", "verdict": "not_applicable",
                         "notes": "sum mu_k^2 |lambda_k|^theta diverges under the decay rule"})
 
-    # path 0 is replayed from its forcing draws for its ||V||_inf series
-    v_inf = convolution_sup_norms(cfg.sim, cfg.params, cfg.spectrum, 0)
-    lemma1 = lab.lemma1_pathwise_check(records[0].times, records[0].u_sq[0], v_inf, gamma)
-    lemma1_out = {k: v for k, v in lemma1.items() if k != "residuals"}
-    lemma1_out["kind"] = "lemma1"
-
     alphas = np.geomspace(1e2, 1e4, 9)
     phi_values = np.array([noise_mod.phi_alpha(cfg.spectrum, a) for a in alphas])
     phi_table = {
@@ -222,16 +244,12 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
         "c1": lab.DIRICHLET_C1,
         "spectrum_tail_bound": noise_mod.stationary_tail_bound(cfg.spectrum),
         "bounds": reports,
-        "lemma1": lemma1_out,
         "phi_table": phi_table,
     }
     _write_envelopes_csv(Path(cfg.io["out_dir"]), trace, reports)
 
-    # lemma1 is a diagnostic: its constant is the largest ratio on the first half of
-    # the intervals, and a correct run's exchangeable ratios put their largest one in
-    # the second half, which fails the verdict, about half the time
     failed = [r["kind"] for r in reports if r["verdict"] == "fail"]
-    summary = ", ".join(f"{r['kind']}={r['verdict']}" for r in reports + [lemma1_out])
+    summary = ", ".join(f"{r['kind']}={r['verdict']}" for r in reports)
     if failed:
         code, summary = EXIT_BOUND, f"bounds: violation in {failed} ({summary})"
     else:
@@ -283,7 +301,7 @@ _COMMANDS = {
     "simulate": (cmd_simulate, "run the ensemble and write the enstrophy trace"),
     "verify-linear": (cmd_verify_linear,
                       "compare a linearized run against the analytic convolution variance"),
-    "bounds": (cmd_bounds, "evaluate the enstrophy bound envelopes and Gronwall diagnostics"),
+    "bounds": (cmd_bounds, "evaluate the enstrophy bound envelopes"),
     "holder": (cmd_holder, "fit the increment exponent of the enstrophy curve"),
     "asymptotics": (cmd_asymptotics, "check the small-time behaviour of the enstrophy"),
 }
@@ -320,15 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except BlowupError as err:
-        print(f"blowup: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except concurrent.futures.BrokenExecutor as err:
-        print(f"worker crash: {err}", file=sys.stderr)
-        return EXIT_WORKER
-    except MemoryError as err:
-        print(f"out of memory: {err}", file=sys.stderr)
-        return EXIT_MEMORY
+    except tuple(_RUN_FAILURES) as err:
+        code, message = _run_failure(err)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -28,13 +28,13 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
 from .noise import NoiseSpectrum, ou_transition_std
-from .spectral import Basis, ParameterError, dealias_resolution, grid_max_norm
+from .spectral import Basis, ParameterError, dealias_resolution
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,8 @@ class SimConfig:
             raise ParameterError("dt", f"must be > 0, got {self.dt}")
         if self.T <= 0 or self.dt > self.T:
             raise ParameterError("T", f"must satisfy 0 < dt <= T, got dt={self.dt}, T={self.T}")
+        if self.T / self.dt >= 2.0**63:  # the step count is an int64
+            raise ParameterError("dt", f"makes T/dt = {self.T / self.dt:.3g} steps, beyond 64-bit integers")
         if not 1 <= self.n_paths <= MAX_ARRAY_VALUES:
             raise ParameterError("n_paths", f"must lie in [1, {MAX_ARRAY_VALUES}], got {self.n_paths}")
         if self.batch_size < 1:
@@ -179,9 +181,9 @@ class EnsembleRecord:
     (wa_sq = ||W_A||^2). A run without a drift from zero initial coefficients
     steps no companion: omega is W_A there, so u_sq is 0 and wa_sq is omega_sq,
     the bits two states give. The coefficient snapshots, (n_paths, n_out, M^2),
-    are kept only when the run stores fields; the companion's sup norm comes
-    from `convolution_sup_norms`. `failures` holds a (path, time) pair for
-    each path with nonfinite coefficients, at the first such output time.
+    are kept only when the run stores fields. `failures` holds a (path, time)
+    pair for each path with nonfinite coefficients, at the first such output
+    time.
     """
 
     path_index: np.ndarray
@@ -429,38 +431,6 @@ def _simulate_batch(
         series[3] = series[0]
     rec.failures = [(int(p), t) for p, t in zip(path_indices, failed_at) if t is not None]
     return rec
-
-
-def simulate_path(
-    config: SimConfig,
-    params: ModelParams,
-    spectrum: NoiseSpectrum,
-    path_index: int,
-) -> EnsembleRecord:
-    """Simulate one path; a pure function of (master_seed, path_index)."""
-    _check_basis(config, params, spectrum)
-    rec = _simulate_batch(params, spectrum, config, np.array([path_index]))
-    if rec.failures:
-        raise BlowupError(rec.failures)
-    return rec
-
-
-def convolution_sup_norms(
-    config: SimConfig,
-    params: ModelParams,
-    spectrum: NoiseSpectrum,
-    path_index: int,
-) -> np.ndarray:
-    """||V||_inf of one path's companion convolution at the output times.
-
-    V depends only on the path's forcing draws and the rates lambda_k - r, so
-    replaying the path from rest with the drift switched off gives omega == V
-    bit for bit. The sup norm is the grid max at resolution 4M.
-    """
-    replay = replace(config, initial_condition=InitialCondition(), store_fields=True)
-    linear = replace(params, linearized=True, beta_term=False)
-    rec = simulate_path(replay, linear, spectrum, path_index)
-    return np.array([grid_max_norm(spectrum.basis, a, 4 * config.M) for a in rec.fields[0]])
 
 
 def _check_basis(config: SimConfig, params: ModelParams, spectrum: NoiseSpectrum):

@@ -135,11 +135,3 @@ class Basis:
             self._dx_matrix = D
         return self._dx_matrix
 
-
-def grid_max_norm(basis: Basis, coeffs: np.ndarray, P: int) -> float:
-    """Sup-norm surrogate of the field with rank-ordered `coeffs`: max |f| on a grid of resolution P."""
-    if P < 4 * basis.M:
-        raise ValueError(f"resolution P={P} too coarse for max norm, need P >= 4M = {4 * basis.M}")
-    sin_mat, _ = basis.trig_matrices(P)
-    values = sin_mat.T @ basis.to_grid2d(2.0 * coeffs) @ sin_mat
-    return float(np.max(np.abs(values)))

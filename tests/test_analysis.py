@@ -12,12 +12,10 @@ from stoqg import (
     SimConfig,
     asymptotics_check,
     build_spectrum,
-    convolution_sup_norms,
     estimate_enstrophy,
     fit_and_validate_bound,
     gamma_threshold,
     holder_exponent_fit,
-    lemma1_pathwise_check,
     run_ensemble,
     theorem2_shape,
     trace_class_envelope,
@@ -200,53 +198,6 @@ class TestFitProtocol:
         times = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError):
             fit_and_validate_bound(synthetic_trace(times, times), np.ones_like(times))
-
-
-class TestLemma1:
-    def test_zero_noise_zero_forcing_reduces_to_decay(self):
-        # V == 0: A = 2 gamma, B = 0; exponential decay dominates for
-        # gamma above the threshold (dt small enough that the forward
-        # difference does not eat the gamma margin)
-        b = Basis(8, 1.0)
-        spec = build_spectrum(b, 0.0, 2.0, 0.1)
-        params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
-        rng = np.random.default_rng(3)
-        ic = tuple(rng.standard_normal(64) / (1.0 + b.sq_wavenumbers / np.pi**2))
-        cfg = SimConfig(
-            M=8, dt=1e-4, T=0.04, output_times=np.round(np.arange(0, 401) * 1e-4, 12),
-            n_paths=1, master_seed=0, initial_condition=InitialCondition("coeffs", coeffs=ic),
-        )
-        rec = run_ensemble(cfg, params, spec)[0]
-        gamma = gamma_threshold(1.0, 0.1, 0.0) + 0.1
-        result = lemma1_pathwise_check(rec.times, rec.u_sq[0],
-                                       convolution_sup_norms(cfg, params, spec, 0), gamma)
-        assert result["verdict"] == "pass"
-        assert result["c_fit"] == 0.0
-        assert np.all(result["residuals"] <= 0.0)
-
-    def test_zero_states_give_nonpositive_residuals(self):
-        times = np.linspace(0.0, 1.0, 11)
-        gamma = gamma_threshold(1.0, 0.1, 0.0) + 0.1
-        result = lemma1_pathwise_check(times, np.zeros_like(times), np.zeros_like(times), gamma)
-        assert result["verdict"] == "pass"
-        assert np.all(result["residuals"] <= 0.0)
-
-    def test_stochastic_run_violation_fraction(self):
-        # run long enough that prefix and suffix both sample the
-        # statistically stationary regime
-        b = Basis(8, 1.0)
-        spec = build_spectrum(b, 1.0, 2.0, 0.1)
-        params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
-        cfg = SimConfig(
-            M=8, dt=1e-3, T=1.0, output_times=np.round(np.arange(0, 201) * 5e-3, 12),
-            n_paths=1, master_seed=2718,
-        )
-        rec = run_ensemble(cfg, params, spec)[0]
-        gamma = gamma_threshold(1.0, 0.1, 0.0) + 0.1
-        result = lemma1_pathwise_check(rec.times, rec.u_sq[0],
-                                       convolution_sup_norms(cfg, params, spec, 0), gamma)
-        assert result["verdict"] == "pass"
-        assert result["violation_fraction"] <= 0.05
 
 
 class TestHolderFit:

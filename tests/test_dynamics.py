@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,8 @@ from stoqg import (
     SimConfig,
     analytic_convolution_variance,
     build_spectrum,
-    convolution_sup_norms,
     estimate_enstrophy,
     run_ensemble,
-    simulate_path,
     snap_output_times,
 )
 from stoqg import dynamics
@@ -45,6 +44,15 @@ def small_config(**overrides):
     )
     kw.update(overrides)
     return SimConfig(**kw)
+
+
+def path_record(config, params, spectrum, p):
+    """Path p as a one-path record: the last row of an ensemble of p + 1 paths."""
+    rec = run_ensemble(replace(config, n_paths=p + 1), params, spectrum)[-1]
+    rows = {name: getattr(rec, name)[-1:] for name in ("path_index", "omega_sq", "grad_sq",
+                                                       "u_sq", "wa_sq", "fields")
+            if getattr(rec, name) is not None}
+    return replace(rec, **rows)
 
 
 def stepper_for(basis, params, c_mu=1.0):
@@ -260,7 +268,7 @@ class TestLinearExactness:
         # F == 0 and omega_0 = 0: the solution IS the stochastic convolution
         b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
-        rec = simulate_path(small_config(), linear_params(), spec, 0)
+        rec = path_record(small_config(), linear_params(), spec, 0)
         np.testing.assert_array_equal(rec.omega_sq[0], rec.wa_sq[0])
         assert np.max(rec.u_sq[0]) == 0.0
 
@@ -268,7 +276,7 @@ class TestLinearExactness:
         b = Basis(4, 1.0)
         spec = build_spectrum(b, 0.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=1.0, linearized=False, beta_term=True)
-        rec = simulate_path(small_config(), params, spec, 0)
+        rec = path_record(small_config(), params, spec, 0)
         assert np.all(rec.omega_sq[0] == 0.0)
 
 
@@ -279,18 +287,9 @@ class TestDeterminism:
         params = ModelParams(nu=1.0, r=0.1, beta=0.3, linearized=False, beta_term=True)
         cfg = small_config(store_fields=True,
                            initial_condition=InitialCondition("gaussian", sigma=0.2))
-        t1 = simulate_path(cfg, params, spec, 3)
-        t2 = simulate_path(cfg, params, spec, 3)
+        t1 = path_record(cfg, params, spec, 3)
+        t2 = path_record(cfg, params, spec, 3)
         np.testing.assert_array_equal(t1.fields, t2.fields)
-
-    def test_single_path_ensemble_reduces_to_simulate_path(self):
-        b = Basis(4, 1.0)
-        spec = build_spectrum(b, 1.0, 2.0, 0.1)
-        params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=False, beta_term=False)
-        cfg = small_config(n_paths=1, store_fields=True)
-        ens = run_ensemble(cfg, params, spec)
-        solo = simulate_path(cfg, params, spec, 0)
-        np.testing.assert_array_equal(ens[0].fields, solo.fields)
 
     def test_worker_count_bit_identical(self):
         b = Basis(4, 1.0)
@@ -425,7 +424,7 @@ class TestDeterminism:
             initial_condition=InitialCondition("gaussian", sigma=0.5),
             store_fields=True,
         )
-        rec = simulate_path(cfg, params, spec, 0)
+        rec = path_record(cfg, params, spec, 0)
         np.testing.assert_allclose(
             rec.fields[0, 0],
             [-0.4601643090687408, -0.1428684046642693, -0.26984576976547986,
@@ -437,10 +436,6 @@ class TestDeterminism:
             [-0.33286195220606446, -0.06344526550777917, -0.053959630213856434,
              0.054774242875657346],
             rtol=1e-13,
-        )
-        np.testing.assert_allclose(
-            convolution_sup_norms(cfg, params, spec, 0),
-            [0.09687473431106187, 0.1254303247789333], rtol=1e-13,
         )
 
 
@@ -521,7 +516,7 @@ class TestTrajectoryRecords:
         params = ModelParams(nu=1.0, r=0.1, beta=0.4, linearized=False, beta_term=True)
         cfg = small_config(store_fields=True,
                            initial_condition=InitialCondition("gaussian", sigma=0.3))
-        rec = simulate_path(cfg, params, spec, 1)
+        rec = path_record(cfg, params, spec, 1)
         for i in range(len(rec.times)):
             om = rec.fields[0, i]
             assert rec.omega_sq[0, i] == pytest.approx(np.sum(om**2), rel=1e-10)
@@ -532,7 +527,7 @@ class TestTrajectoryRecords:
     def test_times_strictly_increasing(self):
         b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
-        rec = simulate_path(small_config(), linear_params(), spec, 0)
+        rec = path_record(small_config(), linear_params(), spec, 0)
         assert np.all(np.diff(rec.times) > 0)
 
 

@@ -1,9 +1,9 @@
 """Basis construction and the operators a run executes, against the reference calculus.
 
 Under test: `Basis` with `trig_matrices` and `to_grid2d`/`from_grid2d`, the
-stepper's derivative grids, inverse Laplacian, x-derivative and drift, the
-norms a run records, and `grid_max_norm`. `reference.py` is the second
-opinion; it shares nothing with them but the rank order.
+stepper's derivative grids, inverse Laplacian, x-derivative and drift, and
+the norms a run records. `reference.py` is the second opinion; it shares
+nothing with them but the rank order.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from stoqg import Basis, InitialCondition, ModelParams, SimConfig, build_spectrum, grid_max_norm
+from stoqg import Basis, InitialCondition, ModelParams, SimConfig, build_spectrum
 from stoqg.dynamics import _simulate_batch, _Stepper
 from stoqg.spectral import dealias_resolution
 
@@ -301,34 +301,6 @@ class TestJacobian:
                         * np.sum(b.sq_wavenumbers * omega**2, axis=1))
         assert np.all(np.abs(np.sum(d * omega, axis=1)) <= 1e-12 * scale * np.linalg.norm(omega, axis=1))
         assert np.all(np.abs(np.sum(d * psi, axis=1)) <= 1e-12 * scale * np.linalg.norm(psi, axis=1))
-
-
-class TestGridMaxNorm:
-    def test_first_mode_max(self):
-        assert grid_max_norm(Basis(1, 1.0), np.array([1.0]), 64) == pytest.approx(2.0, abs=1e-6)
-
-    def test_zero_field(self):
-        assert grid_max_norm(Basis(2, 1.0), np.zeros(4), 16) == 0.0
-
-    def test_against_dense_sampling_oracle(self):
-        b = Basis(3, 1.0)
-        a = ref.modes(b, {(1, 1): 1.0, (3, 3): 0.1})
-        approx = grid_max_norm(b, a, 64)
-        pts = np.random.default_rng(99).random((1_000_000, 2))
-        dense = np.abs(np.einsum("k,ki,ki->i", 2.0 * a,
-                                 np.sin(np.outer(b.m * np.pi, pts[:, 0])),
-                                 np.sin(np.outer(b.n * np.pi, pts[:, 1])))).max()
-        assert abs(approx - dense) <= 1e-3
-
-    def test_monotone_in_resolution(self):
-        b = Basis(2, 1.0)
-        a = ref.modes(b, {(1, 2): 0.7, (2, 2): -0.3})
-        vals = [grid_max_norm(b, a, P) for P in (8, 16, 32, 64)]
-        assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(vals, vals[1:]))
-
-    def test_rejects_undersampling(self):
-        with pytest.raises(ValueError):
-            grid_max_norm(Basis(8, 1.0), np.zeros(64), 31)
 
 
 class TestEigenfunctionBounds:
