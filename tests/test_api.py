@@ -1,8 +1,12 @@
 """The public names of `import stoqg`."""
 
+import re
 import types
+from pathlib import Path
 
 import stoqg
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = (
     "Basis",
@@ -37,3 +41,9 @@ def test_public_names_are_pinned():
     names = {name for name, value in vars(stoqg).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(names) == sorted(PUBLIC_NAMES)
+
+
+def test_readme_lists_the_public_names():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("`import stoqg` exports"):text.index("`tests/test_api.py` pins")]
+    assert sorted(re.findall(r"`(\w+)`", paragraph)) == sorted(PUBLIC_NAMES)

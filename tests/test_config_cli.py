@@ -469,6 +469,35 @@ class TestSimulateCommand:
     def test_single_path_exit_2(self, tmp_path):
         path = write_config(tmp_path, base_config(str(tmp_path / "o"), n_paths=1))
         assert main(["simulate", "--config", path]) == 2
+        assert not (tmp_path / "o").exists()  # a config error leaves no out dir behind
+
+    @pytest.mark.parametrize("command", ["bounds", "holder", "asymptotics"])
+    def test_blowup_manifest_from_every_command(self, tmp_path, capsys, command):
+        # T = 0.2 holds the decade of holder lags that every command checks
+        cfg = base_config(str(tmp_path / "o"), n_paths=2, T=0.2,
+                          output_times={"kind": "uniform", "n": 21})
+        cfg["model"].update({"linearized": False})
+        cfg["spectrum"] = {"c_mu": 0.0, "mu_exp": 2.0, "theta": 0.1}
+        cfg["sim"]["initial_condition"] = {
+            "type": "coeffs", "values": [1e200, -1e200] * 8,
+        }
+        cfg["analysis"]["holder"] = {"window": [0.01, 0.2], "lags": [0.01, 0.02, 0.03, 0.05, 0.1]}
+        path = write_config(tmp_path, cfg)
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", path]) == 3
+        err = capsys.readouterr().err
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["exit_code"] == 3 and manifest["error"] == err.strip()
+        assert manifest["failures"] == [[0, 0.01], [1, 0.01]]
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json"]
+
+    def test_success_manifest_fields_are_pinned(self, tmp_path):
+        # the failure fields appear only when a run fails
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_config(tmp_path, base_config(str(out)))]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest.keys() == {"config_sha256", "master_seed", "code_version", "wall_time_s",
+                                   "config", "spectrum_tail_bound"}
 
     @pytest.mark.parametrize("kind", ["long_integer", "utf16_bom", "directory"])
     def test_unreadable_config_exit_2(self, tmp_path, capsys, kind):

@@ -25,6 +25,7 @@ from stoqg import (
 from stoqg import dynamics
 from stoqg.dynamics import _path_generators, _simulate_batch, _Stepper, phi1
 from stoqg.noise import ou_transition_std
+from stoqg.spectral import ParameterError
 
 import reference as ref
 
@@ -278,6 +279,17 @@ class TestLinearExactness:
         params = ModelParams(nu=1.0, r=0.1, beta=1.0, linearized=False, beta_term=True)
         rec = path_record(small_config(), params, spec, 0)
         assert np.all(rec.omega_sq[0] == 0.0)
+
+    def test_zero_noise_leaves_no_convolution(self):
+        # mu == 0: V == 0, so U IS the solution
+        b = Basis(4, 1.0)
+        spec = build_spectrum(b, 0.0, 2.0, 0.1)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.4, linearized=False, beta_term=True)
+        cfg = small_config(initial_condition=InitialCondition("gaussian", sigma=0.3))
+        rec = run_ensemble(cfg, params, spec)[0]
+        assert np.all(rec.wa_sq == 0.0)
+        np.testing.assert_array_equal(rec.u_sq, rec.omega_sq)
+        assert np.min(rec.u_sq) > 0.0
 
 
 class TestDeterminism:
@@ -660,6 +672,16 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError):
             SimConfig(M=2, dt=0.01, T=1.0, output_times=np.array([0.005]),
                       n_paths=1, master_seed=0)
+
+    def test_step_count_must_fit_int64(self):
+        # 2**62 steps is a long run but a valid one; 1e300 steps has no int64 count
+        cfg = small_config(dt=2.0**-62, T=1.0, output_times=np.array([0.0, 1.0]))
+        assert cfg.output_steps().tolist() == [0, 2**62]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError) as err:
+                small_config(dt=1e-300, T=1.0, output_times=np.array([0.0]))
+        assert err.value.field == "dt"
 
     def test_snap_warns_and_aligns(self):
         with pytest.warns(UserWarning):
