@@ -401,7 +401,6 @@ def check_small_times(times) -> None:
 
 def asymptotics_check(
     trace: EnstrophyTrace,
-    spectrum: NoiseSpectrum,
     mode: str,
     delta: float,
     gamma_reg: float = 1.0,
@@ -411,12 +410,12 @@ def asymptotics_check(
 
     mode "general": fits the exponent of |Ens(t) - Ens(0)| and passes when it
     reaches min(gamma_reg, delta/2) - 0.05.
-    mode "zero": compares Ens(t) with half the analytic E||W_A(t)||^2 (rates
-    lambda_k, i.e. the unshifted viscous semigroup) and requires the ratio to
-    sit within [0.95, 1.05] at the two smallest times; additionally fits the
-    exponent of the residual E||omega - W_A||^2 against the drift-regularity
-    floor 1/2 - 2 rho - 0.05 at rho = 0.01. The solver's companion uses rates
-    lambda_k - r, an O(t) relative discrepancy at small times, noted in the report.
+    mode "zero": compares Ens(t) with the trace's half analytic E||W_A(t)||^2
+    (the solver's rates lambda_k - r) and requires the ratio to sit within
+    [0.95, 1.05] at the two smallest times; additionally fits the exponent of
+    the residual E||omega - W_A||^2 against the drift-regularity floor
+    1/2 - 2 rho - 0.05 at rho = 0.01. Raises ValueError when the trace carries
+    no analytic companion.
     """
     check_asymptotics(mode, delta, gamma_reg)
     check_small_times(trace.times)
@@ -446,8 +445,9 @@ def asymptotics_check(
             "verdict": "pass" if slope >= threshold else "fail",
         }
 
-    rates = spectrum.basis.eigenvalues
-    wa_half = 0.5 * analytic_convolution_variance(spectrum, rates, t)
+    if trace.wa_half_analytic is None:
+        raise ValueError("zero mode needs a trace with an analytic companion")
+    wa_half = trace.wa_half_analytic[pos]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_analytic = np.where(wa_half > 0, trace.ens_mean[pos] / wa_half, np.nan)
         ratio_empirical = None
@@ -462,7 +462,6 @@ def asymptotics_check(
         "ratio_analytic": ratio_analytic.tolist(),
         "ratio_ok": ratio_ok,
         "ratio_band": [0.95, 1.05],
-        "notes": "analytic companion uses rates lambda_k; solver convolution uses lambda_k - r",
     }
     if ratio_empirical is not None:
         result["ratio_empirical"] = ratio_empirical.tolist()

@@ -289,7 +289,7 @@ def cmd_asymptotics(cfg: RunConfig, run) -> _Outcome:
     _, trace = run()
     ens0 = 0.5 * cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
     result = lab.asymptotics_check(
-        trace, cfg.spectrum, asym["mode"], asym["delta"], gamma_reg=asym["gamma_reg"],
+        trace, asym["mode"], asym["delta"], gamma_reg=asym["gamma_reg"],
         ens0=ens0 if asym["mode"] == "general" else None,
     )
     return _Outcome(EXIT_REGULARITY if result["verdict"] == "fail" else EXIT_OK,

@@ -175,21 +175,21 @@ def snap_output_times(times, dt: float, T: float) -> np.ndarray:
 class EnsembleRecord:
     """Diagnostics of one batch of paths at the output times, one row per path.
 
-    Scalars, each (n_paths, n_out): squared norms of the vorticity and its
-    gradient, the squared distance to the companion convolution
+    Scalars, each (n_paths, n_out): the squared norm of the vorticity
+    (omega_sq = ||omega||^2), the squared distance to the companion convolution
     (u_sq = ||omega - V||^2) and the companion's squared norm
-    (wa_sq = ||W_A||^2). A run without a drift from zero initial coefficients
-    steps no companion: omega is W_A there, so u_sq is 0 and wa_sq is omega_sq,
-    the bits two states give. The coefficient snapshots, (n_paths, n_out, M^2),
-    are kept only when the run stores fields. `failures` holds a (path, time)
-    pair for each path with nonfinite coefficients, at the first such output
-    time.
+    (wa_sq = ||W_A||^2); nothing else is reduced at an output. A run without a
+    drift from zero initial coefficients steps no companion: omega is W_A
+    there, so u_sq is 0 and wa_sq is omega_sq, the bits two states give. The
+    coefficient snapshots, (n_paths, n_out, M^2), are kept only when the run
+    stores fields; other quadratic diagnostics, such as ||grad omega||^2, come
+    from them. `failures` holds a (path, time) pair for each path with
+    nonfinite coefficients, at the first such output time.
     """
 
     path_index: np.ndarray
     times: np.ndarray
     omega_sq: np.ndarray
-    grad_sq: np.ndarray
     u_sq: np.ndarray
     wa_sq: np.ndarray
     fields: np.ndarray | None = None
@@ -357,15 +357,15 @@ def _simulate_batch(
     the last block holds only the steps left). A block draw gives the same
     numbers as n draws of K, so results do not depend on the block length;
     one multiply by the OU transition stds makes the block the steps' increments.
-    The state is advanced in place, and the four squared norms of each
-    output come from one reduction over a reused (4, B, K) buffer.
+    The state is advanced in place, and the three squared norms of each
+    output come from one reduction over a reused (3, B, K) buffer.
 
     Without a drift, a batch whose initial coefficients are all zero keeps no
     companion: the state and the companion would take the same operations on
     the same increments, so they are equal as reals at every step (only a
-    zero's sign may differ). Its outputs reduce only a^2 and (sq_wn a) a, and
-    u_sq = 0 and wa_sq = omega_sq are filled in after the loop: the bits the
-    two-state reduction gives.
+    zero's sign may differ). Its outputs reduce only a^2, and u_sq = 0 and
+    wa_sq = omega_sq are filled in after the loop: the bits the two-state
+    reduction gives.
     """
     basis = spectrum.basis
     B = len(path_indices)
@@ -381,27 +381,24 @@ def _simulate_batch(
     n_steps = int(out_steps[-1])
     slot_of = {int(s): i for i, s in enumerate(out_steps)}
     n_out = len(out_steps)
-    series = np.empty((4, B, n_out))  # omega_sq, grad_sq, u_sq, wa_sq
+    series = np.empty((3, B, n_out))  # omega_sq, u_sq, wa_sq
     rec = EnsembleRecord(
         path_index=np.array(path_indices),
         times=config.output_times.copy(),
         omega_sq=series[0],
-        grad_sq=series[1],
-        u_sq=series[2],
-        wa_sq=series[3],
+        u_sq=series[1],
+        wa_sq=series[2],
         fields=np.empty((B, n_out, K)) if config.store_fields else None,
     )
     failed_at = [None] * B
 
-    sq_wn = basis.sq_wavenumbers
-    squares = np.empty((2 if v is None else 4, B, K))
+    squares = np.empty((1 if v is None else 3, B, K))
 
     def record(slot: int, t: float):
         np.square(a, out=squares[0])
-        np.multiply(np.multiply(sq_wn, a, out=squares[1]), a, out=squares[1])
         if v is not None:
-            np.square(np.subtract(a, v, out=squares[2]), out=squares[2])
-            np.square(v, out=squares[3])
+            np.square(np.subtract(a, v, out=squares[1]), out=squares[1])
+            np.square(v, out=squares[2])
         np.add.reduce(squares, axis=2, out=series[:len(squares), :, slot])
         if rec.fields is not None:
             rec.fields[:, slot] = a
@@ -427,8 +424,8 @@ def _simulate_batch(
                 record(slot_of[s], s * config.dt)
 
     if v is None:
-        series[2] = 0.0
-        series[3] = series[0]
+        series[1] = 0.0
+        series[2] = series[0]
     rec.failures = [(int(p), t) for p, t in zip(path_indices, failed_at) if t is not None]
     return rec
 

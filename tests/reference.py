@@ -50,6 +50,12 @@ def quadrature(basis):
     return gauss_grid(3 * basis.M + 16)
 
 
+def grad_sq(basis, fields):
+    """||grad f||^2 = sum_k pi^2 (m_k^2 + n_k^2) a_k^2 of coefficient vectors (..., K)."""
+    fields = np.asarray(fields, dtype=float)
+    return np.sum((basis.m**2 + basis.n**2) * np.pi**2 * fields**2, axis=-1)
+
+
 def inverse_laplacian(basis, omega):
     """psi with Lap psi = omega, psi = 0 on the boundary."""
     return np.asarray(omega, dtype=float) / (-(basis.m**2 + basis.n**2) * np.pi**2)

@@ -134,7 +134,7 @@ def test_criterion_4_deterministic_dissipation():
         n = int(round(T / dt))
         cfg = SimConfig(M=M, dt=dt, T=T,
                         output_times=np.round(np.arange(0, n + 1) * dt, 12),
-                        n_paths=1, master_seed=0,
+                        n_paths=1, master_seed=0, store_fields=True,
                         initial_condition=InitialCondition("coeffs", coeffs=ic))
         return run_ensemble(cfg, params, spectrum)[0]
 
@@ -144,7 +144,7 @@ def test_criterion_4_deterministic_dissipation():
 
     def residual(rec, dt):
         e = 0.5 * rec.omega_sq[0]
-        return np.abs(np.diff(e) / dt + params.nu * rec.grad_sq[0, :-1]
+        return np.abs(np.diff(e) / dt + params.nu * ref.grad_sq(basis, rec.fields[0, :-1])
                       + params.r * rec.omega_sq[0, :-1])
 
     fine = run(5e-4)
@@ -241,7 +241,7 @@ def test_criterion_8_small_time_asymptotics():
                       n_paths=200, master_seed=81)
     records = run_ensemble(cfg_i, lin, spectrum, n_workers=WORKERS)
     tr_i = estimate_enstrophy(records, spectrum, basis.eigenvalues - lin.r)
-    res_i = asymptotics_check(tr_i, spectrum, "zero", delta=0.5)
+    res_i = asymptotics_check(tr_i, "zero", delta=0.5)
     ratios = np.asarray(res_i["ratio_empirical"])
     np.testing.assert_allclose(ratios, 1.0, rtol=1e-12)
 
@@ -257,7 +257,7 @@ def test_criterion_8_small_time_asymptotics():
                        n_paths=4000, master_seed=82)
     records2 = run_ensemble(cfg_ii, full, spectrum2, n_workers=WORKERS)
     tr_ii = estimate_enstrophy(records2, spectrum2, basis.eigenvalues - full.r)
-    res_ii = asymptotics_check(tr_ii, spectrum2, "zero", delta=delta)
+    res_ii = asymptotics_check(tr_ii, "zero", delta=delta)
     ratio2 = np.asarray(res_ii["ratio_analytic"])[:2]
     assert np.all(np.abs(ratio2 - 1.0) <= 0.05), f"ratios {ratio2}"
     assert "residual_exponent" in res_ii, "residuals below Monte Carlo resolution"
@@ -275,7 +275,7 @@ def test_criterion_8_small_time_asymptotics():
                         n_paths=2, master_seed=83,
                         initial_condition=InitialCondition("coeffs", coeffs=(1.0, 0, 0, 0)))
     tr_iii = estimate_enstrophy(run_ensemble(cfg_iii, det, spectrum0))
-    res_iii = asymptotics_check(tr_iii, spectrum0, "general", delta=delta,
+    res_iii = asymptotics_check(tr_iii, "general", delta=delta,
                                 gamma_reg=1.0, ens0=0.5)
     assert res_iii["exponent"] == pytest.approx(1.0, abs=0.05)
     report(8, f"asymptotics: linear ratio == 1 exactly; nonlinear ratios "

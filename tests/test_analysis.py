@@ -29,7 +29,7 @@ def fake_record(times, omega_sq, index=0):
     omega_sq = np.asarray(omega_sq, dtype=float)[None, :]
     zeros = np.zeros_like(omega_sq)
     return EnsembleRecord(path_index=np.array([index]), times=times, omega_sq=omega_sq,
-                          grad_sq=zeros, u_sq=zeros, wa_sq=zeros)
+                          u_sq=zeros, wa_sq=zeros)
 
 
 def synthetic_trace(times, ens, se=None):
@@ -259,9 +259,12 @@ class TestAsymptotics:
 
     def test_zero_mode_empirical_ratio_is_one_for_linear_runs(self):
         spec, trace = self.zero_mode_linear_run()
-        result = asymptotics_check(trace, spec, "zero", delta=0.5)
+        result = asymptotics_check(trace, "zero", delta=0.5)
         ratios = np.asarray(result["ratio_empirical"])
         np.testing.assert_allclose(ratios, 1.0, rtol=1e-12)
+        # the analytic ratio divides by the trace's companion, at the solver's rates
+        assert result["ratio_analytic"] == (trace.ens_mean[1:] / trace.wa_half_analytic[1:]).tolist()
+        assert "notes" not in result
 
     def test_general_mode_deterministic_decay_exponent_one(self):
         # omega_0 = phi_11, zero noise: |Ens(t) - Ens(0)| = O(t) exactly
@@ -274,19 +277,20 @@ class TestAsymptotics:
                         n_paths=2, master_seed=1,
                         initial_condition=InitialCondition("coeffs", coeffs=(1.0, 0.0, 0.0, 0.0)))
         trace = estimate_enstrophy(run_ensemble(cfg, params, spec), spec, b.eigenvalues - 0.1)
-        result = asymptotics_check(trace, spec, "general", delta=0.5, gamma_reg=1.0)
+        result = asymptotics_check(trace, "general", delta=0.5, gamma_reg=1.0)
         assert result["exponent"] == pytest.approx(1.0, abs=0.05)
         assert result["verdict"] == "pass"
 
     def test_general_mode_noise_floor(self):
         times = np.array([0.0, 1e-4, 1e-3, 1e-2])
         trace = synthetic_trace(times, np.full(4, 5.0), se=np.full(4, 2.0))
-        spec = build_spectrum(Basis(2, 1.0), 1.0, 2.0, 0.1)
-        result = asymptotics_check(trace, spec, "general", delta=0.5, ens0=5.0)
+        result = asymptotics_check(trace, "general", delta=0.5, ens0=5.0)
         assert result["verdict"] == "not_applicable"
 
     def test_rejects_unknown_mode(self):
-        spec = build_spectrum(Basis(2, 1.0), 1.0, 2.0, 0.1)
         trace = synthetic_trace(np.array([1e-3, 1e-2, 1e-1]), np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
-            asymptotics_check(trace, spec, "weird", delta=0.5)
+            asymptotics_check(trace, "weird", delta=0.5)
+        # zero mode compares with the trace's own analytic companion, which this one lacks
+        with pytest.raises(ValueError, match="analytic companion"):
+            asymptotics_check(trace, "zero", delta=0.5)

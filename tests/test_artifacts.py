@@ -148,7 +148,7 @@ def synthetic_records(n_paths=8, n_times=11, n_modes=1024, batch=4):
         zeros = np.zeros((batch, n_times))
         records.append(EnsembleRecord(
             path_index=np.arange(lo, lo + batch), times=times,
-            omega_sq=zeros, grad_sq=zeros, u_sq=zeros, wa_sq=zeros,
+            omega_sq=zeros, u_sq=zeros, wa_sq=zeros,
             fields=rng.standard_normal((batch, n_times, n_modes)),
         ))
     return records
@@ -165,7 +165,7 @@ def special_records(n_modes: int, n_times=5, batch=2):
         zeros = np.zeros((batch, n_times))
         records.append(EnsembleRecord(
             path_index=np.arange(lo, lo + batch), times=times,
-            omega_sq=zeros, grad_sq=zeros, u_sq=zeros, wa_sq=zeros, fields=fields,
+            omega_sq=zeros, u_sq=zeros, wa_sq=zeros, fields=fields,
         ))
     return records
 

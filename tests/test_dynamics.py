@@ -2,7 +2,7 @@
 
 import concurrent.futures
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from scipy.integrate import solve_ivp
 from stoqg import (
     Basis,
     BlowupError,
+    EnsembleRecord,
     InitialCondition,
     ModelParams,
     SimConfig,
@@ -50,8 +51,8 @@ def small_config(**overrides):
 def path_record(config, params, spectrum, p):
     """Path p as a one-path record: the last row of an ensemble of p + 1 paths."""
     rec = run_ensemble(replace(config, n_paths=p + 1), params, spectrum)[-1]
-    rows = {name: getattr(rec, name)[-1:] for name in ("path_index", "omega_sq", "grad_sq",
-                                                       "u_sq", "wa_sq", "fields")
+    rows = {name: getattr(rec, name)[-1:] for name in ("path_index", "omega_sq", "u_sq",
+                                                       "wa_sq", "fields")
             if getattr(rec, name) is not None}
     return replace(rec, **rows)
 
@@ -356,7 +357,7 @@ class TestDeterminism:
         def joined(records, name):
             return np.concatenate([getattr(r, name) for r in records])
 
-        for name in ("path_index", "omega_sq", "grad_sq", "u_sq", "wa_sq", "fields"):
+        for name in ("path_index", "omega_sq", "u_sq", "wa_sq", "fields"):
             np.testing.assert_array_equal(joined(batched, name), joined(single, name), err_msg=name)
         rates = b.eigenvalues - params.r
         want = estimate_enstrophy(single, spec, rates)
@@ -385,7 +386,7 @@ class TestDeterminism:
         stepwise = run_ensemble(cfg, params, spec)
         assert len(blocked) == len(stepwise) == 2
         for got, want in zip(blocked, stepwise):
-            for name in ("path_index", "omega_sq", "grad_sq", "u_sq", "wa_sq", "fields"):
+            for name in ("path_index", "omega_sq", "u_sq", "wa_sq", "fields"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert got.failures == want.failures
 
@@ -414,7 +415,7 @@ class TestDeterminism:
                     records = run_ensemble(cfg, params, spec)
             except BlowupError as err:
                 return None, err.failures
-            names = ("path_index", "omega_sq", "grad_sq", "u_sq", "wa_sq", "fields")
+            names = ("path_index", "omega_sq", "u_sq", "wa_sq", "fields")
             return {n: np.concatenate([getattr(r, n) for r in records]).tobytes() for n in names}, []
 
         want = run(1)
@@ -462,14 +463,13 @@ def two_state_reference(config, params, spectrum, path_indices):
     a = np.stack([dynamics._initial_coeffs(config, basis, ic_rng) for ic_rng, _ in gens])
     v = np.zeros_like(a)
     out_steps = config.output_steps().tolist()
-    series = {name: [] for name in ("omega_sq", "grad_sq", "u_sq", "wa_sq", "fields")}
+    series = {name: [] for name in ("omega_sq", "u_sq", "wa_sq", "fields")}
     for s in range(out_steps[-1] + 1):
         if s:
             eta = np.stack([rng.standard_normal(K) for _, rng in gens]) * stepper.noise_std
             stepper.advance(a, v, eta)
         if s in out_steps:
-            for name, value in (("omega_sq", a * a), ("grad_sq", basis.sq_wavenumbers * a * a),
-                                ("u_sq", (a - v) ** 2), ("wa_sq", v * v)):
+            for name, value in (("omega_sq", a * a), ("u_sq", (a - v) ** 2), ("wa_sq", v * v)):
                 series[name].append(np.sum(value, axis=1))
             series["fields"].append(a.copy())
     return {name: np.stack(rows, axis=1) for name, rows in series.items()}
@@ -529,12 +529,23 @@ class TestTrajectoryRecords:
         cfg = small_config(store_fields=True,
                            initial_condition=InitialCondition("gaussian", sigma=0.3))
         rec = path_record(cfg, params, spec, 1)
+        grad_sq = ref.grad_sq(b, rec.fields[0])
         for i in range(len(rec.times)):
             om = rec.fields[0, i]
             assert rec.omega_sq[0, i] == pytest.approx(np.sum(om**2), rel=1e-10)
-            assert rec.grad_sq[0, i] == pytest.approx(
-                np.sum(b.sq_wavenumbers * om**2), rel=1e-10
-            )
+            assert grad_sq[i] == pytest.approx(np.sum(b.sq_wavenumbers * om**2), rel=1e-10)
+
+    def test_series_names_are_pinned(self):
+        # a new per-path series has to change this tuple on purpose
+        pinned = ("omega_sq", "u_sq", "wa_sq")
+        names = [f.name for f in fields(EnsembleRecord)]
+        assert names == ["path_index", "times", *pinned, "fields", "failures"]
+        spec = build_spectrum(Basis(4, 1.0), 1.0, 2.0, 0.1)
+        for ic in (InitialCondition(), InitialCondition("gaussian", sigma=0.3)):  # one, two states
+            rec = run_ensemble(small_config(n_paths=3, initial_condition=ic), linear_params(),
+                               spec)[0]
+            series = [name for name in names if np.shape(getattr(rec, name)) == (3, 11)]
+            assert tuple(series) == pinned
 
     def test_times_strictly_increasing(self):
         b = Basis(4, 1.0)
@@ -593,12 +604,12 @@ class TestConservation:
             cfg = SimConfig(
                 M=M, dt=h, T=0.02,
                 output_times=np.round(np.arange(0, n + 1) * h, 12),
-                n_paths=1, master_seed=0,
+                n_paths=1, master_seed=0, store_fields=True,
                 initial_condition=InitialCondition("coeffs", coeffs=ic),
             )
             rec = run_ensemble(cfg, params, spec)[0]
             ens = 0.5 * rec.omega_sq[0]
-            resid = (np.diff(ens) / h + params.nu * rec.grad_sq[0, :-1]
+            resid = (np.diff(ens) / h + params.nu * ref.grad_sq(b, rec.fields[0, :-1])
                      + params.r * rec.omega_sq[0, :-1])
             return np.mean(np.abs(resid))
 

@@ -51,12 +51,13 @@ def x_derivative(basis, coeffs):
 
 
 def recorded_norms(basis, coeffs):
-    """(||f||^2, ||grad f||^2) as a run records them for its initial state."""
+    """(||f||^2, ||grad f||^2) of a run's initial state: recorded, and from its stored field."""
     cfg = SimConfig(M=basis.M, dt=0.01, T=0.01, output_times=np.array([0.0]), n_paths=1,
-                    master_seed=0, initial_condition=InitialCondition("coeffs", coeffs=tuple(coeffs)))
+                    master_seed=0, store_fields=True,
+                    initial_condition=InitialCondition("coeffs", coeffs=tuple(coeffs)))
     rec = _simulate_batch(ModelParams(nu=basis.nu, r=0.1), build_spectrum(basis, 0.0, 2.0, 0.1),
                           cfg, np.array([0]))
-    return rec.omega_sq[0, 0], rec.grad_sq[0, 0]
+    return rec.omega_sq[0, 0], ref.grad_sq(basis, rec.fields[0, 0])
 
 
 class TestBasis:
