@@ -76,22 +76,19 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_trace(out_dir: Path, trace: EnstrophyTrace) -> None:
-    """Persist the enstrophy trace as trace.csv and trace.json."""
-    wa_var = trace.wa_var_analytic
+    """Persist the enstrophy trace, with its companion series, as trace.csv and trace.json."""
+    wa_var = 2.0 * trace.wa_half_analytic
     rows = zip(*(c.tolist() for c in (trace.times, trace.ens_mean, trace.ens_se, wa_var)))
     write_csv(out_dir / "trace.csv", ["time", "ens_mean", "ens_se", "wa_var_analytic"], rows)
-    payload = {
+    write_json(out_dir / "trace.json", {
         "times": trace.times,
         "ens_mean": trace.ens_mean,
         "ens_se": trace.ens_se,
         "wa_var_analytic": wa_var,
+        "wa_var_empirical": 2.0 * trace.wa_half_empirical,
+        "residual_mean": trace.resid_mean,
         "n_paths": trace.n_paths,
-    }
-    if trace.wa_half_empirical is not None:
-        payload["wa_var_empirical"] = 2.0 * trace.wa_half_empirical
-    if trace.resid_mean is not None:
-        payload["residual_mean"] = trace.resid_mean
-    write_json(out_dir / "trace.json", payload)
+    })
 
 
 # values of the dump formatted per `repr_join` call, in whole rows (at least

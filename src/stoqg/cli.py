@@ -45,8 +45,8 @@ EXIT_MEMORY = 8
 # command-line flag -> the config key it overrides
 _OVERRIDES = (("paths", "sim", "n_paths"), ("seed", "sim", "master_seed"), ("out", "io", "out_dir"))
 
-# what a run can fail with once it has started -> its exit code and the prefix of
-# its one-line message
+# what a command can fail with besides a config error -> its exit code and the
+# prefix of its one-line message
 _RUN_FAILURES = {
     BlowupError: (EXIT_BLOWUP, "blowup"),
     concurrent.futures.BrokenExecutor: (EXIT_WORKER, "worker crash"),
@@ -54,19 +54,12 @@ _RUN_FAILURES = {
 }
 
 
-def _run_failure(err: Exception) -> tuple[int, str]:
-    """The exit code and the one-line message of a run that raised one of _RUN_FAILURES."""
-    code, prefix = next(v for kind, v in _RUN_FAILURES.items() if isinstance(err, kind))
-    return code, f"{prefix}: {err}"
-
-
 @dataclass
 class _Outcome:
-    """What a command leaves behind besides the manifest."""
+    """What a command leaves behind besides the trace and the manifest."""
 
     code: int
     summary: str  # one line, on stdout for success and on stderr otherwise
-    trace: lab.EnstrophyTrace | None = None
     reports: dict[str, dict] = field(default_factory=dict)  # JSON file name -> payload
     manifest_extra: dict | None = None
 
@@ -85,21 +78,21 @@ def _load(args) -> RunConfig:
 def _execute(command, args) -> int:
     """Load, let the command run and report, then write its artifacts and manifest.
 
-    A command checks the rules of its settings before it calls `run`. A command
-    that ran the ensemble with `io.write_trajectories` on also writes trajectories.csv.
-    A run that fails after `run` has made the out dir leaves a manifest there
-    with the exit code, the error message and, for a blowup, the failing
-    (path, time) pairs.
+    A command checks the rules of its settings before it calls `run`, which
+    returns the ensemble's complete enstrophy trace. Every command that ran the
+    ensemble writes trace.csv and trace.json, and with `io.write_trajectories`
+    on also trajectories.csv. A run failure (_RUN_FAILURES) prints its one-line
+    message and returns its exit code; once `run` has made the out dir, it also
+    leaves a manifest there with the exit code, the message and, for a blowup,
+    the failing (path, time) pairs.
     """
-    cfg = _load(args)
-    out_dir = Path(cfg.io["out_dir"])
     clock = Stopwatch()
-    records = None
+    records = trace = None
     started = False
 
-    def run():
-        """The ensemble and its enstrophy trace, timed for the manifest."""
-        nonlocal records, started
+    def run() -> lab.EnstrophyTrace:
+        """The ensemble's enstrophy trace, timed for the manifest."""
+        nonlocal records, trace, started
         if cfg.sim.n_paths < 2:
             raise ConfigError("sim.n_paths", "ensemble statistics need at least 2 paths")
         try:  # a directory that cannot hold the artifacts fails before the ensemble runs
@@ -109,39 +102,41 @@ def _execute(command, args) -> int:
         started = True
         with clock:
             records = run_ensemble(cfg.sim, cfg.params, cfg.spectrum, n_workers=args.threads)
-            solver_rates = cfg.basis.eigenvalues - cfg.params.r
-            trace = lab.estimate_enstrophy(records, cfg.spectrum, solver_rates)
-        return records, trace
+            trace = lab.estimate_enstrophy(records, cfg.spectrum, cfg.params.r)
+        return trace
 
     try:
+        cfg = _load(args)
+        out_dir = Path(cfg.io["out_dir"])
         with keyed():  # a rule's ParameterError is a config error under its key
             outcome = command(cfg, run)
-        if outcome.trace is not None:
-            write_trace(out_dir, outcome.trace)
-        if records is not None and cfg.io["write_trajectories"]:
-            write_trajectories(out_dir, records)
+        if trace is not None:
+            write_trace(out_dir, trace)
+            if cfg.io["write_trajectories"]:
+                write_trajectories(out_dir, records)
         for name, payload in outcome.reports.items():
             write_json(out_dir / name, payload)
     except tuple(_RUN_FAILURES) as err:
+        code, prefix = next(v for kind, v in _RUN_FAILURES.items() if isinstance(err, kind))
+        message = f"{prefix}: {err}"
         if started:
-            code, message = _run_failure(err)
             extra = {"exit_code": code, "error": message}
             if isinstance(err, BlowupError):
                 extra["failures"] = [[path, time] for path, time in err.failures]
             write_manifest(out_dir, cfg.document, clock.elapsed, extra=extra)
-        raise
+        print(message, file=sys.stderr)
+        return code
     write_manifest(out_dir, cfg.document, clock.elapsed, extra=outcome.manifest_extra)
     print(outcome.summary, file=sys.stdout if outcome.code == EXIT_OK else sys.stderr)
     return outcome.code
 
 
 def cmd_simulate(cfg: RunConfig, run) -> _Outcome:
-    _, trace = run()
+    trace = run()
     return _Outcome(
         EXIT_OK,
         f"simulate: wrote {Path(cfg.io['out_dir'])} "
         f"({trace.n_paths} paths, {len(trace.times)} output times)",
-        trace=trace,
         manifest_extra={"spectrum_tail_bound": noise_mod.stationary_tail_bound(cfg.spectrum)},
     )
 
@@ -155,7 +150,7 @@ def cmd_verify_linear(cfg: RunConfig, run) -> _Outcome:
         raise ConfigError("model.beta_term", "verify-linear requires the beta term off")
     if cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes) != 0.0:
         raise ConfigError("sim.initial_condition", "verify-linear requires a zero initial condition")
-    _, trace = run()
+    trace = run()
     oracle = trace.wa_half_analytic
     # under the oracle V_k(t) ~ N(0, s_k(t)) independently, so 0.5 ||V||^2 has
     # variance 0.5 sum_k s_k^2: the exact standard error of the mean
@@ -190,7 +185,7 @@ def cmd_verify_linear(cfg: RunConfig, run) -> _Outcome:
     else:
         code, summary = EXIT_ORACLE, (f"verify-linear: oracle mismatch, {worst_z} "
                                       f"at t={report['worst_time']:g}")
-    return _Outcome(code, summary, trace=trace, reports={"linear_report.json": report})
+    return _Outcome(code, summary, reports={"linear_report.json": report})
 
 
 def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
@@ -200,7 +195,7 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
                                             cfg.params.beta if cfg.params.beta_term else 0.0, times)
     mu_exp = cfg.spectrum.mu_exp
     mu_tilde = lab.admissible_mu_tilde(cfg.analysis["mu_tilde"], mu_exp)
-    _, trace = run()
+    trace = run()
 
     e0 = cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
     reports: list[dict] = []
@@ -254,7 +249,7 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
         code, summary = EXIT_BOUND, f"bounds: violation in {failed} ({summary})"
     else:
         code, summary = EXIT_OK, f"bounds: {summary}"
-    return _Outcome(code, summary, trace=trace, reports={"bounds_report.json": payload})
+    return _Outcome(code, summary, reports={"bounds_report.json": payload})
 
 
 def _write_envelopes_csv(out_dir: Path, trace: lab.EnstrophyTrace, reports: list[dict]):
@@ -266,7 +261,7 @@ def _write_envelopes_csv(out_dir: Path, trace: lab.EnstrophyTrace, reports: list
             header.append(f"envelope_{rep['kind']}")
             columns.append(np.asarray(rep["envelope"]))
     header.append("analytic_wa_var")
-    columns.append(trace.wa_var_analytic)
+    columns.append(2.0 * trace.wa_half_analytic)
     write_csv(out_dir / "envelopes.csv", header, zip(*(c.tolist() for c in columns)))
 
 
@@ -274,7 +269,7 @@ def cmd_holder(cfg: RunConfig, run) -> _Outcome:
     holder = cfg.analysis["holder"]  # checked against the output times at load
     if not holder:
         raise ConfigError("analysis.holder.window", "required for the holder command")
-    _, trace = run()
+    trace = run()
     result = lab.holder_exponent_fit(trace, holder["window"], holder["lags"])
     verdict = result["verdict"]
     exponent = result.get("exponent")
@@ -286,15 +281,16 @@ def cmd_holder(cfg: RunConfig, run) -> _Outcome:
 def cmd_asymptotics(cfg: RunConfig, run) -> _Outcome:
     asym = cfg.analysis["asymptotics"]
     lab.check_small_times(cfg.sim.output_times)  # mode, delta and gamma_reg were checked at load
-    _, trace = run()
     ens0 = 0.5 * cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
-    result = lab.asymptotics_check(
-        trace, asym["mode"], asym["delta"], gamma_reg=asym["gamma_reg"],
-        ens0=ens0 if asym["mode"] == "general" else None,
-    )
+    # zero mode's premise is omega(0) = 0: only from rest does Ens(t) start out as the convolution's
+    if asym["mode"] == "zero" and ens0 != 0.0:
+        raise ConfigError("analysis.asymptotics.mode", "zero mode requires a zero initial condition")
+    trace = run()
+    result = lab.asymptotics_check(trace, asym["mode"], asym["delta"], gamma_reg=asym["gamma_reg"],
+                                   ens0=ens0)
     return _Outcome(EXIT_REGULARITY if result["verdict"] == "fail" else EXIT_OK,
                     f"asymptotics[{asym['mode']}]: {result['verdict']}",
-                    trace=trace, reports={"asymptotics_report.json": result})
+                    reports={"asymptotics_report.json": result})
 
 
 _COMMANDS = {
@@ -338,10 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except tuple(_RUN_FAILURES) as err:
-        code, message = _run_failure(err)
-        print(message, file=sys.stderr)
-        return code
 
 
 if __name__ == "__main__":

@@ -53,8 +53,8 @@ def test_criterion_1_linear_oracle_equivalence():
     cfg = SimConfig(M=M, dt=1e-3, T=1.0, output_times=uniform_times(1.0, 11),
                     n_paths=2000, master_seed=20260810)
     records = run_ensemble(cfg, params, spectrum, n_workers=WORKERS)
+    tr = estimate_enstrophy(records, spectrum, params.r)
     rates = basis.eigenvalues - params.r
-    tr = estimate_enstrophy(records, spectrum, rates)
     oracle = 0.5 * np.array([
         np.sum(spectrum.mu_sq * (1.0 - np.exp(2.0 * rates * t)) / (-2.0 * rates))
         for t in tr.times
@@ -167,7 +167,7 @@ def test_criterion_5_trace_class_bound():
     cfg = SimConfig(M=M, dt=1e-3, T=1.0, output_times=uniform_times(1.0, 21),
                     n_paths=1000, master_seed=55)
     records = run_ensemble(cfg, params, spectrum, n_workers=WORKERS)
-    tr = estimate_enstrophy(records, spectrum, basis.eigenvalues - params.r)
+    tr = estimate_enstrophy(records, spectrum, params.r)
     envelope = trace_class_envelope(0.0, gamma, trace(spectrum), tr.times)
     verdict = validate_bound(tr, envelope)
     assert verdict.verdict == "pass", f"violations at {verdict.violations}"
@@ -203,7 +203,7 @@ def test_criterion_7_holder_floor():
                     output_times=np.round(np.arange(0, n_out + 1) * 1e-3, 12),
                     n_paths=1000, master_seed=77)
     records = run_ensemble(cfg, params, spectrum, n_workers=WORKERS)
-    tr = estimate_enstrophy(records)
+    tr = estimate_enstrophy(records, spectrum, params.r)
     lags = [1e-3, 3e-3, 1e-2, 3.2e-2, 1e-1]
     result = holder_exponent_fit(tr, (0.005, 0.405), lags)
     if result["verdict"] == "not_applicable":
@@ -240,7 +240,7 @@ def test_criterion_8_small_time_asymptotics():
     cfg_i = SimConfig(M=M, dt=1e-3, T=0.1, output_times=snapped_i,
                       n_paths=200, master_seed=81)
     records = run_ensemble(cfg_i, lin, spectrum, n_workers=WORKERS)
-    tr_i = estimate_enstrophy(records, spectrum, basis.eigenvalues - lin.r)
+    tr_i = estimate_enstrophy(records, spectrum, lin.r)
     res_i = asymptotics_check(tr_i, "zero", delta=0.5)
     ratios = np.asarray(res_i["ratio_empirical"])
     np.testing.assert_allclose(ratios, 1.0, rtol=1e-12)
@@ -256,7 +256,7 @@ def test_criterion_8_small_time_asymptotics():
     cfg_ii = SimConfig(M=M, dt=1e-5, T=1e-2, output_times=snapped,
                        n_paths=4000, master_seed=82)
     records2 = run_ensemble(cfg_ii, full, spectrum2, n_workers=WORKERS)
-    tr_ii = estimate_enstrophy(records2, spectrum2, basis.eigenvalues - full.r)
+    tr_ii = estimate_enstrophy(records2, spectrum2, full.r)
     res_ii = asymptotics_check(tr_ii, "zero", delta=delta)
     ratio2 = np.asarray(res_ii["ratio_analytic"])[:2]
     assert np.all(np.abs(ratio2 - 1.0) <= 0.05), f"ratios {ratio2}"
@@ -274,7 +274,7 @@ def test_criterion_8_small_time_asymptotics():
     cfg_iii = SimConfig(M=2, dt=1e-5, T=1e-3, output_times=snapped3,
                         n_paths=2, master_seed=83,
                         initial_condition=InitialCondition("coeffs", coeffs=(1.0, 0, 0, 0)))
-    tr_iii = estimate_enstrophy(run_ensemble(cfg_iii, det, spectrum0))
+    tr_iii = estimate_enstrophy(run_ensemble(cfg_iii, det, spectrum0), spectrum0, det.r)
     res_iii = asymptotics_check(tr_iii, "general", delta=delta,
                                 gamma_reg=1.0, ens0=0.5)
     assert res_iii["exponent"] == pytest.approx(1.0, abs=0.05)

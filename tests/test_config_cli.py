@@ -482,6 +482,7 @@ class TestSimulateCommand:
             "type": "coeffs", "values": [1e200, -1e200] * 8,
         }
         cfg["analysis"]["holder"] = {"window": [0.01, 0.2], "lags": [0.01, 0.02, 0.03, 0.05, 0.1]}
+        cfg["analysis"]["asymptotics"] = {"mode": "general"}  # zero mode refuses a start off rest
         path = write_config(tmp_path, cfg)
         with np.errstate(all="ignore"):
             assert main([command, "--config", path]) == 3
@@ -490,6 +491,18 @@ class TestSimulateCommand:
         assert manifest["exit_code"] == 3 and manifest["error"] == err.strip()
         assert manifest["failures"] == [[0, 0.01], [1, 0.01]]
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json"]
+
+    def test_every_command_writes_the_same_trace(self, tmp_path):
+        # each command that runs the ensemble writes its trace through one path
+        cfg = base_config(str(tmp_path / "o"), T=0.2, output_times={"kind": "uniform", "n": 21})
+        cfg["analysis"]["holder"] = {"window": [0.01, 0.2], "lags": [0.01, 0.02, 0.03, 0.05, 0.1]}
+        path = write_config(tmp_path, cfg)
+        traces = set()
+        for command in ("simulate", "verify-linear", "bounds", "holder", "asymptotics"):
+            out = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out)]) in (0, 4, 5, 6)
+            traces.add(tuple((out / name).read_bytes() for name in ("trace.csv", "trace.json")))
+        assert len(traces) == 1
 
     def test_success_manifest_fields_are_pinned(self, tmp_path):
         # the failure fields appear only when a run fails
@@ -794,6 +807,8 @@ class TestConfigErrorsBeforeEnsemble:
         ("simulate", "sim", {"output_times": {"kind": "uniform", "n": 2**64}},
          "sim.output_times.n"),
         ("simulate", "sim", {"dt": 1e-300}, "sim.dt"),
+        ("asymptotics", "sim", {"initial_condition": {"type": "gaussian", "sigma": 0.1}},
+         "analysis.asymptotics.mode"),  # zero mode, the default, compares a run from rest
     ])
     def test_exit_2_without_running(self, tmp_path, capsys, ensemble_calls, command, section,
                                     settings, key):
@@ -876,6 +891,19 @@ class TestAsymptoticsCommand:
         assert main(["asymptotics", "--config", path]) == 6
         report = json.loads((out / "asymptotics_report.json").read_text())
         assert report["verdict"] == "fail"
+
+    @pytest.mark.parametrize("scale, code", [(None, 0), (1.2, 6), (1.5, 6)])
+    def test_lin16_dense_ratio_tolerance(self, tmp_path, noise_fault, scale, code):
+        # 64 paths: a correct run sits within 3 SE of the companion, not within 5%
+        # (ratios 0.964 and 1.062 at seed 1), and an inflated noise still fails
+        cfg = perfbench_document("lin16_dense", 1)
+        cfg["io"]["out_dir"] = str(tmp_path / "run")
+        if scale is not None:
+            noise_fault(scale)
+        assert main(["asymptotics", "--config", write_config(tmp_path, cfg)]) == code
+        report = json.loads((tmp_path / "run" / "asymptotics_report.json").read_text())
+        assert report["ratio_ok"] == (code == 0)
+        assert min(report["ratio_tolerance"]) > 0.05
 
     def test_general_mode_deterministic(self, tmp_path):
         out = tmp_path / "run"
