@@ -154,9 +154,8 @@ def cmd_verify_linear(cfg: RunConfig, run) -> _Outcome:
     oracle = trace.wa_half_analytic
     # under the oracle V_k(t) ~ N(0, s_k(t)) independently, so 0.5 ||V||^2 has
     # variance 0.5 sum_k s_k^2: the exact standard error of the mean
-    rates = cfg.basis.eigenvalues - cfg.params.r
-    s = cfg.spectrum.mu_sq * (1.0 - np.exp(2.0 * np.outer(trace.times, rates))) / (-2.0 * rates)
-    oracle_se = np.sqrt(0.5 * np.sum(s**2, axis=1) / trace.n_paths)
+    sum_sq = noise_mod.mode_variance_sum_sq(cfg.spectrum, cfg.basis.eigenvalues - cfg.params.r, trace.times)
+    oracle_se = np.sqrt(0.5 * sum_sq / trace.n_paths)
     diff = trace.ens_mean - oracle
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(oracle_se > 0, diff / oracle_se, np.where(diff == 0.0, 0.0, np.inf))

@@ -103,21 +103,86 @@ def phi_alpha(spec: NoiseSpectrum, alpha: float) -> float:
     return float(np.sum(spec.mu_sq * lam_abs**spec.theta / (alpha + lam_abs)))
 
 
+# a block of output times is a whole multiple of this many rows ...
+_BLOCK_ALIGN = 64
+# ... holding at most this many values, or one aligned step when the modes alone exceed it
+_BLOCK_VALUES = 2**15
+
+
+def _checked_rates(spec: NoiseSpectrum, rates) -> np.ndarray:
+    """One strictly negative rate per mode of the spectrum."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.shape != spec.mu.shape:
+        raise ValueError(f"rates must have the spectrum's shape {spec.mu.shape}, got {rates.shape}")
+    if np.any(rates >= 0):
+        raise ValueError("convolution rates must be strictly negative")
+    return rates
+
+
+def _ou_saturation_walk(rates: np.ndarray, t, reduce) -> np.ndarray | float:
+    """Reduce 1 - e^(2 l_k t) over the modes, one block of output times at a time.
+
+    Each block of the (times x modes) matrix is formed in one reused array and
+    handed to `reduce`, which may overwrite it and returns one value per time,
+    so memory is O(block) rather than O(times x modes). Blocks are whole
+    multiples of 64 times, and a one-time tail joins the block before it:
+    numpy sends a one-row matrix through a vector dot instead of gemv, so only
+    this rule keeps every per-time value the bits of one full-matrix reduction.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0):
+        raise ValueError("time must be >= 0")
+    times = t_arr.ravel()
+    n_times = times.size
+    step = _BLOCK_ALIGN * max(1, _BLOCK_VALUES // (_BLOCK_ALIGN * rates.size))
+    block = np.empty((min(n_times, step + 1), rates.size))
+    out = np.empty(n_times)
+    start = 0
+    while start < n_times:
+        stop = n_times if n_times - (start + step) <= 1 else start + step
+        rows = block[:stop - start]
+        np.multiply.outer(times[start:stop], rates, out=rows)
+        rows *= 2.0
+        np.exp(rows, out=rows)
+        np.subtract(1.0, rows, out=rows)
+        out[start:stop] = reduce(rows)
+        start = stop
+    return out.reshape(t_arr.shape) if t_arr.shape else float(out[0])
+
+
 def analytic_convolution_variance(spec: NoiseSpectrum, rates: np.ndarray, t) -> np.ndarray | float:
     """E ||W(t)||^2 of the mode-wise OU system with the given negative rates.
 
     Equals sum_k mu_k^2 (1 - e^(2 l_k t)) / (-2 l_k): zero at t = 0, strictly
-    increasing and concave in t, saturating at sum mu_k^2 / (-2 l_k).
+    increasing and concave in t, saturating at sum mu_k^2 / (-2 l_k). `rates`
+    holds one rate per mode of the spectrum. The sum over modes is one matmul
+    per block of output times (whole multiples of 64 times, a one-time tail
+    merged into the block before it), which gives the bits of one matmul over
+    all times.
     """
-    rates = np.asarray(rates, dtype=float)
-    if np.any(rates >= 0):
-        raise ValueError("convolution rates must be strictly negative")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("time must be >= 0")
+    rates = _checked_rates(spec, rates)
     per_mode = spec.mu_sq / (-2.0 * rates)
-    var = (1.0 - np.exp(2.0 * np.outer(t_arr.ravel(), rates))) @ per_mode
-    return var.reshape(t_arr.shape) if t_arr.shape else float(var[0])
+    return _ou_saturation_walk(rates, t, lambda rows: rows @ per_mode)
+
+
+def mode_variance_sum_sq(spec: NoiseSpectrum, rates: np.ndarray, t) -> np.ndarray | float:
+    """sum_k s_k(t)^2 of the per-mode variances s_k(t) = mu_k^2 (1 - e^(2 l_k t)) / (-2 l_k).
+
+    Half of it is the variance of 0.5 ||W(t)||^2, since W_k(t) ~ N(0, s_k(t))
+    independently. Reduced over the same blocks of output times as
+    `analytic_convolution_variance` (whole multiples of 64 times, a one-time
+    tail merged), with the bits of one full-matrix `np.sum(s**2, axis=1)`.
+    """
+    rates = _checked_rates(spec, rates)
+    mu_sq, denom = spec.mu_sq, -2.0 * rates
+
+    def reduce(rows):
+        rows *= mu_sq
+        rows /= denom
+        np.square(rows, out=rows)
+        return rows.sum(axis=1)
+
+    return _ou_saturation_walk(rates, t, reduce)
 
 
 def stationary_tail_bound(spec: NoiseSpectrum) -> float:

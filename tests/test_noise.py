@@ -1,5 +1,12 @@
 """Spectrum construction, the phi(alpha) series, and exact OU sampling."""
 
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,7 +20,7 @@ from stoqg import (
     spectrum_from_list,
     trace,
 )
-from stoqg.noise import ou_transition_std, stationary_tail_bound
+from stoqg.noise import mode_variance_sum_sq, ou_transition_std, stationary_tail_bound
 
 
 def basis_with_lambda(value: float):
@@ -159,6 +166,87 @@ class TestAnalyticVariance:
         spec = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
         with pytest.raises(ValueError):
             analytic_convolution_variance(spec, np.array([0.0]), 1.0)
+
+    @pytest.mark.parametrize("reduce", [analytic_convolution_variance, mode_variance_sum_sq])
+    def test_rejects_rates_off_the_spectrum_shape(self, reduce):
+        # three rates on a one-mode spectrum once summed three "modes" (1.5 at
+        # saturation, where the answer is 0.5); one rate on four modes failed
+        # inside numpy's matmul
+        one_mode = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
+        with pytest.raises(ValueError, match=r"spectrum's shape \(1,\), got \(3,\)"):
+            reduce(one_mode, np.full(3, -1.0), 50.0)
+        four_modes = build_spectrum(Basis(2, 1.0), 1.0, 2.0, 0.5)
+        with pytest.raises(ValueError, match=r"spectrum's shape \(4,\), got \(1,\)"):
+            reduce(four_modes, np.array([-1.0]), 1.0)
+
+    def test_memory_does_not_grow_with_output_times(self):
+        # 4001 times x 1024 modes is 32.8 MB as one matrix; the blocked walk
+        # holds one block of 64 times (0.5 MiB)
+        b = Basis(32, 1.0)
+        spec = build_spectrum(b, 1.0, 2.0, 0.1)
+        rates = b.eigenvalues - 0.1
+        times = np.linspace(0.0, 4.0, 4001)
+        for reduce in (analytic_convolution_variance, mode_variance_sum_sq):
+            tracemalloc.start()
+            try:
+                reduce(spec, rates, times)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (reduce.__name__, peak)
+
+
+# Runs in a child with one BLAS thread, where the one-matrix formulas have
+# fixed bits; it prints those bits and the blocked ones, as hex.
+_BLOCK_BITS_PROBE = """
+import json, sys
+import numpy as np
+from stoqg import Basis, build_spectrum
+from stoqg.noise import analytic_convolution_variance, mode_variance_sum_sq
+
+out = {}
+for M, counts in json.loads(sys.argv[1]):
+    b = Basis(M, 1.0)
+    spec = build_spectrum(b, 1.0, 2.0, 0.1)
+    rates = b.eigenvalues - 0.1
+    for n in counts:
+        t = np.linspace(0.0, 0.5, n)
+        sat = 1.0 - np.exp(2.0 * np.outer(t, rates))
+        s = spec.mu_sq * sat / (-2.0 * rates)
+        pairs = [(analytic_convolution_variance(spec, rates, t), sat @ (spec.mu_sq / (-2.0 * rates))),
+                 (mode_variance_sum_sq(spec, rates, t), np.sum(s**2, axis=1))]
+        out[f"{M},{n}"] = [[a.tobytes().hex(), b.tobytes().hex()] for a, b in pairs]
+print(json.dumps(out))
+"""
+
+
+def _block_bits(cases, threads: str) -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "MKL_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _BLOCK_BITS_PROBE, json.dumps(cases)], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(done.stdout)
+
+
+class TestBlockedReduction:
+    def test_blocks_keep_the_one_matrix_bits(self):
+        # blocks of 128 times at M=16 and 64 at M=32: time counts on each side of a
+        # block edge, a one-time tail (step + 1, 2 step + 1) and lin16_dense's 501
+        cases = [(M, [1, 2, step - 1, step, step + 1, 2 * step + 1, 501])
+                 for M, step in ((16, 128), (32, 64))]
+        for key, pairs in _block_bits(cases, "1").items():
+            for name, (blocked, one_matrix) in zip(("variance", "sum_sq"), pairs):
+                assert blocked == one_matrix, (key, name)
+
+    def test_blocked_bits_do_not_depend_on_blas_threads(self):
+        # one threaded gemv over all the times moves a few of these values by an
+        # ulp under 2 threads; the blocks, whole multiples of 64 times, do not
+        cases = [(32, [129, 501]), (64, [139])]
+        one, two = _block_bits(cases, "1"), _block_bits(cases, "2")
+        assert {k: [p[0] for p in v] for k, v in one.items()} == \
+            {k: [p[0] for p in v] for k, v in two.items()}
 
 
 class TestOUIncrement:
