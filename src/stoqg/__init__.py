@@ -32,6 +32,7 @@ from .analysis import (  # noqa: F401
     fit_and_validate_bound,
     gamma_threshold,
     holder_exponent_fit,
+    linear_oracle_check,
     theorem2_shape,
     trace_class_envelope,
     validate_bound,

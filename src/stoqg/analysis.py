@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import EnsembleRecord
-from .noise import NoiseSpectrum, analytic_convolution_variance
+from .noise import NoiseSpectrum, analytic_convolution_variance, mode_variance_sum_sq
 from .spectral import ParameterError
 
 #: Optimal Poincare constant ||u|| <= c1 ||grad u|| for Dirichlet data on the
@@ -36,10 +36,12 @@ class EnstrophyTrace:
 
     `estimate_enstrophy` always attaches the companion series: the empirical
     and analytic halves of E||W_A||^2 (the latter at the solver's rates
-    lambda_k - r) and the mean squared residual E||omega - W_A||^2 with its
-    standard error. A trace built by hand from the first four fields leaves
-    them None, which serves the envelope and Hoelder checks but not the
-    writers or `asymptotics_check` in mode "zero".
+    lambda_k - r), `wa_half_se`, the exact standard error of an n_paths mean
+    of 0.5 ||W_A||^2 under the companion's Gaussian law, and the mean squared
+    residual E||omega - W_A||^2 with its standard error. A trace built by hand
+    from the first four fields leaves them None, which serves the envelope and
+    Hoelder checks but not the writers, `linear_oracle_check` or
+    `asymptotics_check` in mode "zero". `wa_half_se` is not written to trace.*.
     """
 
     times: np.ndarray
@@ -48,6 +50,7 @@ class EnstrophyTrace:
     n_paths: int
     wa_half_empirical: np.ndarray | None = None
     wa_half_analytic: np.ndarray | None = None
+    wa_half_se: np.ndarray | None = None
     resid_mean: np.ndarray | None = None
     resid_se: np.ndarray | None = None
 
@@ -117,17 +120,50 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     ens = 0.5 * np.concatenate([rec.omega_sq for rec in records])          # (n, T)
     wa = 0.5 * np.concatenate([rec.wa_sq for rec in records])
     resid = np.concatenate([rec.u_sq for rec in records])
-    scale = math.sqrt(n)
+    scale, rates = math.sqrt(n), spectrum.basis.eigenvalues - r
     return EnstrophyTrace(
         times=times.copy(),
         ens_mean=ens.mean(axis=0),
         ens_se=ens.std(axis=0, ddof=1) / scale,
         n_paths=n,
         wa_half_empirical=wa.mean(axis=0),
-        wa_half_analytic=0.5 * analytic_convolution_variance(spectrum, spectrum.basis.eigenvalues - r, times),
+        wa_half_analytic=0.5 * analytic_convolution_variance(spectrum, rates, times),
+        # W_k(t) ~ N(0, s_k(t)) independently, so 0.5 ||W_A||^2 has variance 0.5 sum_k s_k^2
+        wa_half_se=np.sqrt(0.5 * mode_variance_sum_sq(spectrum, rates, times) / n),
         resid_mean=resid.mean(axis=0),
         resid_se=resid.std(axis=0, ddof=1) / scale,
     )
+
+
+def _companion(trace: EnstrophyTrace, *names: str) -> list[np.ndarray]:
+    """The named companion series of a trace; a hand-built trace without them raises ValueError."""
+    series = [getattr(trace, name) for name in names]
+    if any(s is None for s in series):
+        raise ValueError("the check needs a trace with its analytic companion, as estimate_enstrophy builds")
+    return series
+
+
+def linear_oracle_check(trace: EnstrophyTrace) -> dict:
+    """Ens(t) of a linear run from rest against its analytic companion, in exact standard errors.
+
+    z = (ens_mean - wa_half_analytic) / wa_half_se at every output time (0 where
+    both are 0, infinite where only the SE is). The run passes when every |z|
+    is at most Phi^-1(1 - 0.00135 / n_t): a 3-sigma two-sided level (0.27%)
+    shared out over the n_t positive output times.
+    """
+    oracle, oracle_se = _companion(trace, "wa_half_analytic", "wa_half_se")
+    diff = trace.ens_mean - oracle
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(oracle_se > 0, diff / oracle_se, np.where(diff == 0.0, 0.0, np.inf))
+    # imported here, as at startup statistics adds 0.5 MB to every command
+    from statistics import NormalDist
+
+    z_threshold = NormalDist().inv_cdf(1.0 - 0.00135 / max(1, int(np.sum(trace.times > 0))))
+    worst = int(np.argmax(np.abs(z)))
+    return {"times": trace.times, "ens_mean": trace.ens_mean, "oracle_half_variance": oracle,
+            "oracle_se": oracle_se, "z_scores": z, "z_threshold": z_threshold,
+            "worst_time": float(trace.times[worst]), "worst_z": float(z[worst]),
+            "verdict": "pass" if np.all(np.abs(z) <= z_threshold) else "fail"}
 
 
 def gamma_threshold(nu: float, r: float, beta: float) -> float:
@@ -277,13 +313,13 @@ def fit_and_validate_bound(
     return report
 
 
-def _ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of log y vs log x with its standard error."""
+def _ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float | None]:
+    """Least-squares slope of log y vs log x with its standard error (None from 2 points)."""
     lx, ly = np.log(x), np.log(y)
     n = len(lx)
     slope, intercept = np.polyfit(lx, ly, 1)
     if n <= 2:
-        return float(slope), float("nan")
+        return float(slope), None
     resid = ly - (slope * lx + intercept)
     s2 = float(np.sum(resid**2)) / (n - 2)
     se = math.sqrt(s2 / float(np.sum((lx - lx.mean()) ** 2)))
@@ -363,7 +399,7 @@ def holder_exponent_fit(trace: EnstrophyTrace, window: tuple[float, float], lags
                        "notes": "increments below the Monte Carlo noise floor"})
         return result
     slope, slope_se = _ols_loglog(lags[usable], max_inc[usable])
-    band = 1.96 * slope_se if np.isfinite(slope_se) else float("nan")
+    band = 1.96 * slope_se  # the fit has >= 5 lags, so its SE exists
     result.update({
         "exponent": slope,
         "confidence_band": [slope - band, slope + band],
@@ -400,12 +436,13 @@ def asymptotics_check(
     mode "general": fits the exponent of |Ens(t) - Ens(0)| and passes when it
     reaches min(gamma_reg, delta/2) - 0.05.
     mode "zero": compares Ens(t) with the trace's half analytic E||W_A(t)||^2
-    (the solver's rates lambda_k - r) and requires |ratio - 1| to stay within
-    max(0.05, 3 SE / companion) at the two smallest positive times, so a small
-    ensemble is not failed on its own Monte Carlo error; additionally fits the
-    exponent of the residual E||omega - W_A||^2 against the drift-regularity
-    floor 1/2 - 2 rho - 0.05 at rho = 0.01. ens0 is ignored. Raises ValueError
-    for a hand-built trace without the companions.
+    (the solver's rates lambda_k - r) and requires |Ens - companion| <=
+    max(0.05 companion, 3 wa_half_se) at the two smallest positive times (the
+    companion's exact SE is that of the small-time law omega -> W_A; ratios
+    are None where the companion is 0); additionally fits the exponent of the
+    residual E||omega - W_A||^2 against the drift-regularity floor
+    1/2 - 2 rho - 0.05 at rho = 0.01. ens0 is ignored. Raises ValueError for
+    a hand-built trace without the companions.
     """
     check_asymptotics(mode, delta, gamma_reg)
     check_small_times(trace.times)
@@ -426,46 +463,30 @@ def asymptotics_check(
                     "notes": "deviations from Ens(0) below Monte Carlo resolution"}
         slope, slope_se = _ols_loglog(t[usable], dev[usable])
         threshold = min(gamma_reg, delta / 2.0) - 0.05
-        return {
-            "mode": mode,
-            "ens0": ens0,
-            "exponent": slope,
-            "exponent_se": slope_se,
-            "threshold": threshold,
-            "verdict": "pass" if slope >= threshold else "fail",
-        }
+        return {"mode": mode, "ens0": ens0, "exponent": slope, "exponent_se": slope_se,
+                "threshold": threshold, "verdict": "pass" if slope >= threshold else "fail"}
 
-    if any(series is None for series in (trace.wa_half_empirical, trace.wa_half_analytic,
-                                         trace.resid_mean, trace.resid_se)):
-        raise ValueError("zero mode needs a trace with its analytic companion, as estimate_enstrophy builds")
-    ens, wa_half, emp = trace.ens_mean[pos], trace.wa_half_analytic[pos], trace.wa_half_empirical[pos]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_analytic = np.where(wa_half > 0, ens / wa_half, np.nan)
-        ratio_empirical = np.where(emp > 0, ens / emp, np.nan)
-        tolerance = np.fmax(0.05, 3.0 * trace.ens_se[pos][:2] / wa_half[:2])
-    ratio_ok = bool(np.all(np.abs(ratio_analytic[:2] - 1.0) <= tolerance))
-    result = {
-        "mode": mode,
-        "times": t.tolist(),
-        "ratio_analytic": ratio_analytic.tolist(),
-        "ratio_empirical": ratio_empirical.tolist(),
-        "ratio_ok": ratio_ok,
-        "ratio_tolerance": tolerance.tolist(),
-    }
+    wa_half, wa_se, emp, resid, resid_se = (s[pos] for s in _companion(
+        trace, "wa_half_analytic", "wa_half_se", "wa_half_empirical", "resid_mean", "resid_se"))
+    ens = trace.ens_mean[pos]
+    allowance = np.fmax(0.05 * wa_half[:2], 3.0 * wa_se[:2])
+    ratio_ok = bool(np.all(np.abs(ens[:2] - wa_half[:2]) <= allowance))
+
+    def ratios(num, den):  # JSON has no NaN: None where the denominator is 0
+        return [a / b if b > 0 else None for a, b in zip(num.tolist(), den.tolist())]
+
+    result = {"mode": mode, "times": t.tolist(), "ratio_analytic": ratios(ens, wa_half),
+              "ratio_empirical": ratios(ens, emp), "ratio_ok": ratio_ok,
+              "ratio_tolerance": ratios(allowance, wa_half[:2])}
 
     residual_ok = True
-    resid = trace.resid_mean[pos]
-    usable = resid > 3.0 * trace.resid_se[pos]
+    usable = resid > 3.0 * resid_se
     if np.sum(usable) >= 2:
         slope, slope_se = _ols_loglog(t[usable], resid[usable])
         threshold = 0.5 - 2.0 * 0.01 - 0.05  # 1/2 - 2 rho - 0.05 at rho = 0.01
         residual_ok = slope >= threshold
-        result.update({
-            "residual_exponent": slope,
-            "residual_exponent_se": slope_se,
-            "residual_threshold": threshold,
-            "residual_ok": residual_ok,
-        })
+        result.update({"residual_exponent": slope, "residual_exponent_se": slope_se,
+                       "residual_threshold": threshold, "residual_ok": residual_ok})
     else:
         result["residual_notes"] = "residuals below Monte Carlo resolution"
     result["verdict"] = "pass" if ratio_ok and residual_ok else "fail"

@@ -146,40 +146,13 @@ def cmd_verify_linear(cfg: RunConfig, run) -> _Outcome:
         raise ConfigError("model.linearized", "verify-linear requires the linearized switch")
     # the oracle is the law of the companion convolution V, which omega equals only
     # when nothing but the noise drives it
-    if cfg.params.beta_term and cfg.params.beta != 0.0:
+    if cfg.params.effective_beta != 0.0:
         raise ConfigError("model.beta_term", "verify-linear requires the beta term off")
     if cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes) != 0.0:
         raise ConfigError("sim.initial_condition", "verify-linear requires a zero initial condition")
-    trace = run()
-    oracle = trace.wa_half_analytic
-    # under the oracle V_k(t) ~ N(0, s_k(t)) independently, so 0.5 ||V||^2 has
-    # variance 0.5 sum_k s_k^2: the exact standard error of the mean
-    sum_sq = noise_mod.mode_variance_sum_sq(cfg.spectrum, cfg.basis.eigenvalues - cfg.params.r, trace.times)
-    oracle_se = np.sqrt(0.5 * sum_sq / trace.n_paths)
-    diff = trace.ens_mean - oracle
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(oracle_se > 0, diff / oracle_se, np.where(diff == 0.0, 0.0, np.inf))
-    # a 3-sigma two-sided level (0.27%) shared out over the positive output times;
-    # statistics is imported here, as at startup it adds 0.5 MB to every command
-    from statistics import NormalDist
-
-    n_tested = max(1, int(np.sum(trace.times > 0)))
-    z_threshold = NormalDist().inv_cdf(1.0 - 0.00135 / n_tested)
-    worst = int(np.argmax(np.abs(z)))
-    passed = bool(np.all(np.abs(z) <= z_threshold))
-    report = {
-        "times": trace.times,
-        "ens_mean": trace.ens_mean,
-        "oracle_half_variance": oracle,
-        "oracle_se": oracle_se,
-        "z_scores": z,
-        "z_threshold": z_threshold,
-        "worst_time": float(trace.times[worst]),
-        "worst_z": float(z[worst]),
-        "verdict": "pass" if passed else "fail",
-    }
-    worst_z = f"worst |z|={abs(report['worst_z']):.3g}, threshold {z_threshold:.3g}"
-    if passed:
+    report = lab.linear_oracle_check(run())
+    worst_z = f"worst |z|={abs(report['worst_z']):.3g}, threshold {report['z_threshold']:.3g}"
+    if report["verdict"] == "pass":
         code, summary = EXIT_OK, f"verify-linear: pass ({worst_z})"
     else:
         code, summary = EXIT_ORACLE, (f"verify-linear: oracle mismatch, {worst_z} "
@@ -191,7 +164,7 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
     times = cfg.sim.output_times
     lab.check_fit_times(times)
     gamma, threshold = lab.admissible_gamma(cfg.analysis["gamma"], cfg.params.nu, cfg.params.r,
-                                            cfg.params.beta if cfg.params.beta_term else 0.0, times)
+                                            cfg.params.effective_beta, times)
     mu_exp = cfg.spectrum.mu_exp
     mu_tilde = lab.admissible_mu_tilde(cfg.analysis["mu_tilde"], mu_exp)
     trace = run()

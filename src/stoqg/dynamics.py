@@ -55,6 +55,11 @@ class ModelParams:
         if self.beta < 0:
             raise ParameterError("beta", f"must be >= 0, got {self.beta}")
 
+    @property
+    def effective_beta(self) -> float:
+        """The beta the equation runs with: 0 when the beta term is switched off."""
+        return self.beta if self.beta_term else 0.0
+
 
 @dataclass(frozen=True)
 class InitialCondition:
@@ -239,7 +244,7 @@ class _Stepper:
 
         self.inv_lap = basis.to_grid2d(-1.0 / basis.sq_wavenumbers).reshape(basis.M, basis.M)
         self.advective = not params.linearized
-        self.beta = params.beta if params.beta_term else 0.0
+        self.beta = params.effective_beta
         self.needs_drift = self.advective or self.beta != 0.0
         P = dealias_resolution(basis.M)
         self.chunk = max(1, _BATCH_BLOCK_BYTES // (32 * (P - 1) * (basis.M + P - 1)))

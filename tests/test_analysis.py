@@ -267,10 +267,33 @@ class TestAsymptotics:
         np.testing.assert_allclose(ratios, 1.0, rtol=1e-12)
         # the analytic ratio divides by the trace's companion, at the solver's rates
         assert result["ratio_analytic"] == (trace.ens_mean[1:] / trace.wa_half_analytic[1:]).tolist()
-        # the 5% band widens to 3 SE of the companion where the ensemble is too small for it
-        se_band = 3.0 * trace.ens_se[1:3] / trace.wa_half_analytic[1:3]
-        assert result["ratio_tolerance"] == np.maximum(0.05, se_band).tolist()
+        # the 5% band widens to 3 exact SE of the companion where the ensemble is too small for it
+        companion = trace.wa_half_analytic[1:3]
+        allowance = np.maximum(0.05 * companion, 3.0 * trace.wa_half_se[1:3])
+        assert result["ratio_tolerance"] == (allowance / companion).tolist()
+        assert min(result["ratio_tolerance"]) > 0.05
         assert "notes" not in result
+
+    def test_zero_mode_calibration_at_lin16_dense_physics(self, noise_fault):
+        # lin16_dense's physics (64 linearized M=16 paths from rest, dt=1e-3): a path's
+        # first steps do not depend on T, so 3-step runs give the workload's two smallest
+        # output times. Over seeds 1-500 correct code fails 3 times and a 1.2x noise
+        # fault 423 times (1000 seeds: 8 and 849; the sample-SE rule gave 25 and 471).
+        spec = build_spectrum(Basis(16, 1.0), 1.0, 2.0, 0.1)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=True, beta_term=False)
+        times = np.array([0.0, 1e-3, 2e-3, 3e-3])
+
+        def failures():
+            count = 0
+            for seed in range(1, 501):
+                cfg = SimConfig(M=16, dt=1e-3, T=3e-3, output_times=times, n_paths=64, master_seed=seed)
+                trace = estimate_enstrophy(run_ensemble(cfg, params, spec), spec, params.r)
+                count += asymptotics_check(trace, "zero", delta=0.5)["verdict"] == "fail"
+            return count
+
+        assert failures() <= 5  # at most 1% false alarms
+        noise_fault(1.2)
+        assert failures() >= 400  # the fault is caught at 80% of seeds or more
 
     def test_general_mode_deterministic_decay_exponent_one(self):
         # omega_0 = phi_11, zero noise: |Ens(t) - Ens(0)| = O(t) exactly
@@ -286,6 +309,12 @@ class TestAsymptotics:
         result = asymptotics_check(trace, "general", delta=0.5, gamma_reg=1.0)
         assert result["exponent"] == pytest.approx(1.0, abs=0.05)
         assert result["verdict"] == "pass"
+
+    def test_two_point_fit_reports_no_se(self):
+        # a line through two points has no residual to estimate its SE from; JSON has no NaN
+        trace = synthetic_trace(np.array([0.0, 1e-3, 2e-3, 4e-3]), np.array([1.0, 1.0, 1.5, 2.0]))
+        result = asymptotics_check(trace, "general", delta=0.5)
+        assert result["exponent"] == pytest.approx(1.0) and result["exponent_se"] is None
 
     def test_general_mode_noise_floor(self):
         times = np.array([0.0, 1e-4, 1e-3, 1e-2])

@@ -25,6 +25,7 @@ PUBLIC_NAMES = (
     "fit_and_validate_bound",
     "gamma_threshold",
     "holder_exponent_fit",
+    "linear_oracle_check",
     "phi_alpha",
     "run_ensemble",
     "snap_output_times",

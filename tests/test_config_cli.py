@@ -429,15 +429,16 @@ class TestSimulateCommand:
         assert outputs[0] == outputs[1]
 
     def test_one_worker_run_loads_no_pool_or_masked_arrays(self, tmp_path):
-        # a 1-worker run never opens a process pool, and snapping the output times
-        # does not go through np.unique, whose first call imports numpy.ma
+        # a 1-worker run never opens a process pool, snapping the output times does
+        # not go through np.unique, whose first call imports numpy.ma, and only the
+        # linear oracle's verdict imports statistics (0.5 MB at start-up)
         cfg = base_config(str(tmp_path / "o"))
         cfg["model"].update({"linearized": False, "beta": 0.2, "beta_term": True})
         path = write_config(tmp_path, cfg)
         probe = ("import sys, stoqg.cli\n"
                  f"code = stoqg.cli.main(['simulate', '--config', {path!r}])\n"
                  "print(code, [m for m in ('numpy.ma', 'multiprocessing', "
-                 "'concurrent.futures.process') if m in sys.modules])")
+                 "'concurrent.futures.process', 'statistics') if m in sys.modules])")
         done = subprocess.run([sys.executable, "-c", probe], env=self._child_env(),
                               capture_output=True, text=True, check=True, timeout=300)
         assert done.stdout.splitlines()[-1] == "0 []"
@@ -892,9 +893,27 @@ class TestAsymptoticsCommand:
         report = json.loads((out / "asymptotics_report.json").read_text())
         assert report["verdict"] == "fail"
 
+    @pytest.mark.parametrize("command", ["asymptotics", "verify-linear"])
+    def test_zero_companion_passes_with_valid_json(self, tmp_path, command):
+        # no noise from rest: Ens(t) and its companion are both exactly 0, an exact agreement
+        out = tmp_path / "run"
+        cfg = base_config(str(out))
+        cfg["spectrum"]["c_mu"] = 0.0
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        reports = {p.name: json.loads(p.read_text(), parse_constant=reject) for p in out.glob("*.json")}
+        assert len(reports) == 3  # trace, manifest and the command's report
+        if command == "asymptotics":
+            report = reports["asymptotics_report.json"]
+            assert report["ratio_analytic"] == report["ratio_empirical"] == [None] * 10
+            assert report["ratio_tolerance"] == [None, None] and report["verdict"] == "pass"
+
     @pytest.mark.parametrize("scale, code", [(None, 0), (1.2, 6), (1.5, 6)])
     def test_lin16_dense_ratio_tolerance(self, tmp_path, noise_fault, scale, code):
-        # 64 paths: a correct run sits within 3 SE of the companion, not within 5%
+        # 64 paths: a correct run sits within 3 exact SE of the companion, not within 5%
         # (ratios 0.964 and 1.062 at seed 1), and an inflated noise still fails
         cfg = perfbench_document("lin16_dense", 1)
         cfg["io"]["out_dir"] = str(tmp_path / "run")

@@ -113,6 +113,8 @@ class TestDrift:
         diff = stepper_drift(basis8, omega, on) - stepper_drift(basis8, omega, off)
         expected = ref.drift(basis8, omega, beta=2.0, advective=False)
         np.testing.assert_allclose(diff, expected, atol=1e-12)
+        assert (on.effective_beta, off.effective_beta) == (2.0, 0.0)
+        assert stepper_for(basis8, off).beta == 0.0
 
     @pytest.mark.parametrize("M", [8, 16, 32])
     def test_jacobian_identities_on_batch(self, rng, M):
