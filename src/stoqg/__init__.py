@@ -9,8 +9,8 @@ __version__ = "0.1.0"
 from .spectral import Basis  # noqa: F401
 from .noise import (  # noqa: F401
     SummabilityError,
-    analytic_convolution_variance,
     build_spectrum,
+    companion_law,
     phi_alpha,
     spectrum_from_list,
     trace,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import EnsembleRecord
-from .noise import NoiseSpectrum, analytic_convolution_variance, mode_variance_sum_sq
+from .noise import NoiseSpectrum, companion_law
 from .spectral import ParameterError
 
 #: Optimal Poincare constant ||u|| <= c1 ||grad u|| for Dirichlet data on the
@@ -35,9 +35,9 @@ class EnstrophyTrace:
     """Time-indexed Monte Carlo estimates of the mean enstrophy.
 
     `estimate_enstrophy` always attaches the companion series: the empirical
-    and analytic halves of E||W_A||^2 (the latter at the solver's rates
-    lambda_k - r), `wa_half_se`, the exact standard error of an n_paths mean
-    of 0.5 ||W_A||^2 under the companion's Gaussian law, and the mean squared
+    and analytic halves of E||W_A||^2 (the latter from `companion_law`, at the
+    solver's rates lambda_k - r), `wa_half_se`, the exact standard error of an
+    n_paths mean of 0.5 ||W_A||^2 under that Gaussian law, and the mean squared
     residual E||omega - W_A||^2 with its standard error. A trace built by hand
     from the first four fields leaves them None, which serves the envelope and
     Hoelder checks but not the writers, `linear_oracle_check` or
@@ -120,16 +120,16 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     ens = 0.5 * np.concatenate([rec.omega_sq for rec in records])          # (n, T)
     wa = 0.5 * np.concatenate([rec.wa_sq for rec in records])
     resid = np.concatenate([rec.u_sq for rec in records])
-    scale, rates = math.sqrt(n), spectrum.basis.eigenvalues - r
+    scale, (variance, sum_sq) = math.sqrt(n), companion_law(spectrum, r, times)
     return EnstrophyTrace(
         times=times.copy(),
         ens_mean=ens.mean(axis=0),
         ens_se=ens.std(axis=0, ddof=1) / scale,
         n_paths=n,
         wa_half_empirical=wa.mean(axis=0),
-        wa_half_analytic=0.5 * analytic_convolution_variance(spectrum, rates, times),
+        wa_half_analytic=0.5 * variance,
         # W_k(t) ~ N(0, s_k(t)) independently, so 0.5 ||W_A||^2 has variance 0.5 sum_k s_k^2
-        wa_half_se=np.sqrt(0.5 * mode_variance_sum_sq(spectrum, rates, times) / n),
+        wa_half_se=np.sqrt(0.5 * sum_sq / n),
         resid_mean=resid.mean(axis=0),
         resid_se=resid.std(axis=0, ddof=1) / scale,
     )

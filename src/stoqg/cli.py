@@ -197,11 +197,11 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
                         "notes": "sum mu_k^2 |lambda_k|^theta diverges under the decay rule"})
 
     alphas = np.geomspace(1e2, 1e4, 9)
-    phi_values = np.array([noise_mod.phi_alpha(cfg.spectrum, a) for a in alphas])
-    phi_table = {
+    phi_values = [noise_mod.phi_alpha(cfg.spectrum, a) for a in alphas]
+    phi_table = {  # JSON has no Infinity: the window is None where phi = 0 (no noise)
         "alpha": alphas,
         "phi": phi_values,
-        "indicative_time_window": 1.0 / phi_values,
+        "indicative_time_window": [1.0 / phi if phi > 0 else None for phi in phi_values],
         "notes": "window t <= C/phi(alpha) has an unknown constant; indicative only",
     }
 

@@ -9,7 +9,8 @@ Pushed through a stable linear propagator with per-mode rates l_k < 0, each
 mode of the convolution is an Ornstein-Uhlenbeck process. The transition over
 a step h is Gaussian with known mean and variance, so increments are sampled
 exactly in distribution; there is no time-discretization error anywhere in
-the linear-plus-noise subsystem.
+the linear-plus-noise subsystem. `companion_law` gives that convolution's law
+from rest at the solver's rates: E||W_A(t)||^2 and the sum behind its SE.
 """
 
 from __future__ import annotations
@@ -109,34 +110,33 @@ _BLOCK_ALIGN = 64
 _BLOCK_VALUES = 2**15
 
 
-def _checked_rates(spec: NoiseSpectrum, rates) -> np.ndarray:
-    """One strictly negative rate per mode of the spectrum."""
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape != spec.mu.shape:
-        raise ValueError(f"rates must have the spectrum's shape {spec.mu.shape}, got {rates.shape}")
-    if np.any(rates >= 0):
-        raise ValueError("convolution rates must be strictly negative")
-    return rates
+def companion_law(spec: NoiseSpectrum, r: float, times) -> tuple[np.ndarray, np.ndarray]:
+    """E ||W_A(t)||^2 and sum_k s_k(t)^2 of the companion convolution from rest.
 
+    Mode k of W_A is an OU process at the solver's rate l_k = lambda_k - r, so
+    W_k(t) ~ N(0, s_k(t)) independently, s_k(t) = mu_k^2 (1 - e^(2 l_k t)) / (-2 l_k).
+    The sum of the s_k(t) is zero at t = 0, increasing and concave, saturating
+    at sum mu_k^2 / (-2 l_k); half the sum of their squares is the variance of
+    0.5 ||W_A(t)||^2. `times` is a 1-D array of times >= 0.
 
-def _ou_saturation_walk(rates: np.ndarray, t, reduce) -> np.ndarray | float:
-    """Reduce 1 - e^(2 l_k t) over the modes, one block of output times at a time.
-
-    Each block of the (times x modes) matrix is formed in one reused array and
-    handed to `reduce`, which may overwrite it and returns one value per time,
-    so memory is O(block) rather than O(times x modes). Blocks are whole
-    multiples of 64 times, and a one-time tail joins the block before it:
-    numpy sends a one-row matrix through a vector dot instead of gemv, so only
-    this rule keeps every per-time value the bits of one full-matrix reduction.
+    Both come from one exp pass per block of output times (a matmul, then an
+    in-place square-and-sum), so memory is O(block). Blocks are whole multiples
+    of 64 times, and a one-time tail joins the block before it: numpy sends a
+    one-row matrix through a vector dot instead of gemv, so only this rule keeps
+    every value the bits of one full-matrix reduction.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("time must be >= 0")
-    times = t_arr.ravel()
+    if not r >= 0:
+        raise ValueError(f"Ekman rate r must be >= 0, got {r}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or np.any(times < 0):
+        raise ValueError("times must be a 1-D array of values >= 0")
+    rates = spec.basis.eigenvalues - r
+    mu_sq, denom = spec.mu_sq, -2.0 * rates
+    per_mode = mu_sq / denom
     n_times = times.size
     step = _BLOCK_ALIGN * max(1, _BLOCK_VALUES // (_BLOCK_ALIGN * rates.size))
     block = np.empty((min(n_times, step + 1), rates.size))
-    out = np.empty(n_times)
+    variance, sum_sq = np.empty(n_times), np.empty(n_times)
     start = 0
     while start < n_times:
         stop = n_times if n_times - (start + step) <= 1 else start + step
@@ -145,44 +145,13 @@ def _ou_saturation_walk(rates: np.ndarray, t, reduce) -> np.ndarray | float:
         rows *= 2.0
         np.exp(rows, out=rows)
         np.subtract(1.0, rows, out=rows)
-        out[start:stop] = reduce(rows)
-        start = stop
-    return out.reshape(t_arr.shape) if t_arr.shape else float(out[0])
-
-
-def analytic_convolution_variance(spec: NoiseSpectrum, rates: np.ndarray, t) -> np.ndarray | float:
-    """E ||W(t)||^2 of the mode-wise OU system with the given negative rates.
-
-    Equals sum_k mu_k^2 (1 - e^(2 l_k t)) / (-2 l_k): zero at t = 0, strictly
-    increasing and concave in t, saturating at sum mu_k^2 / (-2 l_k). `rates`
-    holds one rate per mode of the spectrum. The sum over modes is one matmul
-    per block of output times (whole multiples of 64 times, a one-time tail
-    merged into the block before it), which gives the bits of one matmul over
-    all times.
-    """
-    rates = _checked_rates(spec, rates)
-    per_mode = spec.mu_sq / (-2.0 * rates)
-    return _ou_saturation_walk(rates, t, lambda rows: rows @ per_mode)
-
-
-def mode_variance_sum_sq(spec: NoiseSpectrum, rates: np.ndarray, t) -> np.ndarray | float:
-    """sum_k s_k(t)^2 of the per-mode variances s_k(t) = mu_k^2 (1 - e^(2 l_k t)) / (-2 l_k).
-
-    Half of it is the variance of 0.5 ||W(t)||^2, since W_k(t) ~ N(0, s_k(t))
-    independently. Reduced over the same blocks of output times as
-    `analytic_convolution_variance` (whole multiples of 64 times, a one-time
-    tail merged), with the bits of one full-matrix `np.sum(s**2, axis=1)`.
-    """
-    rates = _checked_rates(spec, rates)
-    mu_sq, denom = spec.mu_sq, -2.0 * rates
-
-    def reduce(rows):
+        variance[start:stop] = rows @ per_mode
         rows *= mu_sq
         rows /= denom
         np.square(rows, out=rows)
-        return rows.sum(axis=1)
-
-    return _ou_saturation_walk(rates, t, reduce)
+        sum_sq[start:stop] = rows.sum(axis=1)
+        start = stop
+    return variance, sum_sq
 
 
 def stationary_tail_bound(spec: NoiseSpectrum) -> float:

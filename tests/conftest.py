@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,5 +35,24 @@ def noise_fault(monkeypatch):
 
     def inject(scale: float):
         monkeypatch.setattr(stoqg.dynamics, "ou_transition_std", lambda *args: scale * exact(*args))
+
+    return inject
+
+
+@pytest.fixture()
+def rate_fault(monkeypatch):
+    """`rate_fault(delta)` runs the solver at the Ekman rate r + delta for the rest of the test.
+
+    Only `_Stepper` sees the shifted rate; `estimate_enstrophy` and the law in
+    `stoqg.noise` keep the config's r. Like `noise_fault`, the patch lives in
+    this process, so a faulted run keeps to one worker.
+    """
+    exact = stoqg.dynamics._Stepper
+
+    def inject(delta: float):
+        def shifted(params, spectrum, dt):
+            return exact(dataclasses.replace(params, r=params.r + delta), spectrum, dt)
+
+        monkeypatch.setattr(stoqg.dynamics, "_Stepper", shifted)
 
     return inject

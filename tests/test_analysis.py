@@ -16,7 +16,9 @@ from stoqg import (
     fit_and_validate_bound,
     gamma_threshold,
     holder_exponent_fit,
+    linear_oracle_check,
     run_ensemble,
+    snap_output_times,
     theorem2_shape,
     trace_class_envelope,
     validate_bound,
@@ -247,6 +249,28 @@ class TestHolderFit:
         expected = [(t0 + h) ** 0.75 - t0**0.75 for h in lags]
         np.testing.assert_allclose(result["max_increments"], expected, rtol=1e-9)
         assert result["verdict"] == "pass"
+
+
+class TestLinearOracle:
+    def test_calibration_at_lin16_dense_physics(self, noise_fault):
+        # lin16_dense's physics (64 linearized M=16 paths from rest, dt=1e-3) at T = 0.1,
+        # an output at each step: over seeds 1-50 correct code fails 0 times, a 1.1x
+        # noise fault 18 times and a 1.2x one 47 times
+        spec = build_spectrum(Basis(16, 1.0), 1.0, 2.0, 0.1)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=True, beta_term=False)
+        times = snap_output_times(np.linspace(0.0, 0.1, 101), 1e-3, 0.1)
+
+        def failures():
+            count = 0
+            for seed in range(1, 51):
+                cfg = SimConfig(M=16, dt=1e-3, T=0.1, output_times=times, n_paths=64, master_seed=seed)
+                trace = estimate_enstrophy(run_ensemble(cfg, params, spec), spec, params.r)
+                count += linear_oracle_check(trace)["verdict"] == "fail"
+            return count
+
+        assert failures() <= 1  # at most 2% false alarms
+        noise_fault(1.2)
+        assert failures() >= 40  # the fault is caught at 80% of seeds or more
 
 
 class TestAsymptotics:

@@ -18,9 +18,9 @@ PUBLIC_NAMES = (
     "ModelParams",
     "SimConfig",
     "SummabilityError",
-    "analytic_convolution_variance",
     "asymptotics_check",
     "build_spectrum",
+    "companion_law",
     "estimate_enstrophy",
     "fit_and_validate_bound",
     "gamma_threshold",

@@ -625,6 +625,19 @@ class TestVerifyLinearCommand:
         noise_fault(1.1)
         assert main(["verify-linear", "--config", write_config(tmp_path, cfg)]) == 4
 
+    def test_gross_rate_fault_caught_at_many_output_times(self, tmp_path, rate_fault):
+        # the solver at r + delta against the oracle at r: over seeds 1-20 the verdict
+        # fails at all 20 for delta = 40 and at none for delta = 20 (or no fault), so
+        # 64 paths see only gross rate faults
+        def codes():
+            return [main(["verify-linear", "--config",
+                          write_config(tmp_path, self.lin16_dense_cfg(str(tmp_path / "run"), seed))])
+                    for seed in range(1, 6)]
+
+        assert codes() == [0] * 5
+        rate_fault(40.0)
+        assert codes() == [4] * 5
+
     def test_oracle_se_is_exact(self, tmp_path):
         # the standard error of 0.5 ||V(t)||^2 under the oracle, not of the sample
         out = tmp_path / "run"
@@ -710,6 +723,22 @@ class TestBoundsCommand:
         assert header[:3] == ["time", "ens_mean", "ens_se"]
         assert "envelope_trace_class" in header
         assert header[-1] == "analytic_wa_var"
+
+    @pytest.mark.parametrize("spectrum", [{"c_mu": 0.0, "mu_exp": 2.0, "theta": 0.1},
+                                          {"mu_sq_list": [0.0] * 16, "theta": 0.1}])
+    def test_zero_noise_writes_strict_json(self, tmp_path, spectrum):
+        # phi(alpha) = 0 without noise, so 1/phi once went out as a bare Infinity token
+        out = tmp_path / "run"
+        cfg = base_config(str(out))
+        cfg["spectrum"] = spectrum
+        assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        docs = {path.name: json.loads(path.read_text(), parse_constant=reject) for path in out.glob("*.json")}
+        assert docs.keys() == {"bounds_report.json", "manifest.json", "trace.json"}
+        assert docs["bounds_report.json"]["phi_table"]["indicative_time_window"] == [None] * 9
 
     def test_violated_bound_exit_5(self, tmp_path, capsys, noise_fault):
         # solver-only noise inflation pushes the true enstrophy far above

@@ -17,8 +17,8 @@ from stoqg import (
     InitialCondition,
     ModelParams,
     SimConfig,
-    analytic_convolution_variance,
     build_spectrum,
+    companion_law,
     estimate_enstrophy,
     run_ensemble,
     snap_output_times,
@@ -568,9 +568,7 @@ class TestEnsembleStatistics:
         ens = 0.5 * np.concatenate([r.omega_sq for r in records])
         mean = ens.mean(axis=0)
         se = ens.std(axis=0, ddof=1) / np.sqrt(len(ens))
-        oracle = 0.5 * analytic_convolution_variance(
-            spec, b.eigenvalues - params.r, cfg.output_times
-        )
+        oracle = 0.5 * companion_law(spec, params.r, cfg.output_times)[0]
         assert np.all(np.abs(mean - oracle) <= 3.0 * np.maximum(se, 1e-300))
 
 

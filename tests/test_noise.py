@@ -14,13 +14,13 @@ from scipy import stats
 from stoqg import (
     Basis,
     SummabilityError,
-    analytic_convolution_variance,
     build_spectrum,
+    companion_law,
     phi_alpha,
     spectrum_from_list,
     trace,
 )
-from stoqg.noise import mode_variance_sum_sq, ou_transition_std, stationary_tail_bound
+from stoqg.noise import ou_transition_std, stationary_tail_bound
 
 
 def basis_with_lambda(value: float):
@@ -130,27 +130,29 @@ class TestPhiAlpha:
 
 class TestAnalyticVariance:
     def test_single_mode_value(self):
+        # s(1) = (1 - e^-2) / 2 at l = -1, and a one-mode sum of squares is s^2
         spec = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
-        var = analytic_convolution_variance(spec, np.array([-1.0]), 1.0)
-        assert var == pytest.approx(0.43233235838169365, rel=1e-14)
+        var, sum_sq = companion_law(spec, 0.0, np.array([1.0]))
+        assert var[0] == pytest.approx(0.43233235838169365, rel=1e-14)
+        assert sum_sq[0] == pytest.approx(0.43233235838169365**2, rel=1e-14)
 
     def test_zero_at_time_zero(self):
         b = Basis(3, 1.0)
         spec = build_spectrum(b, 2.0, 1.5, 0.2)
-        assert analytic_convolution_variance(spec, b.eigenvalues, 0.0) == 0.0
+        var, sum_sq = companion_law(spec, 0.1, np.array([0.0]))
+        assert var.tolist() == [0.0] and sum_sq.tolist() == [0.0]
 
     def test_increasing_concave_saturating(self):
-        b = Basis(3, 1.0)
+        b = Basis(3, 0.05)  # slow decay keeps increments resolvable
         spec = build_spectrum(b, 2.0, 1.5, 0.2)
-        rates = b.eigenvalues / 20.0  # slow decay keeps increments resolvable
         ts = np.linspace(0.0, 2.0, 50)
-        var = analytic_convolution_variance(spec, rates, ts)
+        var, _ = companion_law(spec, 0.0, ts)
         assert np.all(np.diff(var) > 0)
         assert np.all(np.diff(var, 2) < 1e-12)
-        limit = np.sum(spec.mu_sq / (-2.0 * rates))
+        limit = np.sum(spec.mu_sq / (-2.0 * b.eigenvalues))
         assert var[-1] <= limit
-        far = analytic_convolution_variance(spec, rates, 50.0)
-        assert far == pytest.approx(limit, rel=1e-9)
+        far, _ = companion_law(spec, 0.0, np.array([50.0]))
+        assert far[0] == pytest.approx(limit, rel=1e-9)
 
     def test_small_time_growth_exponent(self):
         # consistency with the small-time power law: slope >= delta - 0.05
@@ -158,42 +160,35 @@ class TestAnalyticVariance:
         b = Basis(32, 1.0)
         spec = build_spectrum(b, 1.0, delta, 0.1)
         ts = np.geomspace(1e-5, 1e-3, 9)
-        var = analytic_convolution_variance(spec, b.eigenvalues, ts)
+        var, _ = companion_law(spec, 0.0, ts)
         slope = np.polyfit(np.log(ts), np.log(var), 1)[0]
         assert slope >= delta - 0.05
 
-    def test_rejects_nonnegative_rates(self):
+    def test_rejects_negative_r(self):
         spec = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
-        with pytest.raises(ValueError):
-            analytic_convolution_variance(spec, np.array([0.0]), 1.0)
+        for r in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="Ekman rate"):
+                companion_law(spec, r, np.array([1.0]))
 
-    @pytest.mark.parametrize("reduce", [analytic_convolution_variance, mode_variance_sum_sq])
-    def test_rejects_rates_off_the_spectrum_shape(self, reduce):
-        # three rates on a one-mode spectrum once summed three "modes" (1.5 at
-        # saturation, where the answer is 0.5); one rate on four modes failed
-        # inside numpy's matmul
-        one_mode = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
-        with pytest.raises(ValueError, match=r"spectrum's shape \(1,\), got \(3,\)"):
-            reduce(one_mode, np.full(3, -1.0), 50.0)
-        four_modes = build_spectrum(Basis(2, 1.0), 1.0, 2.0, 0.5)
-        with pytest.raises(ValueError, match=r"spectrum's shape \(4,\), got \(1,\)"):
-            reduce(four_modes, np.array([-1.0]), 1.0)
+    @pytest.mark.parametrize("times", [np.array([0.0, -1e-3]), 1.0, np.ones((2, 2))])
+    def test_rejects_negative_or_non_1d_times(self, times):
+        spec = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
+        with pytest.raises(ValueError, match="1-D array of values >= 0"):
+            companion_law(spec, 0.1, times)
 
     def test_memory_does_not_grow_with_output_times(self):
         # 4001 times x 1024 modes is 32.8 MB as one matrix; the blocked walk
         # holds one block of 64 times (0.5 MiB)
         b = Basis(32, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
-        rates = b.eigenvalues - 0.1
         times = np.linspace(0.0, 4.0, 4001)
-        for reduce in (analytic_convolution_variance, mode_variance_sum_sq):
-            tracemalloc.start()
-            try:
-                reduce(spec, rates, times)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 2**20, (reduce.__name__, peak)
+        tracemalloc.start()
+        try:
+            companion_law(spec, 0.1, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 # Runs in a child with one BLAS thread, where the one-matrix formulas have
@@ -202,7 +197,7 @@ _BLOCK_BITS_PROBE = """
 import json, sys
 import numpy as np
 from stoqg import Basis, build_spectrum
-from stoqg.noise import analytic_convolution_variance, mode_variance_sum_sq
+from stoqg.noise import companion_law
 
 out = {}
 for M, counts in json.loads(sys.argv[1]):
@@ -213,8 +208,8 @@ for M, counts in json.loads(sys.argv[1]):
         t = np.linspace(0.0, 0.5, n)
         sat = 1.0 - np.exp(2.0 * np.outer(t, rates))
         s = spec.mu_sq * sat / (-2.0 * rates)
-        pairs = [(analytic_convolution_variance(spec, rates, t), sat @ (spec.mu_sq / (-2.0 * rates))),
-                 (mode_variance_sum_sq(spec, rates, t), np.sum(s**2, axis=1))]
+        variance, sum_sq = companion_law(spec, 0.1, t)
+        pairs = [(variance, sat @ (spec.mu_sq / (-2.0 * rates))), (sum_sq, np.sum(s**2, axis=1))]
         out[f"{M},{n}"] = [[a.tobytes().hex(), b.tobytes().hex()] for a, b in pairs]
 print(json.dumps(out))
 """
