@@ -67,7 +67,6 @@ class BoundEnvelope:
 
     kind: str
     params: dict
-    times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
@@ -213,7 +212,7 @@ def trace_class_envelope(ens0: float, gamma: float, tr_q: float, times) -> Bound
     params = {"ens0": ens0, "gamma": gamma, "tr_q": tr_q, "gamma_zero_limit_form": gamma == 0.0}
     if gamma < 0:
         params["long_time_limit"] = -tr_q / (4.0 * gamma)
-    return BoundEnvelope("trace_class", params, times, values)
+    return BoundEnvelope("trace_class", params, values)
 
 
 def admissible_mu_tilde(mu_tilde: float | None, mu_exp: float | None) -> float | None:
@@ -229,30 +228,17 @@ def admissible_mu_tilde(mu_tilde: float | None, mu_exp: float | None) -> float |
     return mu_tilde
 
 
-def theorem2_shape(
-    case: str,
-    e_omega0_sq: float,
-    gamma: float,
-    times,
-    mu_tilde: float | None = None,
-    mu_exp: float | None = None,
-) -> np.ndarray:
-    """Unit-constant envelope shape of the global polynomial-growth bounds.
+def theorem2_shape(e_omega0_sq: float, gamma: float, times, mu_tilde: float) -> np.ndarray:
+    """Unit-constant envelope shape of the global polynomial-growth bounds of Theorem 2.
 
-    Case "a" uses the exponent (2 - mu_tilde)/mu_tilde on the prefactor of
-    the exponential integral; case "b" uses exponent 1. The multiplicative
-    constant is left to the fitting protocol.
+    The exponential integral carries the prefactor t^((2 - mu_tilde)/mu_tilde);
+    Theorem 2(b) is the shape at mu_tilde = 1, whose power is exactly 1. The
+    multiplicative constant is left to the fitting protocol.
     """
     times = np.asarray(times, dtype=float)
-    if case == "a":
-        if mu_tilde is None or mu_exp is None:
-            raise ValueError("case (a) needs mu_tilde and mu_exp")
-        admissible_mu_tilde(mu_tilde, mu_exp)
-        power = (2.0 - mu_tilde) / mu_tilde
-    elif case == "b":
-        power = 1.0
-    else:
-        raise ValueError(f"unknown envelope case {case!r}")
+    if mu_tilde is None or not mu_tilde > 0.0:
+        raise ValueError(f"theorem2_shape needs a positive mu_tilde, got {mu_tilde}")
+    power = (2.0 - mu_tilde) / mu_tilde
     growth, integral = _growth(gamma, times)
     # t^power * integral is O(t^(2/mu_tilde)), so it tends to 0 at t = 0 even for the
     # negative power of mu_tilde > 2, where the product evaluates to inf * 0
@@ -307,7 +293,7 @@ def fit_and_validate_bound(
     if not np.isfinite(c_fit):
         return BoundReport(kind=kind, verdict="not_applicable", notes="no finite constant dominates the prefix")
 
-    envelope = BoundEnvelope(kind, dict(params or {}, C=c_fit), trace.times, c_fit * shape_values)
+    envelope = BoundEnvelope(kind, dict(params or {}, C=c_fit), c_fit * shape_values)
     report = validate_bound(trace, envelope, start=n_fit)
     report.fitted = {"C": c_fit, "n_fit": n_fit}
     return report
@@ -408,14 +394,12 @@ def holder_exponent_fit(trace: EnstrophyTrace, window: tuple[float, float], lags
     return result
 
 
-def check_asymptotics(mode: str, delta: float, gamma_reg: float) -> None:
-    """The small-time check runs in mode "zero" or "general", delta in (0, 1), gamma_reg in (0, 1]."""
+def check_asymptotics(mode: str, delta: float) -> None:
+    """The small-time check runs in mode "zero" or "general", delta in (0, 1)."""
     if mode not in ("zero", "general"):
         raise ParameterError("mode", f"must be 'zero' or 'general', got {mode!r}")
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta", f"must lie in (0, 1), got {delta:g}")
-    if not 0.0 < gamma_reg <= 1.0:
-        raise ParameterError("gamma_reg", f"must lie in (0, 1], got {gamma_reg:g}")
 
 
 def check_small_times(times) -> None:
@@ -424,17 +408,12 @@ def check_small_times(times) -> None:
         raise ParameterError("output_times", "must include >= 3 positive times for the asymptotics check")
 
 
-def asymptotics_check(
-    trace: EnstrophyTrace,
-    mode: str,
-    delta: float,
-    gamma_reg: float = 1.0,
-    ens0: float | None = None,
-) -> dict:
+def asymptotics_check(trace: EnstrophyTrace, mode: str, delta: float, ens0: float | None = None) -> dict:
     """Small-time behaviour of Ens(t) against the convolution asymptotics.
 
     mode "general": fits the exponent of |Ens(t) - Ens(0)| and passes when it
-    reaches min(gamma_reg, delta/2) - 0.05.
+    reaches delta/2 - 0.05 (a Galerkin initial condition is a trigonometric
+    polynomial, so its Hoelder exponent 1 never lowers the floor min(1, delta/2)).
     mode "zero": compares Ens(t) with the trace's half analytic E||W_A(t)||^2
     (the solver's rates lambda_k - r) and requires |Ens - companion| <=
     max(0.05 companion, 3 wa_half_se) at the two smallest positive times (the
@@ -444,7 +423,7 @@ def asymptotics_check(
     1/2 - 2 rho - 0.05 at rho = 0.01. ens0 is ignored. Raises ValueError for
     a hand-built trace without the companions.
     """
-    check_asymptotics(mode, delta, gamma_reg)
+    check_asymptotics(mode, delta)
     check_small_times(trace.times)
     pos = trace.times > 0
     t = trace.times[pos]
@@ -462,7 +441,7 @@ def asymptotics_check(
             return {"mode": mode, "verdict": "not_applicable",
                     "notes": "deviations from Ens(0) below Monte Carlo resolution"}
         slope, slope_se = _ols_loglog(t[usable], dev[usable])
-        threshold = min(gamma_reg, delta / 2.0) - 0.05
+        threshold = delta / 2.0 - 0.05
         return {"mode": mode, "ens0": ens0, "exponent": slope, "exponent_se": slope_se,
                 "threshold": threshold, "verdict": "pass" if slope >= threshold else "fail"}
 

@@ -179,22 +179,19 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
         reports.append({"kind": "trace_class", "verdict": "not_applicable",
                         "notes": "spectrum is not trace-class"})
 
-    if mu_exp is not None and mu_tilde is not None:
-        shape = lab.theorem2_shape("a", e0, gamma, times, mu_tilde, mu_exp)
-        rep = lab.fit_and_validate_bound(trace, shape, kind="theorem2a",
-                                         params={"gamma": gamma, "mu_tilde": mu_tilde})
-        reports.append(rep.to_dict())
-    else:
-        reports.append({"kind": "theorem2a", "verdict": "not_applicable",
-                        "notes": "no power-law decay rule available"})
-
-    if mu_exp is None or mu_exp - cfg.spectrum.theta > 1.0:  # sum mu_k^2 |lambda_k|^theta converges
-        shape = lab.theorem2_shape("b", e0, gamma, times)
-        rep = lab.fit_and_validate_bound(trace, shape, kind="theorem2b", params={"gamma": gamma})
-        reports.append(rep.to_dict())
-    else:
-        reports.append({"kind": "theorem2b", "verdict": "not_applicable",
-                        "notes": "sum mu_k^2 |lambda_k|^theta diverges under the decay rule"})
+    # Theorem 2(b) is 2(a)'s shape at mu_tilde = 1: (kind, premise, shape's mu_tilde, params, notes)
+    theorem2 = (
+        ("theorem2a", mu_exp is not None and mu_tilde is not None, mu_tilde,
+         {"gamma": gamma, "mu_tilde": mu_tilde}, "no power-law decay rule available"),
+        ("theorem2b", mu_exp is None or mu_exp - cfg.spectrum.theta > 1.0, 1.0,
+         {"gamma": gamma}, "sum mu_k^2 |lambda_k|^theta diverges under the decay rule"),
+    )
+    for kind, premise, shape_mu, params, notes in theorem2:
+        if premise:
+            shape = lab.theorem2_shape(e0, gamma, times, shape_mu)
+            reports.append(lab.fit_and_validate_bound(trace, shape, kind=kind, params=params).to_dict())
+        else:
+            reports.append({"kind": kind, "verdict": "not_applicable", "notes": notes})
 
     alphas = np.geomspace(1e2, 1e4, 9)
     phi_values = [noise_mod.phi_alpha(cfg.spectrum, a) for a in alphas]
@@ -252,14 +249,13 @@ def cmd_holder(cfg: RunConfig, run) -> _Outcome:
 
 def cmd_asymptotics(cfg: RunConfig, run) -> _Outcome:
     asym = cfg.analysis["asymptotics"]
-    lab.check_small_times(cfg.sim.output_times)  # mode, delta and gamma_reg were checked at load
+    lab.check_small_times(cfg.sim.output_times)  # mode and delta were checked at load
     ens0 = 0.5 * cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
     # zero mode's premise is omega(0) = 0: only from rest does Ens(t) start out as the convolution's
     if asym["mode"] == "zero" and ens0 != 0.0:
         raise ConfigError("analysis.asymptotics.mode", "zero mode requires a zero initial condition")
     trace = run()
-    result = lab.asymptotics_check(trace, asym["mode"], asym["delta"], gamma_reg=asym["gamma_reg"],
-                                   ens0=ens0)
+    result = lab.asymptotics_check(trace, asym["mode"], asym["delta"], ens0=ens0)
     return _Outcome(EXIT_REGULARITY if result["verdict"] == "fail" else EXIT_OK,
                     f"asymptotics[{asym['mode']}]: {result['verdict']}",
                     reports={"asymptotics_report.json": result})

@@ -80,8 +80,7 @@ _SCHEMA = {
     "analysis": ({
         "gamma": (float, None), "mu_tilde": (float, None),
         "holder": ({"window": (_NUMBERS, _OPTIONAL), "lags": (_NUMBERS, _OPTIONAL)}, {}),
-        "asymptotics": ({"mode": (str, "zero"), "delta": (float, 0.5),
-                         "gamma_reg": (float, 1.0)}, {}),
+        "asymptotics": ({"mode": (str, "zero"), "delta": (float, 0.5)}, {}),
     }, {}),
     "io": ({"out_dir": (str, "out"), "write_trajectories": (bool, False)}, {}),
 }

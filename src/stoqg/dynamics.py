@@ -158,7 +158,10 @@ class SimConfig:
 
 
 def snap_output_times(times, dt: float, T: float) -> np.ndarray:
-    """Snap requested output times onto the step grid, warning on movement."""
+    """Snap requested output times onto the step grid, warning on movement.
+
+    A time that would snap past T takes the last step on or before T.
+    """
     times = np.asarray(times, dtype=float)
     snapped = np.rint(times / dt) * dt
     moved = np.abs(snapped - times) > 1e-9 * np.maximum(np.abs(times), dt)
@@ -167,9 +170,12 @@ def snap_output_times(times, dt: float, T: float) -> np.ndarray:
             f"snapped {int(np.sum(moved))} output time(s) onto the dt={dt} grid",
             stacklevel=2,
         )
+    last = np.rint(T / dt)  # the last step on or before T, within SimConfig's tolerance
+    if last * dt > T + 1e-9 * T:  # an off-grid T whose fractional step is >= 1/2
+        last -= 1.0
     # sorted, each entry kept unless it equals its left neighbour: np.unique's
     # result, without the numpy.ma import its first call costs every process
-    snapped = np.sort(np.clip(snapped, 0.0, np.rint(T / dt) * dt))
+    snapped = np.sort(np.clip(snapped, 0.0, last * dt))
     keep = np.empty(snapped.shape, dtype=bool)
     keep[:1] = True
     np.not_equal(snapped[1:], snapped[:-1], out=keep[1:])

@@ -275,8 +275,7 @@ def test_criterion_8_small_time_asymptotics():
                         n_paths=2, master_seed=83,
                         initial_condition=InitialCondition("coeffs", coeffs=(1.0, 0, 0, 0)))
     tr_iii = estimate_enstrophy(run_ensemble(cfg_iii, det, spectrum0), spectrum0, det.r)
-    res_iii = asymptotics_check(tr_iii, "general", delta=delta,
-                                gamma_reg=1.0, ens0=0.5)
+    res_iii = asymptotics_check(tr_iii, "general", delta=delta, ens0=0.5)
     assert res_iii["exponent"] == pytest.approx(1.0, abs=0.05)
     report(8, f"asymptotics: linear ratio == 1 exactly; nonlinear ratios "
               f"{ratio2.round(4)}; residual exponent "

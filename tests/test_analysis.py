@@ -138,39 +138,34 @@ class TestTraceClassEnvelope:
 
 class TestTheorem2:
     def test_case_b_frozen_value(self):
-        # closed-form integral: t (1 - e^(2 gamma t)) / (-2 gamma) + 1 at t=1
-        shape = theorem2_shape("b", 0.0, -1.0, np.array([1.0]))
+        # Theorem 2(b) is the shape at mu_tilde = 1; closed-form integral:
+        # t (1 - e^(2 gamma t)) / (-2 gamma) + 1 at t=1
+        shape = theorem2_shape(0.0, -1.0, np.array([1.0]), 1.0)
         assert shape[0] == pytest.approx(0.43233235838169365 + 1.0, rel=1e-12)
-
-    def test_case_a_with_unit_exponent_matches_case_b(self):
-        times = np.linspace(0.0, 2.0, 7)
-        a = theorem2_shape("a", 1.5, -0.7, times, mu_tilde=1.0, mu_exp=2.0)
-        b = theorem2_shape("b", 1.5, -0.7, times)
-        np.testing.assert_allclose(a, b, rtol=1e-14)
 
     def test_value_at_time_zero(self):
         # E||omega_0||^2 + 1, whatever gamma
-        assert theorem2_shape("b", 4.0, -1.0, np.array([0.0]))[0] == pytest.approx(4.0 + 1.0)
+        assert theorem2_shape(4.0, -1.0, np.array([0.0]), 1.0)[0] == pytest.approx(4.0 + 1.0)
 
     def test_time_zero_limit_of_negative_power(self):
         # mu_tilde > 2 gives t a negative power, but t^power * int_0^t e^(2 gamma s) ds
         # is O(t^(2/mu_tilde)) and tends to 0; a RuntimeWarning fails the suite
         times = np.array([0.0, 0.05, 0.1])
-        shape = theorem2_shape("a", 4.0, -1.0, times, mu_tilde=2.5, mu_exp=3.0)
+        shape = theorem2_shape(4.0, -1.0, times, 2.5)
         assert shape[0] == 4.0 + 1.0
         assert np.all(np.isfinite(shape))
 
     def test_rejects_bad_mu_tilde(self):
-        with pytest.raises(ValueError):
-            theorem2_shape("a", 0.0, -1.0, np.array([1.0]), mu_tilde=2.5, mu_exp=2.0)
-        with pytest.raises(ValueError):
-            theorem2_shape("a", 0.0, -1.0, np.array([1.0]), mu_tilde=None, mu_exp=2.0)
+        # mu_tilde < mu_exp, Theorem 2(a)'s premise, is checked at load by admissible_mu_tilde
+        for mu_tilde in (None, 0.0, -0.5):
+            with pytest.raises(ValueError):
+                theorem2_shape(0.0, -1.0, np.array([1.0]), mu_tilde)
 
 
 class TestFitProtocol:
     def test_self_consistency_recovers_constant(self):
         times = np.linspace(0.0, 1.0, 12)
-        shape = theorem2_shape("b", 1.0, -2.0, times)
+        shape = theorem2_shape(1.0, -2.0, times, 1.0)
         trace = synthetic_trace(times, 2.0 * shape)
         report = fit_and_validate_bound(trace, shape, kind="theorem2b")
         assert report.verdict == "pass"
@@ -178,7 +173,7 @@ class TestFitProtocol:
 
     def test_fit_recovers_generating_constant_within_1pct(self):
         times = np.linspace(0.0, 2.0, 16)
-        shape = theorem2_shape("b", 0.5, -1.0, times)
+        shape = theorem2_shape(0.5, -1.0, times, 1.0)
         trace = synthetic_trace(times, 3.7 * shape, se=1e-4 * shape)
         report = fit_and_validate_bound(trace, shape)
         assert report.fitted["C"] == pytest.approx(3.7, rel=0.01)
@@ -330,7 +325,7 @@ class TestAsymptotics:
                         n_paths=2, master_seed=1,
                         initial_condition=InitialCondition("coeffs", coeffs=(1.0, 0.0, 0.0, 0.0)))
         trace = estimate_enstrophy(run_ensemble(cfg, params, spec), spec, params.r)
-        result = asymptotics_check(trace, "general", delta=0.5, gamma_reg=1.0)
+        result = asymptotics_check(trace, "general", delta=0.5)
         assert result["exponent"] == pytest.approx(1.0, abs=0.05)
         assert result["verdict"] == "pass"
 

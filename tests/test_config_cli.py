@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import stoqg.cli
 import stoqg.config
 import stoqg.noise
+from stoqg.analysis import theorem2_shape
 from stoqg.cli import main
 from stoqg.config import ConfigError, config_sha256, materialize, normalize, read_document
 
@@ -65,6 +67,23 @@ def base_config(out_dir: str, **sim_overrides) -> dict:
         "analysis": {},
         "io": {"out_dir": out_dir},
     }
+
+
+def schema_leaves() -> set[str]:
+    """Every leaf key path `config._SCHEMA` declares, each variant's keys included."""
+    paths = set(stoqg.config._key_paths())
+    return paths - {path.rpartition(".")[0] for path in paths}
+
+
+def readme_table(header: str) -> list[list[str]]:
+    """The body rows of the README table under `header`, one list of cells a row."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:  # past the |---| rule
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -117,6 +136,19 @@ class TestConfigSchema:
         with pytest.warns(UserWarning):
             doc = normalize(cfg)
         assert doc["sim"]["output_times"]["times"] == [0.0, 0.01, 0.05]
+
+    @pytest.mark.parametrize("T, dt, output_times, k", [
+        (0.5, 0.3, {"kind": "uniform", "n": 2}, 1),
+        (0.5, 0.3, {"kind": "geometric", "n": 2, "t_min": 0.1}, 1),
+        (0.0106, 1e-3, {"kind": "explicit", "times": [0.0, 0.0106]}, 10),
+    ])
+    def test_time_rounding_past_off_grid_T_takes_last_step(self, tmp_path, T, dt, output_times, k):
+        # T / dt has a fractional step >= 1/2, so rounding T lands a step beyond T
+        out = tmp_path / "run"
+        cfg = base_config(str(out), T=T, dt=dt, output_times=output_times)
+        with pytest.warns(UserWarning, match="snapped"):
+            assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert json.loads((out / "trace.json").read_text())["times"] == [0.0, k * dt]
 
     @pytest.mark.parametrize("times", [[-0.5, 0.1, 5.0], [-0.01, 0.1], [0.0, 1.01]])
     def test_explicit_times_outside_run_are_rejected(self, tmp_path, times):
@@ -171,9 +203,6 @@ class TestConfigSchema:
         ("analysis.asymptotics", "mode", "weird"),
         ("analysis.asymptotics", "delta", 1.5),
         ("analysis.holder", "window", [0.05, 0.01]),
-        ("analysis.asymptotics", "gamma_reg", 0.0),  # a Hoelder exponent lies in (0, 1]
-        ("analysis.asymptotics", "gamma_reg", -1.0),
-        ("analysis.asymptotics", "gamma_reg", 1.5),
         # counts numpy cannot size an array by: ValueError, not MemoryError, past the rule
         ("sim", "M", 2**64),
         ("sim", "n_paths", 2**64),
@@ -216,6 +245,7 @@ class TestConfigSchema:
         ("analysis", "c1", 1.0),
         ("analysis.asymptotics", "rho", 0.01),
         ("sim", "noise_fault_scale", 2.0),
+        ("analysis.asymptotics", "gamma_reg", 1.0),  # a Galerkin initial condition is smooth
     ])
     def test_retired_key_exit_2(self, tmp_path, capsys, section, key, value):
         cfg = base_config(str(tmp_path / "o"))
@@ -237,11 +267,9 @@ class TestConfigSchema:
             "sim.initial_condition.values", "sim.initial_condition.sigma",
             "analysis.gamma", "analysis.mu_tilde", "analysis.holder.window", "analysis.holder.lags",
             "analysis.asymptotics.mode", "analysis.asymptotics.delta",
-            "analysis.asymptotics.gamma_reg", "io.out_dir", "io.write_trajectories",
+            "io.out_dir", "io.write_trajectories",
         }
-        paths = set(stoqg.config._key_paths())  # every variant's keys included
-        leaves = paths - {path.rpartition(".")[0] for path in paths}
-        assert len(pinned) == 31 and leaves == pinned
+        assert len(pinned) == 30 and schema_leaves() == pinned
 
         def leaf_paths(doc, prefix=""):
             for key, value in doc.items():
@@ -257,11 +285,18 @@ class TestConfigSchema:
         for doc in (cfg, listed):
             assert set(leaf_paths(normalize(doc))) <= pinned
 
+    def test_readme_tables_list_every_leaf_key(self):
+        # a knob documented but not declared, or declared but not documented, fails here
+        documented = {row[0].strip("`") for row in readme_table("| Key | Type | Default |")}
+        documented |= {f"{row[0].strip('`')}.{key}" for row in readme_table("| Section | Variant | Keys |")
+                       for key in re.findall(r"`(\w+)`", row[2])}
+        assert documented == schema_leaves()
+
     @pytest.mark.parametrize("name, digest", [
-        ("readme", "a12d985e44456cdc5985e831205c854a4267f913f198cdb114ee3ac155cd54da"),
-        ("nl16_pool", "385af3ecc70edeaa648773300d5cdbf419980ff9b87bcc461b45954dd3678597"),
-        ("lin16_dense", "94847629b1cfbbdf050cbbcad2a1d8f3af282aa3cbcf20c49f4d3bd2c58b6b46"),
-        ("nl32_dump", "ea763b0f39dad070f709a5e89397cfaebf86ae99f2372ac371b1b1b64c26d431"),
+        ("readme", "4a5f0e0956a2842e4911b2fa5ecb82af0997031854da9cffaa69ddfb19b31d34"),
+        ("nl16_pool", "5ff7748fa35297c142f43ecd029a28e1cd6b4bcb3aa058a9e00f2e45cb69ca25"),
+        ("lin16_dense", "e6209a1762ddfc62c5040f32c09d36589575d4c88cd1d5e4a3fd6226ce823bac"),
+        ("nl32_dump", "40c6d5ca3e3939073ccb42719e9901f63304434192172213f16d68ac2c131ad5"),
     ])
     def test_normalized_documents_are_pinned(self, name, digest):
         # a moved default, type coercion or snapped output grid changes these hashes
@@ -766,6 +801,24 @@ class TestBoundsCommand:
         assert theorem2a["params"]["mu_tilde"] == 2.5
         assert np.all(np.isfinite(theorem2a["envelope"]))
 
+    def test_theorem2_envelopes_are_the_fitted_shapes(self, tmp_path):
+        # each fitted envelope is C * theorem2_shape at its mu_tilde; 2(b)'s is 1
+        out = tmp_path / "run"
+        cfg = base_config(str(out), initial_condition={"type": "gaussian", "sigma": 0.1})
+        path = write_config(tmp_path, cfg)
+        assert main(["bounds", "--config", path]) in (0, 5)
+        report = json.loads((out / "bounds_report.json").read_text())
+        run = materialize(normalize(read_document(path)))
+        e0 = run.sim.initial_condition.mean_sq_norm(run.basis.n_modes)
+        bounds = {r["kind"]: r for r in report["bounds"]}
+        mu_tilde = bounds["theorem2a"]["params"]["mu_tilde"]
+        assert bounds["theorem2a"]["params"].keys() == {"gamma", "mu_tilde", "C"}
+        assert bounds["theorem2b"]["params"].keys() == {"gamma", "C"}
+        for kind, shape_mu in (("theorem2a", mu_tilde), ("theorem2b", 1.0)):
+            shape = theorem2_shape(e0, report["gamma"], run.sim.output_times, shape_mu)
+            want = bounds[kind]["params"]["C"] * shape
+            assert np.asarray(bounds[kind]["envelope"]).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_report_keys_and_summary_are_pinned(self, tmp_path, capsys, seed):
         # nl16_pool's physics at 32 paths: the three bound verdicts pass
@@ -828,10 +881,6 @@ class TestConfigErrorsBeforeEnsemble:
          "sim.output_times"),  # the fit protocol needs 8
         ("simulate", "sim", {"output_times": {"kind": "explicit", "times": [-0.5, 0.1, 5.0]}},
          "sim.output_times.times"),  # outside [0, T]
-        ("asymptotics", "analysis", {"asymptotics": {"mode": "general", "gamma_reg": 0.0}},
-         "analysis.asymptotics.gamma_reg"),  # a verdict that cannot fail
-        ("asymptotics", "analysis", {"asymptotics": {"mode": "general", "gamma_reg": -1.0}},
-         "analysis.asymptotics.gamma_reg"),
         ("simulate", "sim", {"n_paths": 2**64}, "sim.n_paths"),  # run_ensemble's np.arange raised
         ("simulate", "sim", {"M": 2**64}, "sim.M"),
         ("simulate", "sim", {"output_times": {"kind": "uniform", "n": 2**64}},
@@ -963,9 +1012,10 @@ class TestAsymptoticsCommand:
             "kind": "explicit",
             "times": [0.0, 1e-4, 2e-4, 4e-4, 7e-4, 1e-3],
         }
-        cfg["analysis"]["asymptotics"] = {"mode": "general", "delta": 0.5, "gamma_reg": 1.0}
+        cfg["analysis"]["asymptotics"] = {"mode": "general", "delta": 0.5}
         path = write_config(tmp_path, cfg)
         assert main(["asymptotics", "--config", path]) == 0
         report = json.loads((out / "asymptotics_report.json").read_text())
         assert report["verdict"] == "pass"
         assert report["exponent"] == pytest.approx(1.0, abs=0.05)
+        assert report["threshold"] == 0.5 / 2.0 - 0.05  # delta/2 - 0.05
