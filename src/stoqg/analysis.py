@@ -106,8 +106,12 @@ class BoundReport:
 def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r: float) -> EnstrophyTrace:
     """Ensemble mean and standard error of 0.5 ||omega(t)||^2, with its companions.
 
-    The analytic companion 0.5 E||W_A(t)||^2 is taken at the rates the solver
-    ran with, lambda_k - r, from the spectrum's basis and the Ekman rate r.
+    The series are gathered in turn into one reused (n_paths, n_out) buffer
+    and halved in place where the estimate is of a half, so the reduction
+    holds that buffer and the one array `std` makes; the means and SEs keep
+    the bits of `mean` and `std(ddof=1)` of the concatenated series. The
+    analytic companion 0.5 E||W_A(t)||^2 is taken at the rates the solver ran
+    with, lambda_k - r, from the spectrum's basis and the Ekman rate r.
     """
     n = sum(len(rec.path_index) for rec in records)
     if n < 2:
@@ -116,21 +120,38 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     for rec in records[1:]:
         if not np.array_equal(rec.times, times):
             raise ValueError("all records must share the same output times")
-    ens = 0.5 * np.concatenate([rec.omega_sq for rec in records])          # (n, T)
-    wa = 0.5 * np.concatenate([rec.wa_sq for rec in records])
-    resid = np.concatenate([rec.u_sq for rec in records])
-    scale, (variance, sum_sq) = math.sqrt(n), companion_law(spectrum, r, times)
+    buffer, scale = np.empty((n, len(times))), math.sqrt(n)
+
+    def gathered(name: str) -> np.ndarray:
+        """The records' series `name`, (n, T), in the one buffer every series shares."""
+        return np.concatenate([getattr(rec, name) for rec in records], out=buffer)
+
+    ens = gathered("omega_sq")
+    ens *= 0.5
+    ens_mean, ens_se = ens.mean(axis=0), ens.std(axis=0, ddof=1) / scale
+    wa = gathered("wa_sq")
+    wa *= 0.5
+    wa_half_empirical = wa.mean(axis=0)
+    resid = gathered("u_sq")
+    resid_mean, resid_se = resid.mean(axis=0), resid.std(axis=0, ddof=1) / scale
+
+    # the law is taken at amplitudes scaled by 2^-h, which bring max mu_k^2 into [0.5, 2)
+    # so that sum_k s_k^2 neither underflows nor overflows, and scaled back exactly: s_k
+    # scales by 2^-2h, and so do the variance and the SE, the root of a sum of squares
+    h = int(np.frexp(spectrum.mu_sq.max())[1]) // 2
+    scaled = NoiseSpectrum(spectrum.basis, np.ldexp(spectrum.mu, -h), spectrum.theta)
+    variance, sum_sq = companion_law(scaled, r, times)
     return EnstrophyTrace(
         times=times.copy(),
-        ens_mean=ens.mean(axis=0),
-        ens_se=ens.std(axis=0, ddof=1) / scale,
+        ens_mean=ens_mean,
+        ens_se=ens_se,
         n_paths=n,
-        wa_half_empirical=wa.mean(axis=0),
-        wa_half_analytic=0.5 * variance,
+        wa_half_empirical=wa_half_empirical,
+        wa_half_analytic=np.ldexp(0.5 * variance, 2 * h),
         # W_k(t) ~ N(0, s_k(t)) independently, so 0.5 ||W_A||^2 has variance 0.5 sum_k s_k^2
-        wa_half_se=np.sqrt(0.5 * sum_sq / n),
-        resid_mean=resid.mean(axis=0),
-        resid_se=resid.std(axis=0, ddof=1) / scale,
+        wa_half_se=np.ldexp(np.sqrt(0.5 * sum_sq / n), 2 * h),
+        resid_mean=resid_mean,
+        resid_se=resid_se,
     )
 
 
@@ -408,20 +429,23 @@ def check_small_times(times) -> None:
         raise ParameterError("output_times", "must include >= 3 positive times for the asymptotics check")
 
 
-def asymptotics_check(trace: EnstrophyTrace, mode: str, delta: float, ens0: float | None = None) -> dict:
+def asymptotics_check(trace: EnstrophyTrace, mode: str, delta: float, ens0: float | None = None,
+                      fit_time_limit: float | None = None) -> dict:
     """Small-time behaviour of Ens(t) against the convolution asymptotics.
 
     mode "general": fits the exponent of |Ens(t) - Ens(0)| and passes when it
     reaches delta/2 - 0.05 (a Galerkin initial condition is a trigonometric
     polynomial, so its Hoelder exponent 1 never lowers the floor min(1, delta/2)).
+    With a `fit_time_limit` it fits only the times t <= fit_time_limit and
+    reports the limit; fewer than 2 usable times make it not applicable.
     mode "zero": compares Ens(t) with the trace's half analytic E||W_A(t)||^2
     (the solver's rates lambda_k - r) and requires |Ens - companion| <=
     max(0.05 companion, 3 wa_half_se) at the two smallest positive times (the
     companion's exact SE is that of the small-time law omega -> W_A; ratios
     are None where the companion is 0); additionally fits the exponent of the
     residual E||omega - W_A||^2 against the drift-regularity floor
-    1/2 - 2 rho - 0.05 at rho = 0.01. ens0 is ignored. Raises ValueError for
-    a hand-built trace without the companions.
+    1/2 - 2 rho - 0.05 at rho = 0.01. ens0 and fit_time_limit are ignored.
+    Raises ValueError for a hand-built trace without the companions.
     """
     check_asymptotics(mode, delta)
     check_small_times(trace.times)
@@ -437,12 +461,18 @@ def asymptotics_check(trace: EnstrophyTrace, mode: str, delta: float, ens0: floa
         se0 = float(trace.ens_se[0]) if trace.times[0] == 0.0 else 0.0
         floor = 3.0 * np.hypot(trace.ens_se[pos], se0)
         usable = dev > floor
+        limit = {}
+        if fit_time_limit is not None:
+            usable &= t <= fit_time_limit
+            limit["fit_time_limit"] = fit_time_limit
         if np.sum(usable) < 2:
-            return {"mode": mode, "verdict": "not_applicable",
-                    "notes": "deviations from Ens(0) below Monte Carlo resolution"}
+            notes = "deviations from Ens(0) below Monte Carlo resolution"
+            if limit:
+                notes = "fewer than 2 times up to fit_time_limit resolve a deviation from Ens(0)"
+            return {"mode": mode, "verdict": "not_applicable", **limit, "notes": notes}
         slope, slope_se = _ols_loglog(t[usable], dev[usable])
         threshold = delta / 2.0 - 0.05
-        return {"mode": mode, "ens0": ens0, "exponent": slope, "exponent_se": slope_se,
+        return {"mode": mode, "ens0": ens0, "exponent": slope, "exponent_se": slope_se, **limit,
                 "threshold": threshold, "verdict": "pass" if slope >= threshold else "fail"}
 
     wa_half, wa_se, emp, resid, resid_se = (s[pos] for s in _companion(

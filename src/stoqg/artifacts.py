@@ -4,9 +4,10 @@ Files are written atomically: the text goes into a temp file in the target
 directory, which is renamed over the target only after the last chunk, so a
 reader never sees a partial file and a failed write leaves an existing target
 as it was. New files get the mode a plain `open(path, "w")` would give them
-(0o666 less the umask). Files are written chunk by chunk: `trajectories.csv`
-a few rows at a time, so writing it takes working memory independent of the
-dump's size.
+(0o666 less the umask). Files are written chunk by chunk, never built as one
+string first: the CSV tables a row at a time, `trajectories.csv` a few rows
+at a time, so writing it takes working memory independent of the dump's
+size, and the JSON documents as their encoder yields them.
 Floats are serialized as Python's shortest round-trip repr, so a rerun that
 produces bit-identical doubles produces byte-identical files. The small
 tables format each value with `repr`; the trajectory dump goes through
@@ -62,7 +63,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _numpy_to_python(obj):
-    """json.dumps fallback: arrays become lists and numpy scalars Python numbers."""
+    """The JSON encoder's fallback: arrays become lists and numpy scalars Python numbers."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.generic):
@@ -71,8 +72,9 @@ def _numpy_to_python(obj):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_numpy_to_python)
-    _atomic_write(path, [text + "\n"])
+    """The bytes of `json.dumps(payload, sort_keys=True, indent=2)` and a newline, streamed."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, default=_numpy_to_python)
+    _atomic_write(path, chain(encoder.iterencode(payload), ["\n"]))
 
 
 def write_trace(out_dir: Path, trace: EnstrophyTrace) -> None:

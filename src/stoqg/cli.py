@@ -13,7 +13,6 @@ crashed ensemble worker, 8 out of memory.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +30,7 @@ from .artifacts import (
     write_trajectories,
 )
 from .config import ConfigError, RunConfig, keyed, materialize, normalize, read_document
-from .dynamics import BlowupError, run_ensemble
+from .dynamics import BlowupError, WorkerError, run_ensemble
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,7 +48,7 @@ _OVERRIDES = (("paths", "sim", "n_paths"), ("seed", "sim", "master_seed"), ("out
 # prefix of its one-line message
 _RUN_FAILURES = {
     BlowupError: (EXIT_BLOWUP, "blowup"),
-    concurrent.futures.BrokenExecutor: (EXIT_WORKER, "worker crash"),
+    WorkerError: (EXIT_WORKER, "worker crash"),
     MemoryError: (EXIT_MEMORY, "out of memory"),
 }
 
@@ -255,7 +254,10 @@ def cmd_asymptotics(cfg: RunConfig, run) -> _Outcome:
     if asym["mode"] == "zero" and ens0 != 0.0:
         raise ConfigError("analysis.asymptotics.mode", "zero mode requires a zero initial condition")
     trace = run()
-    result = lab.asymptotics_check(trace, asym["mode"], asym["delta"], ens0=ens0)
+    # general mode fits only times before the slowest mode has relaxed, 1 / (2 |lambda_1 - r|)
+    limit = 1.0 / (2.0 * abs(float(cfg.basis.eigenvalues[0]) - cfg.params.r))
+    result = lab.asymptotics_check(trace, asym["mode"], asym["delta"], ens0=ens0,
+                                   fit_time_limit=limit)
     return _Outcome(EXIT_REGULARITY if result["verdict"] == "fail" else EXIT_OK,
                     f"asymptotics[{asym['mode']}]: {result['verdict']}",
                     reports={"asymptotics_report.json": result})

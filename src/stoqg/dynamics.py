@@ -25,7 +25,6 @@ reproducible under any parallel schedule.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -191,11 +190,13 @@ class EnsembleRecord:
     (u_sq = ||omega - V||^2) and the companion's squared norm
     (wa_sq = ||W_A||^2); nothing else is reduced at an output. A run without a
     drift from zero initial coefficients steps no companion: omega is W_A
-    there, so u_sq is 0 and wa_sq is omega_sq, the bits two states give. The
-    coefficient snapshots, (n_paths, n_out, M^2), are kept only when the run
-    stores fields; other quadratic diagnostics, such as ||grad omega||^2, come
-    from them. `failures` holds a (path, time) pair for each path with
-    nonfinite coefficients, at the first such output time.
+    there, so its record reduces omega_sq alone, `wa_sq` is that same array
+    (`rec.wa_sq is rec.omega_sq`, so writing into one writes the other) and
+    `u_sq` is zeros, the bits two states give. The coefficient snapshots,
+    (n_paths, n_out, M^2), are kept only when the run stores fields; other
+    quadratic diagnostics, such as ||grad omega||^2, come from them.
+    `failures` holds a (path, time) pair for each path with nonfinite
+    coefficients, at the first such output time.
     """
 
     path_index: np.ndarray
@@ -205,6 +206,10 @@ class EnsembleRecord:
     wa_sq: np.ndarray
     fields: np.ndarray | None = None
     failures: list[tuple[int, float]] = field(default_factory=list)
+
+
+class WorkerError(RuntimeError):
+    """A worker process of the ensemble's pool died before the run finished."""
 
 
 class BlowupError(RuntimeError):
@@ -374,9 +379,9 @@ def _simulate_batch(
     Without a drift, a batch whose initial coefficients are all zero keeps no
     companion: the state and the companion would take the same operations on
     the same increments, so they are equal as reals at every step (only a
-    zero's sign may differ). Its outputs reduce only a^2, and u_sq = 0 and
-    wa_sq = omega_sq are filled in after the loop: the bits the two-state
-    reduction gives.
+    zero's sign may differ). Its outputs reduce only a^2 into one (B, n_out)
+    series, which the record holds as both omega_sq and wa_sq beside a zero
+    u_sq: the bits the two-state reduction gives.
     """
     basis = spectrum.basis
     B = len(path_indices)
@@ -392,25 +397,25 @@ def _simulate_batch(
     n_steps = int(out_steps[-1])
     slot_of = {int(s): i for i, s in enumerate(out_steps)}
     n_out = len(out_steps)
-    series = np.empty((3, B, n_out))  # omega_sq, u_sq, wa_sq
+    squares = np.empty((1 if v is None else 3, B, K))
+    series = np.empty((len(squares), B, n_out))  # omega_sq, then u_sq and wa_sq with a companion
+    omega_sq = series[0]
     rec = EnsembleRecord(
         path_index=np.array(path_indices),
         times=config.output_times.copy(),
-        omega_sq=series[0],
-        u_sq=series[1],
-        wa_sq=series[2],
+        omega_sq=omega_sq,
+        u_sq=np.zeros((B, n_out)) if v is None else series[1],
+        wa_sq=omega_sq if v is None else series[2],
         fields=np.empty((B, n_out, K)) if config.store_fields else None,
     )
     failed_at = [None] * B
-
-    squares = np.empty((1 if v is None else 3, B, K))
 
     def record(slot: int, t: float):
         np.square(a, out=squares[0])
         if v is not None:
             np.square(np.subtract(a, v, out=squares[1]), out=squares[1])
             np.square(v, out=squares[2])
-        np.add.reduce(squares, axis=2, out=series[:len(squares), :, slot])
+        np.add.reduce(squares, axis=2, out=series[:, :, slot])
         if rec.fields is not None:
             rec.fields[:, slot] = a
         # a nonfinite coefficient makes omega_sq nonfinite; a finite state whose
@@ -434,9 +439,6 @@ def _simulate_batch(
             if s in slot_of:
                 record(slot_of[s], s * config.dt)
 
-    if v is None:
-        series[1] = 0.0
-        series[2] = series[0]
     rec.failures = [(int(p), t) for p, t in zip(path_indices, failed_at) if t is not None]
     return rec
 
@@ -460,7 +462,8 @@ def run_ensemble(
 
     Paths are grouped into batches of config.batch_size; the grouping depends
     only on the configuration, so any worker count produces bit-identical
-    results. Raises BlowupError listing every failing path.
+    results. Raises BlowupError listing every failing path, and WorkerError
+    when a pool worker dies.
     """
     _check_basis(config, params, spectrum)
     indices = np.arange(config.n_paths)
@@ -470,10 +473,15 @@ def run_ensemble(
     ]
     columns = (repeat(params), repeat(spectrum), repeat(config), batches)
     if n_workers > 1 and len(batches) > 1:
+        # the pool's module, with logging and multiprocessing, loads only here
+        import concurrent.futures
+
         # a fork pool starts every worker at the first submit: fork no idle ones
-        # the pool's module, and multiprocessing with it, load only here
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(n_workers, len(batches))) as pool:
-            records = list(pool.map(_simulate_batch, *columns))
+        try:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=min(n_workers, len(batches))) as pool:
+                records = list(pool.map(_simulate_batch, *columns))
+        except concurrent.futures.BrokenExecutor as err:
+            raise WorkerError(str(err)) from err
     else:
         records = list(map(_simulate_batch, *columns))
     failures = [failure for rec in records for failure in rec.failures]

@@ -1,7 +1,11 @@
 """Enstrophy estimation, bound envelopes, fitting protocol, regularity checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stoqg import (
     Basis,
@@ -90,6 +94,49 @@ class TestEstimator:
 
         ratio = run(2000) / run(4000)
         assert ratio == pytest.approx(np.sqrt(2.0), rel=0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5).filter(lambda s: sum(s) >= 2),
+           n_times=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_bits_of_mean_and_std(self, sizes, n_times, seed):
+        # n = 2 and a single batch included; each estimate has the bits of numpy's
+        # mean and std(ddof=1) of the concatenated (halved) series
+        rng = np.random.default_rng(seed)
+        times = np.arange(n_times, dtype=float)
+        records, lo = [], 0
+        for size in sizes:
+            omega_sq, u_sq, wa_sq = rng.exponential(size=(3, size, n_times)) * rng.choice([1e-3, 1.0, 1e5])
+            records.append(EnsembleRecord(path_index=np.arange(lo, lo + size), times=times,
+                                          omega_sq=omega_sq, u_sq=u_sq, wa_sq=wa_sq))
+            lo += size
+        trace = estimate_enstrophy(records, TINY_SPECTRUM, 0.1)
+        ens, wa, resid = (np.concatenate([getattr(r, name) for r in records])
+                          for name in ("omega_sq", "wa_sq", "u_sq"))
+        scale = np.sqrt(lo)
+        want = {"ens_mean": (0.5 * ens).mean(axis=0), "ens_se": (0.5 * ens).std(axis=0, ddof=1) / scale,
+                "wa_half_empirical": (0.5 * wa).mean(axis=0), "resid_mean": resid.mean(axis=0),
+                "resid_se": resid.std(axis=0, ddof=1) / scale}
+        for name, value in want.items():
+            assert getattr(trace, name).tobytes() == value.tobytes(), name
+
+    def test_working_memory_is_two_series(self):
+        # 4096 paths x 2001 times: one series is 65.6 MB; the estimator holds one
+        # reused buffer and the one array std makes, where concatenated and halved
+        # copies of the three series held about four
+        n_paths, n_times, batch = 4096, 2001, 32
+        times = np.arange(n_times, dtype=float)
+        block = np.random.default_rng(5).exponential(size=(batch, n_times))
+        records = [EnsembleRecord(path_index=np.arange(lo, lo + batch), times=times,
+                                  omega_sq=block, u_sq=block, wa_sq=block)
+                   for lo in range(0, n_paths, batch)]
+        series_bytes = n_paths * n_times * 8
+        tracemalloc.start()
+        try:
+            estimate_enstrophy(records, TINY_SPECTRUM, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * series_bytes, peak / series_bytes
 
 
 class TestGammaThreshold:
@@ -334,6 +381,19 @@ class TestAsymptotics:
         trace = synthetic_trace(np.array([0.0, 1e-3, 2e-3, 4e-3]), np.array([1.0, 1.0, 1.5, 2.0]))
         result = asymptotics_check(trace, "general", delta=0.5)
         assert result["exponent"] == pytest.approx(1.0) and result["exponent_se"] is None
+
+    def test_general_mode_fits_only_times_within_the_limit(self):
+        # Ens(t) = 1 + t until the curve has relaxed at t = 4e-3, flat after it
+        times = np.array([0.0, 1e-3, 2e-3, 4e-3, 0.1, 0.2, 0.3])
+        trace = synthetic_trace(times, np.minimum(1.0 + times, 1.004))
+        unlimited = asymptotics_check(trace, "general", delta=0.5)
+        assert unlimited["verdict"] == "fail" and "fit_time_limit" not in unlimited
+        limited = asymptotics_check(trace, "general", delta=0.5, fit_time_limit=0.01)
+        assert limited["exponent"] == pytest.approx(1.0, abs=1e-9)
+        assert limited["verdict"] == "pass" and limited["fit_time_limit"] == 0.01
+        # one usable time is no fit
+        relaxed = asymptotics_check(trace, "general", delta=0.5, fit_time_limit=1.5e-3)
+        assert relaxed["verdict"] == "not_applicable" and relaxed["fit_time_limit"] == 1.5e-3
 
     def test_general_mode_noise_floor(self):
         times = np.array([0.0, 1e-4, 1e-3, 1e-2])

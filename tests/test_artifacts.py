@@ -1,6 +1,7 @@
 """Atomic, streamed artifact writers: bytes, failure cleanup, file modes, memory;
 the vectorized float formatting kernel against repr, its oracle."""
 
+import json
 import os
 import stat
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stoqg._ryu import repr_join
-from stoqg.artifacts import write_csv, write_json, write_trajectories
+from stoqg.artifacts import _numpy_to_python, write_csv, write_json, write_trajectories
 from stoqg.dynamics import EnsembleRecord
 
 
@@ -62,6 +63,35 @@ class TestStreamedCsv:
             write_csv(target, ["a"], rows())
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+# nested arrays and numpy scalars among the plain values a report holds
+JSON_PAYLOAD = {
+    "times": np.linspace(0.0, 0.5, 7),
+    "nested": {"z": [np.float64(0.1), np.int64(-3)], "a": np.arange(6.0).reshape(2, 3)},
+    "scalars": [np.float32(0.5), np.bool_(True), None, "text", -0.0, 2**70],
+    "specials": [float("inf"), float("-inf"), float("nan"), 5e-324, 1.7976931348623157e308],
+    "empty": {"list": [], "dict": {}, "array": np.zeros((2, 0))},
+    "deep": [[np.array([1e-300, 1 / 3])], {"n": np.int32(7)}],
+}
+
+
+class TestStreamedJson:
+    def test_bytes_match_dumps(self, tmp_path):
+        target = tmp_path / "out.json"
+        write_json(target, JSON_PAYLOAD)
+        want = json.dumps(JSON_PAYLOAD, sort_keys=True, indent=2, default=_numpy_to_python) + "\n"
+        assert target.read_bytes() == want.encode("utf-8")
+
+    def test_unserializable_payload_keeps_existing_target(self, tmp_path):
+        target = tmp_path / "out.json"
+        write_json(target, {"a": 1})
+        before = target.read_bytes()
+        # keys are sorted, so "a" has been written when "b" fails
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json(target, {"a": np.arange(3.0), "b": object()})
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def repr_oracle(values: np.ndarray) -> str:

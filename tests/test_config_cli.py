@@ -1,5 +1,6 @@
 """Strict config schema, CLI exit codes, artifact formats, reproducibility."""
 
+import concurrent.futures
 import importlib.util
 import json
 import os
@@ -464,19 +465,28 @@ class TestSimulateCommand:
         assert outputs[0] == outputs[1]
 
     def test_one_worker_run_loads_no_pool_or_masked_arrays(self, tmp_path):
-        # a 1-worker run never opens a process pool, snapping the output times does
-        # not go through np.unique, whose first call imports numpy.ma, and only the
-        # linear oracle's verdict imports statistics (0.5 MB at start-up)
-        cfg = base_config(str(tmp_path / "o"))
-        cfg["model"].update({"linearized": False, "beta": 0.2, "beta_term": True})
-        path = write_config(tmp_path, cfg)
+        # a 1-worker run never opens a process pool, so no command loads the pool's
+        # module or the logging it imports; snapping the output times does not go
+        # through np.unique, whose first call imports numpy.ma; and only the linear
+        # oracle's verdict imports statistics (0.5 MB at start-up), so it runs last
+        nonlinear = base_config(str(tmp_path / "nl"))
+        nonlinear["model"].update({"linearized": False, "beta": 0.2, "beta_term": True})
+        linear = base_config(str(tmp_path / "lin"), T=0.2, output_times={"kind": "uniform", "n": 21},
+                             n_paths=200)
+        linear["analysis"]["holder"] = {"window": [0.01, 0.2], "lags": [0.01, 0.02, 0.03, 0.05, 0.1]}
+        runs = [("simulate", write_config(tmp_path, nonlinear, "nl.json"))] + [
+            (command, write_config(tmp_path, linear, "lin.json"))
+            for command in ("simulate", "bounds", "holder", "asymptotics", "verify-linear")]
         probe = ("import sys, stoqg.cli\n"
-                 f"code = stoqg.cli.main(['simulate', '--config', {path!r}])\n"
-                 "print(code, [m for m in ('numpy.ma', 'multiprocessing', "
-                 "'concurrent.futures.process', 'statistics') if m in sys.modules])")
+                 f"for command, path in {runs!r}:\n"
+                 "    code = stoqg.cli.main([command, '--config', path, '--threads', '1'])\n"
+                 "    print(command, code, [m for m in ('numpy.ma', 'multiprocessing', "
+                 "'concurrent.futures', 'logging', 'statistics') if m in sys.modules])")
         done = subprocess.run([sys.executable, "-c", probe], env=self._child_env(),
                               capture_output=True, text=True, check=True, timeout=300)
-        assert done.stdout.splitlines()[-1] == "0 []"
+        loaded = [line for line in done.stdout.splitlines() if line.split()[0] in dict(runs)]
+        assert loaded == ["simulate 0 []"] * 2 + [f"{command} 0 []" for command in (
+            "bounds", "holder", "asymptotics")] + ["verify-linear 0 ['statistics']"]
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = base_config(str(tmp_path / "o"))
@@ -561,11 +571,22 @@ class TestSimulateCommand:
         assert "config error" in capsys.readouterr().err
 
     def test_crashed_worker_exit_7(self, tmp_path, capsys, monkeypatch):
-        def crash(*args, **kwargs):
-            raise BrokenProcessPool("a process in the pool was terminated abruptly")
+        # the pool breaks inside run_ensemble, as when a worker is killed
+        class CrashingPool:
+            def __init__(self, max_workers):
+                pass
 
-        monkeypatch.setattr(stoqg.cli, "run_ensemble", crash)
-        path = write_config(tmp_path, base_config(str(tmp_path / "o")))
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                raise BrokenProcessPool("a process in the pool was terminated abruptly")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CrashingPool)
+        path = write_config(tmp_path, base_config(str(tmp_path / "o"), batch_size=5))
         assert main(["simulate", "--config", path, "--threads", "2"]) == 7
         err = capsys.readouterr().err
         assert "terminated abruptly" in err and len(err.strip().splitlines()) == 1
@@ -685,6 +706,36 @@ class TestVerifyLinearCommand:
             s_k = spec.mu_sq * (1.0 - np.exp(2.0 * rates * t)) / (-2.0 * rates)
             assert se == pytest.approx(np.sqrt(0.5 * np.sum(s_k**2) / 400), rel=1e-12, abs=0.0)
         assert report["z_threshold"] == pytest.approx(3.4601, abs=1e-4)  # 5 positive output times
+
+    @staticmethod
+    def amplitude_report(tmp_path, c_mu) -> dict:
+        """linear_report.json of 4 linearized M=4 paths from rest, 3 outputs to T = 0.01."""
+        out = tmp_path / f"amp{c_mu!r}"
+        cfg = base_config(str(out), dt=1e-3, T=0.01, n_paths=4, master_seed=1,
+                          output_times={"kind": "uniform", "n": 3})
+        cfg["spectrum"]["c_mu"] = c_mu
+        assert main(["verify-linear", "--config", write_config(tmp_path, cfg)]) == 0
+        return json.loads((out / "linear_report.json").read_text())
+
+    def test_oracle_scales_exactly_with_the_amplitude(self, tmp_path):
+        # a linear run from rest is its amplitude times the unit-amplitude run, exactly
+        # for a power of two; so are the oracle and its SE, at 2^-560 too, where
+        # sum_k s_k^2 (about 2^-1135) underflows unless the law is taken at scaled amplitudes
+        unit, tiny = (self.amplitude_report(tmp_path, c_mu) for c_mu in (1.0, 2.0**-560))
+        assert tiny["z_scores"] == unit["z_scores"] and tiny["z_scores"][1] != 0.0
+        for key in ("ens_mean", "oracle_half_variance", "oracle_se"):
+            assert tiny[key] == [np.ldexp(v, -560) for v in unit[key]], key
+
+    @pytest.mark.parametrize("c_mu", [1e-170, 1e300])
+    def test_oracle_se_neither_underflows_nor_overflows(self, tmp_path, c_mu):
+        # at 1e-170, sum_k s_k^2 underflowed and a correct run failed with z = inf; at
+        # 1e300 it overflowed and the verdict could not fail; ens_se itself still
+        # overflows at 1e300, in std's squares
+        with np.errstate(over="ignore"):
+            report = self.amplitude_report(tmp_path, c_mu)
+        se = np.asarray(report["oracle_se"][1:])
+        assert np.all(np.isfinite(se)) and np.all(se > 0)
+        assert report["verdict"] == "pass" and np.all(np.isfinite(report["z_scores"]))
 
     @pytest.mark.parametrize("section, key, value", [
         ("sim", "initial_condition", {"type": "gaussian", "sigma": 0.1}),
@@ -1019,3 +1070,19 @@ class TestAsymptoticsCommand:
         assert report["verdict"] == "pass"
         assert report["exponent"] == pytest.approx(1.0, abs=0.05)
         assert report["threshold"] == 0.5 / 2.0 - 0.05  # delta/2 - 0.05
+        # all six outputs lie before the slowest mode relaxes: 1 / (2 |lambda_1 - r|)
+        assert report["fit_time_limit"] == pytest.approx(1.0 / (2.0 * (2.0 * np.pi**2 + 0.1)), rel=1e-12)
+
+    def test_general_mode_after_relaxation_not_applicable(self, tmp_path, capsys):
+        # every output lies past 1 / (2 |lambda_1 - r|) = 0.0252, where Ens(t) has
+        # already relaxed: the fit of |Ens(t) - Ens(0)| once failed there (exit 6)
+        out = tmp_path / "run"
+        cfg = base_config(str(out), dt=0.01, T=0.5, n_paths=8, master_seed=1,
+                          initial_condition={"type": "gaussian", "sigma": 0.1})
+        cfg["model"].update({"linearized": False, "beta": 0.2, "beta_term": True})
+        cfg["analysis"]["asymptotics"] = {"mode": "general"}
+        assert main(["asymptotics", "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out.strip() == "asymptotics[general]: not_applicable"
+        report = json.loads((out / "asymptotics_report.json").read_text())
+        assert report.keys() == {"mode", "verdict", "fit_time_limit", "notes"}
+        assert report["fit_time_limit"] == pytest.approx(0.0252, abs=1e-4)

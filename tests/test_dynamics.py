@@ -506,6 +506,8 @@ class TestOneState:
             for name, value in ref_rec.items():
                 assert getattr(rec, name).tobytes() == value.tobytes(), name
         assert all(np.all(rec.u_sq == 0.0) for rec in records) == one_state
+        # one state reduces one series: the record holds it as omega_sq and as wa_sq
+        assert all(rec.wa_sq is rec.omega_sq for rec in records) == one_state
 
 
 class TestBlockedDraws:
