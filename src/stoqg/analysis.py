@@ -106,10 +106,10 @@ class BoundReport:
 def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r: float) -> EnstrophyTrace:
     """Ensemble mean and standard error of 0.5 ||omega(t)||^2, with its companions.
 
-    The series are gathered in turn into one reused (n_paths, n_out) buffer
-    and halved in place where the estimate is of a half, so the reduction
-    holds that buffer and the one array `std` makes; the means and SEs keep
-    the bits of `mean` and `std(ddof=1)` of the concatenated series. The
+    The series are gathered in turn into one reused (n_paths, n_out) buffer and
+    reduced there at the power of two that brings their max into [0.5, 1) (a
+    half's 0.5 too), so std's squares neither overflow nor underflow; a series
+    in the normal range keeps the bits of `mean` and `std(ddof=1)`. The
     analytic companion 0.5 E||W_A(t)||^2 is taken at the rates the solver ran
     with, lambda_k - r, from the spectrum's basis and the Ekman rate r.
     """
@@ -120,20 +120,20 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     for rec in records[1:]:
         if not np.array_equal(rec.times, times):
             raise ValueError("all records must share the same output times")
-    buffer, scale = np.empty((n, len(times))), math.sqrt(n)
+    buffer, root_n = np.empty((n, len(times))), math.sqrt(n)
 
-    def gathered(name: str) -> np.ndarray:
-        """The records' series `name`, (n, T), in the one buffer every series shares."""
-        return np.concatenate([getattr(rec, name) for rec in records], out=buffer)
+    def reduced(name: str, half: bool, se: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """Mean and, if `se`, SE over the paths of the series `name`, halved if `half`."""
+        series = np.concatenate([getattr(rec, name) for rec in records], out=buffer)
+        # the series are sums of squares, so their largest magnitude is their max
+        e = int(np.frexp(series.max())[1])
+        np.ldexp(series, -e - half, out=series)
+        mean = np.ldexp(series.mean(axis=0), e)
+        return mean, np.ldexp(series.std(axis=0, ddof=1) / root_n, e) if se else None
 
-    ens = gathered("omega_sq")
-    ens *= 0.5
-    ens_mean, ens_se = ens.mean(axis=0), ens.std(axis=0, ddof=1) / scale
-    wa = gathered("wa_sq")
-    wa *= 0.5
-    wa_half_empirical = wa.mean(axis=0)
-    resid = gathered("u_sq")
-    resid_mean, resid_se = resid.mean(axis=0), resid.std(axis=0, ddof=1) / scale
+    ens_mean, ens_se = reduced("omega_sq", half=True)
+    wa_half_empirical, _ = reduced("wa_sq", half=True, se=False)
+    resid_mean, resid_se = reduced("u_sq", half=False)
 
     # the law is taken at amplitudes scaled by 2^-h, which bring max mu_k^2 into [0.5, 2)
     # so that sum_k s_k^2 neither underflows nor overflows, and scaled back exactly: s_k

@@ -10,10 +10,10 @@ where phi1(z) = (e^z - 1)/z, drift is the projected -beta psi_x - J(psi,
 omega), and eta_k is an exact Ornstein-Uhlenbeck increment. The linear
 subsystem is therefore integrated without any time-discretization error;
 only the drift carries the first-order error. A pure-convolution companion
-state is advanced with the same eta draws, giving each path its own exact
-record of the forced linear response. A run without a drift that starts from
-rest is that companion (omega == W_A, Lemma 1 with U == 0), so it steps one
-state and records the companion's norms from it.
+state takes the drift-free step on the same eta draws, giving each path its
+own exact record of the forced linear response. A run without a drift takes
+that step too, so from rest it is the companion (omega == W_A, Lemma 1 with
+U == 0): it steps one state and records the companion's norms from it.
 
 Paths are deterministic functions of (master_seed, path_index): every path
 derives its generators from a seed sequence spawned with the path index as
@@ -313,30 +313,29 @@ class _Stepper:
             drift = drift - self.beta * (self.dx_matrix @ psi2)
         self.basis.from_grid2d(drift, out=out)
 
-    def advance(self, a: np.ndarray, v: np.ndarray | None,
-                eta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """One step for a batch, in place: states a, v and OU increments eta, each (B, K).
+    def propagate(self, x: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """The drift-free step decay * x + eta of a batch (B, K), in place: the companion's."""
+        x *= self.decay
+        x += eta
+        return x
 
-        a and v are overwritten with the new states and returned; eta is only read.
-        The operations keep the order of decay * a + drift_weight * drift + eta.
-        v is None when the batch keeps no companion (its state is the companion):
-        then only a is advanced, and (a, None) is returned.
+    def advance(self, a: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """One step of a batch of states a on OU increments eta, each (B, K), in place.
+
+        a is overwritten with the new states and returned; eta is only read. The
+        operations keep the order of decay * a + drift_weight * drift + eta.
         """
-        if self.needs_drift:
-            drift = self._step_work.get(a.shape)
-            if drift is None:
-                drift = self._step_work[a.shape] = np.empty_like(a)
-            self.drift_flat(a, out=drift)
-            drift *= self.drift_weight
-        else:
-            drift = 0.0  # adding it still turns a -0.0 into +0.0
+        if not self.needs_drift:
+            return self.propagate(a, eta)
+        drift = self._step_work.get(a.shape)
+        if drift is None:
+            drift = self._step_work[a.shape] = np.empty_like(a)
+        self.drift_flat(a, out=drift)
+        drift *= self.drift_weight
         a *= self.decay
         a += drift
         a += eta
-        if v is not None:
-            v *= self.decay
-            v += eta
-        return a, v
+        return a
 
 
 def _path_generators(master_seed: int, path_index: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -377,11 +376,11 @@ def _simulate_batch(
     output come from one reduction over a reused (3, B, K) buffer.
 
     Without a drift, a batch whose initial coefficients are all zero keeps no
-    companion: the state and the companion would take the same operations on
-    the same increments, so they are equal as reals at every step (only a
-    zero's sign may differ). Its outputs reduce only a^2 into one (B, n_out)
-    series, which the record holds as both omega_sq and wa_sq beside a zero
-    u_sq: the bits the two-state reduction gives.
+    companion: the state takes the companion's drift-free step on the same
+    increments, so from +0.0 it is the companion bit for bit (a -0.0 start
+    differs from it at most in a zero's sign). Its outputs reduce only a^2
+    into one (B, n_out) series, which the record holds as both omega_sq and
+    wa_sq beside a zero u_sq: the bits the two-state reduction gives.
     """
     basis = spectrum.basis
     B = len(path_indices)
@@ -435,7 +434,10 @@ def _simulate_batch(
             rng.standard_normal(out=rows[:n])
         eta_block[:, :n] *= stepper.noise_std
         for s in range(first, first + n):
-            stepper.advance(a, v, eta_block[:, s - first])
+            eta = eta_block[:, s - first]
+            stepper.advance(a, eta)
+            if v is not None:
+                stepper.propagate(v, eta)
             if s in slot_of:
                 record(slot_of[s], s * config.dt)
 

@@ -74,8 +74,6 @@ class Basis:
         self._scatter_idx = np.empty(self.n_modes, dtype=np.intp)
         self._scatter_idx[flat] = np.arange(self.n_modes)
 
-        self._trig_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
     def __repr__(self) -> str:
         return f"Basis(M={self.M}, nu={self.nu})"
 
@@ -84,18 +82,14 @@ class Basis:
         return np.arange(1, P) / P
 
     def trig_matrices(self, P: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached sine samples and their derivatives, both of shape (M, P-1).
+        """Sine samples and their derivatives, both of shape (M, P-1).
 
         sin_mat[m-1, i] = sin(m pi x_i) and dsin_mat[m-1, i] = m pi cos(m pi x_i)
         at the interior points x_i of resolution P.
         """
-        cached = self._trig_cache.get(P)
-        if cached is None:
-            wave = np.arange(1, self.M + 1) * np.pi
-            phase = np.outer(wave, self.grid_points(P))
-            cached = (np.sin(phase), wave[:, None] * np.cos(phase))
-            self._trig_cache[P] = cached
-        return cached
+        wave = np.arange(1, self.M + 1) * np.pi
+        phase = np.outer(wave, self.grid_points(P))
+        return np.sin(phase), wave[:, None] * np.cos(phase)
 
     def to_grid2d(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Scatter rank-ordered coefficients into the (..., M, M) layout, into out if given.
@@ -126,12 +120,10 @@ class Basis:
         The odd-parity coupling is the full Galerkin projection of the
         cosine series, so no grid and hence no aliasing is involved.
         """
-        if not hasattr(self, "_dx_matrix"):
-            idx = np.arange(1, self.M + 1, dtype=float)
-            mp, m = np.meshgrid(idx, idx, indexing="ij")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                D = 4.0 * m * mp / (mp**2 - m**2)
-            D[((m + mp) % 2) == 0] = 0.0
-            self._dx_matrix = D
-        return self._dx_matrix
+        idx = np.arange(1, self.M + 1, dtype=float)
+        mp, m = np.meshgrid(idx, idx, indexing="ij")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            D = 4.0 * m * mp / (mp**2 - m**2)
+        D[((m + mp) % 2) == 0] = 0.0
+        return D
 

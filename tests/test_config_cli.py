@@ -467,26 +467,31 @@ class TestSimulateCommand:
     def test_one_worker_run_loads_no_pool_or_masked_arrays(self, tmp_path):
         # a 1-worker run never opens a process pool, so no command loads the pool's
         # module or the logging it imports; snapping the output times does not go
-        # through np.unique, whose first call imports numpy.ma; and only the linear
-        # oracle's verdict imports statistics (0.5 MB at start-up), so it runs last
+        # through np.unique, whose first call imports numpy.ma; only the linear
+        # oracle's verdict imports statistics (0.5 MB at start-up), and only a
+        # trajectory dump imports its float kernel stoqg._ryu, so those two run last
         nonlinear = base_config(str(tmp_path / "nl"))
         nonlinear["model"].update({"linearized": False, "beta": 0.2, "beta_term": True})
         linear = base_config(str(tmp_path / "lin"), T=0.2, output_times={"kind": "uniform", "n": 21},
                              n_paths=200)
         linear["analysis"]["holder"] = {"window": [0.01, 0.2], "lags": [0.01, 0.02, 0.03, 0.05, 0.1]}
+        dump = base_config(str(tmp_path / "dump"))
+        dump["io"]["write_trajectories"] = True
         runs = [("simulate", write_config(tmp_path, nonlinear, "nl.json"))] + [
             (command, write_config(tmp_path, linear, "lin.json"))
-            for command in ("simulate", "bounds", "holder", "asymptotics", "verify-linear")]
+            for command in ("simulate", "bounds", "holder", "asymptotics", "verify-linear")] + [
+            ("simulate", write_config(tmp_path, dump, "dump.json"))]
         probe = ("import sys, stoqg.cli\n"
                  f"for command, path in {runs!r}:\n"
                  "    code = stoqg.cli.main([command, '--config', path, '--threads', '1'])\n"
                  "    print(command, code, [m for m in ('numpy.ma', 'multiprocessing', "
-                 "'concurrent.futures', 'logging', 'statistics') if m in sys.modules])")
+                 "'concurrent.futures', 'logging', 'statistics', 'stoqg._ryu') if m in sys.modules])")
         done = subprocess.run([sys.executable, "-c", probe], env=self._child_env(),
                               capture_output=True, text=True, check=True, timeout=300)
         loaded = [line for line in done.stdout.splitlines() if line.split()[0] in dict(runs)]
         assert loaded == ["simulate 0 []"] * 2 + [f"{command} 0 []" for command in (
-            "bounds", "holder", "asymptotics")] + ["verify-linear 0 ['statistics']"]
+            "bounds", "holder", "asymptotics")] + ["verify-linear 0 ['statistics']",
+                                                   "simulate 0 ['statistics', 'stoqg._ryu']"]
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = base_config(str(tmp_path / "o"))
@@ -726,13 +731,25 @@ class TestVerifyLinearCommand:
         for key in ("ens_mean", "oracle_half_variance", "oracle_se"):
             assert tiny[key] == [np.ldexp(v, -560) for v in unit[key]], key
 
+    @pytest.mark.parametrize("h", [996, -560])
+    def test_trace_scales_exactly_with_the_amplitude(self, tmp_path, h):
+        # the estimator reduces each series at its own power-of-two scale, so std's
+        # squares neither overflow (2^996) nor underflow (2^-560, where ens_se was 0)
+        def trace(c_mu):
+            self.amplitude_report(tmp_path, c_mu)
+            text = (tmp_path / f"amp{c_mu!r}" / "trace.json").read_text()
+            return json.loads(text, parse_constant=lambda name: pytest.fail(f"trace.json holds {name}"))
+
+        unit, scaled = trace(1.0), trace(2.0**h)
+        assert all(se > 0 for se in unit["ens_se"][1:])
+        for key in ("ens_mean", "ens_se", "residual_mean", "wa_var_empirical", "wa_var_analytic"):
+            assert scaled[key] == [np.ldexp(v, h) for v in unit[key]], key
+
     @pytest.mark.parametrize("c_mu", [1e-170, 1e300])
     def test_oracle_se_neither_underflows_nor_overflows(self, tmp_path, c_mu):
         # at 1e-170, sum_k s_k^2 underflowed and a correct run failed with z = inf; at
-        # 1e300 it overflowed and the verdict could not fail; ens_se itself still
-        # overflows at 1e300, in std's squares
-        with np.errstate(over="ignore"):
-            report = self.amplitude_report(tmp_path, c_mu)
+        # 1e300 it overflowed and the verdict could not fail
+        report = self.amplitude_report(tmp_path, c_mu)
         se = np.asarray(report["oracle_se"][1:])
         assert np.all(np.isfinite(se)) and np.all(se > 0)
         assert report["verdict"] == "pass" and np.all(np.isfinite(report["z_scores"]))

@@ -22,6 +22,7 @@ from stoqg import (
     estimate_enstrophy,
     run_ensemble,
     snap_output_times,
+    spectrum_from_list,
 )
 from stoqg import dynamics
 from stoqg.dynamics import _path_generators, _simulate_batch, _Stepper, phi1
@@ -201,34 +202,21 @@ class TestStep:
         params = linear_params()
         stepper = stepper_for(b, params, c_mu=0.0)
         a0, v0 = ref.modes(b, {(1, 1): 1.0})[None, :], np.full((1, 4), 3.0)
-        a, v = stepper.advance(a0, v0, stepper.noise_std * np.full((1, 4), 12.34))
+        eta = stepper.noise_std * np.full((1, 4), 12.34)
+        a, v = stepper.advance(a0, eta), stepper.propagate(v0, eta)
         assert a is a0 and v is v0  # advanced in place
         assert a[0, 0] == pytest.approx(np.exp((-2 * np.pi**2 - 0.1) * 0.01), rel=1e-14)
         np.testing.assert_allclose(v[0], 3.0 * np.exp((b.eigenvalues - params.r) * 0.01),
                                    rtol=1e-14)
 
     def test_step_without_drift_keeps_sign_of_zero_rule(self):
-        # as decay * a + drift_weight * 0.0 + eta did: a -0.0 state becomes +0.0,
-        # while the companion, which never adds a drift, keeps -0.0 + -0.0 = -0.0
+        # one rule, decay * x + eta, for a drift-free state and the companion:
+        # both keep -0.0 + -0.0 = -0.0
         stepper = stepper_for(Basis(2, 1.0), linear_params(), c_mu=0.0)
         eta = stepper.noise_std * np.full((1, 4), -1.0)  # -0.0 increments
-        a, v = stepper.advance(np.full((1, 4), -0.0), np.full((1, 4), -0.0), eta)
-        assert not np.signbit(a).any()
-        assert np.signbit(v).all()
-        a, v = stepper.advance(np.full((1, 4), -0.0), None, eta)  # no companion: the same rule
-        assert not np.signbit(a).any() and v is None
-
-    @pytest.mark.parametrize("linearized", [True, False])
-    def test_step_without_companion_advances_the_state_only(self, rng, linearized):
-        params = ModelParams(nu=1.0, r=0.1, linearized=linearized, beta_term=False)
-        stepper = stepper_for(Basis(4, 1.0), params)
-        a0, v0 = 0.3 * rng.standard_normal((2, 3, 16))
-        eta = stepper.noise_std * rng.standard_normal((3, 16))
-        want, _ = stepper.advance(a0.copy(), v0, eta)
-        a = a0.copy()
-        got = stepper.advance(a, None, eta)
-        assert got[0] is a and got[1] is None
-        assert a.tobytes() == want.tobytes()
+        a = stepper.advance(np.full((1, 4), -0.0), eta)
+        v = stepper.propagate(np.full((1, 4), -0.0), eta)
+        assert np.signbit(a).all() and np.signbit(v).all()
 
     @pytest.mark.parametrize("M", [4, 16, 32])  # drift grids P = 7, 25, 49
     def test_matches_batched_stepper(self, rng, M):
@@ -241,7 +229,7 @@ class TestStep:
         rates = b.eigenvalues - params.r
         eta = ou_transition_std(spec.mu, rates, h) * rng.standard_normal((2, M * M))
         stepper = _Stepper(params, spec, h)
-        a, v = stepper.advance(a0.copy(), v0.copy(), eta)
+        a, v = stepper.advance(a0.copy(), eta), stepper.propagate(v0.copy(), eta)
         for i in range(2):
             drift = reference_drift(b, a0[i], params)
             want_a = np.exp(rates * h) * a0[i] + h * phi1(rates * h) * drift + eta[i]
@@ -258,13 +246,11 @@ class TestStep:
         np.testing.assert_allclose(
             np.sqrt(fine.decay**2 * fine.noise_std**2 + fine.noise_std**2), coarse.noise_std,
             rtol=1e-12)
-        a0, v0 = rng.standard_normal((2, 3, b.n_modes))
+        a0 = rng.standard_normal((3, b.n_modes))
         eta1, eta2 = fine.noise_std * rng.standard_normal((2, 3, b.n_modes))
-        a, v = fine.advance(a0.copy(), v0.copy(), eta1)
-        fine.advance(a, v, eta2)
-        a2, v2 = coarse.advance(a0.copy(), v0.copy(), fine.decay * eta1 + eta2)
+        a = fine.advance(fine.advance(a0.copy(), eta1), eta2)
+        a2 = coarse.advance(a0.copy(), fine.decay * eta1 + eta2)
         np.testing.assert_allclose(a2, a, rtol=1e-12)
-        np.testing.assert_allclose(v2, v, rtol=1e-12)
 
 
 class TestLinearExactness:
@@ -456,7 +442,10 @@ class TestDeterminism:
 def two_state_reference(config, params, spectrum, path_indices):
     """The batch's record with the companion stepped as its own state, on the same draws.
 
-    Each step draws K values per path, which a draw block reproduces bit for bit.
+    The state takes `advance`, the companion the drift-free step `propagate`;
+    beside the record's series it returns the companion's snapshots as
+    `companion_fields`. Each step draws K values per path, which a draw block
+    reproduces bit for bit.
     """
     basis, K = spectrum.basis, spectrum.basis.n_modes
     stepper = _Stepper(params, spectrum, config.dt)
@@ -464,15 +453,17 @@ def two_state_reference(config, params, spectrum, path_indices):
     a = np.stack([dynamics._initial_coeffs(config, basis, ic_rng) for ic_rng, _ in gens])
     v = np.zeros_like(a)
     out_steps = config.output_steps().tolist()
-    series = {name: [] for name in ("omega_sq", "u_sq", "wa_sq", "fields")}
+    series = {name: [] for name in ("omega_sq", "u_sq", "wa_sq", "fields", "companion_fields")}
     for s in range(out_steps[-1] + 1):
         if s:
             eta = np.stack([rng.standard_normal(K) for _, rng in gens]) * stepper.noise_std
-            stepper.advance(a, v, eta)
+            stepper.advance(a, eta)
+            stepper.propagate(v, eta)
         if s in out_steps:
             for name, value in (("omega_sq", a * a), ("u_sq", (a - v) ** 2), ("wa_sq", v * v)):
                 series[name].append(np.sum(value, axis=1))
             series["fields"].append(a.copy())
+            series["companion_fields"].append(v.copy())
     return {name: np.stack(rows, axis=1) for name, rows in series.items()}
 
 
@@ -492,22 +483,44 @@ class TestOneState:
         params = ModelParams(nu=1.0, r=0.1, beta=0.5, linearized=True, beta_term=beta_term)
         cfg = small_config(n_paths=5, batch_size=3, store_fields=True, initial_condition=ic)
         want = [two_state_reference(cfg, params, spec, idx) for idx in ([0, 1, 2], [3, 4])]
-        companions = []
-        advance = _Stepper.advance
+        states, companion_steps = [], []
+        advance, propagate = _Stepper.advance, _Stepper.propagate
 
-        def spied(self, a, v, eta):
-            companions.append(v is not None)
-            return advance(self, a, v, eta)
+        def spied_advance(self, a, eta):
+            states.append(a)
+            return advance(self, a, eta)
 
-        monkeypatch.setattr(_Stepper, "advance", spied)
+        def spied_propagate(self, x, eta):
+            # a drift-free advance steps its state through propagate: count the others
+            if x is not states[-1]:
+                companion_steps.append(x.shape)
+            return propagate(self, x, eta)
+
+        monkeypatch.setattr(_Stepper, "advance", spied_advance)
+        monkeypatch.setattr(_Stepper, "propagate", spied_propagate)
         records = run_ensemble(cfg, params, spec)
-        assert companions == [not one_state] * 20  # 10 steps for each of the 2 batches
+        assert len(states) == 20  # 10 steps for each of the 2 batches
+        assert companion_steps == ([] if one_state else [(3, 16)] * 10 + [(2, 16)] * 10)
         for rec, ref_rec in zip(records, want):
-            for name, value in ref_rec.items():
-                assert getattr(rec, name).tobytes() == value.tobytes(), name
+            for name in ("omega_sq", "u_sq", "wa_sq", "fields"):
+                assert getattr(rec, name).tobytes() == ref_rec[name].tobytes(), name
         assert all(np.all(rec.u_sq == 0.0) for rec in records) == one_state
         # one state reduces one series: the record holds it as omega_sq and as wa_sq
         assert all(rec.wa_sq is rec.omega_sq for rec in records) == one_state
+
+    def test_one_state_from_rest_is_its_companion_bit_for_bit(self):
+        # from +0.0 the one state takes the companion's step on the same increments, so
+        # its snapshots are the companion's, zero signs included; the modes of zero
+        # amplitude draw -0.0 and +0.0 increments
+        b = Basis(4, 1.0)
+        spec = spectrum_from_list(b, [0.0 if k % 3 else 1.0 / (k + 1) ** 2 for k in range(16)], 0.1)
+        cfg = small_config(n_paths=5, batch_size=3, store_fields=True)
+        records = run_ensemble(cfg, linear_params(), spec)
+        assert all(rec.wa_sq is rec.omega_sq for rec in records)  # one state
+        for rec, idx in zip(records, ([0, 1, 2], [3, 4])):
+            want = two_state_reference(cfg, linear_params(), spec, idx)["companion_fields"]
+            assert rec.fields.tobytes() == want.tobytes()
+            assert np.all(rec.fields[:, :, spec.mu_sq == 0.0] == 0.0)
 
 
 class TestBlockedDraws:
