@@ -11,7 +11,9 @@ fit-then-validate protocol: the smallest admissible constant is fitted on a
 prefix of the output times (against mean + 3 SE), and the verdict is earned
 on the held-out suffix (violated when mean - 3 SE exceeds the envelope). All
 statistical comparisons use the 3-standard-error Monte Carlo allowance. The
-rules on the settings raise `ParameterError` and need no trace.
+rules on the settings raise `ParameterError` and need no trace. The envelope
+functions take any admissible gamma and mu_tilde; `bound_parameters` derives
+the values every run is evaluated at.
 """
 
 from __future__ import annotations
@@ -194,27 +196,31 @@ def gamma_threshold(nu: float, r: float, beta: float) -> float:
 def _growth(gamma: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """e^(2 gamma t) and int_0^t e^(2 gamma tau) dtau (t when gamma = 0).
 
-    Every envelope scales with them, so a gamma they overflow on is out of range.
+    Every envelope scales with them, so output times they overflow on are out of
+    range for that gamma: the error names the run's horizon T.
     """
     with np.errstate(over="ignore"):
         growth = np.exp(2.0 * gamma * times)
     if not np.all(np.isfinite(growth)):
-        raise ParameterError("gamma", f"{gamma:g} makes e^(2 gamma t) overflow by t={times[-1]:g}")
+        raise ParameterError("T", f"makes e^(2 gamma t) overflow by t={times[-1]:g} at gamma={gamma:g}")
     return growth, times.astype(float) if gamma == 0.0 else (growth - 1.0) / (2.0 * gamma)
 
 
-def admissible_gamma(gamma: float | None, nu: float, r: float, beta: float, times) -> tuple[float, float]:
-    """The growth rate of the bounds and the threshold it must exceed.
+def bound_parameters(nu: float, r: float, beta: float, mu_exp: float | None,
+                     times) -> tuple[float, float, float | None]:
+    """The gamma and mu_tilde the bounds are evaluated at, with gamma's threshold.
 
-    None picks threshold + 0.1. The envelopes must stay finite on the output times.
+    gamma = threshold + 0.1, close to the tightest admissible gamma, as every
+    envelope grows with gamma; mu_tilde = 0.9 min(mu_exp, 1), inside Theorem
+    2(a)'s (0, mu_exp), or None without a positive decay exponent. The envelope
+    functions take any admissible value. The envelopes must stay finite on the
+    output times, or a ParameterError names T.
     """
     threshold = gamma_threshold(nu, r, beta)
-    if gamma is None:
-        gamma = threshold + 0.1
-    if gamma <= threshold:
-        raise ParameterError("gamma", f"must exceed gamma_threshold={threshold:.6g}")
+    gamma = threshold + 0.1
     _growth(gamma, np.asarray(times, dtype=float))
-    return gamma, threshold
+    mu_tilde = None if mu_exp is None or mu_exp <= 0 else 0.9 * min(mu_exp, 1.0)
+    return gamma, threshold, mu_tilde
 
 
 def trace_class_envelope(ens0: float, gamma: float, tr_q: float, times) -> BoundEnvelope:
@@ -234,19 +240,6 @@ def trace_class_envelope(ens0: float, gamma: float, tr_q: float, times) -> Bound
     if gamma < 0:
         params["long_time_limit"] = -tr_q / (4.0 * gamma)
     return BoundEnvelope("trace_class", params, values)
-
-
-def admissible_mu_tilde(mu_tilde: float | None, mu_exp: float | None) -> float | None:
-    """The mu_tilde of Theorem 2(a): in (0, mu_exp), or positive without a decay rule.
-
-    None picks 0.9 min(mu_exp, 1), or None without a positive decay exponent.
-    """
-    if mu_tilde is None:
-        return None if mu_exp is None or mu_exp <= 0 else 0.9 * min(mu_exp, 1.0)
-    upper = math.inf if mu_exp is None else mu_exp
-    if not 0.0 < mu_tilde < upper:
-        raise ParameterError("mu_tilde", f"must lie in (0, mu_exp={upper:g}), got {mu_tilde:g}")
-    return mu_tilde
 
 
 def theorem2_shape(e_omega0_sq: float, gamma: float, times, mu_tilde: float) -> np.ndarray:

@@ -162,10 +162,9 @@ def cmd_verify_linear(cfg: RunConfig, run) -> _Outcome:
 def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
     times = cfg.sim.output_times
     lab.check_fit_times(times)
-    gamma, threshold = lab.admissible_gamma(cfg.analysis["gamma"], cfg.params.nu, cfg.params.r,
-                                            cfg.params.effective_beta, times)
-    mu_exp = cfg.spectrum.mu_exp
-    mu_tilde = lab.admissible_mu_tilde(cfg.analysis["mu_tilde"], mu_exp)
+    mu_exp, theta = cfg.spectrum.mu_exp, cfg.spectrum.theta
+    gamma, threshold, mu_tilde = lab.bound_parameters(cfg.params.nu, cfg.params.r,
+                                                      cfg.params.effective_beta, mu_exp, times)
     trace = run()
 
     e0 = cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
@@ -178,19 +177,22 @@ def cmd_bounds(cfg: RunConfig, run) -> _Outcome:
         reports.append({"kind": "trace_class", "verdict": "not_applicable",
                         "notes": "spectrum is not trace-class"})
 
-    # Theorem 2(b) is 2(a)'s shape at mu_tilde = 1: (kind, premise, shape's mu_tilde, params, notes)
+    # Theorem 2(b) is 2(a)'s shape at mu_tilde = 1: (kind, shape's mu_tilde, params, the
+    # premise that failed, or None where the theorem applies)
     theorem2 = (
-        ("theorem2a", mu_exp is not None and mu_tilde is not None, mu_tilde,
-         {"gamma": gamma, "mu_tilde": mu_tilde}, "no power-law decay rule available"),
-        ("theorem2b", mu_exp is None or mu_exp - cfg.spectrum.theta > 1.0, 1.0,
-         {"gamma": gamma}, "sum mu_k^2 |lambda_k|^theta diverges under the decay rule"),
+        ("theorem2a", mu_tilde, {"gamma": gamma, "mu_tilde": mu_tilde},
+         "explicit mu_sq_list: no power-law decay rule" if mu_exp is None
+         else "mu_exp <= 0: no mu_tilde in (0, mu_exp)" if mu_tilde is None else None),
+        ("theorem2b", 1.0, {"gamma": gamma},
+         None if mu_exp is None or mu_exp - theta > 1.0
+         else "mu_exp - theta <= 1: sum mu_k^2 |lambda_k|^theta diverges under the decay rule"),
     )
-    for kind, premise, shape_mu, params, notes in theorem2:
-        if premise:
+    for kind, shape_mu, params, failed in theorem2:
+        if failed is None:
             shape = lab.theorem2_shape(e0, gamma, times, shape_mu)
             reports.append(lab.fit_and_validate_bound(trace, shape, kind=kind, params=params).to_dict())
         else:
-            reports.append({"kind": kind, "verdict": "not_applicable", "notes": notes})
+            reports.append({"kind": kind, "verdict": "not_applicable", "notes": failed})
 
     alphas = np.geomspace(1e2, 1e4, 9)
     phi_values = [noise_mod.phi_alpha(cfg.spectrum, a) for a in alphas]

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import admissible_mu_tilde, check_asymptotics, holder_pairs
+from .analysis import check_asymptotics, holder_pairs
 from .dynamics import (
     MAX_ARRAY_VALUES,
     InitialCondition,
@@ -56,8 +56,8 @@ class _Variants:
 
 # The one declaration of the config: each key maps to (type, default). A type is float,
 # int, bool, str, _NUMBERS or a tuple of these, or a section: a dict of its keys or
-# _Variants. A default is _REQUIRED, _OPTIONAL (left out when absent), None for a value
-# the code derives (null stands for it too), a value, or for a section the raw section.
+# _Variants. A default is _REQUIRED, _OPTIONAL (left out when absent), a value, or for a
+# section the raw section.
 _SCHEMA = {
     "model": ({"nu": (float, _REQUIRED), "r": (float, _REQUIRED), "beta": (float, 0.0),
                "linearized": (bool, False), "beta_term": (bool, True)}, _REQUIRED),
@@ -78,7 +78,6 @@ _SCHEMA = {
         }), {"type": "zero"}),
     }, _REQUIRED),
     "analysis": ({
-        "gamma": (float, None), "mu_tilde": (float, None),
         "holder": ({"window": (_NUMBERS, _OPTIONAL), "lags": (_NUMBERS, _OPTIONAL)}, {}),
         "asymptotics": ({"mode": (str, "zero"), "delta": (float, 0.5)}, {}),
     }, {}),
@@ -131,8 +130,6 @@ def _matches(value, want) -> bool:
 def _value(section: dict, path: str, key: str, kind, default):
     """The checked value of one key, its default filled in; a section is walked."""
     name, value = _key(path, key), section.get(key, default)
-    if value is None and default is None:  # null stands for a None default
-        return None
     if value is _REQUIRED:
         raise ConfigError(name, "required key missing")
     if isinstance(kind, (dict, _Variants)):
@@ -245,10 +242,9 @@ class RunConfig:
 def materialize(document: dict) -> RunConfig:
     """Build each model object once from a normalized document, checking the value ranges.
 
-    The analysis settings are checked here against the model and the output
-    times, whatever the command: a holder section, if given, must be one the
-    output grid realizes. A run stores its fields exactly when it dumps them
-    (`io.write_trajectories`).
+    The analysis settings are checked here, whatever the command: a holder
+    section, if given, must be one the output grid realizes. A run stores its
+    fields exactly when it dumps them (`io.write_trajectories`).
     """
     with keyed():
         params = ModelParams(**document["model"])
@@ -271,7 +267,6 @@ def materialize(document: dict) -> RunConfig:
         sim = SimConfig(**sim_doc, initial_condition=ic,
                         store_fields=document["io"]["write_trajectories"])
         analysis = document["analysis"]
-        admissible_mu_tilde(analysis["mu_tilde"], spectrum.mu_exp)
         if analysis["holder"]:
             holder_pairs(sim.output_times, **analysis["holder"])
         check_asymptotics(**analysis["asymptotics"])

@@ -119,6 +119,13 @@ def companion_law(spec: NoiseSpectrum, r: float, times) -> tuple[np.ndarray, np.
     at sum mu_k^2 / (-2 l_k); half the sum of their squares is the variance of
     0.5 ||W_A(t)||^2. `times` is a 1-D array of times >= 0.
 
+    The sums are taken at the amplitudes given, so the squares leave the double
+    range at extreme ones: `sum_sq` underflows to 0 near c_mu = 1e-170 and
+    overflows to inf, with a RuntimeWarning, near c_mu = 1e300. Only
+    `estimate_enstrophy` guards against this, by taking the law at amplitudes
+    scaled by a power of two; a caller after the exact standard error reads it
+    from the trace, `EnstrophyTrace.wa_half_se`.
+
     Both come from one exp pass per block of output times (a matmul, then an
     in-place square-and-sum), so memory is O(block). Blocks are whole multiples
     of 64 times, and a one-time tail joins the block before it: numpy sends a

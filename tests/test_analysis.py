@@ -203,7 +203,7 @@ class TestTheorem2:
         assert np.all(np.isfinite(shape))
 
     def test_rejects_bad_mu_tilde(self):
-        # mu_tilde < mu_exp, Theorem 2(a)'s premise, is checked at load by admissible_mu_tilde
+        # mu_tilde < mu_exp, Theorem 2(a)'s premise, holds for the value bound_parameters derives
         for mu_tilde in (None, 0.0, -0.5):
             with pytest.raises(ValueError):
                 theorem2_shape(0.0, -1.0, np.array([1.0]), mu_tilde)

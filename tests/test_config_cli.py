@@ -1,5 +1,6 @@
 """Strict config schema, CLI exit codes, artifact formats, reproducibility."""
 
+import ast
 import concurrent.futures
 import importlib.util
 import json
@@ -195,12 +196,8 @@ class TestConfigSchema:
         ("sim", "dt", float("nan")),
         ("sim", "T", float("inf")),
         ("sim.initial_condition", "sigma", float("nan")),
-        ("analysis", "gamma", float("nan")),
-        ("analysis", "mu_tilde", float("nan")),
         ("model", "beta", 10**400),  # an integer literal beyond the float range
         # the analysis rules run at load too, whatever the command
-        ("analysis", "mu_tilde", -1.0),
-        ("analysis", "mu_tilde", 2.0),  # not below spectrum.mu_exp
         ("analysis.asymptotics", "mode", "weird"),
         ("analysis.asymptotics", "delta", 1.5),
         ("analysis.holder", "window", [0.05, 0.01]),
@@ -247,6 +244,8 @@ class TestConfigSchema:
         ("analysis.asymptotics", "rho", 0.01),
         ("sim", "noise_fault_scale", 2.0),
         ("analysis.asymptotics", "gamma_reg", 1.0),  # a Galerkin initial condition is smooth
+        ("analysis", "gamma", 0.5),  # bounds derives gamma and mu_tilde
+        ("analysis", "mu_tilde", 0.5),
     ])
     def test_retired_key_exit_2(self, tmp_path, capsys, section, key, value):
         cfg = base_config(str(tmp_path / "o"))
@@ -266,11 +265,11 @@ class TestConfigSchema:
             "sim.output_times.kind", "sim.output_times.n",
             "sim.output_times.t_min", "sim.output_times.times", "sim.initial_condition.type",
             "sim.initial_condition.values", "sim.initial_condition.sigma",
-            "analysis.gamma", "analysis.mu_tilde", "analysis.holder.window", "analysis.holder.lags",
+            "analysis.holder.window", "analysis.holder.lags",
             "analysis.asymptotics.mode", "analysis.asymptotics.delta",
             "io.out_dir", "io.write_trajectories",
         }
-        assert len(pinned) == 30 and schema_leaves() == pinned
+        assert len(pinned) == 28 and schema_leaves() == pinned
 
         def leaf_paths(doc, prefix=""):
             for key, value in doc.items():
@@ -286,6 +285,27 @@ class TestConfigSchema:
         for doc in (cfg, listed):
             assert set(leaf_paths(normalize(doc))) <= pinned
 
+    def test_every_parameter_error_field_names_a_key(self):
+        # keyed() reports a ParameterError under _key_of(field): a field no key path ends
+        # in would be a KeyError there, a traceback and exit 1 instead of exit 2
+        fields = set()
+        for path in (ROOT / "src" / "stoqg").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("ParameterError", "SummabilityError")):
+                    assert isinstance(node.args[0], ast.Constant), f"{path.name}:{node.lineno}"
+                    fields.add(node.args[0].value)
+        assert {"nu", "mu_exp", "T", "output_times", "lags"} <= fields
+        paths = set(stoqg.config._key_paths())
+
+        def names_a_key(field):
+            try:
+                return stoqg.config._key_of(field) in paths
+            except KeyError:
+                return False
+
+        assert {field for field in fields if not names_a_key(field)} == set()
+
     def test_readme_tables_list_every_leaf_key(self):
         # a knob documented but not declared, or declared but not documented, fails here
         documented = {row[0].strip("`") for row in readme_table("| Key | Type | Default |")}
@@ -294,10 +314,10 @@ class TestConfigSchema:
         assert documented == schema_leaves()
 
     @pytest.mark.parametrize("name, digest", [
-        ("readme", "4a5f0e0956a2842e4911b2fa5ecb82af0997031854da9cffaa69ddfb19b31d34"),
-        ("nl16_pool", "5ff7748fa35297c142f43ecd029a28e1cd6b4bcb3aa058a9e00f2e45cb69ca25"),
-        ("lin16_dense", "e6209a1762ddfc62c5040f32c09d36589575d4c88cd1d5e4a3fd6226ce823bac"),
-        ("nl32_dump", "40c6d5ca3e3939073ccb42719e9901f63304434192172213f16d68ac2c131ad5"),
+        ("readme", "f5f5dd6928dc2e7e2e292b17ddabaaaa4418132d3a3b1fa7f8fecafc9da14f54"),
+        ("nl16_pool", "7c5f997a6fe04d6e0c1921887a80c34fb99b016fa85531acfb8ebb077b969f93"),
+        ("lin16_dense", "7d8689e1703a3dc30753887c969faa840c7ac6710f929e9c8fc7b9c966d8b515"),
+        ("nl32_dump", "5cd335b9d90a03fb1104593559241ba72ea875edaf50bad7172e5c4df88c85de"),
     ])
     def test_normalized_documents_are_pinned(self, name, digest):
         # a moved default, type coercion or snapped output grid changes these hashes
@@ -818,6 +838,24 @@ class TestBoundsCommand:
         assert kinds["theorem2a"] in ("pass", "fail")
         assert kinds["theorem2b"] == "not_applicable"  # mu_exp - theta < 1
 
+    @pytest.mark.parametrize("spectrum, notes", [
+        ({"c_mu": 0.0, "mu_exp": -1.0, "theta": 0.1},  # mu_exp <= 0 needs c_mu = 0, Tr Q = 0
+         {"trace_class": "",
+          "theorem2a": "mu_exp <= 0: no mu_tilde in (0, mu_exp)",
+          "theorem2b": "mu_exp - theta <= 1: sum mu_k^2 |lambda_k|^theta diverges under the decay rule"}),
+        ({"mu_sq_list": [1.0] * 16, "theta": 0.1},
+         {"trace_class": "", "theorem2a": "explicit mu_sq_list: no power-law decay rule",
+          "theorem2b": ""}),
+    ])
+    def test_not_applicable_notes_name_the_failed_premise(self, tmp_path, spectrum, notes):
+        out = tmp_path / "run"
+        cfg = base_config(str(out), dt=1.25e-3, T=0.01, n_paths=4)
+        cfg["sim"]["output_times"] = {"kind": "uniform", "n": 9}
+        cfg["spectrum"] = spectrum
+        assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads((out / "bounds_report.json").read_text())
+        assert {r["kind"]: r["notes"] for r in report["bounds"]} == notes
+
     def test_envelopes_csv_written(self, tmp_path):
         out = tmp_path / "run"
         path = write_config(tmp_path, self.bounds_cfg(str(out)))
@@ -857,18 +895,6 @@ class TestBoundsCommand:
         assert kinds["trace_class"]["verdict"] == "fail"
         assert kinds["trace_class"]["violations"]
 
-    def test_mu_tilde_above_two(self, tmp_path):
-        # t^((2 - mu_tilde)/mu_tilde) has a negative power; the envelope is finite at t = 0
-        out = tmp_path / "run"
-        cfg = base_config(str(out))
-        cfg["spectrum"]["mu_exp"] = 3.0
-        cfg["analysis"]["mu_tilde"] = 2.5
-        assert main(["bounds", "--config", write_config(tmp_path, cfg)]) == 0
-        report = json.loads((out / "bounds_report.json").read_text())
-        theorem2a = {r["kind"]: r for r in report["bounds"]}["theorem2a"]
-        assert theorem2a["params"]["mu_tilde"] == 2.5
-        assert np.all(np.isfinite(theorem2a["envelope"]))
-
     def test_theorem2_envelopes_are_the_fitted_shapes(self, tmp_path):
         # each fitted envelope is C * theorem2_shape at its mu_tilde; 2(b)'s is 1
         out = tmp_path / "run"
@@ -901,13 +927,6 @@ class TestBoundsCommand:
         assert report.keys() == {"bounds", "c1", "gamma", "gamma_threshold", "phi_table",
                                  "spectrum_tail_bound"}
         assert capsys.readouterr().out == "bounds: trace_class=pass, theorem2a=pass, theorem2b=pass\n"
-
-    def test_gamma_below_threshold_exit_2(self, tmp_path, capsys):
-        cfg = self.bounds_cfg(str(tmp_path / "o"))
-        cfg["analysis"]["gamma"] = -100.0
-        path = write_config(tmp_path, cfg)
-        assert main(["bounds", "--config", path]) == 2
-        assert "analysis.gamma" in capsys.readouterr().err
 
     def test_needs_eight_output_times(self, tmp_path):
         cfg = self.bounds_cfg(str(tmp_path / "o"))
@@ -943,8 +962,9 @@ class TestConfigErrorsBeforeEnsemble:
          "analysis.holder.lags"),  # checked at load, whatever the command
         ("asymptotics", "sim", {"output_times": {"kind": "explicit", "times": [0.0, 0.05, 0.1]}},
          "sim.output_times"),  # fewer than 3 positive output times
-        ("bounds", "analysis", {"mu_tilde": 5.0}, "analysis.mu_tilde"),  # not below mu_exp = 2
-        ("bounds", "analysis", {"gamma": 1e4}, "analysis.gamma"),  # e^(2 gamma T) overflows
+        # the derived gamma, 205.34 with the beta term at beta = 1000, overflows e^(2 gamma T)
+        ("bounds", None, {"model": {"beta": 1000.0, "beta_term": True},
+                          "sim": {"T": 2.0, "output_times": {"kind": "uniform", "n": 9}}}, "sim.T"),
         ("bounds", "sim", {"output_times": {"kind": "uniform", "n": 5}},
          "sim.output_times"),  # the fit protocol needs 8
         ("simulate", "sim", {"output_times": {"kind": "explicit", "times": [-0.5, 0.1, 5.0]}},
@@ -962,8 +982,9 @@ class TestConfigErrorsBeforeEnsemble:
         cfg = base_config(str(tmp_path / "o"))
         if section == "holder":
             cfg["analysis"]["holder"] = settings
-        else:
-            cfg[section].update(settings)
+        else:  # section None: the settings of several sections, by name
+            for name, values in (settings if section is None else {section: settings}).items():
+                cfg[name].update(values)
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         assert key + ":" in capsys.readouterr().err
         assert ensemble_calls == []
