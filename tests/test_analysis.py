@@ -27,6 +27,8 @@ from stoqg import (
     trace_class_envelope,
     validate_bound,
 )
+from stoqg.analysis import bound_parameters
+from stoqg.spectral import ParameterError
 
 
 # the one-mode spectrum the fake_record tests hand the estimator for its companion
@@ -152,6 +154,35 @@ class TestGammaThreshold:
     def test_algebraic_inversion(self):
         beta = np.pi * np.sqrt(2.0) * (2 * np.pi**2 + 2.0)
         assert gamma_threshold(1.0, 1.0, beta) == pytest.approx(1.0)
+
+
+class TestBoundParameters:
+    TIMES = np.array([0.0, 0.5, 1.0])
+
+    def test_gamma_is_a_tenth_above_the_threshold(self):
+        for nu, r, beta in [(1.0, 0.1, 0.0), (0.5, 2.0, 3.0)]:
+            gamma, threshold, _ = bound_parameters(nu, r, beta, 2.0, self.TIMES)
+            assert threshold == gamma_threshold(nu, r, beta)
+            assert gamma == threshold + 0.1
+
+    @pytest.mark.parametrize("mu_exp, expected", [
+        (0.5, 0.45), (1.0, 0.9), (2.0, 0.9), (0.0, None), (-1.0, None), (None, None),
+    ])
+    def test_mu_tilde_rule(self, mu_exp, expected):
+        _, _, mu_tilde = bound_parameters(1.0, 0.1, 0.0, mu_exp, self.TIMES)
+        if expected is None:
+            assert mu_tilde is None
+        else:
+            assert mu_tilde == pytest.approx(expected, rel=1e-15)
+            assert 0.0 < mu_tilde < mu_exp  # Theorem 2(a)'s premise
+
+    def test_overflow_names_the_horizon(self):
+        # beta = 1000 gives gamma = 205.34: e^(2 gamma t) is finite at t = 1, not at t = 2
+        gamma, _, _ = bound_parameters(1.0, 0.1, 1000.0, 2.0, [0.0, 1.0])
+        assert gamma == pytest.approx(205.34, abs=5e-3)
+        with pytest.raises(ParameterError) as err:
+            bound_parameters(1.0, 0.1, 1000.0, 2.0, [0.0, 1.0, 2.0])
+        assert err.value.field == "T"
 
 
 class TestTraceClassEnvelope:
