@@ -108,12 +108,18 @@ class BoundReport:
 def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r: float) -> EnstrophyTrace:
     """Ensemble mean and standard error of 0.5 ||omega(t)||^2, with its companions.
 
-    The series are gathered in turn into one reused (n_paths, n_out) buffer and
-    reduced there at the power of two that brings their max into [0.5, 1) (a
-    half's 0.5 too), so std's squares neither overflow nor underflow; a series
-    in the normal range keeps the bits of `mean` and `std(ddof=1)`. The
-    analytic companion 0.5 E||W_A(t)||^2 is taken at the rates the solver ran
-    with, lambda_k - r, from the spectrum's basis and the Ekman rate r.
+    Each series is reduced where the records hold it, scaled by the power of
+    two that brings its max into [0.5, 1) (a half's 0.5 too), so the squares
+    of the SE neither overflow nor underflow. The records are folded in path
+    order through one reused (max batch + 1, n_out) block whose row 0 holds
+    the running sum, so a reduction adds the rows one by one as numpy's
+    `mean(axis=0)` does, and the SE folds the squared deviations from that
+    mean as `std(ddof=1)` does: the same bits in the normal range, in one
+    batch of working memory. One output time gathers its whole column (8
+    bytes a path), as numpy sums that pairwise. A series held twice
+    (`wa_sq is omega_sq`) is reduced once. The analytic companion
+    0.5 E||W_A(t)||^2 is taken at the rates the solver ran with, lambda_k - r,
+    from the spectrum's basis and the Ekman rate r.
     """
     n = sum(len(rec.path_index) for rec in records)
     if n < 2:
@@ -122,19 +128,40 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     for rec in records[1:]:
         if not np.array_equal(rec.times, times):
             raise ValueError("all records must share the same output times")
-    buffer, root_n = np.empty((n, len(times))), math.sqrt(n)
+    # the records each fold reduces: one at a time, or the whole column at one output time
+    groups = [records] if len(times) == 1 else [[rec] for rec in records]
+    block = np.empty((1 + max(sum(len(rec.path_index) for rec in g) for g in groups), len(times)))
+    total, root_n = np.empty(len(times)), math.sqrt(n)
+
+    def fold(name: str, e: int, mean: np.ndarray | None = None) -> np.ndarray:
+        """Path sum of series `name` scaled by 2^e, or of its squared deviations from `mean`."""
+        for i, group in enumerate(groups):
+            lo = 1
+            for rec in group:
+                rows = block[lo:lo + len(rec.path_index)]
+                np.ldexp(getattr(rec, name), e, out=rows)
+                lo += len(rows)
+            rows = block[1:lo]
+            if mean is not None:
+                np.square(np.subtract(rows, mean, out=rows), out=rows)
+            np.add.reduce(block[:lo] if i else rows, axis=0, out=total)
+            block[0] = total
+        return total
 
     def reduced(name: str, half: bool, se: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Mean and, if `se`, SE over the paths of the series `name`, halved if `half`."""
-        series = np.concatenate([getattr(rec, name) for rec in records], out=buffer)
         # the series are sums of squares, so their largest magnitude is their max
-        e = int(np.frexp(series.max())[1])
-        np.ldexp(series, -e - half, out=series)
-        mean = np.ldexp(series.mean(axis=0), e)
-        return mean, np.ldexp(series.std(axis=0, ddof=1) / root_n, e) if se else None
+        e = int(np.frexp(np.max([getattr(rec, name).max() for rec in records]))[1])
+        mean = fold(name, -e - half) / n
+        if not se:
+            return np.ldexp(mean, e), None
+        return np.ldexp(mean, e), np.ldexp(np.sqrt(fold(name, -e - half, mean) / (n - 1)) / root_n, e)
 
     ens_mean, ens_se = reduced("omega_sq", half=True)
-    wa_half_empirical, _ = reduced("wa_sq", half=True, se=False)
+    if all(rec.wa_sq is rec.omega_sq for rec in records):
+        wa_half_empirical = ens_mean.copy()
+    else:
+        wa_half_empirical, _ = reduced("wa_sq", half=True, se=False)
     resid_mean, resid_se = reduced("u_sq", half=False)
 
     # the law is taken at amplitudes scaled by 2^-h, which bring max mu_k^2 into [0.5, 2)
@@ -330,14 +357,19 @@ def holder_pairs(times: np.ndarray, window, lags) -> tuple[np.ndarray, np.ndarra
     """The rule on the increment fit's window and lags, and the time pairs it compares.
 
     The window [t0, t1] needs 0 < t0 < t1 and 2 output times inside; the lags need
-    >= 5 positive values spanning a decade, each realized inside the window. Returns
-    the window's mask, the sorted lags and per lag its (src, dst) windowed indices.
+    >= 5 distinct positive values spanning a decade, each realized inside the window.
+    Lags within the matching tolerance of 1e-6 h of each other pick the same pairs,
+    so they count as a repeat. Returns the window's mask, the sorted lags and per
+    lag its (src, dst) windowed indices.
     """
     if len(window) != 2 or not 0.0 < window[0] < window[1]:
         raise ParameterError("window", f"must be [t0, t1] with 0 < t0 < t1, got {list(window)}")
     lags = np.asarray(sorted(lags), dtype=float)
+    repeats = lags[1:][np.diff(lags) <= 1e-6 * lags[1:]]
+    if repeats.size:
+        raise ParameterError("lags", f"must be distinct, got {repeats[0]:g} more than once")
     if len(lags) < 5 or lags[0] <= 0 or lags[-1] / lags[0] < 10.0 - 1e-12:
-        raise ParameterError("lags", "must hold >= 5 positive values spanning at least one decade")
+        raise ParameterError("lags", "must hold >= 5 distinct positive values spanning at least one decade")
 
     inside = (times >= window[0] - 1e-12) & (times <= window[1] + 1e-12)
     times = times[inside]

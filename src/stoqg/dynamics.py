@@ -192,7 +192,10 @@ class EnsembleRecord:
     drift from zero initial coefficients steps no companion: omega is W_A
     there, so its record reduces omega_sq alone, `wa_sq` is that same array
     (`rec.wa_sq is rec.omega_sq`, so writing into one writes the other) and
-    `u_sq` is zeros, the bits two states give. The coefficient snapshots,
+    `u_sq` is a read-only zero view, `np.broadcast_to(0.0, (n_paths, n_out))`,
+    which holds no buffer (writing to it raises ValueError): the bits two
+    states give. Such a record pickles without it and rebuilds the view, so a
+    pool's records keep it too. The coefficient snapshots,
     (n_paths, n_out, M^2), are kept only when the run stores fields; other
     quadratic diagnostics, such as ||grad omega||^2, come from them.
     `failures` holds a (path, time) pair for each path with nonfinite
@@ -206,6 +209,15 @@ class EnsembleRecord:
     wa_sq: np.ndarray
     fields: np.ndarray | None = None
     failures: list[tuple[int, float]] = field(default_factory=list)
+
+    def __getstate__(self):
+        # pickle would expand the zero view of a one-state record into zeros
+        return dict(vars(self), u_sq=None) if self.wa_sq is self.omega_sq else vars(self)
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        if self.u_sq is None:
+            self.u_sq = np.broadcast_to(0.0, self.omega_sq.shape)
 
 
 class WorkerError(RuntimeError):
@@ -380,7 +392,8 @@ def _simulate_batch(
     increments, so from +0.0 it is the companion bit for bit (a -0.0 start
     differs from it at most in a zero's sign). Its outputs reduce only a^2
     into one (B, n_out) series, which the record holds as both omega_sq and
-    wa_sq beside a zero u_sq: the bits the two-state reduction gives.
+    wa_sq beside a read-only zero view as u_sq, which allocates nothing: the
+    bits the two-state reduction gives.
     """
     basis = spectrum.basis
     B = len(path_indices)
@@ -403,7 +416,7 @@ def _simulate_batch(
         path_index=np.array(path_indices),
         times=config.output_times.copy(),
         omega_sq=omega_sq,
-        u_sq=np.zeros((B, n_out)) if v is None else series[1],
+        u_sq=np.broadcast_to(0.0, (B, n_out)) if v is None else series[1],
         wa_sq=omega_sq if v is None else series[2],
         fields=np.empty((B, n_out, K)) if config.store_fields else None,
     )

@@ -121,10 +121,27 @@ class TestEstimator:
         for name, value in want.items():
             assert getattr(trace, name).tobytes() == value.tobytes(), name
 
-    def test_working_memory_is_two_series(self):
-        # 4096 paths x 2001 times: one series is 65.6 MB; the estimator holds one
-        # reused buffer and the one array std makes, where concatenated and halved
-        # copies of the three series held about four
+    def test_one_output_time_keeps_the_pairwise_bits(self):
+        # with one output time numpy's mean and std sum the column pairwise; over 331
+        # paths in four records a sum in path order has other bits, so the estimator
+        # reduces the gathered column
+        rng = np.random.default_rng(11)
+        sizes, lo, records = (5, 70, 200, 56), 0, []
+        for size in sizes:
+            omega_sq, u_sq, wa_sq = rng.exponential(size=(3, size, 1)) * rng.lognormal(0.0, 3.0, (3, size, 1))
+            records.append(EnsembleRecord(path_index=np.arange(lo, lo + size), times=np.array([0.5]),
+                                          omega_sq=omega_sq, u_sq=u_sq, wa_sq=wa_sq))
+            lo += size
+        trace = estimate_enstrophy(records, TINY_SPECTRUM, 0.1)
+        for name, mean, se, half in (("omega_sq", "ens_mean", "ens_se", 0.5), ("u_sq", "resid_mean", "resid_se", 1.0)):
+            column = half * np.concatenate([getattr(r, name) for r in records])
+            assert np.cumsum(column)[-1] != column.sum()  # the order of the sum shows in the bits
+            assert getattr(trace, mean).tobytes() == column.mean(axis=0).tobytes(), name
+            assert getattr(trace, se).tobytes() == (column.std(axis=0, ddof=1) / np.sqrt(lo)).tobytes(), name
+
+    def test_working_memory_is_one_batch(self):
+        # 4096 paths x 2001 times: one series is 65.6 MB; the estimator folds the records
+        # where they lie through one (33, 2001) block, where gathering the series held two
         n_paths, n_times, batch = 4096, 2001, 32
         times = np.arange(n_times, dtype=float)
         block = np.random.default_rng(5).exponential(size=(batch, n_times))
@@ -138,7 +155,36 @@ class TestEstimator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.1 * series_bytes, peak / series_bytes
+        assert peak < 0.05 * series_bytes, peak / series_bytes
+
+    @pytest.mark.parametrize("ic, n_series", [(InitialCondition(), 1),
+                                              (InitialCondition("gaussian", sigma=0.1), 3)],
+                             ids=["one-state", "two-state"])
+    def test_run_holds_each_series_once(self, ic, n_series):
+        # 2048 linearized M=2 paths x 201 outputs: a one-state run holds omega_sq alone
+        # (wa_sq is omega_sq and u_sq a zero view), a two-state run its three series; the
+        # run and the estimator add one batch's draws, series and block, where the
+        # gathered series, their zeros and std's temporary held about 4 and 5 series
+        b = Basis(2, 1.0)
+        spec = build_spectrum(b, 1.0, 2.0, 0.1)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=True, beta_term=False)
+        n_paths, n_out, batch = 2048, 201, 32
+
+        def run(n):
+            cfg = SimConfig(M=2, dt=1e-3, T=0.2, output_times=np.round(np.arange(n_out) * 1e-3, 10),
+                            n_paths=n, master_seed=3, initial_condition=ic)
+            tracemalloc.start()
+            try:
+                estimate_enstrophy(run_ensemble(cfg, params, spec), spec, params.r)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(4)  # lazy imports and first-call caches are not the run's
+        series_bytes = n_paths * n_out * 8
+        batch_bytes = batch * (n_out - 1) * b.n_modes * 8 + 4 * batch * n_out * 8
+        peak = run(n_paths)
+        assert peak < (n_series + 0.1) * series_bytes + batch_bytes, peak / series_bytes
 
 
 class TestGammaThreshold:
@@ -309,6 +355,17 @@ class TestHolderFit:
         trace = synthetic_trace(np.linspace(0.01, 1.0, 100), np.linspace(0.01, 1.0, 100))
         with pytest.raises(ValueError):
             holder_exponent_fit(trace, (0.01, 1.0), [0.01, 0.02, 0.03, 0.04, 0.05])
+
+    def test_repeated_lags_are_rejected(self):
+        # four copies of 0.002 and 0.02 are 5 lags spanning a decade, but 2 distinct
+        # ones: counted as 5 they passed a smooth trace with a 2.2e-15 wide band
+        times = np.round(np.arange(1, 201) * 1e-3, 12)
+        trace = synthetic_trace(times, times**0.75)
+        for lags in ([0.002] * 4 + [0.02], [0.002, 0.004, 0.004 * (1 + 1e-9), 0.01, 0.02]):
+            with pytest.raises(ParameterError) as err:
+                holder_exponent_fit(trace, (0.001, 0.1), lags)
+            assert err.value.field == "lags"
+            assert "distinct" in str(err.value)
 
     def test_uniform_grid_pairs(self):
         # on a uniform grid every lag has many (t, t+h) pairs; for a concave

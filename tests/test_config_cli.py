@@ -960,6 +960,14 @@ class TestConfigErrorsBeforeEnsemble:
          "analysis.holder.lags"),  # no output-time pair is 0.005 apart
         ("simulate", "holder", {"window": [0.01, 0.1], "lags": [0.005] + LAGS[1:]},
          "analysis.holder.lags"),  # checked at load, whatever the command
+        # 5 lags spanning a decade, each realized on the 0.01 grid to T = 0.2, but 2
+        # and 4 distinct ones
+        ("holder", None, {"sim": {"T": 0.2, "output_times": {"kind": "uniform", "n": 21}},
+                          "analysis": {"holder": {"window": [0.01, 0.2], "lags": [0.01] * 4 + [0.1]}}},
+         "analysis.holder.lags"),
+        ("simulate", None, {"sim": {"T": 0.2, "output_times": {"kind": "uniform", "n": 21}},
+                            "analysis": {"holder": {"window": [0.01, 0.2], "lags": [0.01, 0.01] + LAGS[2:]}}},
+         "analysis.holder.lags"),
         ("asymptotics", "sim", {"output_times": {"kind": "explicit", "times": [0.0, 0.05, 0.1]}},
          "sim.output_times"),  # fewer than 3 positive output times
         # the derived gamma, 205.34 with the beta term at beta = 1000, overflows e^(2 gamma T)

@@ -1,6 +1,7 @@
 """Exponential-Euler stepping, ensemble reproducibility, conservation laws."""
 
 import concurrent.futures
+import pickle
 import warnings
 from dataclasses import fields, replace
 
@@ -521,6 +522,27 @@ class TestOneState:
             want = two_state_reference(cfg, linear_params(), spec, idx)["companion_fields"]
             assert rec.fields.tobytes() == want.tobytes()
             assert np.all(rec.fields[:, :, spec.mu_sq == 0.0] == 0.0)
+
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_one_state_u_sq_is_a_read_only_zero_view(self, n_workers):
+        # u_sq of a one-state record is np.broadcast_to(0.0, (B, n_out)): all zero,
+        # read-only and backed by one double; a pool's records keep the view too,
+        # which pickling would otherwise expand to a (B, n_out) array
+        cfg = small_config(n_paths=5, batch_size=3)
+        records = run_ensemble(cfg, linear_params(), build_spectrum(Basis(4, 1.0), 1.0, 2.0, 0.1),
+                               n_workers=n_workers)
+        for rec in records:
+            assert rec.wa_sq is rec.omega_sq  # one state
+            assert rec.u_sq.shape == rec.omega_sq.shape and np.all(rec.u_sq == 0.0)
+            assert rec.u_sq.strides == (0, 0) and rec.u_sq.base.nbytes == 8
+            with pytest.raises(ValueError):
+                rec.u_sq[0, 0] = 1.0
+        # a two-state record's u_sq is its own array, and pickles as one
+        gaussian = replace(cfg, initial_condition=InitialCondition("gaussian", sigma=0.3))
+        rec = run_ensemble(gaussian, linear_params(), build_spectrum(Basis(4, 1.0), 1.0, 2.0, 0.1))[0]
+        copied = pickle.loads(pickle.dumps(rec))
+        assert copied.u_sq.flags.writeable and copied.u_sq.tobytes() == rec.u_sq.tobytes()
 
 
 class TestBlockedDraws:
