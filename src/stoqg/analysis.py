@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import EnsembleRecord
-from .noise import NoiseSpectrum, companion_law
+from .noise import _BLOCK_VALUES, NoiseSpectrum, companion_law
 from .spectral import ParameterError
 
 #: Optimal Poincare constant ||u|| <= c1 ||grad u|| for Dirichlet data on the
@@ -111,15 +111,18 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     Each series is reduced where the records hold it, scaled by the power of
     two that brings its max into [0.5, 1) (a half's 0.5 too), so the squares
     of the SE neither overflow nor underflow. The records are folded in path
-    order through one reused (max batch + 1, n_out) block whose row 0 holds
-    the running sum, so a reduction adds the rows one by one as numpy's
-    `mean(axis=0)` does, and the SE folds the squared deviations from that
-    mean as `std(ddof=1)` does: the same bits in the normal range, in one
-    batch of working memory. One output time gathers its whole column (8
-    bytes a path), as numpy sums that pairwise. A series held twice
-    (`wa_sq is omega_sq`) is reduced once. The analytic companion
+    order through one reused block whose row 0 holds the running sum, so a
+    reduction adds the rows one by one as numpy's `mean(axis=0)` does, and
+    the SE folds the squared deviations from that mean as `std(ddof=1)`
+    does: the same bits in the normal range. Each fold takes as many
+    consecutive records as fit noise._BLOCK_VALUES with the sum row, at
+    least one, so a run of many small records pays few numpy calls and a
+    wide one holds one batch of working memory. One output time gathers its
+    whole column (8 bytes a path), as numpy sums that pairwise. A series
+    held twice (`wa_sq is omega_sq`) is reduced once. The analytic companion
     0.5 E||W_A(t)||^2 is taken at the rates the solver ran with, lambda_k - r,
-    from the spectrum's basis and the Ekman rate r.
+    from the spectrum's basis and the Ekman rate r, before the folds, so its
+    exp block is freed before the fold block is made.
     """
     n = sum(len(rec.path_index) for rec in records)
     if n < 2:
@@ -128,10 +131,24 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     for rec in records[1:]:
         if not np.array_equal(rec.times, times):
             raise ValueError("all records must share the same output times")
-    # the records each fold reduces: one at a time, or the whole column at one output time
-    groups = [records] if len(times) == 1 else [[rec] for rec in records]
-    block = np.empty((1 + max(sum(len(rec.path_index) for rec in g) for g in groups), len(times)))
-    total, root_n = np.empty(len(times)), math.sqrt(n)
+    # the law is taken at amplitudes scaled by 2^-h, which bring max mu_k^2 into [0.5, 2)
+    # so that sum_k s_k^2 neither underflows nor overflows, and scaled back exactly: s_k
+    # scales by 2^-2h, and so do the variance and the SE, the root of a sum of squares
+    h = int(np.frexp(spectrum.mu_sq.max())[1]) // 2
+    scaled = NoiseSpectrum(spectrum.basis, np.ldexp(spectrum.mu, -h), spectrum.theta)
+    variance, sum_sq = companion_law(scaled, r, times)
+
+    # the records each fold reduces: consecutive ones while their rows and the sum row
+    # fit the budget, one at least, or the whole column at one output time
+    n_out, groups, filled = len(times), [], 0
+    for rec in records:
+        if not groups or n_out > 1 and (filled + len(rec.path_index)) * n_out > _BLOCK_VALUES:
+            groups.append([])
+            filled = 1
+        groups[-1].append(rec)
+        filled += len(rec.path_index)
+    block = np.empty((1 + max(sum(len(rec.path_index) for rec in g) for g in groups), n_out))
+    total, root_n = np.empty(n_out), math.sqrt(n)
 
     def fold(name: str, e: int, mean: np.ndarray | None = None) -> np.ndarray:
         """Path sum of series `name` scaled by 2^e, or of its squared deviations from `mean`."""
@@ -163,13 +180,6 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     else:
         wa_half_empirical, _ = reduced("wa_sq", half=True, se=False)
     resid_mean, resid_se = reduced("u_sq", half=False)
-
-    # the law is taken at amplitudes scaled by 2^-h, which bring max mu_k^2 into [0.5, 2)
-    # so that sum_k s_k^2 neither underflows nor overflows, and scaled back exactly: s_k
-    # scales by 2^-2h, and so do the variance and the SE, the root of a sum of squares
-    h = int(np.frexp(spectrum.mu_sq.max())[1]) // 2
-    scaled = NoiseSpectrum(spectrum.basis, np.ldexp(spectrum.mu, -h), spectrum.theta)
-    variance, sum_sq = companion_law(scaled, r, times)
     return EnstrophyTrace(
         times=times.copy(),
         ens_mean=ens_mean,

@@ -32,7 +32,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .noise import NoiseSpectrum, ou_transition_std
+from .noise import _BLOCK_VALUES, NoiseSpectrum, ou_transition_std
 from .spectral import Basis, ParameterError, dealias_resolution
 
 
@@ -242,20 +242,23 @@ def phi1(z: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + z / 2.0 + z**2 / 6.0, out)
 
 
-# byte budget of each per-batch work block: the forcing draws, (B, n, K) doubles,
-# and the drift's two grid-sized work arrays, 4 * 8 * Q * (M + Q) bytes a path
-_BATCH_BLOCK_BYTES = 2**20
+# byte budget of a drift chunk's two grid-sized work arrays, 4 * 8 * Q * (M + Q)
+# bytes a path; the forcing draws take noise._BLOCK_VALUES (256 KiB), a budget that
+# slows nonlinear batches by 5-17% when the chunks share it
+_DRIFT_CHUNK_BYTES = 2**20
 
 
 class _Stepper:
     """Precomputed batched exponential-Euler apparatus for one (params, spectrum, dt).
 
     `drift_flat` evaluates a batch in chunks of at most `chunk` paths: as many
-    as fit _BATCH_BLOCK_BYTES with their derivative grids on the dealiased
+    as fit _DRIFT_CHUNK_BYTES with their derivative grids on the dealiased
     P-grid (Q = P - 1 interior points a side), at least one. That is a whole
     32-path batch at M=16, 8 paths at M=32 and 2 at M=64, so the drift's work
     arrays stop growing with the batch past the budget. Every product and
-    elementwise operation acts per path, so the chunking changes no bit.
+    elementwise operation acts per path, so the chunking changes no bit. The
+    forcing draws keep to the smaller noise._BLOCK_VALUES; the grid products
+    lose speed in chunks that small.
     """
 
     def __init__(self, params: ModelParams, spectrum: NoiseSpectrum, dt: float):
@@ -270,7 +273,7 @@ class _Stepper:
         self.beta = params.effective_beta
         self.needs_drift = self.advective or self.beta != 0.0
         P = dealias_resolution(basis.M)
-        self.chunk = max(1, _BATCH_BLOCK_BYTES // (32 * (P - 1) * (basis.M + P - 1)))
+        self.chunk = max(1, _DRIFT_CHUNK_BYTES // (32 * (P - 1) * (basis.M + P - 1)))
         # work arrays are reused, per chunk shape and per batch shape: fresh
         # arrays of 128 KiB and more on every step make the C allocator return
         # their pages and fault them in again each step, which costs more than
@@ -380,10 +383,12 @@ def _simulate_batch(
     """Simulate one batch of paths and record it at the output times.
 
     Each path's forcing generator fills its rows of one reused (B, n, K)
-    buffer with a single draw per block of n steps (n from _BATCH_BLOCK_BYTES;
-    the last block holds only the steps left). A block draw gives the same
-    numbers as n draws of K, so results do not depend on the block length;
-    one multiply by the OU transition stds makes the block the steps' increments.
+    buffer with a single draw per block of n steps: as many as fit
+    noise._BLOCK_VALUES, at least one (4 steps for 32 paths at M=16, 1 at
+    M=32 and beyond); the last block holds only the steps left. A block draw
+    gives the same numbers as n draws of K, so results do not depend on the
+    block length; one multiply by the OU transition stds makes the block the
+    steps' increments.
     The state is advanced in place, and the three squared norms of each
     output come from one reduction over a reused (3, B, K) buffer.
 
@@ -439,7 +444,7 @@ def _simulate_batch(
 
     if 0 in slot_of:
         record(slot_of[0], 0.0)
-    block = max(1, _BATCH_BLOCK_BYTES // (B * K * 8))
+    block = max(1, _BLOCK_VALUES // (B * K))
     eta_block = np.empty((B, min(block, n_steps), K))
     for first in range(1, n_steps + 1, block):
         n = min(block, n_steps + 1 - first)

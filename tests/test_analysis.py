@@ -27,6 +27,7 @@ from stoqg import (
     trace_class_envelope,
     validate_bound,
 )
+from stoqg import noise
 from stoqg.analysis import bound_parameters
 from stoqg.spectral import ParameterError
 
@@ -120,6 +121,27 @@ class TestEstimator:
                 "resid_se": resid.std(axis=0, ddof=1) / scale}
         for name, value in want.items():
             assert getattr(trace, name).tobytes() == value.tobytes(), name
+
+    def test_many_records_fold_in_groups(self):
+        # 130 records of 1-63 paths x 21 outputs: a fold block takes consecutive records
+        # while they fit 2**15 values with the sum row, so the folds cross group edges
+        # within the run; each estimate keeps the bits of numpy's mean and std(ddof=1)
+        rng = np.random.default_rng(21)
+        times, records, lo = np.arange(21, dtype=float), [], 0
+        for size in rng.integers(1, 64, size=130):
+            omega_sq, u_sq, wa_sq = rng.exponential(size=(3, size, 21)) * rng.lognormal(0.0, 2.0, (3, size, 21))
+            records.append(EnsembleRecord(path_index=np.arange(lo, lo + size), times=times,
+                                          omega_sq=omega_sq, u_sq=u_sq, wa_sq=wa_sq))
+            lo += size
+        assert lo * 21 > 2 * noise._BLOCK_VALUES  # three groups at least
+        trace = estimate_enstrophy(records, TINY_SPECTRUM, 0.1)
+        for name, mean, se, half in (("omega_sq", "ens_mean", "ens_se", 0.5), ("u_sq", "resid_mean", "resid_se", 1.0),
+                                     ("wa_sq", "wa_half_empirical", None, 0.5)):
+            series = half * np.concatenate([getattr(r, name) for r in records])
+            assert getattr(trace, mean).tobytes() == series.mean(axis=0).tobytes(), name
+            if se is not None:
+                want = series.std(axis=0, ddof=1) / np.sqrt(lo)
+                assert getattr(trace, se).tobytes() == want.tobytes(), name
 
     def test_one_output_time_keeps_the_pairwise_bits(self):
         # with one output time numpy's mean and std sum the column pairwise; over 331

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import pickle
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -145,9 +146,9 @@ class TestDrift:
         params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=False, beta_term=True)
         a = 0.3 * rng.standard_normal((B, M * M))
         chunked = stepper_for(b, params)
-        monkeypatch.setattr(dynamics, "_BATCH_BLOCK_BYTES", 1)
+        monkeypatch.setattr(dynamics, "_DRIFT_CHUNK_BYTES", 1)
         per_path = stepper_for(b, params)
-        monkeypatch.setattr(dynamics, "_BATCH_BLOCK_BYTES", 2**40)
+        monkeypatch.setattr(dynamics, "_DRIFT_CHUNK_BYTES", 2**40)
         whole = stepper_for(b, params)
         assert per_path.chunk == 1 < chunked.chunk < B <= whole.chunk and B % chunked.chunk
         got = chunked.drift_flat(a).tobytes()
@@ -356,21 +357,22 @@ class TestDeterminism:
         assert got.n_paths == want.n_paths == 10
 
     def test_draw_block_does_not_change_paths(self, monkeypatch):
-        # batches of 32 and 8 paths at M=4; 300 steps: the 32-path batch draws one full
-        # block and a short one, the 8-path batch one short block; outputs fall on the
-        # last step of the first block, the first of the next, and off the block edges
-        block = dynamics._BATCH_BLOCK_BYTES // (32 * 16 * 8)
-        assert 100 < block < 299 and 300 % block
+        # batches of 32 and 8 paths at M=4; 100 steps: the 32-path batch draws one full
+        # block of 64 steps and a short one of 36, the 8-path batch all 100 in one short
+        # block (its budget is 256 steps); outputs fall on the last step of the first
+        # block, the first of the next, and off the block edges
+        block = dynamics._BLOCK_VALUES // (32 * 16)
+        assert block == 64 and dynamics._BLOCK_VALUES // (8 * 16) > 100
         b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=False, beta_term=True)
         cfg = SimConfig(
-            M=4, dt=1e-3, T=0.3, output_times=np.array([0, 100, block, block + 1, 300]) * 1e-3,
+            M=4, dt=1e-3, T=0.1, output_times=np.array([0, 30, block, block + 1, 100]) * 1e-3,
             n_paths=40, master_seed=11, batch_size=32, store_fields=True,
             initial_condition=InitialCondition("gaussian", sigma=0.3),
         )
         blocked = run_ensemble(cfg, params, spec)
-        monkeypatch.setattr(dynamics, "_BATCH_BLOCK_BYTES", 1)  # one step per draw
+        monkeypatch.setattr(dynamics, "_BLOCK_VALUES", 1)  # one step per draw
         stepwise = run_ensemble(cfg, params, spec)
         assert len(blocked) == len(stepwise) == 2
         for got, want in zip(blocked, stepwise):
@@ -380,15 +382,16 @@ class TestDeterminism:
 
     @settings(max_examples=60, deadline=None)
     @given(M=st.integers(2, 40), n_paths=st.integers(1, 7), batch_size=st.integers(1, 7),
-           budget=st.integers(0, 20).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1) - 1)),
+           draw_values=st.integers(0, 15).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1) - 1)),
+           chunk_bytes=st.integers(0, 20).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1) - 1)),
            n_steps=st.integers(1, 4), linearized=st.booleans(), beta_term=st.booleans(),
            sigma=st.sampled_from([0.3, 1e155, 0.0]), seed=st.integers(0, 2**64 - 1))
-    def test_stepper_over_time_matches_one_path_batches(self, M, n_paths, batch_size, budget,
-                                                        n_steps, linearized, beta_term, sigma,
-                                                        seed):
-        # any batching and any byte budget (draw blocks and drift chunks) give the
-        # bits of one-path batches; sigma=1e155 overflows the drift at the first step,
-        # and sigma=0.0 without a drift term keeps one state
+    def test_stepper_over_time_matches_one_path_batches(self, M, n_paths, batch_size, draw_values,
+                                                        chunk_bytes, n_steps, linearized,
+                                                        beta_term, sigma, seed):
+        # any batching, any draw block budget and any drift chunk budget, each set on
+        # its own, give the bits of one-path batches; sigma=1e155 overflows the drift at
+        # the first step, and sigma=0.0 without a drift term keeps one state
         b = Basis(M, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=linearized, beta_term=beta_term)
@@ -408,7 +411,8 @@ class TestDeterminism:
 
         want = run(1)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics, "_BATCH_BLOCK_BYTES", min(budget, dynamics._BATCH_BLOCK_BYTES))
+            patch.setattr(dynamics, "_BLOCK_VALUES", min(draw_values, dynamics._BLOCK_VALUES))
+            patch.setattr(dynamics, "_DRIFT_CHUNK_BYTES", min(chunk_bytes, dynamics._DRIFT_CHUNK_BYTES))
             got = run(batch_size)
         assert got == want
         assert (want[0] is None) == (sigma > 1.0 and not linearized)
@@ -557,6 +561,25 @@ class TestBlockedDraws:
         want = np.stack([step_rng.standard_normal(K) for _ in range(n)])
         assert buf[:n].tobytes() == want.tobytes()
         assert block_rng.bit_generator.state == step_rng.bit_generator.state
+
+    def test_batch_holds_little_beyond_its_record(self):
+        # one lin16_dense batch: 32 linearized M=16 paths from rest, 500 steps, an output
+        # at each; its 4-step draw block (256 KiB) is most of what the batch holds beyond
+        # the record's (32, 501) series, where a 16-step block of 1 MiB was
+        b = Basis(16, 1.0)
+        spec = build_spectrum(b, 1.0, 2.0, 0.1)
+        cfg = SimConfig(M=16, dt=1e-3, T=0.5, output_times=np.round(np.arange(501) * 1e-3, 10),
+                        n_paths=32, master_seed=5)
+        _simulate_batch(linear_params(), spec, cfg, np.arange(32))  # first-call caches
+        tracemalloc.start()
+        try:
+            rec = _simulate_batch(linear_params(), spec, cfg, np.arange(32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = rec.omega_sq.nbytes + rec.times.nbytes + rec.path_index.nbytes
+        assert rec.wa_sq is rec.omega_sq  # one state
+        assert peak - held < 700 * 1024, (peak - held) / 1024
 
 
 class TestTrajectoryRecords:

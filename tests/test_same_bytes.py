@@ -22,7 +22,7 @@ def test_checkout_against_itself_is_the_same():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 6 and all(line.endswith(": same") for line in lines), lines
+    assert len(lines) == 7 and all(line.endswith(": same") for line in lines), lines
     assert all("exit 0," in line for line in lines), lines
 
 

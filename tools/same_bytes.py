@@ -1,12 +1,15 @@
 """Do two checkouts write the same artifacts? Compares them byte for byte.
 
-    python3 tools/same_bytes.py PARENT CHANGE [--tiny]
+    python3 tools/same_bytes.py PARENT CHANGE [--tiny] [--blas-threads N]
 
 PARENT and CHANGE are checkout directories. Each runs the same behaviour
-matrix at seed 1, with its own `src` on PYTHONPATH and one BLAS thread:
-`simulate` on the three configs of `perfbench/workloads.py` (nl16_pool at 1
-and 2 workers), `verify-linear` on lin16_dense's config and `bounds` on
-nl16_pool's. The configs come from this script's checkout. Both sides write to
+matrix at seed 1, with its own `src` on PYTHONPATH and N BLAS threads
+(default 1, set through OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS): `simulate` on the three configs of `perfbench/workloads.py`
+(nl16_pool at 1 and 2 workers), `verify-linear` and `asymptotics` on
+lin16_dense's config and `bounds` on nl16_pool's. `holder` is left out: it
+needs an `analysis.holder.window` that no workload sets. The configs come
+from this script's checkout. Both sides write to
 the same output path, one after the other, so their manifests hash the same
 config. Every file is compared byte for byte, and `manifest.json` without its
 `wall_time_s`; so are the exit codes. Each case prints one line, and every
@@ -26,10 +29,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # (command, workload, workers)
 CASES = (("simulate", "nl16_pool", 1), ("simulate", "nl16_pool", 2), ("simulate", "lin16_dense", 1),
-         ("simulate", "nl32_dump", 1), ("verify-linear", "lin16_dense", 1), ("bounds", "nl16_pool", 1))
+         ("simulate", "nl32_dump", 1), ("verify-linear", "lin16_dense", 1),
+         ("asymptotics", "lin16_dense", 1), ("bounds", "nl16_pool", 1))
 MAIN = "import sys; from stoqg.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -41,9 +45,10 @@ def documents(tiny: bool) -> dict[str, dict]:
     return {name: workload.build(1, tiny) for name, workload in WORKLOADS.items()}
 
 
-def run(checkout: Path, command: str, config: Path, workers: int) -> int:
+def run(checkout: Path, command: str, config: Path, workers: int, blas_threads: int) -> int:
     """One command of `checkout` on `config`; returns its exit code."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **THREAD_ENV)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               **dict.fromkeys(THREAD_VARS, str(blas_threads)))
     return subprocess.run([sys.executable, "-c", MAIN, command, "--config", str(config),
                            "--threads", str(workers)], cwd=checkout, env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
@@ -73,6 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--tiny", action="store_true")
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="N")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     docs = documents(args.tiny)
@@ -88,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
             config.write_text(json.dumps(document), encoding="utf-8")
             codes = {}
             for label, checkout in sides.items():
-                codes[label] = run(checkout, command, config, workers)
+                codes[label] = run(checkout, command, config, workers, args.blas_threads)
                 out.mkdir(exist_ok=True)  # a config error leaves no out dir
                 out.rename(case / label)
             diff = differing(case / "parent", case / "change")
