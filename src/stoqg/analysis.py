@@ -118,8 +118,10 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     consecutive records as fit noise._BLOCK_VALUES with the sum row, at
     least one, so a run of many small records pays few numpy calls and a
     wide one holds one batch of working memory. One output time gathers its
-    whole column (8 bytes a path), as numpy sums that pairwise. A series
-    held twice (`wa_sq is omega_sq`) is reduced once. The analytic companion
+    whole column (8 bytes a path), as numpy sums that pairwise. Records that
+    name omega_sq alone come from a one-state run, where omega is W_A and U
+    is 0: the empirical companion copies the mean, and the residual and its
+    SE are 0, the bits a fold of zeros gives. The analytic companion
     0.5 E||W_A(t)||^2 is taken at the rates the solver ran with, lambda_k - r,
     from the spectrum's basis and the Ekman rate r, before the folds, so its
     exp block is freed before the fold block is made.
@@ -127,10 +129,12 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     n = sum(len(rec.path_index) for rec in records)
     if n < 2:
         raise ValueError("need at least 2 paths for a standard error")
-    times = records[0].times
+    times, names = records[0].times, records[0].names
     for rec in records[1:]:
         if not np.array_equal(rec.times, times):
             raise ValueError("all records must share the same output times")
+        if rec.names != names:
+            raise ValueError(f"all records must name the same series, got {names} and {rec.names}")
     # the law is taken at amplitudes scaled by 2^-h, which bring max mu_k^2 into [0.5, 2)
     # so that sum_k s_k^2 neither underflows nor overflows, and scaled back exactly: s_k
     # scales by 2^-2h, and so do the variance and the SE, the root of a sum of squares
@@ -156,7 +160,7 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
             lo = 1
             for rec in group:
                 rows = block[lo:lo + len(rec.path_index)]
-                np.ldexp(getattr(rec, name), e, out=rows)
+                np.ldexp(rec[name], e, out=rows)
                 lo += len(rows)
             rows = block[1:lo]
             if mean is not None:
@@ -168,18 +172,18 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     def reduced(name: str, half: bool, se: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Mean and, if `se`, SE over the paths of the series `name`, halved if `half`."""
         # the series are sums of squares, so their largest magnitude is their max
-        e = int(np.frexp(np.max([getattr(rec, name).max() for rec in records]))[1])
+        e = int(np.frexp(np.max([rec[name].max() for rec in records]))[1])
         mean = fold(name, -e - half) / n
         if not se:
             return np.ldexp(mean, e), None
         return np.ldexp(mean, e), np.ldexp(np.sqrt(fold(name, -e - half, mean) / (n - 1)) / root_n, e)
 
     ens_mean, ens_se = reduced("omega_sq", half=True)
-    if all(rec.wa_sq is rec.omega_sq for rec in records):
-        wa_half_empirical = ens_mean.copy()
+    if names == ("omega_sq",):
+        wa_half_empirical, resid_mean, resid_se = ens_mean.copy(), np.zeros(n_out), np.zeros(n_out)
     else:
         wa_half_empirical, _ = reduced("wa_sq", half=True, se=False)
-    resid_mean, resid_se = reduced("u_sq", half=False)
+        resid_mean, resid_se = reduced("u_sq", half=False)
     return EnstrophyTrace(
         times=times.copy(),
         ens_mean=ens_mean,

@@ -147,7 +147,7 @@ def cmd_verify_linear(cfg: RunConfig, run) -> _Outcome:
     # when nothing but the noise drives it
     if cfg.params.effective_beta != 0.0:
         raise ConfigError("model.beta_term", "verify-linear requires the beta term off")
-    if cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes) != 0.0:
+    if not cfg.sim.initial_condition.at_rest:
         raise ConfigError("sim.initial_condition", "verify-linear requires a zero initial condition")
     report = lab.linear_oracle_check(run())
     worst_z = f"worst |z|={abs(report['worst_z']):.3g}, threshold {report['z_threshold']:.3g}"
@@ -253,7 +253,7 @@ def cmd_asymptotics(cfg: RunConfig, run) -> _Outcome:
     lab.check_small_times(cfg.sim.output_times)  # mode and delta were checked at load
     ens0 = 0.5 * cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
     # zero mode's premise is omega(0) = 0: only from rest does Ens(t) start out as the convolution's
-    if asym["mode"] == "zero" and ens0 != 0.0:
+    if asym["mode"] == "zero" and not cfg.sim.initial_condition.at_rest:
         raise ConfigError("analysis.asymptotics.mode", "zero mode requires a zero initial condition")
     trace = run()
     # general mode fits only times before the slowest mode has relaxed, 1 / (2 |lambda_1 - r|)

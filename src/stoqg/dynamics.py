@@ -13,7 +13,7 @@ only the drift carries the first-order error. A pure-convolution companion
 state takes the drift-free step on the same eta draws, giving each path its
 own exact record of the forced linear response. A run without a drift takes
 that step too, so from rest it is the companion (omega == W_A, Lemma 1 with
-U == 0): it steps one state and records the companion's norms from it.
+U == 0): it steps one state, and its records name omega_sq alone.
 
 Paths are deterministic functions of (master_seed, path_index): every path
 derives its generators from a seed sequence spawned with the path index as
@@ -96,6 +96,11 @@ class InitialCondition:
             vals = np.asarray(self.coeffs, dtype=float)
             return float(np.sum(vals**2))
         return float(np.sum(self.sigmas(n_modes) ** 2))
+
+    @property
+    def at_rest(self) -> bool:
+        """omega_0 = 0 on every path: kind zero, or no nonzero coefficient or sigma."""
+        return self.kind == "zero" or not np.any(self.coeffs if self.kind == "coeffs" else self.sigma)
 
 
 # the largest count a config may size one array by: from about twice this, 8 bytes
@@ -181,21 +186,21 @@ def snap_output_times(times, dt: float, T: float) -> np.ndarray:
     return snapped[keep]
 
 
+# the per-path series a record reduces, omega_sq first; a one-state record holds it alone
+SERIES = ("omega_sq", "u_sq", "wa_sq")
+
+
 @dataclass
 class EnsembleRecord:
     """Diagnostics of one batch of paths at the output times, one row per path.
 
-    Scalars, each (n_paths, n_out): the squared norm of the vorticity
-    (omega_sq = ||omega||^2), the squared distance to the companion convolution
-    (u_sq = ||omega - V||^2) and the companion's squared norm
-    (wa_sq = ||W_A||^2); nothing else is reduced at an output. A run without a
-    drift from zero initial coefficients steps no companion: omega is W_A
-    there, so its record reduces omega_sq alone, `wa_sq` is that same array
-    (`rec.wa_sq is rec.omega_sq`, so writing into one writes the other) and
-    `u_sq` is a read-only zero view, `np.broadcast_to(0.0, (n_paths, n_out))`,
-    which holds no buffer (writing to it raises ValueError): the bits two
-    states give. Such a record pickles without it and rebuilds the view, so a
-    pool's records keep it too. The coefficient snapshots,
+    `series` (len(names), n_paths, n_out) holds one scalar per path and output
+    for each of its `names`, and `rec[name]` reads one: the squared norm of
+    the vorticity (omega_sq = ||omega||^2), the squared distance to the
+    companion convolution (u_sq = ||omega - V||^2) and the companion's squared
+    norm (wa_sq = ||W_A||^2); nothing else is reduced at an output. A run
+    without a drift from rest steps no companion: omega is W_A there and U is
+    0, so its records name omega_sq alone. The coefficient snapshots,
     (n_paths, n_out, M^2), are kept only when the run stores fields; other
     quadratic diagnostics, such as ||grad omega||^2, come from them.
     `failures` holds a (path, time) pair for each path with nonfinite
@@ -204,20 +209,13 @@ class EnsembleRecord:
 
     path_index: np.ndarray
     times: np.ndarray
-    omega_sq: np.ndarray
-    u_sq: np.ndarray
-    wa_sq: np.ndarray
+    names: tuple[str, ...]
+    series: np.ndarray
     fields: np.ndarray | None = None
     failures: list[tuple[int, float]] = field(default_factory=list)
 
-    def __getstate__(self):
-        # pickle would expand the zero view of a one-state record into zeros
-        return dict(vars(self), u_sq=None) if self.wa_sq is self.omega_sq else vars(self)
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        if self.u_sq is None:
-            self.u_sq = np.broadcast_to(0.0, self.omega_sq.shape)
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.series[self.names.index(name)]
 
 
 class WorkerError(RuntimeError):
@@ -389,16 +387,14 @@ def _simulate_batch(
     gives the same numbers as n draws of K, so results do not depend on the
     block length; one multiply by the OU transition stds makes the block the
     steps' increments.
-    The state is advanced in place, and the three squared norms of each
-    output come from one reduction over a reused (3, B, K) buffer.
+    The state is advanced in place, and the squared norms of each output come
+    from one reduction of a reused (S, B, K) buffer into the record's
+    (S, B, n_out) series.
 
-    Without a drift, a batch whose initial coefficients are all zero keeps no
-    companion: the state takes the companion's drift-free step on the same
-    increments, so from +0.0 it is the companion bit for bit (a -0.0 start
-    differs from it at most in a zero's sign). Its outputs reduce only a^2
-    into one (B, n_out) series, which the record holds as both omega_sq and
-    wa_sq beside a read-only zero view as u_sq, which allocates nothing: the
-    bits the two-state reduction gives.
+    A run without a drift from rest keeps no companion: the state takes the
+    companion's drift-free step on the same increments, so from +0.0 it is
+    the companion bit for bit (a -0.0 start differs from it at most in a
+    zero's sign). It reduces a^2 alone (S = 1, not 3).
     """
     basis = spectrum.basis
     B = len(path_indices)
@@ -407,22 +403,21 @@ def _simulate_batch(
 
     gens = [_path_generators(config.master_seed, int(p)) for p in path_indices]
     a = np.stack([_initial_coeffs(config, basis, ic_rng) for ic_rng, _ in gens])
-    v = np.zeros((B, K)) if stepper.needs_drift or a.any() else None
+    v = None if not stepper.needs_drift and config.initial_condition.at_rest else np.zeros((B, K))
     noise_rngs = [noise_rng for _, noise_rng in gens]
 
     out_steps = config.output_steps()
     n_steps = int(out_steps[-1])
     slot_of = {int(s): i for i, s in enumerate(out_steps)}
     n_out = len(out_steps)
-    squares = np.empty((1 if v is None else 3, B, K))
-    series = np.empty((len(squares), B, n_out))  # omega_sq, then u_sq and wa_sq with a companion
-    omega_sq = series[0]
+    names = SERIES[:1] if v is None else SERIES
+    squares = np.empty((len(names), B, K))
+    series = np.empty((len(names), B, n_out))
     rec = EnsembleRecord(
         path_index=np.array(path_indices),
         times=config.output_times.copy(),
-        omega_sq=omega_sq,
-        u_sq=np.broadcast_to(0.0, (B, n_out)) if v is None else series[1],
-        wa_sq=omega_sq if v is None else series[2],
+        names=names,
+        series=series,
         fields=np.empty((B, n_out, K)) if config.store_fields else None,
     )
     failed_at = [None] * B

@@ -139,13 +139,13 @@ def test_criterion_4_deterministic_dissipation():
         return run_ensemble(cfg, params, spectrum)[0]
 
     coarse = run(1e-3)
-    ens = 0.5 * coarse.omega_sq[0]
+    ens = 0.5 * coarse["omega_sq"][0]
     assert np.all(np.diff(ens) <= 0.0), "discrete enstrophy increased"
 
     def residual(rec, dt):
-        e = 0.5 * rec.omega_sq[0]
+        e = 0.5 * rec["omega_sq"][0]
         return np.abs(np.diff(e) / dt + params.nu * ref.grad_sq(basis, rec.fields[0, :-1])
-                      + params.r * rec.omega_sq[0, :-1])
+                      + params.r * rec["omega_sq"][0, :-1])
 
     fine = run(5e-4)
     r_coarse = np.mean(residual(coarse, 1e-3))

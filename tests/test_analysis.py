@@ -29,6 +29,7 @@ from stoqg import (
 )
 from stoqg import noise
 from stoqg.analysis import bound_parameters
+from stoqg.dynamics import SERIES
 from stoqg.spectral import ParameterError
 
 
@@ -39,10 +40,9 @@ TINY_SPECTRUM = build_spectrum(Basis(1, 1.0), 1.0, 2.0, 0.1)
 def fake_record(times, omega_sq, index=0):
     """A one-path record with the given ||omega||^2 series and zero companions."""
     times = np.asarray(times, dtype=float)
-    omega_sq = np.asarray(omega_sq, dtype=float)[None, :]
-    zeros = np.zeros_like(omega_sq)
-    return EnsembleRecord(path_index=np.array([index]), times=times, omega_sq=omega_sq,
-                          u_sq=zeros, wa_sq=zeros)
+    series = np.zeros((3, 1, len(times)))
+    series[0, 0] = omega_sq
+    return EnsembleRecord(path_index=np.array([index]), times=times, names=SERIES, series=series)
 
 
 def synthetic_trace(times, ens, se=None):
@@ -70,6 +70,13 @@ class TestEstimator:
         trace = estimate_enstrophy(records, TINY_SPECTRUM, 0.1)
         assert trace.ens_mean[0] == pytest.approx(1.5)
         assert trace.ens_se[0] == pytest.approx(0.5)
+
+    def test_records_must_name_the_same_series(self):
+        # a one-state record beside a two-state one
+        one = EnsembleRecord(path_index=np.array([0]), times=np.array([0.5]), names=SERIES[:1],
+                             series=np.ones((1, 1, 1)))
+        with pytest.raises(ValueError, match="same series"):
+            estimate_enstrophy([one, fake_record([0.5], [1.0], 1)], TINY_SPECTRUM, 0.1)
 
     @pytest.mark.parametrize("mu_exp", [2.0, 0.5])  # trace-class and not
     def test_linear_system_matches_analytic(self, mu_exp):
@@ -108,12 +115,12 @@ class TestEstimator:
         times = np.arange(n_times, dtype=float)
         records, lo = [], 0
         for size in sizes:
-            omega_sq, u_sq, wa_sq = rng.exponential(size=(3, size, n_times)) * rng.choice([1e-3, 1.0, 1e5])
+            series = rng.exponential(size=(3, size, n_times)) * rng.choice([1e-3, 1.0, 1e5])
             records.append(EnsembleRecord(path_index=np.arange(lo, lo + size), times=times,
-                                          omega_sq=omega_sq, u_sq=u_sq, wa_sq=wa_sq))
+                                          names=SERIES, series=series))
             lo += size
         trace = estimate_enstrophy(records, TINY_SPECTRUM, 0.1)
-        ens, wa, resid = (np.concatenate([getattr(r, name) for r in records])
+        ens, wa, resid = (np.concatenate([r[name] for r in records])
                           for name in ("omega_sq", "wa_sq", "u_sq"))
         scale = np.sqrt(lo)
         want = {"ens_mean": (0.5 * ens).mean(axis=0), "ens_se": (0.5 * ens).std(axis=0, ddof=1) / scale,
@@ -129,15 +136,15 @@ class TestEstimator:
         rng = np.random.default_rng(21)
         times, records, lo = np.arange(21, dtype=float), [], 0
         for size in rng.integers(1, 64, size=130):
-            omega_sq, u_sq, wa_sq = rng.exponential(size=(3, size, 21)) * rng.lognormal(0.0, 2.0, (3, size, 21))
+            series = rng.exponential(size=(3, size, 21)) * rng.lognormal(0.0, 2.0, (3, size, 21))
             records.append(EnsembleRecord(path_index=np.arange(lo, lo + size), times=times,
-                                          omega_sq=omega_sq, u_sq=u_sq, wa_sq=wa_sq))
+                                          names=SERIES, series=series))
             lo += size
         assert lo * 21 > 2 * noise._BLOCK_VALUES  # three groups at least
         trace = estimate_enstrophy(records, TINY_SPECTRUM, 0.1)
         for name, mean, se, half in (("omega_sq", "ens_mean", "ens_se", 0.5), ("u_sq", "resid_mean", "resid_se", 1.0),
                                      ("wa_sq", "wa_half_empirical", None, 0.5)):
-            series = half * np.concatenate([getattr(r, name) for r in records])
+            series = half * np.concatenate([r[name] for r in records])
             assert getattr(trace, mean).tobytes() == series.mean(axis=0).tobytes(), name
             if se is not None:
                 want = series.std(axis=0, ddof=1) / np.sqrt(lo)
@@ -150,13 +157,13 @@ class TestEstimator:
         rng = np.random.default_rng(11)
         sizes, lo, records = (5, 70, 200, 56), 0, []
         for size in sizes:
-            omega_sq, u_sq, wa_sq = rng.exponential(size=(3, size, 1)) * rng.lognormal(0.0, 3.0, (3, size, 1))
+            series = rng.exponential(size=(3, size, 1)) * rng.lognormal(0.0, 3.0, (3, size, 1))
             records.append(EnsembleRecord(path_index=np.arange(lo, lo + size), times=np.array([0.5]),
-                                          omega_sq=omega_sq, u_sq=u_sq, wa_sq=wa_sq))
+                                          names=SERIES, series=series))
             lo += size
         trace = estimate_enstrophy(records, TINY_SPECTRUM, 0.1)
         for name, mean, se, half in (("omega_sq", "ens_mean", "ens_se", 0.5), ("u_sq", "resid_mean", "resid_se", 1.0)):
-            column = half * np.concatenate([getattr(r, name) for r in records])
+            column = half * np.concatenate([r[name] for r in records])
             assert np.cumsum(column)[-1] != column.sum()  # the order of the sum shows in the bits
             assert getattr(trace, mean).tobytes() == column.mean(axis=0).tobytes(), name
             assert getattr(trace, se).tobytes() == (column.std(axis=0, ddof=1) / np.sqrt(lo)).tobytes(), name
@@ -167,8 +174,9 @@ class TestEstimator:
         n_paths, n_times, batch = 4096, 2001, 32
         times = np.arange(n_times, dtype=float)
         block = np.random.default_rng(5).exponential(size=(batch, n_times))
+        series = np.stack([block] * 3)
         records = [EnsembleRecord(path_index=np.arange(lo, lo + batch), times=times,
-                                  omega_sq=block, u_sq=block, wa_sq=block)
+                                  names=SERIES, series=series)
                    for lo in range(0, n_paths, batch)]
         series_bytes = n_paths * n_times * 8
         tracemalloc.start()
@@ -183,10 +191,10 @@ class TestEstimator:
                                               (InitialCondition("gaussian", sigma=0.1), 3)],
                              ids=["one-state", "two-state"])
     def test_run_holds_each_series_once(self, ic, n_series):
-        # 2048 linearized M=2 paths x 201 outputs: a one-state run holds omega_sq alone
-        # (wa_sq is omega_sq and u_sq a zero view), a two-state run its three series; the
-        # run and the estimator add one batch's draws, series and block, where the
-        # gathered series, their zeros and std's temporary held about 4 and 5 series
+        # 2048 linearized M=2 paths x 201 outputs: a one-state run holds omega_sq alone,
+        # a two-state run its three series; the run and the estimator add one batch's
+        # draws, series and block, where the gathered series, their zeros and std's
+        # temporary held about 4 and 5 series
         b = Basis(2, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=True, beta_term=False)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from stoqg._ryu import repr_join
 from stoqg.artifacts import _numpy_to_python, write_csv, write_json, write_trajectories
-from stoqg.dynamics import EnsembleRecord
+from stoqg.dynamics import SERIES, EnsembleRecord
 
 
 def joined_csv(header, rows) -> str:
@@ -175,10 +175,9 @@ def synthetic_records(n_paths=8, n_times=11, n_modes=1024, batch=4):
     times = np.linspace(0.0, 0.5, n_times)
     records = []
     for lo in range(0, n_paths, batch):
-        zeros = np.zeros((batch, n_times))
         records.append(EnsembleRecord(
             path_index=np.arange(lo, lo + batch), times=times,
-            omega_sq=zeros, u_sq=zeros, wa_sq=zeros,
+            names=SERIES, series=np.zeros((3, batch, n_times)),
             fields=rng.standard_normal((batch, n_times, n_modes)),
         ))
     return records
@@ -192,10 +191,9 @@ def special_records(n_modes: int, n_times=5, batch=2):
     for lo in range(0, 2 * batch, batch):
         fields = np.resize(np.roll(specials, 7 * lo), (batch, n_times, n_modes))
         fields[0, 1] = 0.0
-        zeros = np.zeros((batch, n_times))
         records.append(EnsembleRecord(
             path_index=np.arange(lo, lo + batch), times=times,
-            omega_sq=zeros, u_sq=zeros, wa_sq=zeros, fields=fields,
+            names=SERIES, series=np.zeros((3, batch, n_times)), fields=fields,
         ))
     return records
 

@@ -984,6 +984,11 @@ class TestConfigErrorsBeforeEnsemble:
         ("simulate", "sim", {"dt": 1e-300}, "sim.dt"),
         ("asymptotics", "sim", {"initial_condition": {"type": "gaussian", "sigma": 0.1}},
          "analysis.asymptotics.mode"),  # zero mode, the default, compares a run from rest
+        # 1e-200 is not rest, though its square underflows to 0
+        ("verify-linear", "sim", {"initial_condition": {"type": "coeffs", "values": [1e-200] + [0.0] * 15}},
+         "sim.initial_condition"),
+        ("asymptotics", "sim", {"initial_condition": {"type": "coeffs", "values": [1e-200] + [0.0] * 15}},
+         "analysis.asymptotics.mode"),
     ])
     def test_exit_2_without_running(self, tmp_path, capsys, ensemble_calls, command, section,
                                     settings, key):

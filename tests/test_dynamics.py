@@ -27,7 +27,7 @@ from stoqg import (
     spectrum_from_list,
 )
 from stoqg import dynamics
-from stoqg.dynamics import _path_generators, _simulate_batch, _Stepper, phi1
+from stoqg.dynamics import SERIES, _path_generators, _simulate_batch, _Stepper, phi1
 from stoqg.noise import ou_transition_std
 from stoqg.spectral import ParameterError
 
@@ -54,10 +54,13 @@ def small_config(**overrides):
 def path_record(config, params, spectrum, p):
     """Path p as a one-path record: the last row of an ensemble of p + 1 paths."""
     rec = run_ensemble(replace(config, n_paths=p + 1), params, spectrum)[-1]
-    rows = {name: getattr(rec, name)[-1:] for name in ("path_index", "omega_sq", "u_sq",
-                                                       "wa_sq", "fields")
-            if getattr(rec, name) is not None}
-    return replace(rec, **rows)
+    return replace(rec, path_index=rec.path_index[-1:], series=rec.series[:, -1:],
+                   fields=None if rec.fields is None else rec.fields[-1:])
+
+
+def joined(records, name):
+    """A record attribute of a run, its batches' paths joined in order."""
+    return np.concatenate([getattr(r, name) for r in records], axis=1 if name == "series" else 0)
 
 
 def stepper_for(basis, params, c_mu=1.0):
@@ -260,16 +263,18 @@ class TestLinearExactness:
         # F == 0 and omega_0 = 0: the solution IS the stochastic convolution
         b = Basis(4, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
-        rec = path_record(small_config(), linear_params(), spec, 0)
-        np.testing.assert_array_equal(rec.omega_sq[0], rec.wa_sq[0])
-        assert np.max(rec.u_sq[0]) == 0.0
+        records = run_ensemble(small_config(), linear_params(), spec)
+        assert records[0].names == ("omega_sq",)  # one state: omega is W_A
+        trace = estimate_enstrophy(records, spec, 0.1)
+        np.testing.assert_array_equal(trace.ens_mean, trace.wa_half_empirical)
+        assert np.max(trace.resid_mean) == 0.0
 
     def test_zero_spectrum_zero_ic_stays_zero(self):
         b = Basis(4, 1.0)
         spec = build_spectrum(b, 0.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=1.0, linearized=False, beta_term=True)
         rec = path_record(small_config(), params, spec, 0)
-        assert np.all(rec.omega_sq[0] == 0.0)
+        assert np.all(rec["omega_sq"][0] == 0.0)
 
     def test_zero_noise_leaves_no_convolution(self):
         # mu == 0: V == 0, so U IS the solution
@@ -278,9 +283,9 @@ class TestLinearExactness:
         params = ModelParams(nu=1.0, r=0.1, beta=0.4, linearized=False, beta_term=True)
         cfg = small_config(initial_condition=InitialCondition("gaussian", sigma=0.3))
         rec = run_ensemble(cfg, params, spec)[0]
-        assert np.all(rec.wa_sq == 0.0)
-        np.testing.assert_array_equal(rec.u_sq, rec.omega_sq)
-        assert np.min(rec.u_sq) > 0.0
+        assert np.all(rec["wa_sq"] == 0.0)
+        np.testing.assert_array_equal(rec["u_sq"], rec["omega_sq"])
+        assert np.min(rec["u_sq"]) > 0.0
 
 
 class TestDeterminism:
@@ -344,10 +349,7 @@ class TestDeterminism:
         single, batched = run(1), run(batch_size)
         assert len(batched) == -(-10 // batch_size)
 
-        def joined(records, name):
-            return np.concatenate([getattr(r, name) for r in records])
-
-        for name in ("path_index", "omega_sq", "u_sq", "wa_sq", "fields"):
+        for name in ("path_index", "series", "fields"):
             np.testing.assert_array_equal(joined(batched, name), joined(single, name), err_msg=name)
         want = estimate_enstrophy(single, spec, params.r)
         got = estimate_enstrophy(batched, spec, params.r)
@@ -376,7 +378,8 @@ class TestDeterminism:
         stepwise = run_ensemble(cfg, params, spec)
         assert len(blocked) == len(stepwise) == 2
         for got, want in zip(blocked, stepwise):
-            for name in ("path_index", "omega_sq", "u_sq", "wa_sq", "fields"):
+            assert got.names == want.names
+            for name in ("path_index", "series", "fields"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert got.failures == want.failures
 
@@ -406,8 +409,7 @@ class TestDeterminism:
                     records = run_ensemble(cfg, params, spec)
             except BlowupError as err:
                 return None, err.failures
-            names = ("path_index", "omega_sq", "u_sq", "wa_sq", "fields")
-            return {n: np.concatenate([getattr(r, n) for r in records]).tobytes() for n in names}, []
+            return {n: joined(records, n).tobytes() for n in ("path_index", "series", "fields")}, []
 
         want = run(1)
         with pytest.MonkeyPatch.context() as patch:
@@ -506,12 +508,18 @@ class TestOneState:
         records = run_ensemble(cfg, params, spec)
         assert len(states) == 20  # 10 steps for each of the 2 batches
         assert companion_steps == ([] if one_state else [(3, 16)] * 10 + [(2, 16)] * 10)
+        # one state reduces one series: the records name omega_sq alone
+        assert [rec.names for rec in records] == [SERIES[:1] if one_state else SERIES] * 2
         for rec, ref_rec in zip(records, want):
-            for name in ("omega_sq", "u_sq", "wa_sq", "fields"):
-                assert getattr(rec, name).tobytes() == ref_rec[name].tobytes(), name
-        assert all(np.all(rec.u_sq == 0.0) for rec in records) == one_state
-        # one state reduces one series: the record holds it as omega_sq and as wa_sq
-        assert all(rec.wa_sq is rec.omega_sq for rec in records) == one_state
+            for name in rec.names:
+                assert rec[name].tobytes() == ref_rec[name].tobytes(), name
+            assert rec.fields.tobytes() == ref_rec["fields"].tobytes()
+        # and the estimator gives it the bits of the reference's three series
+        three = [EnsembleRecord(rec.path_index, rec.times, SERIES, np.stack([ref_rec[n] for n in SERIES]))
+                 for rec, ref_rec in zip(records, want)]
+        got, expected = (estimate_enstrophy(r, spec, params.r) for r in (records, three))
+        for name in ("ens_mean", "ens_se", "wa_half_empirical", "resid_mean", "resid_se"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
     def test_one_state_from_rest_is_its_companion_bit_for_bit(self):
         # from +0.0 the one state takes the companion's step on the same increments, so
@@ -521,7 +529,7 @@ class TestOneState:
         spec = spectrum_from_list(b, [0.0 if k % 3 else 1.0 / (k + 1) ** 2 for k in range(16)], 0.1)
         cfg = small_config(n_paths=5, batch_size=3, store_fields=True)
         records = run_ensemble(cfg, linear_params(), spec)
-        assert all(rec.wa_sq is rec.omega_sq for rec in records)  # one state
+        assert all(rec.names == ("omega_sq",) for rec in records)  # one state
         for rec, idx in zip(records, ([0, 1, 2], [3, 4])):
             want = two_state_reference(cfg, linear_params(), spec, idx)["companion_fields"]
             assert rec.fields.tobytes() == want.tobytes()
@@ -529,24 +537,22 @@ class TestOneState:
 
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_one_state_u_sq_is_a_read_only_zero_view(self, n_workers):
-        # u_sq of a one-state record is np.broadcast_to(0.0, (B, n_out)): all zero,
-        # read-only and backed by one double; a pool's records keep the view too,
-        # which pickling would otherwise expand to a (B, n_out) array
+    def test_one_state_records_cross_the_pool_with_one_series(self, n_workers):
+        # a pool's workers send their one-state records back holding omega_sq alone
+        spec = build_spectrum(Basis(4, 1.0), 1.0, 2.0, 0.1)
         cfg = small_config(n_paths=5, batch_size=3)
-        records = run_ensemble(cfg, linear_params(), build_spectrum(Basis(4, 1.0), 1.0, 2.0, 0.1),
-                               n_workers=n_workers)
+        records = run_ensemble(cfg, linear_params(), spec, n_workers=n_workers)
+        assert [rec.path_index.tolist() for rec in records] == [[0, 1, 2], [3, 4]]
         for rec in records:
-            assert rec.wa_sq is rec.omega_sq  # one state
-            assert rec.u_sq.shape == rec.omega_sq.shape and np.all(rec.u_sq == 0.0)
-            assert rec.u_sq.strides == (0, 0) and rec.u_sq.base.nbytes == 8
-            with pytest.raises(ValueError):
-                rec.u_sq[0, 0] = 1.0
-        # a two-state record's u_sq is its own array, and pickles as one
+            assert rec.names == ("omega_sq",)
+            assert rec.series.shape == (1, len(rec.path_index), 11)
+        # a two-state record round-trips through pickle with the same bytes
         gaussian = replace(cfg, initial_condition=InitialCondition("gaussian", sigma=0.3))
-        rec = run_ensemble(gaussian, linear_params(), build_spectrum(Basis(4, 1.0), 1.0, 2.0, 0.1))[0]
+        rec = run_ensemble(gaussian, linear_params(), spec, n_workers=n_workers)[0]
         copied = pickle.loads(pickle.dumps(rec))
-        assert copied.u_sq.flags.writeable and copied.u_sq.tobytes() == rec.u_sq.tobytes()
+        assert copied.names == rec.names == SERIES
+        assert copied.series.shape == rec.series.shape == (3, 3, 11)
+        assert copied.series.tobytes() == rec.series.tobytes()
 
 
 class TestBlockedDraws:
@@ -577,8 +583,8 @@ class TestBlockedDraws:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = rec.omega_sq.nbytes + rec.times.nbytes + rec.path_index.nbytes
-        assert rec.wa_sq is rec.omega_sq  # one state
+        held = rec.series.nbytes + rec.times.nbytes + rec.path_index.nbytes
+        assert rec.names == ("omega_sq",)  # one state
         assert peak - held < 700 * 1024, (peak - held) / 1024
 
 
@@ -593,20 +599,19 @@ class TestTrajectoryRecords:
         grad_sq = ref.grad_sq(b, rec.fields[0])
         for i in range(len(rec.times)):
             om = rec.fields[0, i]
-            assert rec.omega_sq[0, i] == pytest.approx(np.sum(om**2), rel=1e-10)
+            assert rec["omega_sq"][0, i] == pytest.approx(np.sum(om**2), rel=1e-10)
             assert grad_sq[i] == pytest.approx(np.sum(b.sq_wavenumbers * om**2), rel=1e-10)
 
     def test_series_names_are_pinned(self):
-        # a new per-path series has to change this tuple on purpose
-        pinned = ("omega_sq", "u_sq", "wa_sq")
+        # a new per-path series has to change these tuples on purpose
         names = [f.name for f in fields(EnsembleRecord)]
-        assert names == ["path_index", "times", *pinned, "fields", "failures"]
+        assert names == ["path_index", "times", "names", "series", "fields", "failures"]
         spec = build_spectrum(Basis(4, 1.0), 1.0, 2.0, 0.1)
-        for ic in (InitialCondition(), InitialCondition("gaussian", sigma=0.3)):  # one, two states
+        for ic, pinned in ((InitialCondition(), ("omega_sq",)),  # one state
+                           (InitialCondition("gaussian", sigma=0.3), ("omega_sq", "u_sq", "wa_sq"))):
             rec = run_ensemble(small_config(n_paths=3, initial_condition=ic), linear_params(),
                                spec)[0]
-            series = [name for name in names if np.shape(getattr(rec, name)) == (3, 11)]
-            assert tuple(series) == pinned
+            assert rec.names == pinned and rec.series.shape == (len(pinned), 3, 11)
 
     def test_times_strictly_increasing(self):
         b = Basis(4, 1.0)
@@ -625,7 +630,7 @@ class TestEnsembleStatistics:
             n_paths=600, master_seed=11,
         )
         records = run_ensemble(cfg, params, spec)
-        ens = 0.5 * np.concatenate([r.omega_sq for r in records])
+        ens = 0.5 * np.concatenate([r["omega_sq"] for r in records])
         mean = ens.mean(axis=0)
         se = ens.std(axis=0, ddof=1) / np.sqrt(len(ens))
         oracle = 0.5 * companion_law(spec, params.r, cfg.output_times)[0]
@@ -648,7 +653,7 @@ class TestConservation:
             initial_condition=InitialCondition("coeffs", coeffs=tuple(ic)),
         )
         rec = run_ensemble(cfg, params, spec)[0]
-        assert np.all(np.diff(0.5 * rec.omega_sq[0]) <= 0.0)
+        assert np.all(np.diff(0.5 * rec["omega_sq"][0]) <= 0.0)
 
     def test_energy_balance_residual_first_order(self, rng):
         # |d(enstrophy)/dt + nu ||grad w||^2 + r ||w||^2| halves with dt
@@ -667,9 +672,9 @@ class TestConservation:
                 initial_condition=InitialCondition("coeffs", coeffs=ic),
             )
             rec = run_ensemble(cfg, params, spec)[0]
-            ens = 0.5 * rec.omega_sq[0]
+            ens = 0.5 * rec["omega_sq"][0]
             resid = (np.diff(ens) / h + params.nu * ref.grad_sq(b, rec.fields[0, :-1])
-                     + params.r * rec.omega_sq[0, :-1])
+                     + params.r * rec["omega_sq"][0, :-1])
             return np.mean(np.abs(resid))
 
         r1, r2 = mean_residual(1e-3), mean_residual(5e-4)
@@ -734,7 +739,7 @@ class TestBlowupHandling:
         with np.errstate(all="ignore"):
             rec = _simulate_batch(linear_params(), spec, cfg, np.arange(2))
         assert rec.failures == failures
-        assert not np.isfinite(rec.omega_sq).any()
+        assert not np.isfinite(rec["omega_sq"]).any()
 
 
 class TestConfigPlumbing:
@@ -785,6 +790,15 @@ class TestConfigPlumbing:
         assert InitialCondition("zero").mean_sq_norm(4) == 0.0
         assert InitialCondition("coeffs", coeffs=(3.0, 4.0, 0.0, 0.0)).mean_sq_norm(4) == 25.0
         assert InitialCondition("gaussian", sigma=2.0).mean_sq_norm(4) == pytest.approx(16.0)
+
+    def test_at_rest_means_no_nonzero_entry(self):
+        # 1e-200 squares to 0.0, so no sum of squares can tell it from rest
+        assert InitialCondition().at_rest
+        assert InitialCondition("coeffs", coeffs=(-0.0, 0.0, 0.0, 0.0)).at_rest
+        assert InitialCondition("gaussian", sigma=0.0).at_rest
+        assert InitialCondition("gaussian", sigma=(0.0,) * 4).at_rest
+        assert not InitialCondition("coeffs", coeffs=(1e-200, 0.0, 0.0, 0.0)).at_rest
+        assert not InitialCondition("gaussian", sigma=(0.0, 1e-200, 0.0, 0.0)).at_rest
 
     def test_constructors_reject_negative_scales(self):
         with pytest.raises(ValueError):

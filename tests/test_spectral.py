@@ -57,7 +57,7 @@ def recorded_norms(basis, coeffs):
                     initial_condition=InitialCondition("coeffs", coeffs=tuple(coeffs)))
     rec = _simulate_batch(ModelParams(nu=basis.nu, r=0.1), build_spectrum(basis, 0.0, 2.0, 0.1),
                           cfg, np.array([0]))
-    return rec.omega_sq[0, 0], ref.grad_sq(basis, rec.fields[0, 0])
+    return rec["omega_sq"][0, 0], ref.grad_sq(basis, rec.fields[0, 0])
 
 
 class TestBasis:

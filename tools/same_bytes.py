@@ -7,11 +7,11 @@ matrix at seed 1, with its own `src` on PYTHONPATH and N BLAS threads
 (default 1, set through OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
 MKL_NUM_THREADS): `simulate` on the three configs of `perfbench/workloads.py`
 (nl16_pool at 1 and 2 workers), `verify-linear` and `asymptotics` on
-lin16_dense's config and `bounds` on nl16_pool's. `holder` is left out: it
-needs an `analysis.holder.window` that no workload sets. The configs come
-from this script's checkout. Both sides write to
-the same output path, one after the other, so their manifests hash the same
-config. Every file is compared byte for byte, and `manifest.json` without its
+lin16_dense's config, and `bounds` and `holder` on nl16_pool's. `holder`
+adds the window [h, T] and the lags {1, 2, 3, 5, 10} h, h the output
+spacing, which no workload sets. The configs come from this script's
+checkout. Both sides write to the same output path, one after the other, so
+their manifests hash the same config. Every file is compared byte for byte, and `manifest.json` without its
 `wall_time_s`; so are the exit codes. Each case prints one line, and every
 file that differs is listed; the exit code is 1 if anything differs.
 `--tiny` runs the workloads' tiny sizes, in a few seconds.
@@ -33,7 +33,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # (command, workload, workers)
 CASES = (("simulate", "nl16_pool", 1), ("simulate", "nl16_pool", 2), ("simulate", "lin16_dense", 1),
          ("simulate", "nl32_dump", 1), ("verify-linear", "lin16_dense", 1),
-         ("asymptotics", "lin16_dense", 1), ("bounds", "nl16_pool", 1))
+         ("asymptotics", "lin16_dense", 1), ("bounds", "nl16_pool", 1), ("holder", "nl16_pool", 1))
 MAIN = "import sys; from stoqg.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -89,6 +89,11 @@ def main(argv: list[str] | None = None) -> int:
             out = case / "out"
             document = json.loads(json.dumps(docs[workload]))
             document["io"]["out_dir"] = str(out)
+            if command == "holder":
+                sim = document["sim"]
+                h = sim["T"] / (sim["output_times"]["n"] - 1)
+                document["analysis"]["holder"] = {"window": [h, sim["T"]],
+                                                  "lags": [k * h for k in (1, 2, 3, 5, 10)]}
             case.mkdir()
             config = case / "config.json"
             config.write_text(json.dumps(document), encoding="utf-8")
