@@ -14,17 +14,26 @@ statistical comparisons use the 3-standard-error Monte Carlo allowance. The
 rules on the settings raise `ParameterError` and need no trace. The envelope
 functions take any admissible gamma and mu_tilde; `bound_parameters` derives
 the values every run is evaluated at.
+
+Each command of the command line is a premise and a verdict here, on a
+materialized `config.RunConfig`. `<command>_premise(cfg)` raises
+`ParameterError` under its key before any path runs; `<command>_verdict(cfg,
+trace)` returns the verdict ("pass", "fail" or "not_applicable"), the
+one-line summary, the reports (file name -> JSON payload, or a CSV's
+(header, rows)) and extra manifest fields (None but for simulate).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .dynamics import EnsembleRecord
-from .noise import _BLOCK_VALUES, NoiseSpectrum, companion_law
+from .noise import _BLOCK_VALUES, NoiseSpectrum, companion_law, phi_alpha, stationary_tail_bound
+from .noise import trace as covariance_trace
 from .spectral import ParameterError
 
 #: Optimal Poincare constant ||u|| <= c1 ||grad u|| for Dirichlet data on the
@@ -539,3 +548,124 @@ def asymptotics_check(trace: EnstrophyTrace, mode: str, delta: float, ens0: floa
         result["residual_notes"] = "residuals below Monte Carlo resolution"
     result["verdict"] = "pass" if ratio_ok and residual_ok else "fail"
     return result
+
+
+def simulate_premise(cfg) -> None:
+    """simulate runs on any config that loads."""
+
+
+def simulate_verdict(cfg, trace: EnstrophyTrace) -> tuple:
+    summary = (f"simulate: wrote {Path(cfg.io['out_dir'])} "
+               f"({trace.n_paths} paths, {len(trace.times)} output times)")
+    return "pass", summary, {}, {"spectrum_tail_bound": stationary_tail_bound(cfg.spectrum)}
+
+
+def verify_linear_premise(cfg) -> None:
+    """The oracle is the law of V, which omega is only when nothing but the noise drives it."""
+    if not cfg.params.linearized:
+        raise ParameterError("linearized", "must be on for verify-linear")
+    if cfg.params.effective_beta != 0.0:
+        raise ParameterError("beta_term", "must be off for verify-linear")
+    if not cfg.sim.initial_condition.at_rest:
+        raise ParameterError("initial_condition", "must be zero for verify-linear")
+
+
+def verify_linear_verdict(cfg, trace: EnstrophyTrace) -> tuple:
+    report = linear_oracle_check(trace)
+    worst_z = f"worst |z|={abs(report['worst_z']):.3g}, threshold {report['z_threshold']:.3g}"
+    summary = (f"verify-linear: pass ({worst_z})" if report["verdict"] == "pass" else
+               f"verify-linear: oracle mismatch, {worst_z} at t={report['worst_time']:g}")
+    return report["verdict"], summary, {"linear_report.json": report}, None
+
+
+def bounds_premise(cfg) -> tuple[float, float, float | None]:
+    """Output times the fit protocol can use and envelopes finite on them; returns `bound_parameters`."""
+    check_fit_times(cfg.sim.output_times)
+    return bound_parameters(cfg.params.nu, cfg.params.r, cfg.params.effective_beta,
+                            cfg.spectrum.mu_exp, cfg.sim.output_times)
+
+
+def bounds_verdict(cfg, trace: EnstrophyTrace) -> tuple:
+    """The trace-class envelope and both Theorem 2 envelopes fitted; "fail" if one is violated.
+
+    A bound whose premise fails is not applicable, and its notes name the premise.
+    """
+    gamma, threshold, mu_tilde = bounds_premise(cfg)
+    spectrum, times = cfg.spectrum, cfg.sim.output_times
+    mu_exp, theta = spectrum.mu_exp, spectrum.theta
+    e0 = cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
+    if spectrum.trace_class:
+        envelope = trace_class_envelope(0.5 * e0, gamma, covariance_trace(spectrum), times)
+        reports = [validate_bound(trace, envelope).to_dict()]
+    else:
+        reports = [{"kind": "trace_class", "verdict": "not_applicable", "notes": "spectrum is not trace-class"}]
+    # Theorem 2(b) is 2(a)'s shape at mu_tilde = 1: (kind, shape's mu_tilde, params, the
+    # premise that failed, or None where the theorem applies)
+    theorem2 = (
+        ("theorem2a", mu_tilde, {"gamma": gamma, "mu_tilde": mu_tilde},
+         "explicit mu_sq_list: no power-law decay rule" if mu_exp is None
+         else "mu_exp <= 0: no mu_tilde in (0, mu_exp)" if mu_tilde is None else None),
+        ("theorem2b", 1.0, {"gamma": gamma},
+         None if mu_exp is None or mu_exp - theta > 1.0
+         else "mu_exp - theta <= 1: sum mu_k^2 |lambda_k|^theta diverges under the decay rule"),
+    )
+    for kind, shape_mu, params, failed in theorem2:
+        if failed is None:
+            shape = theorem2_shape(e0, gamma, times, shape_mu)
+            reports.append(fit_and_validate_bound(trace, shape, kind=kind, params=params).to_dict())
+        else:
+            reports.append({"kind": kind, "verdict": "not_applicable", "notes": failed})
+
+    alphas = np.geomspace(1e2, 1e4, 9)
+    phi = [phi_alpha(spectrum, a) for a in alphas]
+    payload = {
+        "gamma": gamma, "gamma_threshold": threshold, "c1": DIRICHLET_C1,
+        "spectrum_tail_bound": stationary_tail_bound(spectrum), "bounds": reports,
+        "phi_table": {  # JSON has no Infinity: the window is None where phi = 0 (no noise)
+            "alpha": alphas, "phi": phi, "indicative_time_window": [1.0 / p if p > 0 else None for p in phi],
+            "notes": "window t <= C/phi(alpha) has an unknown constant; indicative only"},
+    }
+    # envelopes.csv: the trace against every evaluated envelope
+    fitted = [r for r in reports if "envelope" in r]
+    header = ["time", "ens_mean", "ens_se", *(f"envelope_{r['kind']}" for r in fitted), "analytic_wa_var"]
+    columns = [trace.times, trace.ens_mean, trace.ens_se, *(r["envelope"] for r in fitted),
+               2.0 * trace.wa_half_analytic]
+    files = {"bounds_report.json": payload,
+             "envelopes.csv": (header, list(zip(*(np.asarray(c).tolist() for c in columns))))}
+
+    failed = [r["kind"] for r in reports if r["verdict"] == "fail"]
+    summary = ", ".join(f"{r['kind']}={r['verdict']}" for r in reports)
+    if failed:
+        return "fail", f"bounds: violation in {failed} ({summary})", files, None
+    return "pass", f"bounds: {summary}", files, None
+
+
+def holder_premise(cfg) -> None:
+    """holder needs an analysis.holder section; the load checked it against the output times."""
+    if not cfg.analysis["holder"]:
+        raise ParameterError("window", "is required for holder")
+
+
+def holder_verdict(cfg, trace: EnstrophyTrace) -> tuple:
+    result = holder_exponent_fit(trace, cfg.analysis["holder"]["window"], cfg.analysis["holder"]["lags"])
+    verdict, exponent = result["verdict"], result.get("exponent")
+    summary = f"holder: {verdict}" + (f" (exponent {exponent:.4f})" if exponent is not None else "")
+    return verdict, summary, {"holder_report.json": result}, None
+
+
+def asymptotics_premise(cfg) -> None:
+    """>= 3 positive output times; mode "zero" needs omega(0) = 0, as only from rest does
+    Ens(t) start out as the convolution's. The load checked the mode and delta."""
+    check_small_times(cfg.sim.output_times)
+    if cfg.analysis["asymptotics"]["mode"] == "zero" and not cfg.sim.initial_condition.at_rest:
+        raise ParameterError("mode", "'zero' requires a zero initial condition")
+
+
+def asymptotics_verdict(cfg, trace: EnstrophyTrace) -> tuple:
+    """General mode fits only the times before the slowest mode relaxes, 1 / (2 |lambda_1 - r|)."""
+    mode, delta = cfg.analysis["asymptotics"]["mode"], cfg.analysis["asymptotics"]["delta"]
+    ens0 = 0.5 * cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
+    limit = 1.0 / (2.0 * abs(float(cfg.basis.eigenvalues[0]) - cfg.params.r))
+    result = asymptotics_check(trace, mode, delta, ens0=ens0, fit_time_limit=limit)
+    verdict = result["verdict"]
+    return verdict, f"asymptotics[{mode}]: {verdict}", {"asymptotics_report.json": result}, None

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 import stoqg.cli
 import stoqg.config
 import stoqg.noise
-from stoqg.analysis import theorem2_shape
+from stoqg.analysis import estimate_enstrophy, theorem2_shape
+from stoqg.artifacts import write_csv, write_json
 from stoqg.cli import main
 from stoqg.config import ConfigError, config_sha256, materialize, normalize, read_document
+from stoqg.dynamics import run_ensemble
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -1011,19 +1013,34 @@ class TestConfigErrorsBeforeEnsemble:
         assert ensemble_calls == []
         assert out.read_text() == "kept"
 
+    def test_artifact_that_cannot_be_written_exits_2(self, tmp_path, capsys, ensemble_calls):
+        # mkdir cannot tell that the out dir will refuse an artifact, so the ensemble has
+        # run; the failed write is still a one-line config error, not a traceback
+        out = tmp_path / "o"
+        (out / "trace.csv").mkdir(parents=True)
+        assert main(["simulate", "--config", write_config(tmp_path, base_config(str(out), n_paths=4))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: io.out_dir: cannot write into") and len(err.splitlines()) == 1
+        assert len(ensemble_calls) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]  # no partial file, no manifest
+
 
 class TestHolderCommand:
     # the exact-trace recoveries (sqrt(t) -> 0.5, t -> 1.0) are pinned by acceptance criterion 7
-    def test_exit_code_follows_verdict(self, tmp_path):
-        out = tmp_path / "run"
+    @staticmethod
+    def holder_cfg(out_dir):
         # enough paths that every lag's increment clears the Monte Carlo noise floor
-        cfg = base_config(str(out), dt=1e-3, T=0.2, n_paths=800)
+        cfg = base_config(out_dir, dt=1e-3, T=0.2, n_paths=800)
         cfg["sim"]["output_times"] = {"kind": "uniform", "n": 201}
         cfg["analysis"]["holder"] = {
             "window": [0.005, 0.2],
             "lags": [1e-3, 3e-3, 1e-2, 3e-2, 1e-1],
         }
-        code = main(["holder", "--config", write_config(tmp_path, cfg)])
+        return cfg
+
+    def test_exit_code_follows_verdict(self, tmp_path):
+        out = tmp_path / "run"
+        code = main(["holder", "--config", write_config(tmp_path, self.holder_cfg(str(out)))])
         report = json.loads((out / "holder_report.json").read_text())
         assert report["verdict"] in ("pass", "fail")
         assert code == (6 if report["verdict"] == "fail" else 0)
@@ -1046,13 +1063,17 @@ class TestHolderCommand:
 
 
 class TestAsymptoticsCommand:
-    def test_zero_mode_linear_run_passes(self, tmp_path):
-        out = tmp_path / "run"
-        cfg = base_config(str(out), M=8, dt=1e-4, T=1e-2, n_paths=400)
+    @staticmethod
+    def zero_mode_cfg(out_dir, n_paths=400):
+        cfg = base_config(out_dir, M=8, dt=1e-4, T=1e-2, n_paths=n_paths)
         cfg["spectrum"] = {"c_mu": 1.0, "mu_exp": 0.5, "theta": 0.1}
         cfg["sim"]["output_times"] = {"kind": "geometric", "t_min": 1e-4, "n": 7}
         cfg["analysis"]["asymptotics"] = {"mode": "zero", "delta": 0.5}
-        path = write_config(tmp_path, cfg)
+        return cfg
+
+    def test_zero_mode_linear_run_passes(self, tmp_path):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, self.zero_mode_cfg(str(out)))
         assert main(["asymptotics", "--config", path]) == 0
         report = json.loads((out / "asymptotics_report.json").read_text())
         assert report["verdict"] == "pass"
@@ -1063,12 +1084,8 @@ class TestAsymptoticsCommand:
         # inflated solver noise breaks the small-time ratio against the
         # analytic convolution variance
         out = tmp_path / "run"
-        cfg = base_config(str(out), M=8, dt=1e-4, T=1e-2, n_paths=200)
-        cfg["spectrum"] = {"c_mu": 1.0, "mu_exp": 0.5, "theta": 0.1}
-        cfg["sim"]["output_times"] = {"kind": "geometric", "t_min": 1e-4, "n": 7}
         noise_fault(2.0)
-        cfg["analysis"]["asymptotics"] = {"mode": "zero", "delta": 0.5}
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, self.zero_mode_cfg(str(out), n_paths=200))
         assert main(["asymptotics", "--config", path]) == 6
         report = json.loads((out / "asymptotics_report.json").read_text())
         assert report["verdict"] == "fail"
@@ -1137,3 +1154,42 @@ class TestAsymptoticsCommand:
         report = json.loads((out / "asymptotics_report.json").read_text())
         assert report.keys() == {"mode", "verdict", "fit_time_limit", "notes"}
         assert report["fit_time_limit"] == pytest.approx(0.0252, abs=1e-4)
+
+
+class TestVerdictTable:
+    """The CLI's verdict is the library's: `<command>_premise` and `<command>_verdict` on a trace."""
+
+    CONFIGS = {
+        "verify-linear": lambda out: TestVerifyLinearCommand.linear_cfg(None, out),
+        "bounds": lambda out: TestBoundsCommand.bounds_cfg(None, out),
+        "holder": TestHolderCommand.holder_cfg,
+        "asymptotics": TestAsymptoticsCommand.zero_mode_cfg,
+    }
+
+    @pytest.mark.parametrize("command, fault, code", [
+        ("verify-linear", None, 0), ("verify-linear", 2.0, 4), ("bounds", None, 0), ("bounds", 3.0, 5),
+        ("holder", None, 0), ("asymptotics", None, 0), ("asymptotics", 2.0, 6),
+    ])
+    def test_reports_summary_and_exit_code(self, tmp_path, capsys, noise_fault, command, fault, code):
+        path = write_config(tmp_path, self.CONFIGS[command](str(tmp_path / "cli")))
+        if fault is not None:  # the fault holds for the CLI's run and the library's
+            noise_fault(fault)
+        assert main([command, "--config", path]) == code
+        printed = capsys.readouterr()
+
+        premise, judge, fail_code, _ = stoqg.cli._COMMANDS[command]
+        cfg = materialize(normalize(read_document(path)))
+        premise(cfg)
+        trace = estimate_enstrophy(run_ensemble(cfg.sim, cfg.params, cfg.spectrum), cfg.spectrum, cfg.params.r)
+        verdict, summary, reports, extra = judge(cfg, trace)
+        assert code == (fail_code if verdict == "fail" else 0) and extra is None
+        assert (printed.out if code == 0 else printed.err) == summary + "\n"
+        written = {p.name for p in (tmp_path / "cli").iterdir()} - {"trace.csv", "trace.json", "manifest.json"}
+        assert written == reports.keys()
+        (tmp_path / "lib").mkdir()
+        for name, payload in reports.items():
+            if isinstance(payload, tuple):
+                write_csv(tmp_path / "lib" / name, *payload)
+            else:
+                write_json(tmp_path / "lib" / name, payload)
+            assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes(), name

@@ -9,12 +9,17 @@ MKL_NUM_THREADS): `simulate` on the three configs of `perfbench/workloads.py`
 (nl16_pool at 1 and 2 workers), `verify-linear` and `asymptotics` on
 lin16_dense's config, and `bounds` and `holder` on nl16_pool's. `holder`
 adds the window [h, T] and the lags {1, 2, 3, 5, 10} h, h the output
-spacing, which no workload sets. The configs come from this script's
-checkout. Both sides write to the same output path, one after the other, so
-their manifests hash the same config. Every file is compared byte for byte, and `manifest.json` without its
-`wall_time_s`; so are the exit codes. Each case prints one line, and every
-file that differs is listed; the exit code is 1 if anything differs.
-`--tiny` runs the workloads' tiny sizes, in a few seconds.
+spacing, which no workload sets. Two more cases fail their premise and run
+no ensemble: `verify-linear` on nl16_pool's config (not linearized) and
+`holder` on lin16_dense's (no holder section). The configs come from this
+script's checkout. Both sides write to the same output path, one after the
+other, so their manifests hash the same config. Every file is compared byte
+for byte, and `manifest.json` without its `wall_time_s`; so are the exit
+codes and stdout, and for a failing case the last stderr line (its one-line
+message) up to its second `:`, the key of a config error. Each case prints
+one line, and every file or stream that differs is listed; the exit code is
+1 if anything differs. `--tiny` runs the workloads' tiny sizes, in a few
+seconds.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # (command, workload, workers)
 CASES = (("simulate", "nl16_pool", 1), ("simulate", "nl16_pool", 2), ("simulate", "lin16_dense", 1),
          ("simulate", "nl32_dump", 1), ("verify-linear", "lin16_dense", 1),
-         ("asymptotics", "lin16_dense", 1), ("bounds", "nl16_pool", 1), ("holder", "nl16_pool", 1))
+         ("asymptotics", "lin16_dense", 1), ("bounds", "nl16_pool", 1), ("holder", "nl16_pool", 1),
+         ("verify-linear", "nl16_pool", 1), ("holder", "lin16_dense", 1))
 MAIN = "import sys; from stoqg.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -45,13 +51,14 @@ def documents(tiny: bool) -> dict[str, dict]:
     return {name: workload.build(1, tiny) for name, workload in WORKLOADS.items()}
 
 
-def run(checkout: Path, command: str, config: Path, workers: int, blas_threads: int) -> int:
-    """One command of `checkout` on `config`; returns its exit code."""
+def run(checkout: Path, command: str, config: Path, workers: int, blas_threads: int) -> tuple:
+    """One command of `checkout` on `config`; returns its exit code, stdout and compared stderr."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                **dict.fromkeys(THREAD_VARS, str(blas_threads)))
-    return subprocess.run([sys.executable, "-c", MAIN, command, "--config", str(config),
-                           "--threads", str(workers)], cwd=checkout, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    done = subprocess.run([sys.executable, "-c", MAIN, command, "--config", str(config),
+                           "--threads", str(workers)], cwd=checkout, env=env, capture_output=True)
+    last = done.stderr.splitlines()[-1:] if done.returncode else []
+    return done.returncode, done.stdout, b":".join(last[0].split(b":")[:2]) if last else b""
 
 
 def differing(left: Path, right: Path) -> list[str]:
@@ -89,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
             out = case / "out"
             document = json.loads(json.dumps(docs[workload]))
             document["io"]["out_dir"] = str(out)
-            if command == "holder":
+            if (command, workload) == ("holder", "nl16_pool"):
                 sim = document["sim"]
                 h = sim["T"] / (sim["output_times"]["n"] - 1)
                 document["analysis"]["holder"] = {"window": [h, sim["T"]],
@@ -97,18 +104,20 @@ def main(argv: list[str] | None = None) -> int:
             case.mkdir()
             config = case / "config.json"
             config.write_text(json.dumps(document), encoding="utf-8")
-            codes = {}
+            results = {}
             for label, checkout in sides.items():
-                codes[label] = run(checkout, command, config, workers, args.blas_threads)
+                results[label] = run(checkout, command, config, workers, args.blas_threads)
                 out.mkdir(exist_ok=True)  # a config error leaves no out dir
                 out.rename(case / label)
             diff = differing(case / "parent", case / "change")
-            if codes["parent"] != codes["change"]:
-                diff.insert(0, f"exit code {codes['parent']} -> {codes['change']}")
+            (code, *streams), (new_code, *new_streams) = results["parent"], results["change"]
+            diff[:0] = [name for name, a, b in zip(("stdout", "stderr"), streams, new_streams) if a != b]
+            if code != new_code:
+                diff.insert(0, f"exit code {code} -> {new_code}")
             failed |= bool(diff)
             n_files = len(list((case / "change").iterdir()))
             status = "DIFFERS: " + ", ".join(diff) if diff else "same"
-            print(f"{case.name} (exit {codes['change']}, {n_files} files): {status}")
+            print(f"{case.name} (exit {new_code}, {n_files} files): {status}")
             shutil.rmtree(case)
     return 1 if failed else 0
 
