@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import EnsembleRecord
-from .noise import _BLOCK_VALUES, NoiseSpectrum, companion_law, phi_alpha, stationary_tail_bound
+from .noise import NoiseSpectrum, companion_law, phi_alpha, stationary_tail_bound
 from .noise import trace as covariance_trace
 from .spectral import ParameterError
 
@@ -68,8 +68,8 @@ class EnstrophyTrace:
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("trace times must be strictly increasing")
-        if np.any(self.ens_mean < 0) or np.any(self.ens_se < 0):
-            raise ValueError("enstrophy estimates and standard errors must be nonnegative")
+        if not (np.all(self.ens_mean >= 0) and np.all(self.ens_se >= 0)):  # NaN fails too
+            raise ValueError("enstrophy estimates and standard errors must be nonnegative, not NaN")
 
 
 @dataclass
@@ -119,21 +119,19 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
 
     Each series is reduced where the records hold it, scaled by the power of
     two that brings its max into [0.5, 1) (a half's 0.5 too), so the squares
-    of the SE neither overflow nor underflow. The records are folded in path
-    order through one reused block whose row 0 holds the running sum, so a
-    reduction adds the rows one by one as numpy's `mean(axis=0)` does, and
-    the SE folds the squared deviations from that mean as `std(ddof=1)`
-    does: the same bits in the normal range. Each fold takes as many
-    consecutive records as fit noise._BLOCK_VALUES with the sum row, at
-    least one, so a run of many small records pays few numpy calls and a
-    wide one holds one batch of working memory. One output time gathers its
-    whole column (8 bytes a path), as numpy sums that pairwise. Records that
-    name omega_sq alone come from a one-state run, where omega is W_A and U
-    is 0: the empirical companion copies the mean, and the residual and its
-    SE are 0, the bits a fold of zeros gives. The analytic companion
-    0.5 E||W_A(t)||^2 is taken at the rates the solver ran with, lambda_k - r,
-    from the spectrum's basis and the Ekman rate r, before the folds, so its
-    exp block is freed before the fold block is made.
+    of the SE neither overflow nor underflow. The records are folded one at a
+    time, in path order, through one reused block of 1 + (largest record)
+    rows whose row 0 holds the running sum, so a reduction adds the rows one
+    by one as numpy's `mean(axis=0)` does, and the SE folds the squared
+    deviations from that mean as `std(ddof=1)` does: the same bits in the
+    normal range. One output time gathers its whole column instead (8 bytes
+    a path), as numpy sums that pairwise. Records that name omega_sq alone
+    come from a one-state run, where omega is W_A and U is 0: the empirical
+    companion copies the mean, and the residual and its SE are 0, the bits a
+    fold of zeros gives. The analytic companion 0.5 E||W_A(t)||^2 is taken at
+    the rates the solver ran with, lambda_k - r, from the spectrum's basis and
+    the Ekman rate r, before the folds, so its exp block is freed before the
+    fold block is made.
     """
     n = sum(len(rec.path_index) for rec in records)
     if n < 2:
@@ -151,32 +149,26 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     scaled = NoiseSpectrum(spectrum.basis, np.ldexp(spectrum.mu, -h), spectrum.theta)
     variance, sum_sq = companion_law(scaled, r, times)
 
-    # the records each fold reduces: consecutive ones while their rows and the sum row
-    # fit the budget, one at least, or the whole column at one output time
-    n_out, groups, filled = len(times), [], 0
-    for rec in records:
-        if not groups or n_out > 1 and (filled + len(rec.path_index)) * n_out > _BLOCK_VALUES:
-            groups.append([])
-            filled = 1
-        groups[-1].append(rec)
-        filled += len(rec.path_index)
-    block = np.empty((1 + max(sum(len(rec.path_index) for rec in g) for g in groups), n_out))
+    # one output time gathers its column, which numpy sums pairwise; else each record's
+    # rows are added to the running sum in row 0 as they are scaled
+    n_out = len(times)
+    gather = n_out == 1
+    block = np.empty((1 + (n if gather else max(len(rec.path_index) for rec in records)), n_out))
     total, root_n = np.empty(n_out), math.sqrt(n)
 
     def fold(name: str, e: int, mean: np.ndarray | None = None) -> np.ndarray:
         """Path sum of series `name` scaled by 2^e, or of its squared deviations from `mean`."""
-        for i, group in enumerate(groups):
-            lo = 1
-            for rec in group:
-                rows = block[lo:lo + len(rec.path_index)]
-                np.ldexp(rec[name], e, out=rows)
-                lo += len(rows)
-            rows = block[1:lo]
+        lo = 1
+        for i, rec in enumerate(records):
+            rows = block[lo:lo + len(rec.path_index)]
+            np.ldexp(rec[name], e, out=rows)
             if mean is not None:
                 np.square(np.subtract(rows, mean, out=rows), out=rows)
-            np.add.reduce(block[:lo] if i else rows, axis=0, out=total)
-            block[0] = total
-        return total
+            if gather:
+                lo += len(rows)
+            else:
+                block[0] = np.add.reduce(block[:1 + len(rows)] if i else rows, axis=0, out=total)
+        return np.add.reduce(block[1:lo], axis=0, out=total) if gather else total
 
     def reduced(name: str, half: bool, se: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Mean and, if `se`, SE over the paths of the series `name`, halved if `half`."""
@@ -376,6 +368,11 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float | None]:
     return float(slope), se
 
 
+def _spans_a_decade(lags: np.ndarray) -> bool:
+    """The increment fit's rule on sorted lags: >= 5 positive values spanning at least one decade."""
+    return len(lags) >= 5 and lags[0] > 0 and lags[-1] / lags[0] >= 10.0 - 1e-12
+
+
 def holder_pairs(times: np.ndarray, window, lags) -> tuple[np.ndarray, np.ndarray, list]:
     """The rule on the increment fit's window and lags, and the time pairs it compares.
 
@@ -391,7 +388,7 @@ def holder_pairs(times: np.ndarray, window, lags) -> tuple[np.ndarray, np.ndarra
     repeats = lags[1:][np.diff(lags) <= 1e-6 * lags[1:]]
     if repeats.size:
         raise ParameterError("lags", f"must be distinct, got {repeats[0]:g} more than once")
-    if len(lags) < 5 or lags[0] <= 0 or lags[-1] / lags[0] < 10.0 - 1e-12:
+    if not _spans_a_decade(lags):
         raise ParameterError("lags", "must hold >= 5 distinct positive values spanning at least one decade")
 
     inside = (times >= window[0] - 1e-12) & (times <= window[1] + 1e-12)
@@ -448,8 +445,7 @@ def holder_exponent_fit(trace: EnstrophyTrace, window: tuple[float, float], lags
         "noise_floors": floors.tolist(),
         "usable_lags": int(np.sum(usable)),
     }
-    span_ok = usable.sum() >= 5 and lags[usable][-1] / lags[usable][0] >= 10.0 - 1e-12 if usable.any() else False
-    if not span_ok:
+    if not _spans_a_decade(lags[usable]):
         result.update({"verdict": "not_applicable", "exponent": None,
                        "notes": "increments below the Monte Carlo noise floor"})
         return result

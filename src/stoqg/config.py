@@ -2,14 +2,15 @@
 
 Configs are JSON documents with sections model / spectrum / sim / analysis /
 io, each key declared once in `_SCHEMA`. Validation is strict: unknown keys,
-and keys of a variant the config did not choose, are rejected, and every
-error names the offending key path, because silently ignored typos are the
-main reproducibility hazard in experiment configs. Loading is two passes:
-`normalize` checks the schema (defaults filled in, output times snapped onto
-the step grid) and is idempotent, so normalize -> serialize -> normalize is a
-fixed point; `materialize` builds each model object once, and the value
-ranges are checked there: by the constructors, and for the analysis settings
-by the rules in `analysis`, so a bad setting fails before any path runs.
+keys of a variant the config did not choose and keys named twice are
+rejected, and every error names the offending key path, because silently
+ignored typos are the main reproducibility hazard in experiment configs.
+Loading is two passes: `normalize` checks the schema (defaults filled in,
+output times snapped onto the step grid) and is idempotent, so normalize ->
+serialize -> normalize is a fixed point; `materialize` builds each model
+object once, and the value ranges are checked there: by the constructors,
+and for the analysis settings by the rules in `analysis`, so a bad setting
+fails before any path runs.
 """
 
 from __future__ import annotations
@@ -273,14 +274,45 @@ def materialize(document: dict) -> RunConfig:
     return RunConfig(params, spectrum, sim, analysis, document["io"], document)
 
 
+def _key_path(node, target) -> list[str] | None:
+    """The keys that lead from `node` to the object `target` itself, or None."""
+    if node is target:
+        return []
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        tail = _key_path(child, target)
+        if tail is not None:
+            return [str(key), *tail]
+    return None
+
+
 def read_document(path: str | Path):
-    """Parse a JSON configuration file; a file that cannot be read or parsed is a ConfigError."""
+    """Parse a JSON configuration file; a file that cannot be read or parsed is a ConfigError.
+
+    A key an object names twice is a ConfigError under its path: plain JSON
+    parsing would keep the last value silently.
+    """
+    repeated = []  # (object, key) of each key an object names again
+
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                repeated.append((obj, key))
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        document = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except OSError as err:  # missing, a directory, unreadable
         raise ConfigError("<file>", f"cannot read config file {path}: {err.strerror or err}") from None
     except ValueError as err:  # malformed JSON, not UTF-8, an integer literal over the digit limit
         raise ConfigError("<file>", f"invalid JSON: {err}") from None
+    for obj, key in repeated:  # an object under a repeated key is gone from the document
+        keys = _key_path(document, obj)
+        if keys is not None:
+            raise ConfigError(".".join([*keys, key]), "duplicate key")
+    return document
 
 
 def canonical_json(document: dict) -> str:

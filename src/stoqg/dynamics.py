@@ -203,8 +203,9 @@ class EnsembleRecord:
     0, so its records name omega_sq alone. The coefficient snapshots,
     (n_paths, n_out, M^2), are kept only when the run stores fields; other
     quadratic diagnostics, such as ||grad omega||^2, come from them.
-    `failures` holds a (path, time) pair for each path with nonfinite
-    coefficients, at the first such output time.
+    `failures` holds a (path, time) pair for each path with a nonfinite
+    series (a nonfinite coefficient or an overflowing norm), at the first
+    such output time.
     """
 
     path_index: np.ndarray
@@ -223,12 +224,12 @@ class WorkerError(RuntimeError):
 
 
 class BlowupError(RuntimeError):
-    """Nonfinite coefficients encountered; carries all failing (path, time) pairs."""
+    """Nonfinite squared norms encountered; carries all failing (path, time) pairs."""
 
     def __init__(self, failures: list[tuple[int, float]]):
         self.failures = failures
         listing = ", ".join(f"path {p} at t={t:g}" for p, t in failures)
-        super().__init__(f"nonfinite coefficients in {len(failures)} path(s): {listing}")
+        super().__init__(f"nonfinite squared norms in {len(failures)} path(s): {listing}")
 
 
 def phi1(z: np.ndarray) -> np.ndarray:
@@ -430,10 +431,11 @@ def _simulate_batch(
         np.add.reduce(squares, axis=2, out=series[:, :, slot])
         if rec.fields is not None:
             rec.fields[:, slot] = a
-        # a nonfinite coefficient makes omega_sq nonfinite; a finite state whose
-        # square overflows is not a failure, so the exact test is on a itself
-        if not np.isfinite(series[0, :, slot]).all():
-            for b in np.flatnonzero(~np.isfinite(a).all(axis=1)):
+        # a path fails where a series it reduced is not finite: an overflowing norm,
+        # or a nonfinite coefficient, whose square is nonfinite too
+        finite = np.isfinite(series[:, :, slot])
+        if not finite.all():
+            for b in np.flatnonzero(~finite.all(axis=0)):
                 if failed_at[b] is None:
                     failed_at[b] = t
 

@@ -107,8 +107,8 @@ def phi_alpha(spec: NoiseSpectrum, alpha: float) -> float:
 # a block of output times is a whole multiple of this many rows ...
 _BLOCK_ALIGN = 64
 # ... holding at most this many values (256 KiB), or one aligned step when the modes
-# alone exceed it. The other blocked work arrays of a run share this budget: the
-# forcing draws (dynamics) and the estimator's fold block (analysis)
+# alone exceed it. The forcing draws (dynamics) share this budget; the estimator
+# (analysis) folds one record at a time, so its block is one batch's rows
 _BLOCK_VALUES = 2**15
 
 

@@ -27,7 +27,6 @@ from stoqg import (
     trace_class_envelope,
     validate_bound,
 )
-from stoqg import noise
 from stoqg.analysis import bound_parameters
 from stoqg.dynamics import SERIES
 from stoqg.spectral import ParameterError
@@ -53,6 +52,12 @@ def synthetic_trace(times, ens, se=None):
 
 
 class TestEstimator:
+    @pytest.mark.parametrize("ens, se", [([-1.0], [0.0]), ([np.nan], [0.0]), ([1.0], [np.nan])],
+                             ids=["negative", "nan_mean", "nan_se"])
+    def test_trace_rejects_negative_or_nan_estimates(self, ens, se):
+        with pytest.raises(ValueError, match="nonnegative, not NaN"):
+            synthetic_trace([0.5], ens, se)
+
     def test_rejects_single_path(self):
         with pytest.raises(ValueError):
             estimate_enstrophy([fake_record([0.0, 1.0], [1.0, 1.0])], TINY_SPECTRUM, 0.1)
@@ -129,10 +134,9 @@ class TestEstimator:
         for name, value in want.items():
             assert getattr(trace, name).tobytes() == value.tobytes(), name
 
-    def test_many_records_fold_in_groups(self):
-        # 130 records of 1-63 paths x 21 outputs: a fold block takes consecutive records
-        # while they fit 2**15 values with the sum row, so the folds cross group edges
-        # within the run; each estimate keeps the bits of numpy's mean and std(ddof=1)
+    def test_many_records_fold_one_at_a_time(self):
+        # 130 records of 1-63 paths x 21 outputs, each folded by itself onto the running
+        # sum; each estimate keeps the bits of numpy's mean and std(ddof=1)
         rng = np.random.default_rng(21)
         times, records, lo = np.arange(21, dtype=float), [], 0
         for size in rng.integers(1, 64, size=130):
@@ -140,7 +144,6 @@ class TestEstimator:
             records.append(EnsembleRecord(path_index=np.arange(lo, lo + size), times=times,
                                           names=SERIES, series=series))
             lo += size
-        assert lo * 21 > 2 * noise._BLOCK_VALUES  # three groups at least
         trace = estimate_enstrophy(records, TINY_SPECTRUM, 0.1)
         for name, mean, se, half in (("omega_sq", "ens_mean", "ens_se", 0.5), ("u_sq", "resid_mean", "resid_se", 1.0),
                                      ("wa_sq", "wa_half_empirical", None, 0.5)):

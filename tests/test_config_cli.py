@@ -236,6 +236,22 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             read_document(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"sim": {"dt": 0.1, "T": 1.0, "dt": 0.001}}', "sim.dt"),
+        ('{"model": {}, "io": {"out_dir": "a"}, "model": {}}', "model"),
+        ('{"sim": {"output_times": {"kind": "explicit", "times": [0.1], "kind": "uniform"}}}',
+         "sim.output_times.kind"),
+    ], ids=["leaf", "section", "variant"])
+    def test_duplicate_key_exit_2(self, tmp_path, capsys, text, key):
+        # plain JSON parsing keeps the last value of a repeated key without a word
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            read_document(path)
+        assert err.value.key == key
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: duplicate key\n"
+
     @pytest.mark.parametrize("section, key, value", [
         ("sim", "store_fields", True),
         ("analysis.holder", "synthetic", "sqrt"),
@@ -536,7 +552,7 @@ class TestSimulateCommand:
         assert "path" in err
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["exit_code"] == 3 and manifest["error"] == err.strip()
-        assert manifest["failures"] == [[0, 0.01], [1, 0.01]]  # both blow up at the first step
+        assert manifest["failures"] == [[0, 0.0], [1, 0.0]]  # ||omega(0)||^2 overflows
         assert manifest["config"] == normalize(cfg)
 
     def test_single_path_exit_2(self, tmp_path):
@@ -562,7 +578,21 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["exit_code"] == 3 and manifest["error"] == err.strip()
-        assert manifest["failures"] == [[0, 0.01], [1, 0.01]]
+        assert manifest["failures"] == [[0, 0.0], [1, 0.0]]
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json"]
+
+    def test_overflowing_norm_exit_3(self, tmp_path, capsys):
+        # every coefficient of the start is finite, but ||omega(0)||^2 ~ 16 * 1e310
+        # overflows: the run fails there and writes no trace with inf or NaN
+        cfg = base_config(str(tmp_path / "o"), n_paths=4, dt=1e-3, T=0.005,
+                          output_times={"kind": "explicit", "times": [0.0, 0.002, 0.005]},
+                          initial_condition={"type": "gaussian", "sigma": 1e155})
+        with np.errstate(all="ignore"):
+            assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["exit_code"] == 3 and manifest["error"] == err.strip()
+        assert manifest["failures"] == [[p, 0.0] for p in range(4)]
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json"]
 
     def test_every_command_writes_the_same_trace(self, tmp_path):

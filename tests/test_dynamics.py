@@ -334,15 +334,18 @@ class TestDeterminism:
         assert sizes == [2]
         assert [r.path_index.tolist() for r in records] == [[0, 1, 2], [3, 4, 5]]
 
-    # 3+3+3+1 is uneven; M = 32 runs the P = 49 drift grid
-    @pytest.mark.parametrize("M, batch_size", [(4, 3), (4, 10), (32, 4)], ids=["3", "10", "M32-4"])
-    def test_batch_size_does_not_change_paths(self, M, batch_size):
+    # 3+3+3+1 is uneven; M = 32 runs the P = 49 drift grid; at one output time the
+    # estimator sums the gathered column, which numpy sums pairwise from 8 paths on
+    @pytest.mark.parametrize("M, batch_size, n_out", [(4, 3, 11), (4, 10, 11), (32, 4, 11), (4, 10, 1)],
+                             ids=["3", "10", "M32-4", "10-one-time"])
+    def test_batch_size_does_not_change_paths(self, M, batch_size, n_out):
         b = Basis(M, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=False, beta_term=True)
 
         def run(size):
             cfg = small_config(M=M, n_paths=10, batch_size=size, store_fields=True,
+                               output_times=np.round(np.arange(11 - n_out, 11) * 0.01, 10),
                                initial_condition=InitialCondition("gaussian", sigma=0.3))
             return run_ensemble(cfg, params, spec)
 
@@ -388,13 +391,13 @@ class TestDeterminism:
            draw_values=st.integers(0, 15).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1) - 1)),
            chunk_bytes=st.integers(0, 20).flatmap(lambda e: st.integers(2**e, 2 ** (e + 1) - 1)),
            n_steps=st.integers(1, 4), linearized=st.booleans(), beta_term=st.booleans(),
-           sigma=st.sampled_from([0.3, 1e155, 0.0]), seed=st.integers(0, 2**64 - 1))
+           sigma=st.sampled_from([0.3, 1e160, 0.0]), seed=st.integers(0, 2**64 - 1))
     def test_stepper_over_time_matches_one_path_batches(self, M, n_paths, batch_size, draw_values,
                                                         chunk_bytes, n_steps, linearized,
                                                         beta_term, sigma, seed):
         # any batching, any draw block budget and any drift chunk budget, each set on
-        # its own, give the bits of one-path batches; sigma=1e155 overflows the drift at
-        # the first step, and sigma=0.0 without a drift term keeps one state
+        # its own, give the bits of one-path batches; sigma=1e160 overflows ||omega||^2
+        # at t = 0 whatever the draws, and sigma=0.0 without a drift term keeps one state
         b = Basis(M, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         params = ModelParams(nu=1.0, r=0.1, beta=0.6, linearized=linearized, beta_term=beta_term)
@@ -417,7 +420,7 @@ class TestDeterminism:
             patch.setattr(dynamics, "_DRIFT_CHUNK_BYTES", min(chunk_bytes, dynamics._DRIFT_CHUNK_BYTES))
             got = run(batch_size)
         assert got == want
-        assert (want[0] is None) == (sigma > 1.0 and not linearized)
+        assert (want[0] is None) == (sigma > 1.0)
 
     def test_golden_trajectory_guards_rng_contract(self):
         # frozen output of the documented (master_seed, path_index) mapping;
@@ -726,9 +729,9 @@ class TestBlowupHandling:
 
     @pytest.mark.parametrize("value, failures", [
         (np.nan, [(0, 0.0), (1, 0.0)]),
-        (1e200, []),  # finite, though omega_sq overflows
+        (1e200, [(0, 0.0), (1, 0.0)]),  # finite, but omega_sq overflows
     ])
-    def test_failure_means_a_nonfinite_coefficient(self, value, failures):
+    def test_failure_means_a_nonfinite_series(self, value, failures):
         b = Basis(2, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         cfg = SimConfig(
