@@ -142,12 +142,7 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
             raise ValueError("all records must share the same output times")
         if rec.names != names:
             raise ValueError(f"all records must name the same series, got {names} and {rec.names}")
-    # the law is taken at amplitudes scaled by 2^-h, which bring max mu_k^2 into [0.5, 2)
-    # so that sum_k s_k^2 neither underflows nor overflows, and scaled back exactly: s_k
-    # scales by 2^-2h, and so do the variance and the SE, the root of a sum of squares
-    h = int(np.frexp(spectrum.mu_sq.max())[1]) // 2
-    scaled = NoiseSpectrum(spectrum.basis, np.ldexp(spectrum.mu, -h), spectrum.theta)
-    variance, sum_sq = companion_law(scaled, r, times)
+    mean, sd = companion_law(spectrum, r, times)
 
     # one output time gathers its column, which numpy sums pairwise; else each record's
     # rows are added to the running sum in row 0 as they are scaled
@@ -191,9 +186,8 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
         ens_se=ens_se,
         n_paths=n,
         wa_half_empirical=wa_half_empirical,
-        wa_half_analytic=np.ldexp(0.5 * variance, 2 * h),
-        # W_k(t) ~ N(0, s_k(t)) independently, so 0.5 ||W_A||^2 has variance 0.5 sum_k s_k^2
-        wa_half_se=np.ldexp(np.sqrt(0.5 * sum_sq / n), 2 * h),
+        wa_half_analytic=0.5 * mean,
+        wa_half_se=0.5 * sd / root_n,
         resid_mean=resid_mean,
         resid_se=resid_se,
     )

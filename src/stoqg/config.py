@@ -306,7 +306,7 @@ def read_document(path: str | Path):
         document = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except OSError as err:  # missing, a directory, unreadable
         raise ConfigError("<file>", f"cannot read config file {path}: {err.strerror or err}") from None
-    except ValueError as err:  # malformed JSON, not UTF-8, an integer literal over the digit limit
+    except (ValueError, RecursionError) as err:  # malformed, not UTF-8, too long an integer or too deep
         raise ConfigError("<file>", f"invalid JSON: {err}") from None
     for obj, key in repeated:  # an object under a repeated key is gone from the document
         keys = _key_path(document, obj)

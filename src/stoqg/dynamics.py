@@ -439,22 +439,24 @@ def _simulate_batch(
                 if failed_at[b] is None:
                     failed_at[b] = t
 
-    if 0 in slot_of:
-        record(slot_of[0], 0.0)
     block = max(1, _BLOCK_VALUES // (B * K))
     eta_block = np.empty((B, min(block, n_steps), K))
-    for first in range(1, n_steps + 1, block):
-        n = min(block, n_steps + 1 - first)
-        for rng, rows in zip(noise_rngs, eta_block):
-            rng.standard_normal(out=rows[:n])
-        eta_block[:, :n] *= stepper.noise_std
-        for s in range(first, first + n):
-            eta = eta_block[:, s - first]
-            stepper.advance(a, eta)
-            if v is not None:
-                stepper.propagate(v, eta)
-            if s in slot_of:
-                record(slot_of[s], s * config.dt)
+    # a state that overflows is a nonfinite series, which `record` turns into a failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        if 0 in slot_of:
+            record(slot_of[0], 0.0)
+        for first in range(1, n_steps + 1, block):
+            n = min(block, n_steps + 1 - first)
+            for rng, rows in zip(noise_rngs, eta_block):
+                rng.standard_normal(out=rows[:n])
+            eta_block[:, :n] *= stepper.noise_std
+            for s in range(first, first + n):
+                eta = eta_block[:, s - first]
+                stepper.advance(a, eta)
+                if v is not None:
+                    stepper.propagate(v, eta)
+                if s in slot_of:
+                    record(slot_of[s], s * config.dt)
 
     rec.failures = [(int(p), t) for p, t in zip(path_indices, failed_at) if t is not None]
     return rec

@@ -10,7 +10,7 @@ mode of the convolution is an Ornstein-Uhlenbeck process. The transition over
 a step h is Gaussian with known mean and variance, so increments are sampled
 exactly in distribution; there is no time-discretization error anywhere in
 the linear-plus-noise subsystem. `companion_law` gives that convolution's law
-from rest at the solver's rates: E||W_A(t)||^2 and the sum behind its SE.
+from rest at the solver's rates: the mean and standard deviation of ||W_A(t)||^2.
 """
 
 from __future__ import annotations
@@ -104,35 +104,26 @@ def phi_alpha(spec: NoiseSpectrum, alpha: float) -> float:
     return float(np.sum(spec.mu_sq * lam_abs**spec.theta / (alpha + lam_abs)))
 
 
-# a block of output times is a whole multiple of this many rows ...
-_BLOCK_ALIGN = 64
-# ... holding at most this many values (256 KiB), or one aligned step when the modes
-# alone exceed it. The forcing draws (dynamics) share this budget; the estimator
-# (analysis) folds one record at a time, so its block is one batch's rows
+# a block of output times holds at most this many values (256 KiB), or one time when
+# the modes alone exceed it. The forcing draws (dynamics) share this budget; the
+# estimator (analysis) folds one record at a time, so its block is one batch's rows
 _BLOCK_VALUES = 2**15
 
 
 def companion_law(spec: NoiseSpectrum, r: float, times) -> tuple[np.ndarray, np.ndarray]:
-    """E ||W_A(t)||^2 and sum_k s_k(t)^2 of the companion convolution from rest.
+    """Mean and standard deviation of ||W_A(t)||^2, the companion convolution from rest.
 
     Mode k of W_A is an OU process at the solver's rate l_k = lambda_k - r, so
-    W_k(t) ~ N(0, s_k(t)) independently, s_k(t) = mu_k^2 (1 - e^(2 l_k t)) / (-2 l_k).
-    The sum of the s_k(t) is zero at t = 0, increasing and concave, saturating
-    at sum mu_k^2 / (-2 l_k); half the sum of their squares is the variance of
-    0.5 ||W_A(t)||^2. `times` is a 1-D array of times >= 0.
+    W_k(t) ~ N(0, s_k(t)) independently, s_k(t) = mu_k^2 (1 - e^(2 l_k t)) / (-2 l_k),
+    and ||W_A(t)||^2 has mean sum_k s_k(t) and variance 2 sum_k s_k(t)^2. The mean
+    is zero at t = 0, increasing and concave, saturating at sum mu_k^2 / (-2 l_k).
+    `times` is a 1-D array of times >= 0.
 
-    The sums are taken at the amplitudes given, so the squares leave the double
-    range at extreme ones: `sum_sq` underflows to 0 near c_mu = 1e-170 and
-    overflows to inf, with a RuntimeWarning, near c_mu = 1e300. Only
-    `estimate_enstrophy` guards against this, by taking the law at amplitudes
-    scaled by a power of two; a caller after the exact standard error reads it
-    from the trace, `EnstrophyTrace.wa_half_se`.
-
-    Both come from one exp pass per block of output times (a matmul, then an
-    in-place square-and-sum), so memory is O(block). Blocks are whole multiples
-    of 64 times, and a one-time tail joins the block before it: numpy sends a
-    one-row matrix through a vector dot instead of gemv, so only this rule keeps
-    every value the bits of one full-matrix reduction.
+    Each output time is one numpy sum over the modes, so its bits depend neither on
+    the other times nor on the block of times it is computed in; memory is one block.
+    The sums run at the amplitudes scaled by the power of two that brings max mu_k^2
+    into [0.5, 2), so the squares stay in the double range at any amplitude, and
+    are scaled back exactly after the square root.
     """
     if not r >= 0:
         raise ValueError(f"Ekman rate r must be >= 0, got {r}")
@@ -140,27 +131,22 @@ def companion_law(spec: NoiseSpectrum, r: float, times) -> tuple[np.ndarray, np.
     if times.ndim != 1 or np.any(times < 0):
         raise ValueError("times must be a 1-D array of values >= 0")
     rates = spec.basis.eigenvalues - r
-    mu_sq, denom = spec.mu_sq, -2.0 * rates
-    per_mode = mu_sq / denom
-    n_times = times.size
-    step = _BLOCK_ALIGN * max(1, _BLOCK_VALUES // (_BLOCK_ALIGN * rates.size))
-    block = np.empty((min(n_times, step + 1), rates.size))
-    variance, sum_sq = np.empty(n_times), np.empty(n_times)
-    start = 0
-    while start < n_times:
-        stop = n_times if n_times - (start + step) <= 1 else start + step
+    h = int(np.frexp(spec.mu_sq.max())[1]) // 2
+    per_mode = np.square(np.ldexp(spec.mu, -h)) / (-2.0 * rates)
+    step = max(1, _BLOCK_VALUES // rates.size)
+    block = np.empty((min(times.size, step), rates.size))
+    mean, sum_sq = np.empty(times.size), np.empty(times.size)
+    for start in range(0, times.size, step):
+        stop = min(start + step, times.size)
         rows = block[:stop - start]
-        np.multiply.outer(times[start:stop], rates, out=rows)
-        rows *= 2.0
+        np.multiply.outer(times[start:stop], 2.0 * rates, out=rows)
         np.exp(rows, out=rows)
         np.subtract(1.0, rows, out=rows)
-        variance[start:stop] = rows @ per_mode
-        rows *= mu_sq
-        rows /= denom
+        rows *= per_mode
+        mean[start:stop] = rows.sum(axis=1)
         np.square(rows, out=rows)
         sum_sq[start:stop] = rows.sum(axis=1)
-        start = stop
-    return variance, sum_sq
+    return np.ldexp(mean, 2 * h), np.ldexp(np.sqrt(2.0 * sum_sq), 2 * h)
 
 
 def stationary_tail_bound(spec: NoiseSpectrum) -> float:

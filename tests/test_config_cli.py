@@ -546,8 +546,7 @@ class TestSimulateCommand:
             "type": "coeffs", "values": [1e200, -1e200] * 8,
         }
         path = write_config(tmp_path, cfg)
-        with np.errstate(all="ignore"):
-            assert main(["simulate", "--config", path]) == 3
+        assert main(["simulate", "--config", path]) == 3
         err = capsys.readouterr().err
         assert "path" in err
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
@@ -573,26 +572,35 @@ class TestSimulateCommand:
         cfg["analysis"]["holder"] = {"window": [0.01, 0.2], "lags": [0.01, 0.02, 0.03, 0.05, 0.1]}
         cfg["analysis"]["asymptotics"] = {"mode": "general"}  # zero mode refuses a start off rest
         path = write_config(tmp_path, cfg)
-        with np.errstate(all="ignore"):
-            assert main([command, "--config", path]) == 3
+        assert main([command, "--config", path]) == 3
         err = capsys.readouterr().err
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["exit_code"] == 3 and manifest["error"] == err.strip()
         assert manifest["failures"] == [[0, 0.0], [1, 0.0]]
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json"]
 
-    def test_overflowing_norm_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers, n_paths", [(1, 4), (2, 64)])
+    def test_overflowing_norm_exit_3(self, tmp_path, capsys, workers, n_paths):
         # every coefficient of the start is finite, but ||omega(0)||^2 ~ 16 * 1e310
-        # overflows: the run fails there and writes no trace with inf or NaN
-        cfg = base_config(str(tmp_path / "o"), n_paths=4, dt=1e-3, T=0.005,
+        # overflows: the run fails there and writes no trace with inf or NaN, and its
+        # stderr is the one blowup line, no numpy warning; 2 workers run in a child,
+        # where a warning would print instead of raising
+        cfg = base_config(str(tmp_path / "o"), n_paths=n_paths, dt=1e-3, T=0.005,
                           output_times={"kind": "explicit", "times": [0.0, 0.002, 0.005]},
                           initial_condition={"type": "gaussian", "sigma": 1e155})
-        with np.errstate(all="ignore"):
-            assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
-        err = capsys.readouterr().err
+        args = ["simulate", "--config", write_config(tmp_path, cfg), "--threads", str(workers)]
+        if workers == 1:
+            assert main(args) == 3
+            err = capsys.readouterr().err
+        else:
+            done = subprocess.run([sys.executable, "-m", "stoqg.cli", *args], env=self._child_env(),
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 3, done.stderr
+            err = done.stderr
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        assert manifest["exit_code"] == 3 and manifest["error"] == err.strip()
-        assert manifest["failures"] == [[p, 0.0] for p in range(4)]
+        assert manifest["exit_code"] == 3 and err == manifest["error"] + "\n"
+        assert err.startswith("blowup: ") and err.count("\n") == 1, err
+        assert manifest["failures"] == [[p, 0.0] for p in range(n_paths)]
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json"]
 
     def test_every_command_writes_the_same_trace(self, tmp_path):
@@ -615,17 +623,20 @@ class TestSimulateCommand:
         assert manifest.keys() == {"config_sha256", "master_seed", "code_version", "wall_time_s",
                                    "config", "spectrum_tail_bound"}
 
-    @pytest.mark.parametrize("kind", ["long_integer", "utf16_bom", "directory"])
+    @pytest.mark.parametrize("kind", ["long_integer", "deep_nesting", "utf16_bom", "directory"])
     def test_unreadable_config_exit_2(self, tmp_path, capsys, kind):
         path = tmp_path / "config.json"
         if kind == "long_integer":  # beyond Python's int-string digit limit
             path.write_text('{"model": {"nu": 1' + "0" * 5000 + "}}", encoding="utf-8")
+        elif kind == "deep_nesting":  # beyond the parser's recursion limit
+            path.write_text('{"model": ' + "[" * 5000, encoding="utf-8")
         elif kind == "utf16_bom":
             path.write_bytes(b"\xff\xfe" + json.dumps(base_config(str(tmp_path / "o"))).encode("utf-16-le"))
         else:
             path.mkdir()
         assert main(["simulate", "--config", str(path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: <file>: ") and err.count("\n") == 1, err
 
     def test_crashed_worker_exit_7(self, tmp_path, capsys, monkeypatch):
         # the pool breaks inside run_ensemble, as when a worker is killed

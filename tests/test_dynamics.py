@@ -408,8 +408,7 @@ class TestDeterminism:
                             master_seed=seed, batch_size=size, store_fields=True,
                             initial_condition=InitialCondition("gaussian", sigma=sigma))
             try:
-                with np.errstate(all="ignore"):
-                    records = run_ensemble(cfg, params, spec)
+                records = run_ensemble(cfg, params, spec)
             except BlowupError as err:
                 return None, err.failures
             return {n: joined(records, n).tobytes() for n in ("path_index", "series", "fields")}, []
@@ -721,7 +720,7 @@ class TestBlowupHandling:
             n_paths=2, master_seed=5,
             initial_condition=InitialCondition("coeffs", coeffs=(1e200, -1e200, 1e200, -1e200)),
         )
-        with pytest.raises(BlowupError) as err, np.errstate(all="ignore"):
+        with pytest.raises(BlowupError) as err:
             run_ensemble(cfg, params, spec)
         failing = sorted(p for p, _ in err.value.failures)
         assert failing == [0, 1]
@@ -739,8 +738,7 @@ class TestBlowupHandling:
             n_paths=2, master_seed=5,
             initial_condition=InitialCondition("coeffs", coeffs=(value, 0.5, 0.0, -0.5)),
         )
-        with np.errstate(all="ignore"):
-            rec = _simulate_batch(linear_params(), spec, cfg, np.arange(2))
+        rec = _simulate_batch(linear_params(), spec, cfg, np.arange(2))
         assert rec.failures == failures
         assert not np.isfinite(rec["omega_sq"]).any()
 

@@ -20,6 +20,7 @@ from stoqg import (
     spectrum_from_list,
     trace,
 )
+from stoqg import noise
 from stoqg.noise import ou_transition_std, stationary_tail_bound
 
 
@@ -130,17 +131,17 @@ class TestPhiAlpha:
 
 class TestAnalyticVariance:
     def test_single_mode_value(self):
-        # s(1) = (1 - e^-2) / 2 at l = -1, and a one-mode sum of squares is s^2
+        # s(1) = (1 - e^-2) / 2 at l = -1, and W^2 ~ s chi^2_1 has SD sqrt(2) s
         spec = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
-        var, sum_sq = companion_law(spec, 0.0, np.array([1.0]))
-        assert var[0] == pytest.approx(0.43233235838169365, rel=1e-14)
-        assert sum_sq[0] == pytest.approx(0.43233235838169365**2, rel=1e-14)
+        mean, sd = companion_law(spec, 0.0, np.array([1.0]))
+        assert mean[0] == pytest.approx(0.43233235838169365, rel=1e-14)
+        assert sd[0] == pytest.approx(np.sqrt(2.0) * 0.43233235838169365, rel=1e-14)
 
     def test_zero_at_time_zero(self):
         b = Basis(3, 1.0)
         spec = build_spectrum(b, 2.0, 1.5, 0.2)
-        var, sum_sq = companion_law(spec, 0.1, np.array([0.0]))
-        assert var.tolist() == [0.0] and sum_sq.tolist() == [0.0]
+        mean, sd = companion_law(spec, 0.1, np.array([0.0]))
+        assert mean.tolist() == [0.0] and sd.tolist() == [0.0]
 
     def test_increasing_concave_saturating(self):
         b = Basis(3, 0.05)  # slow decay keeps increments resolvable
@@ -178,7 +179,7 @@ class TestAnalyticVariance:
 
     def test_memory_does_not_grow_with_output_times(self):
         # 4001 times x 1024 modes is 32.8 MB as one matrix; the blocked walk
-        # holds one block of 64 times (0.5 MiB)
+        # holds one block of 32 times at M=32 (256 KiB)
         b = Basis(32, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         times = np.linspace(0.0, 4.0, 4001)
@@ -191,9 +192,21 @@ class TestAnalyticVariance:
         assert peak < 2**20, peak
 
 
-# Runs in a child with one BLAS thread, where the one-matrix formulas have
-# fixed bits; it prints those bits and the blocked ones, as hex.
-_BLOCK_BITS_PROBE = """
+    @pytest.mark.parametrize("c_mu", [1e-300, 1e300])
+    def test_law_keeps_its_range_and_scales_exactly(self, c_mu):
+        # the sums of squares run at scaled amplitudes: at 1e300 they would overflow and
+        # at 1e-300 underflow; c_mu * 2^(2j) scales mu_k by 2^j and the law by 2^(2j)
+        b, t = Basis(4, 1.0), np.linspace(0.0, 0.5, 5)
+        mean, sd = companion_law(build_spectrum(b, c_mu, 2.0, 0.1), 0.1, t)
+        assert np.all(np.isfinite(sd)) and np.all(sd[1:] > 0) and np.all(mean[1:] > 0)
+        for j in (-3, 3):
+            scaled = companion_law(build_spectrum(b, np.ldexp(c_mu, 2 * j), 2.0, 0.1), 0.1, t)
+            assert [a.tolist() for a in scaled] == [np.ldexp(mean, 2 * j).tolist(),
+                                                   np.ldexp(sd, 2 * j).tolist()], j
+
+
+# Runs in a child with the given BLAS thread count; prints the law's bits as hex.
+_LAW_BITS_PROBE = """
 import json, sys
 import numpy as np
 from stoqg import Basis, build_spectrum
@@ -201,47 +214,44 @@ from stoqg.noise import companion_law
 
 out = {}
 for M, counts in json.loads(sys.argv[1]):
-    b = Basis(M, 1.0)
-    spec = build_spectrum(b, 1.0, 2.0, 0.1)
-    rates = b.eigenvalues - 0.1
+    spec = build_spectrum(Basis(M, 1.0), 1.0, 2.0, 0.1)
     for n in counts:
-        t = np.linspace(0.0, 0.5, n)
-        sat = 1.0 - np.exp(2.0 * np.outer(t, rates))
-        s = spec.mu_sq * sat / (-2.0 * rates)
-        variance, sum_sq = companion_law(spec, 0.1, t)
-        pairs = [(variance, sat @ (spec.mu_sq / (-2.0 * rates))), (sum_sq, np.sum(s**2, axis=1))]
-        out[f"{M},{n}"] = [[a.tobytes().hex(), b.tobytes().hex()] for a, b in pairs]
+        law = companion_law(spec, 0.1, np.linspace(0.0, 0.5, n))
+        out[f"{M},{n}"] = [a.tobytes().hex() for a in law]
 print(json.dumps(out))
 """
 
 
-def _block_bits(cases, threads: str) -> dict:
+def _law_bits(cases, threads: str) -> dict:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
            "MKL_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _BLOCK_BITS_PROBE, json.dumps(cases)], env=env,
+    done = subprocess.run([sys.executable, "-c", _LAW_BITS_PROBE, json.dumps(cases)], env=env,
                           capture_output=True, text=True, check=True, timeout=300)
     return json.loads(done.stdout)
 
 
 class TestBlockedReduction:
-    def test_blocks_keep_the_one_matrix_bits(self):
-        # blocks of 128 times at M=16 and 64 at M=32: time counts on each side of a
-        # block edge, a one-time tail (step + 1, 2 step + 1) and lin16_dense's 501
-        cases = [(M, [1, 2, step - 1, step, step + 1, 2 * step + 1, 501])
-                 for M, step in ((16, 128), (32, 64))]
-        for key, pairs in _block_bits(cases, "1").items():
-            for name, (blocked, one_matrix) in zip(("variance", "sum_sq"), pairs):
-                assert blocked == one_matrix, (key, name)
+    @pytest.mark.parametrize("M", [16, 32])
+    def test_bits_do_not_depend_on_the_block(self, monkeypatch, M):
+        # one time a block, and an odd number of times a block, against the default
+        # (128 times at M=16, 32 at M=32): each time is its own sum over the modes
+        b = Basis(M, 1.0)
+        spec = build_spectrum(b, 1.0, 2.0, 0.1)
+        for n in (1, 2, 129, 501):
+            t = np.linspace(0.0, 0.5, n)
+            default = [a.tobytes() for a in companion_law(spec, 0.1, t)]
+            for values in (1, 3 * b.n_modes):
+                monkeypatch.setattr(noise, "_BLOCK_VALUES", values)
+                assert [a.tobytes() for a in companion_law(spec, 0.1, t)] == default, (n, values)
+                monkeypatch.undo()
 
     def test_blocked_bits_do_not_depend_on_blas_threads(self):
-        # one threaded gemv over all the times moves a few of these values by an
-        # ulp under 2 threads; the blocks, whole multiples of 64 times, do not
+        # a threaded gemv over all the times moved some values by an ulp under 2
+        # threads; the law's sums make no BLAS call
         cases = [(32, [129, 501]), (64, [139])]
-        one, two = _block_bits(cases, "1"), _block_bits(cases, "2")
-        assert {k: [p[0] for p in v] for k, v in one.items()} == \
-            {k: [p[0] for p in v] for k, v in two.items()}
+        assert _law_bits(cases, "1") == _law_bits(cases, "2")
 
 
 class TestOUIncrement:

@@ -31,13 +31,18 @@ def test_checkout_against_itself_is_the_same():
 def test_lists_each_differing_file(tmp_path):
     tool = load_tool()
     left, right = tmp_path / "left", tmp_path / "right"
-    for side, wall, last in ((left, 1.0, "0.5"), (right, 2.0, "0.25")):
+    for side, wall, last, var in ((left, 1.0, "0.5", "1.0"), (right, 2.0, "0.25", "1.5")):
         side.mkdir()
         (side / "manifest.json").write_text(json.dumps({"config_sha256": "x", "wall_time_s": wall}))
-        (side / "trace.csv").write_text("time\n0.0\n")
+        (side / "trace.csv").write_text(f"time,ens_mean,wa_var_analytic\n0.0,0.0,0.0\n0.1,2.0,{var}\n")
         (side / "trace.json").write_text(last)
+        (side / "linear_report.json").write_text(json.dumps({"verdict": "pass", "worst_z": float(var)}))
     (left / "report.json").write_text("{}")
-    # the manifests differ only in wall_time_s
-    assert tool.differing(left, right) == ["report.json", "trace.json"]
+    # the manifests differ only in wall_time_s; a CSV is named by the columns that
+    # differ and a JSON object by its top-level keys, other files as a whole
+    assert tool.differing(left, right) == ["linear_report.json[worst_z]", "report.json",
+                                           "trace.csv[wa_var_analytic]", "trace.json"]
     (right / "manifest.json").write_text(json.dumps({"config_sha256": "y", "wall_time_s": 2.0}))
-    assert tool.differing(left, right) == ["manifest.json", "report.json", "trace.json"]
+    (right / "trace.csv").write_text("time,ens_mean\n0.0,0.0\n0.1,2.0\n")  # another header
+    assert tool.differing(left, right) == ["linear_report.json[worst_z]", "manifest.json[config_sha256]",
+                                           "report.json", "trace.csv", "trace.json"]

@@ -17,14 +17,17 @@ other, so their manifests hash the same config. Every file is compared byte
 for byte, and `manifest.json` without its `wall_time_s`; so are the exit
 codes and stdout, and for a failing case the last stderr line (its one-line
 message) up to its second `:`, the key of a config error. Each case prints
-one line, and every file or stream that differs is listed; the exit code is
-1 if anything differs. `--tiny` runs the workloads' tiny sizes, in a few
-seconds.
+one line, and every file or stream that differs is listed, a CSV by each
+column and a JSON object by each top-level key whose values differ (as
+`trace.csv[wa_var_analytic]`); the exit code is 1 if anything differs.
+`--tiny` runs the workloads' tiny sizes, in a few seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import shutil
@@ -61,22 +64,46 @@ def run(checkout: Path, command: str, config: Path, workers: int, blas_threads: 
     return done.returncode, done.stdout, b":".join(last[0].split(b":")[:2]) if last else b""
 
 
+def inside(a: Path, b: Path) -> list[str]:
+    """What differs between two files of one name: `name[column]` for each CSV column and
+    `name[key]` for each top-level key of a JSON object whose values differ, a manifest's
+    wall_time_s aside; `name` alone where the files do not split alike (other headers,
+    row counts or JSON types) or differ only in their layout."""
+    name = a.name
+    try:
+        texts = [p.read_text(encoding="utf-8") for p in (a, b)]
+        if name.endswith(".csv"):
+            tables = [list(csv.reader(io.StringIO(text))) for text in texts]
+            if tables[0][:1] == tables[1][:1] and len(tables[0]) == len(tables[1]):
+                columns = [list(zip(*table)) for table in tables]
+                found = [col[0] for col, other in zip(*columns) if col != other]
+                return [f"{name}[{column}]" for column in found] or [name]
+        elif name.endswith(".json"):
+            docs = [json.loads(text) for text in texts]
+            if all(isinstance(doc, dict) for doc in docs):
+                if name == "manifest.json":
+                    for doc in docs:
+                        doc.pop("wall_time_s", None)
+                values = [{key: json.dumps(value, sort_keys=True) for key, value in doc.items()}
+                          for doc in docs]
+                found = [key for key in sorted(values[0].keys() | values[1].keys())
+                         if values[0].get(key) != values[1].get(key)]
+                return [f"{name}[{key}]" for key in found] or ([] if name == "manifest.json" else [name])
+    except (ValueError, csv.Error):  # not UTF-8, not JSON, not CSV
+        pass
+    return [name]
+
+
 def differing(left: Path, right: Path) -> list[str]:
-    """The names of the files that differ between two output directories."""
+    """What differs between two output directories: files, or the columns or keys inside them."""
     names = sorted({p.name for p in left.iterdir()} | {p.name for p in right.iterdir()})
     out = []
     for name in names:
         a, b = left / name, right / name
         if not (a.is_file() and b.is_file()):
             out.append(name)
-        elif name == "manifest.json":
-            manifests = [json.loads(p.read_text(encoding="utf-8")) for p in (a, b)]
-            for manifest in manifests:
-                manifest.pop("wall_time_s", None)
-            if manifests[0] != manifests[1]:
-                out.append(name)
-        elif a.read_bytes() != b.read_bytes():
-            out.append(name)
+        elif name == "manifest.json" or a.read_bytes() != b.read_bytes():
+            out += inside(a, b)
     return out
 
 
