@@ -10,7 +10,7 @@ from .spectral import Basis  # noqa: F401
 from .noise import (  # noqa: F401
     SummabilityError,
     build_spectrum,
-    companion_law,
+    linear_law,
     phi_alpha,
     spectrum_from_list,
     trace,

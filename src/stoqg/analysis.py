@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import EnsembleRecord
-from .noise import NoiseSpectrum, companion_law, phi_alpha, stationary_tail_bound
+from .noise import NoiseSpectrum, linear_law, phi_alpha, stationary_tail_bound
 from .noise import trace as covariance_trace
 from .spectral import ParameterError
 
@@ -46,12 +46,12 @@ class EnstrophyTrace:
     """Time-indexed Monte Carlo estimates of the mean enstrophy.
 
     `estimate_enstrophy` always attaches the companion series: the empirical
-    and analytic halves of E||W_A||^2 (the latter from `companion_law`, at the
-    solver's rates lambda_k - r), `wa_half_se`, the exact standard error of an
-    n_paths mean of 0.5 ||W_A||^2 under that Gaussian law, and the mean squared
-    residual E||omega - W_A||^2 with its standard error. A trace built by hand
-    from the first four fields leaves them None, which serves the envelope and
-    Hoelder checks but not the writers, `linear_oracle_check` or
+    and analytic halves of E||W_A||^2 (the latter from `linear_law` from rest, at
+    the solver's rates lambda_k - r), `wa_half_se`, the exact standard error of
+    an n_paths mean of 0.5 ||W_A||^2 under that Gaussian law, and the mean
+    squared residual E||omega - W_A||^2 with its standard error. A trace built by
+    hand from the first four fields leaves them None, which serves the envelope
+    and Hoelder checks and `linear_oracle_check`, but not the writers or
     `asymptotics_check` in mode "zero". `wa_half_se` is not written to trace.*.
     """
 
@@ -142,7 +142,7 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
             raise ValueError("all records must share the same output times")
         if rec.names != names:
             raise ValueError(f"all records must name the same series, got {names} and {rec.names}")
-    mean, sd = companion_law(spectrum, r, times)
+    mean, sd = linear_law(spectrum, r, times)
 
     # one output time gathers its column, which numpy sums pairwise; else each record's
     # rows are added to the running sum in row 0 as they are scaled
@@ -193,26 +193,21 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     )
 
 
-def _companion(trace: EnstrophyTrace, *names: str) -> list[np.ndarray]:
-    """The named companion series of a trace; a hand-built trace without them raises ValueError."""
-    series = [getattr(trace, name) for name in names]
-    if any(s is None for s in series):
-        raise ValueError("the check needs a trace with its analytic companion, as estimate_enstrophy builds")
-    return series
+def linear_oracle_check(trace: EnstrophyTrace, mean: np.ndarray, sd: np.ndarray) -> dict:
+    """Ens(t) of a linear run against the law of its squared norm, in exact standard errors.
 
-
-def linear_oracle_check(trace: EnstrophyTrace) -> dict:
-    """Ens(t) of a linear run from rest against its analytic companion, in exact standard errors.
-
-    z = (ens_mean - wa_half_analytic) / wa_half_se at every output time (0 where
-    both are 0, infinite where only the SE is). The run passes when every |z|
-    is at most Phi^-1(1 - 0.00135 / n_t): a 3-sigma two-sided level (0.27%)
-    shared out over the n_t positive output times.
+    `mean` and `sd` are the law of one path's ||a(t)||^2 at the trace's times
+    (`noise.linear_law`). The oracle is half the mean, its SE half the SD over
+    sqrt(n_paths), and z = (ens_mean - oracle) / oracle_se. Where the law has no
+    spread (t = 0 from fixed coefficients, or no noise) the run is deterministic:
+    z is 0 where it agrees with the oracle to a relative 1e-9, else infinite. The
+    run passes when every |z| is at most Phi^-1(1 - 0.00135 / n_t): a 3-sigma
+    two-sided level (0.27%) shared out over the n_t positive output times.
     """
-    oracle, oracle_se = _companion(trace, "wa_half_analytic", "wa_half_se")
+    oracle, oracle_se = 0.5 * mean, 0.5 * sd / math.sqrt(trace.n_paths)
     diff = trace.ens_mean - oracle
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(oracle_se > 0, diff / oracle_se, np.where(diff == 0.0, 0.0, np.inf))
+        z = np.where(oracle_se > 0, diff / oracle_se, np.where(np.abs(diff) <= 1e-9 * oracle, 0.0, np.inf))
     # imported here, as at startup statistics adds 0.5 MB to every command
     from statistics import NormalDist
 
@@ -239,7 +234,7 @@ def _growth(gamma: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         growth = np.exp(2.0 * gamma * times)
     if not np.all(np.isfinite(growth)):
         raise ParameterError("T", f"makes e^(2 gamma t) overflow by t={times[-1]:g} at gamma={gamma:g}")
-    return growth, times.astype(float) if gamma == 0.0 else (growth - 1.0) / (2.0 * gamma)
+    return growth, times.astype(float) if gamma == 0.0 else np.expm1(2.0 * gamma * times) / (2.0 * gamma)
 
 
 def bound_parameters(nu: float, r: float, beta: float, mu_exp: float | None,
@@ -513,8 +508,11 @@ def asymptotics_check(trace: EnstrophyTrace, mode: str, delta: float, ens0: floa
         return {"mode": mode, "ens0": ens0, "exponent": slope, "exponent_se": slope_se, **limit,
                 "threshold": threshold, "verdict": "pass" if slope >= threshold else "fail"}
 
-    wa_half, wa_se, emp, resid, resid_se = (s[pos] for s in _companion(
-        trace, "wa_half_analytic", "wa_half_se", "wa_half_empirical", "resid_mean", "resid_se"))
+    companion = (trace.wa_half_analytic, trace.wa_half_se, trace.wa_half_empirical, trace.resid_mean,
+                 trace.resid_se)
+    if any(series is None for series in companion):
+        raise ValueError("mode 'zero' needs a trace with its analytic companion, as estimate_enstrophy builds")
+    wa_half, wa_se, emp, resid, resid_se = (series[pos] for series in companion)
     ens = trace.ens_mean[pos]
     allowance = np.fmax(0.05 * wa_half[:2], 3.0 * wa_se[:2])
     ratio_ok = bool(np.all(np.abs(ens[:2] - wa_half[:2]) <= allowance))
@@ -550,18 +548,23 @@ def simulate_verdict(cfg, trace: EnstrophyTrace) -> tuple:
     return "pass", summary, {}, {"spectrum_tail_bound": stationary_tail_bound(cfg.spectrum)}
 
 
+def _start_law(cfg, times) -> tuple[np.ndarray, np.ndarray]:
+    """`linear_law` from the config's start at its r; at t = 0, the law of ||omega_0||^2 of any run."""
+    moments = cfg.sim.initial_condition.moments(cfg.basis.n_modes)
+    return linear_law(cfg.spectrum, cfg.params.r, times, *moments)
+
+
 def verify_linear_premise(cfg) -> None:
-    """The oracle is the law of V, which omega is only when nothing but the noise drives it."""
+    """The oracle is the law of a linear run from its start: no advection and no beta term."""
     if not cfg.params.linearized:
         raise ParameterError("linearized", "must be on for verify-linear")
     if cfg.params.effective_beta != 0.0:
         raise ParameterError("beta_term", "must be off for verify-linear")
-    if not cfg.sim.initial_condition.at_rest:
-        raise ParameterError("initial_condition", "must be zero for verify-linear")
 
 
 def verify_linear_verdict(cfg, trace: EnstrophyTrace) -> tuple:
-    report = linear_oracle_check(trace)
+    """The law is taken from the config (its start, its r), never from the solver's rates."""
+    report = linear_oracle_check(trace, *_start_law(cfg, trace.times))
     worst_z = f"worst |z|={abs(report['worst_z']):.3g}, threshold {report['z_threshold']:.3g}"
     summary = (f"verify-linear: pass ({worst_z})" if report["verdict"] == "pass" else
                f"verify-linear: oracle mismatch, {worst_z} at t={report['worst_time']:g}")
@@ -583,7 +586,7 @@ def bounds_verdict(cfg, trace: EnstrophyTrace) -> tuple:
     gamma, threshold, mu_tilde = bounds_premise(cfg)
     spectrum, times = cfg.spectrum, cfg.sim.output_times
     mu_exp, theta = spectrum.mu_exp, spectrum.theta
-    e0 = cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
+    e0 = float(_start_law(cfg, [0.0])[0][0])  # E||omega_0||^2
     if spectrum.trace_class:
         envelope = trace_class_envelope(0.5 * e0, gamma, covariance_trace(spectrum), times)
         reports = [validate_bound(trace, envelope).to_dict()]
@@ -654,7 +657,7 @@ def asymptotics_premise(cfg) -> None:
 def asymptotics_verdict(cfg, trace: EnstrophyTrace) -> tuple:
     """General mode fits only the times before the slowest mode relaxes, 1 / (2 |lambda_1 - r|)."""
     mode, delta = cfg.analysis["asymptotics"]["mode"], cfg.analysis["asymptotics"]["delta"]
-    ens0 = 0.5 * cfg.sim.initial_condition.mean_sq_norm(cfg.basis.n_modes)
+    ens0 = 0.5 * float(_start_law(cfg, [0.0])[0][0])
     limit = 1.0 / (2.0 * abs(float(cfg.basis.eigenvalues[0]) - cfg.params.r))
     result = asymptotics_check(trace, mode, delta, ens0=ens0, fit_time_limit=limit)
     verdict = result["verdict"]

@@ -35,7 +35,7 @@ _RUN_FAILURES = {BlowupError: (3, "blowup"), WorkerError: (7, "worker crash"), M
 _COMMANDS = {  # command -> (premise, verdict, exit code of a "fail" verdict, help text)
     "simulate": (lab.simulate_premise, lab.simulate_verdict, 0, "run the ensemble and write the enstrophy trace"),
     "verify-linear": (lab.verify_linear_premise, lab.verify_linear_verdict, 4,
-                      "compare a linearized run against the analytic convolution variance"),
+                      "compare a linearized run against the exact law of its squared norm"),
     "bounds": (lab.bounds_premise, lab.bounds_verdict, 5, "evaluate the enstrophy bound envelopes"),
     "holder": (lab.holder_premise, lab.holder_verdict, 6, "fit the increment exponent of the enstrophy curve"),
     "asymptotics": (lab.asymptotics_premise, lab.asymptotics_verdict, 6,

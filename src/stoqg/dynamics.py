@@ -78,24 +78,21 @@ class InitialCondition:
         if self.kind == "gaussian" and np.any(np.asarray(self.sigma, dtype=float) < 0):
             raise ParameterError("sigma", "entries must be >= 0")
 
-    def sigmas(self, n_modes: int) -> np.ndarray:
-        if self.kind != "gaussian":
-            raise ValueError("per-mode sigmas only defined for gaussian initial conditions")
+    def moments(self, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-mode mean c_k and SD sigma_k of the start, a_k(0) ~ N(c_k, sigma_k^2), for every kind."""
+        zeros = np.zeros(n_modes)
+        if self.kind == "zero":
+            return zeros, zeros
+        if self.kind == "coeffs":
+            if np.shape(self.coeffs) != (n_modes,):
+                raise ParameterError("coeffs", f"needs {n_modes} entries, got {np.shape(self.coeffs)}")
+            return np.array(self.coeffs, dtype=float), zeros
         sig = np.asarray(self.sigma, dtype=float)
         if sig.ndim == 0:
-            return np.full(n_modes, float(sig))
+            return zeros, np.full(n_modes, float(sig))
         if sig.shape != (n_modes,):
             raise ParameterError("sigma", f"needs a number or {n_modes} entries, got {sig.shape}")
-        return sig
-
-    def mean_sq_norm(self, n_modes: int) -> float:
-        """E ||omega_0||^2 for this initial condition."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "coeffs":
-            vals = np.asarray(self.coeffs, dtype=float)
-            return float(np.sum(vals**2))
-        return float(np.sum(self.sigmas(n_modes) ** 2))
+        return zeros, sig
 
     @property
     def at_rest(self) -> bool:
@@ -141,11 +138,7 @@ class SimConfig:
             raise ParameterError("batch_size", f"must be >= 1, got {self.batch_size}")
         if not 0 <= self.master_seed < 2**64:
             raise ParameterError("master_seed", "must be a 64-bit unsigned integer")
-        ic, n_modes = self.initial_condition, self.M * self.M
-        if ic.kind == "coeffs" and np.shape(ic.coeffs) != (n_modes,):
-            raise ParameterError("coeffs", f"needs {n_modes} entries, got {np.shape(ic.coeffs)}")
-        if ic.kind == "gaussian":
-            ic.sigmas(n_modes)  # rejects a per-mode list of the wrong length
+        self.initial_condition.moments(self.M * self.M)  # rejects a list of the wrong length
         self.output_times = np.asarray(self.output_times, dtype=float)
         if self.output_times.size == 0:
             raise ParameterError("output_times", "needs at least one entry")
@@ -233,12 +226,9 @@ class BlowupError(RuntimeError):
 
 
 def phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z with the removable singularity handled by series."""
+    """(e^z - 1)/z, as expm1(z) / z; 1 at z = 0."""
     z = np.asarray(z, dtype=float)
-    small = np.abs(z) < 1e-5
-    safe = np.where(small, 1.0, z)
-    out = (np.exp(safe) - 1.0) / safe
-    return np.where(small, 1.0 + z / 2.0 + z**2 / 6.0, out)
+    return np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
 
 
 # byte budget of a drift chunk's two grid-sized work arrays, 4 * 8 * Q * (M + Q)
@@ -365,12 +355,9 @@ def _path_generators(master_seed: int, path_index: int) -> tuple[np.random.Gener
 
 
 def _initial_coeffs(config: SimConfig, basis: Basis, rng: np.random.Generator) -> np.ndarray:
-    ic = config.initial_condition
-    if ic.kind == "zero":
-        return np.zeros(basis.n_modes)
-    if ic.kind == "coeffs":
-        return np.array(ic.coeffs, dtype=float)
-    return ic.sigmas(basis.n_modes) * rng.standard_normal(basis.n_modes)
+    """A path's start: its mean, or for a Gaussian start (mean 0) K draws scaled by the SDs."""
+    c, sigma = config.initial_condition.moments(basis.n_modes)
+    return sigma * rng.standard_normal(basis.n_modes) if config.initial_condition.kind == "gaussian" else c
 
 
 def _simulate_batch(

@@ -9,8 +9,10 @@ Pushed through a stable linear propagator with per-mode rates l_k < 0, each
 mode of the convolution is an Ornstein-Uhlenbeck process. The transition over
 a step h is Gaussian with known mean and variance, so increments are sampled
 exactly in distribution; there is no time-discretization error anywhere in
-the linear-plus-noise subsystem. `companion_law` gives that convolution's law
-from rest at the solver's rates: the mean and standard deviation of ||W_A(t)||^2.
+the linear-plus-noise subsystem. `ou_variance` forms s_k(t), the variance a
+mode gains from 0 over t, for the step's std and for `linear_law`: the mean and
+SD of ||a(t)||^2 of a linear run a(t) = e^(At) a(0) + W_A(t) from a Gaussian or
+fixed start, at the solver's rates; from rest, the law of W_A.
 """
 
 from __future__ import annotations
@@ -104,26 +106,37 @@ def phi_alpha(spec: NoiseSpectrum, alpha: float) -> float:
     return float(np.sum(spec.mu_sq * lam_abs**spec.theta / (alpha + lam_abs)))
 
 
-# a block of output times holds at most this many values (256 KiB), or one time when
-# the modes alone exceed it. The forcing draws (dynamics) share this budget; the
-# estimator (analysis) folds one record at a time, so its block is one batch's rows
+# the law's work arrays for a block of output times hold at most this many values
+# (256 KiB), or one time's when the modes alone exceed it. The forcing draws (dynamics)
+# share this budget; the estimator (analysis) folds one record at a time
 _BLOCK_VALUES = 2**15
 
 
-def companion_law(spec: NoiseSpectrum, r: float, times) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard deviation of ||W_A(t)||^2, the companion convolution from rest.
+def ou_variance(mu_sq, rates: np.ndarray, t) -> np.ndarray:
+    """s_k(t) = mu_k^2 (e^(2 l_k t) - 1) / (2 l_k), the variance mode k gains from 0 over t.
 
-    Mode k of W_A is an OU process at the solver's rate l_k = lambda_k - r, so
-    W_k(t) ~ N(0, s_k(t)) independently, s_k(t) = mu_k^2 (1 - e^(2 l_k t)) / (-2 l_k),
-    and ||W_A(t)||^2 has mean sum_k s_k(t) and variance 2 sum_k s_k(t)^2. The mean
-    is zero at t = 0, increasing and concave, saturating at sum mu_k^2 / (-2 l_k).
-    `times` is a 1-D array of times >= 0.
+    Formed with expm1, which keeps its bits at small |l_k| t, where 1 - e^(2 l_k t)
+    cancels. `mu_sq` and `t` broadcast against the rates: a column of times gives
+    one row a time.
+    """
+    return mu_sq * (np.expm1(2.0 * rates * t) / (2.0 * rates))
+
+
+def linear_law(spec: NoiseSpectrum, r: float, times, c=0.0, sigma=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of ||a(t)||^2 for a linear run from a_k(0) ~ N(c_k, sigma_k^2).
+
+    Mode k is an OU process at the solver's rate l_k = lambda_k - r, so
+    a_k(t) ~ N(m_k, v_k) independently, m_k = e^(l_k t) c_k and
+    v_k = e^(2 l_k t) sigma_k^2 + s_k(t) (`ou_variance`), and ||a(t)||^2 has mean
+    sum_k (m_k^2 + v_k) and variance sum_k (2 v_k^2 + 4 m_k^2 v_k). From rest (c =
+    sigma = 0) it is the law of W_A, saturating at sum mu_k^2 / (-2 l_k). `c` and
+    `sigma` are numbers or per-mode arrays; `times` is a 1-D array of times >= 0.
 
     Each output time is one numpy sum over the modes, so its bits depend neither on
-    the other times nor on the block of times it is computed in; memory is one block.
-    The sums run at the amplitudes scaled by the power of two that brings max mu_k^2
-    into [0.5, 2), so the squares stay in the double range at any amplitude, and
-    are scaled back exactly after the square root.
+    the other times nor on the block of times it is computed in. The sums run at
+    mu_k, c_k and sigma_k scaled by the power of two that brings the largest into
+    [0.5, 1), so the squares stay in the double range at any amplitude, and are
+    scaled back exactly after the square root.
     """
     if not r >= 0:
         raise ValueError(f"Ekman rate r must be >= 0, got {r}")
@@ -131,22 +144,18 @@ def companion_law(spec: NoiseSpectrum, r: float, times) -> tuple[np.ndarray, np.
     if times.ndim != 1 or np.any(times < 0):
         raise ValueError("times must be a 1-D array of values >= 0")
     rates = spec.basis.eigenvalues - r
-    h = int(np.frexp(spec.mu_sq.max())[1]) // 2
-    per_mode = np.square(np.ldexp(spec.mu, -h)) / (-2.0 * rates)
-    step = max(1, _BLOCK_VALUES // rates.size)
-    block = np.empty((min(times.size, step), rates.size))
-    mean, sum_sq = np.empty(times.size), np.empty(times.size)
+    h = int(np.frexp(max(np.max(spec.mu), np.max(np.abs(c)), np.max(sigma)))[1])
+    mu_sq, c_sq, sigma_sq = (np.square(np.ldexp(x, -h)) for x in (spec.mu, c, sigma))
+    step = max(1, _BLOCK_VALUES // (4 * rates.size))
+    mean, var = np.empty(times.size), np.empty(times.size)
     for start in range(0, times.size, step):
-        stop = min(start + step, times.size)
-        rows = block[:stop - start]
-        np.multiply.outer(times[start:stop], 2.0 * rates, out=rows)
-        np.exp(rows, out=rows)
-        np.subtract(1.0, rows, out=rows)
-        rows *= per_mode
-        mean[start:stop] = rows.sum(axis=1)
-        np.square(rows, out=rows)
-        sum_sq[start:stop] = rows.sum(axis=1)
-    return np.ldexp(mean, 2 * h), np.ldexp(np.sqrt(2.0 * sum_sq), 2 * h)
+        t = times[start:start + step, None]
+        grow = np.exp(2.0 * rates * t)
+        m_sq = grow * c_sq
+        v = grow * sigma_sq + ou_variance(mu_sq, rates, t)
+        mean[start:start + step] = np.sum(m_sq + v, axis=1)
+        var[start:start + step] = np.sum(v * (v + 2.0 * m_sq), axis=1)
+    return np.ldexp(mean, 2 * h), np.ldexp(np.sqrt(2.0 * var), 2 * h)
 
 
 def stationary_tail_bound(spec: NoiseSpectrum) -> float:
@@ -166,10 +175,10 @@ def stationary_tail_bound(spec: NoiseSpectrum) -> float:
 
 
 def ou_transition_std(mu: np.ndarray, rates: np.ndarray, h: float) -> np.ndarray:
-    """Standard deviation mu_k sqrt((1 - e^(2 l_k h)) / (-2 l_k)) of one step.
+    """Standard deviation sqrt(s_k(h)) of one step, as mu_k sqrt(s_k(h) / mu_k^2): an
+    amplitude whose square underflows keeps its bits.
 
-    The transition v_k <- e^(l_k h) v_k + std_k * xi_k is exact in
-    distribution, so v_k(t) started from zero is
-    Normal(0, mu_k^2 (1 - e^(2 l_k t)) / (-2 l_k)) for any partition of [0, t].
+    The transition v_k <- e^(l_k h) v_k + std_k * xi_k is exact in distribution,
+    so v_k(t) from zero is Normal(0, s_k(t)) for any partition of [0, t].
     """
-    return mu * np.sqrt((1.0 - np.exp(2.0 * rates * h)) / (-2.0 * rates))
+    return mu * np.sqrt(ou_variance(1.0, rates, h))

@@ -20,6 +20,7 @@ from stoqg import (
     fit_and_validate_bound,
     gamma_threshold,
     holder_exponent_fit,
+    linear_law,
     linear_oracle_check,
     run_ensemble,
     snap_output_times,
@@ -428,12 +429,37 @@ class TestLinearOracle:
             for seed in range(1, 51):
                 cfg = SimConfig(M=16, dt=1e-3, T=0.1, output_times=times, n_paths=64, master_seed=seed)
                 trace = estimate_enstrophy(run_ensemble(cfg, params, spec), spec, params.r)
-                count += linear_oracle_check(trace)["verdict"] == "fail"
+                count += linear_oracle_check(trace, *linear_law(spec, params.r, trace.times))["verdict"] == "fail"
             return count
 
         assert failures() <= 1  # at most 2% false alarms
         noise_fault(1.2)
         assert failures() >= 40  # the fault is caught at 80% of seeds or more
+
+    def test_start_off_rest_sees_the_decay(self, rate_fault):
+        # lin16_dense's physics (64 linearized M=16 paths, dt=1e-3, T=0.5, 51 outputs) from
+        # every c_k = 10, against the law from that start at the config's r: the start's
+        # decay moves the mean by about 2 delta t e^(2 l t) c^2, so a rate fault delta = 1
+        # (the drag at 1.1, not 0.1), which the oracle from rest misses at every seed, is
+        # caught. Over seeds 1-100 correct code fails 0 times and the fault is caught 100 times.
+        spec = build_spectrum(Basis(16, 1.0), 1.0, 2.0, 0.1)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=True, beta_term=False)
+        start = InitialCondition("coeffs", coeffs=(10.0,) * 256)
+        times = snap_output_times(np.linspace(0.0, 0.5, 51), 1e-3, 0.5)
+        law = linear_law(spec, params.r, times, *start.moments(256))
+
+        def failures():
+            count = 0
+            for seed in range(1, 11):
+                cfg = SimConfig(M=16, dt=1e-3, T=0.5, output_times=times, n_paths=64, master_seed=seed,
+                                initial_condition=start)
+                trace = estimate_enstrophy(run_ensemble(cfg, params, spec), spec, params.r)
+                count += linear_oracle_check(trace, *law)["verdict"] == "fail"
+            return count
+
+        assert failures() <= 1
+        rate_fault(1.0)
+        assert failures() == 10
 
 
 class TestAsymptotics:

@@ -20,11 +20,11 @@ PUBLIC_NAMES = (
     "SummabilityError",
     "asymptotics_check",
     "build_spectrum",
-    "companion_law",
     "estimate_enstrophy",
     "fit_and_validate_bound",
     "gamma_threshold",
     "holder_exponent_fit",
+    "linear_law",
     "linear_oracle_check",
     "phi_alpha",
     "run_ensemble",

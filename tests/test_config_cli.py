@@ -4,6 +4,7 @@ import ast
 import concurrent.futures
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -25,6 +26,7 @@ from stoqg.artifacts import write_csv, write_json
 from stoqg.cli import main
 from stoqg.config import ConfigError, config_sha256, materialize, normalize, read_document
 from stoqg.dynamics import run_ensemble
+from stoqg.noise import linear_law
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -818,7 +820,6 @@ class TestVerifyLinearCommand:
         assert report["verdict"] == "pass" and np.all(np.isfinite(report["z_scores"]))
 
     @pytest.mark.parametrize("section, key, value", [
-        ("sim", "initial_condition", {"type": "gaussian", "sigma": 0.1}),
         ("model", "beta_term", True),
     ])
     def test_drift_outside_the_oracle_exit_2(self, tmp_path, capsys, section, key, value):
@@ -828,6 +829,35 @@ class TestVerifyLinearCommand:
         assert main(["verify-linear", "--config", write_config(tmp_path, cfg)]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("start", [
+        {"type": "gaussian", "sigma": 1.0},
+        {"type": "gaussian", "sigma": 0.1},
+        {"type": "coeffs", "values": [0.3 * k - 7.1 for k in range(64)]},
+        {"type": "coeffs", "values": [1e-200] + [0.0] * 63},  # its square underflows to 0
+    ], ids=["gaussian", "gaussian_small", "coeffs", "coeffs_tiny"])
+    def test_start_off_rest_passes(self, tmp_path, start):
+        # the oracle is the law of the run from its own start (such a start exited 2); at
+        # t = 0 a coefficient start has no spread, and its trace agrees to rounding
+        out = tmp_path / "run"
+        cfg = self.linear_cfg(str(out), initial_condition=start)
+        assert main(["verify-linear", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads((out / "linear_report.json").read_text())
+        assert report["verdict"] == "pass" and all(math.isfinite(z) for z in report["z_scores"])
+        run = materialize(normalize(cfg))
+        mean, sd = linear_law(run.spectrum, run.params.r, run.sim.output_times, *run.sim.initial_condition.moments(64))
+        assert report["oracle_half_variance"] == (0.5 * mean).tolist()
+        assert report["oracle_se"] == (0.5 * sd / 20.0).tolist()  # sqrt(400 paths)
+
+    def test_start_off_rest_without_noise_is_deterministic(self, tmp_path, rate_fault):
+        # no noise: the law is a point mass, so the run must agree with its mean to rounding
+        cfg = self.linear_cfg(str(tmp_path / "run"), n_paths=4,
+                              initial_condition={"type": "coeffs", "values": [0.3 * k - 7.1 for k in range(64)]})
+        cfg["spectrum"]["c_mu"] = 0.0
+        path = write_config(tmp_path, cfg)
+        assert main(["verify-linear", "--config", path]) == 0
+        rate_fault(0.01)
+        assert main(["verify-linear", "--config", path]) == 4
 
     def test_single_path_exit_2(self, tmp_path):
         path = write_config(tmp_path, self.linear_cfg(str(tmp_path / "o"), n_paths=1))
@@ -946,7 +976,8 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", path]) in (0, 5)
         report = json.loads((out / "bounds_report.json").read_text())
         run = materialize(normalize(read_document(path)))
-        e0 = run.sim.initial_condition.mean_sq_norm(run.basis.n_modes)
+        start = run.sim.initial_condition.moments(run.basis.n_modes)
+        e0 = float(linear_law(run.spectrum, run.params.r, [0.0], *start)[0][0])  # E||omega_0||^2
         bounds = {r["kind"]: r for r in report["bounds"]}
         mu_tilde = bounds["theorem2a"]["params"]["mu_tilde"]
         assert bounds["theorem2a"]["params"].keys() == {"gamma", "mu_tilde", "C"}
@@ -1028,8 +1059,6 @@ class TestConfigErrorsBeforeEnsemble:
         ("asymptotics", "sim", {"initial_condition": {"type": "gaussian", "sigma": 0.1}},
          "analysis.asymptotics.mode"),  # zero mode, the default, compares a run from rest
         # 1e-200 is not rest, though its square underflows to 0
-        ("verify-linear", "sim", {"initial_condition": {"type": "coeffs", "values": [1e-200] + [0.0] * 15}},
-         "sim.initial_condition"),
         ("asymptotics", "sim", {"initial_condition": {"type": "coeffs", "values": [1e-200] + [0.0] * 15}},
          "analysis.asymptotics.mode"),
     ])

@@ -1,6 +1,7 @@
 """Exponential-Euler stepping, ensemble reproducibility, conservation laws."""
 
 import concurrent.futures
+import math
 import pickle
 import tracemalloc
 import warnings
@@ -20,7 +21,7 @@ from stoqg import (
     ModelParams,
     SimConfig,
     build_spectrum,
-    companion_law,
+    linear_law,
     estimate_enstrophy,
     run_ensemble,
     snap_output_times,
@@ -85,6 +86,13 @@ class TestPhi1:
 
     def test_generic_value(self):
         assert phi1(np.array([-2.0]))[0] == pytest.approx((np.exp(-2.0) - 1.0) / -2.0)
+
+    def test_drift_weights_keep_their_bits(self):
+        # the rates of M=16 at dt=1e-5 (|z| <= 0.05) against phi1's series to z^11: the
+        # cancelling (e^z - 1) / z was off by up to 1.2e-13 relative there
+        z = (Basis(16, 1.0).eigenvalues - 0.1) * 1e-5
+        want = sum(z**n / math.factorial(n + 1) for n in range(11, -1, -1))
+        np.testing.assert_allclose(phi1(z), want, rtol=1e-15, atol=0.0)
 
 
 class TestDrift:
@@ -635,7 +643,7 @@ class TestEnsembleStatistics:
         ens = 0.5 * np.concatenate([r["omega_sq"] for r in records])
         mean = ens.mean(axis=0)
         se = ens.std(axis=0, ddof=1) / np.sqrt(len(ens))
-        oracle = 0.5 * companion_law(spec, params.r, cfg.output_times)[0]
+        oracle = 0.5 * linear_law(spec, params.r, cfg.output_times)[0]
         assert np.all(np.abs(mean - oracle) <= 3.0 * np.maximum(se, 1e-300))
 
 
@@ -779,18 +787,20 @@ class TestConfigPlumbing:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    def test_gaussian_sigma_shapes(self):
-        ic = InitialCondition("gaussian", sigma=0.5)
-        assert ic.sigmas(4).tolist() == [0.5] * 4
-        ic_list = InitialCondition("gaussian", sigma=(0.1, 0.2, 0.3, 0.4))
-        assert ic_list.sigmas(4).tolist() == [0.1, 0.2, 0.3, 0.4]
-        with pytest.raises(ValueError):
-            ic_list.sigmas(9)
-
-    def test_mean_sq_norm(self):
-        assert InitialCondition("zero").mean_sq_norm(4) == 0.0
-        assert InitialCondition("coeffs", coeffs=(3.0, 4.0, 0.0, 0.0)).mean_sq_norm(4) == 25.0
-        assert InitialCondition("gaussian", sigma=2.0).mean_sq_norm(4) == pytest.approx(16.0)
+    def test_moments_of_every_kind(self):
+        # a_k(0) ~ N(c_k, sigma_k^2): zero, fixed coefficients, a scalar or per-mode sigma
+        moments = {kind: [a.tolist() for a in ic.moments(4)] for kind, ic in (
+            ("zero", InitialCondition()),
+            ("coeffs", InitialCondition("coeffs", coeffs=(3.0, 4.0, 0.0, 0.0))),
+            ("gaussian", InitialCondition("gaussian", sigma=0.5)),
+            ("list", InitialCondition("gaussian", sigma=(0.1, 0.2, 0.3, 0.4))))}
+        assert moments == {"zero": [[0.0] * 4] * 2, "coeffs": [[3.0, 4.0, 0.0, 0.0], [0.0] * 4],
+                           "gaussian": [[0.0] * 4, [0.5] * 4], "list": [[0.0] * 4, [0.1, 0.2, 0.3, 0.4]]}
+        for ic, key in ((InitialCondition("gaussian", sigma=(0.1, 0.2, 0.3, 0.4)), "sigma"),
+                        (InitialCondition("coeffs", coeffs=(1.0, 2.0)), "coeffs")):
+            with pytest.raises(ParameterError) as err:
+                ic.moments(9)
+            assert err.value.field == key
 
     def test_at_rest_means_no_nonzero_entry(self):
         # 1e-200 squares to 0.0, so no sum of squares can tell it from rest

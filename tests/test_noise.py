@@ -1,6 +1,7 @@
 """Spectrum construction, the phi(alpha) series, and exact OU sampling."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from stoqg import (
     Basis,
     SummabilityError,
     build_spectrum,
-    companion_law,
+    linear_law,
     phi_alpha,
     spectrum_from_list,
     trace,
@@ -133,26 +134,26 @@ class TestAnalyticVariance:
     def test_single_mode_value(self):
         # s(1) = (1 - e^-2) / 2 at l = -1, and W^2 ~ s chi^2_1 has SD sqrt(2) s
         spec = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
-        mean, sd = companion_law(spec, 0.0, np.array([1.0]))
+        mean, sd = linear_law(spec, 0.0, np.array([1.0]))
         assert mean[0] == pytest.approx(0.43233235838169365, rel=1e-14)
         assert sd[0] == pytest.approx(np.sqrt(2.0) * 0.43233235838169365, rel=1e-14)
 
     def test_zero_at_time_zero(self):
         b = Basis(3, 1.0)
         spec = build_spectrum(b, 2.0, 1.5, 0.2)
-        mean, sd = companion_law(spec, 0.1, np.array([0.0]))
+        mean, sd = linear_law(spec, 0.1, np.array([0.0]))
         assert mean.tolist() == [0.0] and sd.tolist() == [0.0]
 
     def test_increasing_concave_saturating(self):
         b = Basis(3, 0.05)  # slow decay keeps increments resolvable
         spec = build_spectrum(b, 2.0, 1.5, 0.2)
         ts = np.linspace(0.0, 2.0, 50)
-        var, _ = companion_law(spec, 0.0, ts)
+        var, _ = linear_law(spec, 0.0, ts)
         assert np.all(np.diff(var) > 0)
         assert np.all(np.diff(var, 2) < 1e-12)
         limit = np.sum(spec.mu_sq / (-2.0 * b.eigenvalues))
         assert var[-1] <= limit
-        far, _ = companion_law(spec, 0.0, np.array([50.0]))
+        far, _ = linear_law(spec, 0.0, np.array([50.0]))
         assert far[0] == pytest.approx(limit, rel=1e-9)
 
     def test_small_time_growth_exponent(self):
@@ -161,7 +162,7 @@ class TestAnalyticVariance:
         b = Basis(32, 1.0)
         spec = build_spectrum(b, 1.0, delta, 0.1)
         ts = np.geomspace(1e-5, 1e-3, 9)
-        var, _ = companion_law(spec, 0.0, ts)
+        var, _ = linear_law(spec, 0.0, ts)
         slope = np.polyfit(np.log(ts), np.log(var), 1)[0]
         assert slope >= delta - 0.05
 
@@ -169,38 +170,77 @@ class TestAnalyticVariance:
         spec = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
         for r in (-0.1, float("nan")):
             with pytest.raises(ValueError, match="Ekman rate"):
-                companion_law(spec, r, np.array([1.0]))
+                linear_law(spec, r, np.array([1.0]))
 
     @pytest.mark.parametrize("times", [np.array([0.0, -1e-3]), 1.0, np.ones((2, 2))])
     def test_rejects_negative_or_non_1d_times(self, times):
         spec = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
         with pytest.raises(ValueError, match="1-D array of values >= 0"):
-            companion_law(spec, 0.1, times)
+            linear_law(spec, 0.1, times)
 
     def test_memory_does_not_grow_with_output_times(self):
-        # 4001 times x 1024 modes is 32.8 MB as one matrix; the blocked walk
-        # holds one block of 32 times at M=32 (256 KiB)
+        # 4001 times x 1024 modes is 32.8 MB as one matrix; the blocked walk's
+        # work arrays for 8 times at M=32 hold 256 KiB
         b = Basis(32, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         times = np.linspace(0.0, 4.0, 4001)
         tracemalloc.start()
         try:
-            companion_law(spec, 0.1, times)
+            linear_law(spec, 0.1, times)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
 
+    def test_small_times_keep_their_bits(self):
+        # lin16_dense's physics at t = 1e-8: s_k(t) = mu_k^2 t (1 + l t + 2/3 (l t)^2 + 1/3 (l t)^3
+        # + ...), and 1 - e^(2 l t) cancelled to 6.5e-11 relative where expm1 keeps the bits
+        b, t = Basis(16, 1.0), 1e-8
+        spec = build_spectrum(b, 1.0, 2.0, 0.1)
+        lt = (b.eigenvalues - 0.1) * t
+        want = math.fsum(spec.mu_sq * t * (1.0 + lt + 2.0 / 3.0 * lt**2 + lt**3 / 3.0))
+        mean, _ = linear_law(spec, 0.1, np.array([t]))
+        assert abs(mean[0] - want) <= 1e-15 * want
+
+    def test_law_from_a_start(self):
+        # one mode at l = -1: a(1) ~ N(m, v), m = 2 e^-1, v = 0.25 e^-2 + (1 - e^-2) / 2, and
+        # ||a||^2 has mean m^2 + v and variance 2 v^2 + 4 m^2 v
+        spec = spectrum_from_list(basis_with_lambda(1.0), [1.0], theta=0.5)
+        m, v = 2.0 * math.exp(-1.0), 0.25 * math.exp(-2.0) + 0.43233235838169365
+        mean, sd = linear_law(spec, 0.0, np.array([1.0]), 2.0, 0.5)
+        assert mean[0] == pytest.approx(m**2 + v, rel=1e-14)
+        assert sd[0] == pytest.approx(math.sqrt(2.0 * v**2 + 4.0 * m**2 * v), rel=1e-14)
+
+    def test_start_at_time_zero_is_its_sum_of_squares(self):
+        # the bounds' E||omega_0||^2: the bits of the plain sum of squares in the normal range
+        b = Basis(4, 1.0)
+        spec = build_spectrum(b, 3.0, 2.0, 0.1)
+        c, sigma = np.linspace(-1.3, 2.9, 16), np.linspace(0.0, 0.7, 16)
+        for start, want in (((c, 0.0), np.sum(c**2)), ((0.0, sigma), np.sum(sigma**2))):
+            mean, _ = linear_law(spec, 0.1, np.array([0.0]), *start)
+            assert mean.tolist() == [want]
+        _, sd = linear_law(spec, 0.1, np.array([0.0]), c)
+        assert sd.tolist() == [0.0]
+
+    def test_start_scales_exactly_with_the_amplitude(self):
+        # the power of two is taken over mu_k, c_k and sigma_k together: at 2^-300 the
+        # variance's terms (about 2^-1200) underflow unless the law is taken scaled
+        b, t = Basis(4, 1.0), np.linspace(0.0, 0.5, 5)
+        c, sigma = np.linspace(-1.0, 2.0, 16), np.linspace(0.5, 0.1, 16)
+        unit = linear_law(build_spectrum(b, 1.0, 2.0, 0.1), 0.1, t, c, sigma)
+        tiny = linear_law(build_spectrum(b, 2.0**-600, 2.0, 0.1), 0.1, t, c * 2.0**-300, sigma * 2.0**-300)
+        assert [a.tolist() for a in tiny] == [np.ldexp(a, -600).tolist() for a in unit]
+        assert np.all(tiny[1] > 0)
 
     @pytest.mark.parametrize("c_mu", [1e-300, 1e300])
     def test_law_keeps_its_range_and_scales_exactly(self, c_mu):
         # the sums of squares run at scaled amplitudes: at 1e300 they would overflow and
         # at 1e-300 underflow; c_mu * 2^(2j) scales mu_k by 2^j and the law by 2^(2j)
         b, t = Basis(4, 1.0), np.linspace(0.0, 0.5, 5)
-        mean, sd = companion_law(build_spectrum(b, c_mu, 2.0, 0.1), 0.1, t)
+        mean, sd = linear_law(build_spectrum(b, c_mu, 2.0, 0.1), 0.1, t)
         assert np.all(np.isfinite(sd)) and np.all(sd[1:] > 0) and np.all(mean[1:] > 0)
         for j in (-3, 3):
-            scaled = companion_law(build_spectrum(b, np.ldexp(c_mu, 2 * j), 2.0, 0.1), 0.1, t)
+            scaled = linear_law(build_spectrum(b, np.ldexp(c_mu, 2 * j), 2.0, 0.1), 0.1, t)
             assert [a.tolist() for a in scaled] == [np.ldexp(mean, 2 * j).tolist(),
                                                    np.ldexp(sd, 2 * j).tolist()], j
 
@@ -210,13 +250,13 @@ _LAW_BITS_PROBE = """
 import json, sys
 import numpy as np
 from stoqg import Basis, build_spectrum
-from stoqg.noise import companion_law
+from stoqg.noise import linear_law
 
 out = {}
 for M, counts in json.loads(sys.argv[1]):
     spec = build_spectrum(Basis(M, 1.0), 1.0, 2.0, 0.1)
     for n in counts:
-        law = companion_law(spec, 0.1, np.linspace(0.0, 0.5, n))
+        law = linear_law(spec, 0.1, np.linspace(0.0, 0.5, n))
         out[f"{M},{n}"] = [a.tobytes().hex() for a in law]
 print(json.dumps(out))
 """
@@ -235,16 +275,17 @@ def _law_bits(cases, threads: str) -> dict:
 class TestBlockedReduction:
     @pytest.mark.parametrize("M", [16, 32])
     def test_bits_do_not_depend_on_the_block(self, monkeypatch, M):
-        # one time a block, and an odd number of times a block, against the default
-        # (128 times at M=16, 32 at M=32): each time is its own sum over the modes
+        # one time a block, and 3 times a block (the law's four work arrays share 12 K
+        # values), against the default (32 times at M=16, 8 at M=32): each time is its
+        # own sum over the modes
         b = Basis(M, 1.0)
         spec = build_spectrum(b, 1.0, 2.0, 0.1)
         for n in (1, 2, 129, 501):
             t = np.linspace(0.0, 0.5, n)
-            default = [a.tobytes() for a in companion_law(spec, 0.1, t)]
-            for values in (1, 3 * b.n_modes):
+            default = [a.tobytes() for a in linear_law(spec, 0.1, t)]
+            for values in (1, 12 * b.n_modes):
                 monkeypatch.setattr(noise, "_BLOCK_VALUES", values)
-                assert [a.tobytes() for a in companion_law(spec, 0.1, t)] == default, (n, values)
+                assert [a.tobytes() for a in linear_law(spec, 0.1, t)] == default, (n, values)
                 monkeypatch.undo()
 
     def test_blocked_bits_do_not_depend_on_blas_threads(self):

@@ -22,10 +22,11 @@ def test_checkout_against_itself_is_the_same():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 10 and all(line.endswith(": same") for line in lines), lines
+    assert len(lines) == 11 and all(line.endswith(": same") for line in lines), lines
     # the last two cases fail their premise: exit 2, before any path runs
-    assert all("exit 0," in line for line in lines[:8]), lines
-    assert all("exit 2, 0 files" in line for line in lines[8:]), lines
+    assert all("exit 0," in line for line in lines[:9]), lines
+    assert all("exit 2, 0 files" in line for line in lines[9:]), lines
+    assert lines[8].startswith("verify-linear-lin16_dense+c1-w1 (exit 0, 4 files)"), lines
 
 
 def test_lists_each_differing_file(tmp_path):

@@ -7,9 +7,11 @@ matrix at seed 1, with its own `src` on PYTHONPATH and N BLAS threads
 (default 1, set through OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
 MKL_NUM_THREADS): `simulate` on the three configs of `perfbench/workloads.py`
 (nl16_pool at 1 and 2 workers), `verify-linear` and `asymptotics` on
-lin16_dense's config, and `bounds` and `holder` on nl16_pool's. `holder`
-adds the window [h, T] and the lags {1, 2, 3, 5, 10} h, h the output
-spacing, which no workload sets. Two more cases fail their premise and run
+lin16_dense's config, `bounds` and `holder` on nl16_pool's, and
+`verify-linear` on lin16_dense's from every c_k = 1 (workload
+`lin16_dense+c1`). `holder` adds the window [h, T] and the lags
+{1, 2, 3, 5, 10} h, h the output spacing, which no workload sets. Two more
+cases fail their premise and run
 no ensemble: `verify-linear` on nl16_pool's config (not linearized) and
 `holder` on lin16_dense's (no holder section). The configs come from this
 script's checkout. Both sides write to the same output path, one after the
@@ -42,16 +44,21 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CASES = (("simulate", "nl16_pool", 1), ("simulate", "nl16_pool", 2), ("simulate", "lin16_dense", 1),
          ("simulate", "nl32_dump", 1), ("verify-linear", "lin16_dense", 1),
          ("asymptotics", "lin16_dense", 1), ("bounds", "nl16_pool", 1), ("holder", "nl16_pool", 1),
-         ("verify-linear", "nl16_pool", 1), ("holder", "lin16_dense", 1))
+         ("verify-linear", "lin16_dense+c1", 1), ("verify-linear", "nl16_pool", 1),
+         ("holder", "lin16_dense", 1))
 MAIN = "import sys; from stoqg.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def documents(tiny: bool) -> dict[str, dict]:
-    """Each workload's config document at seed 1."""
+    """Each workload's config document at seed 1, and lin16_dense's from every c_k = 1."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from workloads import WORKLOADS
 
-    return {name: workload.build(1, tiny) for name, workload in WORKLOADS.items()}
+    docs = {name: workload.build(1, tiny) for name, workload in WORKLOADS.items()}
+    docs["lin16_dense+c1"] = json.loads(json.dumps(docs["lin16_dense"]))
+    sim = docs["lin16_dense+c1"]["sim"]
+    sim["initial_condition"] = {"type": "coeffs", "values": [1.0] * sim["M"] ** 2}
+    return docs
 
 
 def run(checkout: Path, command: str, config: Path, workers: int, blas_threads: int) -> tuple:
