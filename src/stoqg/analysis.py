@@ -45,25 +45,25 @@ DIRICHLET_C1 = 1.0 / (math.pi * math.sqrt(2.0))
 class EnstrophyTrace:
     """Time-indexed Monte Carlo estimates of the mean enstrophy.
 
-    `estimate_enstrophy` always attaches the companion series: the empirical
-    and analytic halves of E||W_A||^2 (the latter from `linear_law` from rest, at
-    the solver's rates lambda_k - r), `wa_half_se`, the exact standard error of
-    an n_paths mean of 0.5 ||W_A||^2 under that Gaussian law, and the mean
-    squared residual E||omega - W_A||^2 with its standard error. A trace built by
-    hand from the first four fields leaves them None, which serves the envelope
-    and Hoelder checks and `linear_oracle_check`, but not the writers or
-    `asymptotics_check` in mode "zero". `wa_half_se` is not written to trace.*.
+    Only Ens(t) = 0.5 E||omega(t)||^2 and its SE are halved. `estimate_enstrophy`
+    always attaches the companions, plain squared norms: E||W_A||^2 from the
+    ensemble and from `linear_law` from rest at the solver's rates lambda_k - r,
+    with the exact SE of an n_paths mean under that Gaussian law, and the
+    residual E||omega - W_A||^2 with its SE. trace.json holds every field under
+    its name. A trace built by hand from the first four fields leaves them None,
+    which serves the envelope and Hoelder checks and `linear_oracle_check`, but
+    not the writers or `asymptotics_check` in mode "zero".
     """
 
     times: np.ndarray
     ens_mean: np.ndarray
     ens_se: np.ndarray
     n_paths: int
-    wa_half_empirical: np.ndarray | None = None
-    wa_half_analytic: np.ndarray | None = None
-    wa_half_se: np.ndarray | None = None
-    resid_mean: np.ndarray | None = None
-    resid_se: np.ndarray | None = None
+    wa_var_empirical: np.ndarray | None = None
+    wa_var_analytic: np.ndarray | None = None
+    wa_var_analytic_se: np.ndarray | None = None
+    residual_mean: np.ndarray | None = None
+    residual_se: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -118,20 +118,20 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
     """Ensemble mean and standard error of 0.5 ||omega(t)||^2, with its companions.
 
     Each series is reduced where the records hold it, scaled by the power of
-    two that brings its max into [0.5, 1) (a half's 0.5 too), so the squares
-    of the SE neither overflow nor underflow. The records are folded one at a
-    time, in path order, through one reused block of 1 + (largest record)
-    rows whose row 0 holds the running sum, so a reduction adds the rows one
-    by one as numpy's `mean(axis=0)` does, and the SE folds the squared
-    deviations from that mean as `std(ddof=1)` does: the same bits in the
-    normal range. One output time gathers its whole column instead (8 bytes
-    a path), as numpy sums that pairwise. Records that name omega_sq alone
-    come from a one-state run, where omega is W_A and U is 0: the empirical
-    companion copies the mean, and the residual and its SE are 0, the bits a
-    fold of zeros gives. The analytic companion 0.5 E||W_A(t)||^2 is taken at
-    the rates the solver ran with, lambda_k - r, from the spectrum's basis and
-    the Ekman rate r, before the folds, so its exp block is freed before the
-    fold block is made.
+    two that brings its max into [0.5, 1), so the squares of the SE neither
+    overflow nor underflow; Ens and its SE are half omega_sq's. The records are
+    folded one at a time, in path order, through one reused block of 1 +
+    (largest record) rows whose row 0 holds the running sum, so a reduction
+    adds the rows one by one as numpy's `mean(axis=0)` does, and the SE folds
+    the squared deviations from that mean as `std(ddof=1)` does: the same bits
+    in the normal range. One output time gathers its whole column instead (8
+    bytes a path), as numpy sums that pairwise. Records that name omega_sq
+    alone come from a one-state run, where omega is W_A and U is 0: the
+    empirical companion is omega_sq's mean, and the residual and its SE are 0,
+    the bits a fold of zeros gives. The analytic companion E||W_A(t)||^2 is
+    taken at the rates the solver ran with, lambda_k - r, from the spectrum's
+    basis and the Ekman rate r, before the folds, so its exp block is freed
+    before the fold block is made.
     """
     n = sum(len(rec.path_index) for rec in records)
     if n < 2:
@@ -165,31 +165,31 @@ def estimate_enstrophy(records: list[EnsembleRecord], spectrum: NoiseSpectrum, r
                 block[0] = np.add.reduce(block[:1 + len(rows)] if i else rows, axis=0, out=total)
         return np.add.reduce(block[1:lo], axis=0, out=total) if gather else total
 
-    def reduced(name: str, half: bool, se: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """Mean and, if `se`, SE over the paths of the series `name`, halved if `half`."""
+    def reduced(name: str, se: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """Mean and, if `se`, SE over the paths of the series `name`."""
         # the series are sums of squares, so their largest magnitude is their max
         e = int(np.frexp(np.max([rec[name].max() for rec in records]))[1])
-        mean = fold(name, -e - half) / n
+        mean = fold(name, -e) / n
         if not se:
             return np.ldexp(mean, e), None
-        return np.ldexp(mean, e), np.ldexp(np.sqrt(fold(name, -e - half, mean) / (n - 1)) / root_n, e)
+        return np.ldexp(mean, e), np.ldexp(np.sqrt(fold(name, -e, mean) / (n - 1)) / root_n, e)
 
-    ens_mean, ens_se = reduced("omega_sq", half=True)
+    omega_mean, omega_se = reduced("omega_sq")
     if names == ("omega_sq",):
-        wa_half_empirical, resid_mean, resid_se = ens_mean.copy(), np.zeros(n_out), np.zeros(n_out)
+        wa_var_empirical, residual_mean, residual_se = omega_mean, np.zeros(n_out), np.zeros(n_out)
     else:
-        wa_half_empirical, _ = reduced("wa_sq", half=True, se=False)
-        resid_mean, resid_se = reduced("u_sq", half=False)
+        wa_var_empirical, _ = reduced("wa_sq", se=False)
+        residual_mean, residual_se = reduced("u_sq")
     return EnstrophyTrace(
         times=times.copy(),
-        ens_mean=ens_mean,
-        ens_se=ens_se,
+        ens_mean=0.5 * omega_mean,
+        ens_se=0.5 * omega_se,
         n_paths=n,
-        wa_half_empirical=wa_half_empirical,
-        wa_half_analytic=0.5 * mean,
-        wa_half_se=0.5 * sd / root_n,
-        resid_mean=resid_mean,
-        resid_se=resid_se,
+        wa_var_empirical=wa_var_empirical,
+        wa_var_analytic=mean,
+        wa_var_analytic_se=sd / root_n,
+        residual_mean=residual_mean,
+        residual_se=residual_se,
     )
 
 
@@ -466,24 +466,26 @@ def asymptotics_check(trace: EnstrophyTrace, mode: str, delta: float, ens0: floa
                       fit_time_limit: float | None = None) -> dict:
     """Small-time behaviour of Ens(t) against the convolution asymptotics.
 
-    mode "general": fits the exponent of |Ens(t) - Ens(0)| and passes when it
-    reaches delta/2 - 0.05 (a Galerkin initial condition is a trigonometric
-    polynomial, so its Hoelder exponent 1 never lowers the floor min(1, delta/2)).
-    With a `fit_time_limit` it fits only the times t <= fit_time_limit and
-    reports the limit; fewer than 2 usable times make it not applicable.
-    mode "zero": compares Ens(t) with the trace's half analytic E||W_A(t)||^2
-    (the solver's rates lambda_k - r) and requires |Ens - companion| <=
-    max(0.05 companion, 3 wa_half_se) at the two smallest positive times (the
-    companion's exact SE is that of the small-time law omega -> W_A; ratios
-    are None where the companion is 0); additionally fits the exponent of the
-    residual E||omega - W_A||^2 against the drift-regularity floor
-    1/2 - 2 rho - 0.05 at rho = 0.01. ens0 and fit_time_limit are ignored.
+    Both modes fit an exponent; with a `fit_time_limit` they fit only the times
+    t <= fit_time_limit and report the limit. mode "general": fits the exponent
+    of |Ens(t) - Ens(0)| and passes when it reaches delta/2 - 0.05 (a Galerkin
+    initial condition is a trigonometric polynomial, so its Hoelder exponent 1
+    never lowers the floor min(1, delta/2)); fewer than 2 usable times make it
+    not applicable. mode "zero": compares Ens(t) with the companion, half the
+    trace's wa_var_analytic (the solver's rates lambda_k - r), and requires
+    |Ens - companion| <= max(0.05 companion, 1.5 wa_var_analytic_se) at the two
+    smallest positive times (the companion's exact SE is that of the small-time
+    law omega -> W_A; ratios are None where the companion is 0); additionally
+    fits the exponent of the residual E||omega - W_A||^2 against the
+    drift-regularity floor 1/2 - 2 rho - 0.05 at rho = 0.01. ens0 is ignored.
     Raises ValueError for a hand-built trace without the companions.
     """
     check_asymptotics(mode, delta)
     check_small_times(trace.times)
     pos = trace.times > 0
     t = trace.times[pos]
+    limit = {} if fit_time_limit is None else {"fit_time_limit": fit_time_limit}
+    in_fit = t <= limit.get("fit_time_limit", np.inf)
 
     if mode == "general":
         if ens0 is None:
@@ -493,11 +495,7 @@ def asymptotics_check(trace: EnstrophyTrace, mode: str, delta: float, ens0: floa
         dev = np.abs(trace.ens_mean[pos] - ens0)
         se0 = float(trace.ens_se[0]) if trace.times[0] == 0.0 else 0.0
         floor = 3.0 * np.hypot(trace.ens_se[pos], se0)
-        usable = dev > floor
-        limit = {}
-        if fit_time_limit is not None:
-            usable &= t <= fit_time_limit
-            limit["fit_time_limit"] = fit_time_limit
+        usable = (dev > floor) & in_fit
         if np.sum(usable) < 2:
             notes = "deviations from Ens(0) below Monte Carlo resolution"
             if limit:
@@ -508,32 +506,35 @@ def asymptotics_check(trace: EnstrophyTrace, mode: str, delta: float, ens0: floa
         return {"mode": mode, "ens0": ens0, "exponent": slope, "exponent_se": slope_se, **limit,
                 "threshold": threshold, "verdict": "pass" if slope >= threshold else "fail"}
 
-    companion = (trace.wa_half_analytic, trace.wa_half_se, trace.wa_half_empirical, trace.resid_mean,
-                 trace.resid_se)
+    companion = (trace.wa_var_analytic, trace.wa_var_analytic_se, trace.wa_var_empirical, trace.residual_mean,
+                 trace.residual_se)
     if any(series is None for series in companion):
         raise ValueError("mode 'zero' needs a trace with its analytic companion, as estimate_enstrophy builds")
-    wa_half, wa_se, emp, resid, resid_se = (series[pos] for series in companion)
+    analytic, analytic_se, empirical = (0.5 * series[pos] for series in companion[:3])  # Ens's halves
+    residual, residual_se = (series[pos] for series in companion[3:])
     ens = trace.ens_mean[pos]
-    allowance = np.fmax(0.05 * wa_half[:2], 3.0 * wa_se[:2])
-    ratio_ok = bool(np.all(np.abs(ens[:2] - wa_half[:2]) <= allowance))
+    allowance = np.fmax(0.05 * analytic[:2], 3.0 * analytic_se[:2])
+    ratio_ok = bool(np.all(np.abs(ens[:2] - analytic[:2]) <= allowance))
 
     def ratios(num, den):  # JSON has no NaN: None where the denominator is 0
         return [a / b if b > 0 else None for a, b in zip(num.tolist(), den.tolist())]
 
-    result = {"mode": mode, "times": t.tolist(), "ratio_analytic": ratios(ens, wa_half),
-              "ratio_empirical": ratios(ens, emp), "ratio_ok": ratio_ok,
-              "ratio_tolerance": ratios(allowance, wa_half[:2])}
+    result = {"mode": mode, "times": t.tolist(), "ratio_analytic": ratios(ens, analytic),
+              "ratio_empirical": ratios(ens, empirical), "ratio_ok": ratio_ok,
+              "ratio_tolerance": ratios(allowance, analytic[:2]), **limit}
 
     residual_ok = True
-    usable = resid > 3.0 * resid_se
+    resolved = residual > 3.0 * residual_se
+    usable = resolved & in_fit
     if np.sum(usable) >= 2:
-        slope, slope_se = _ols_loglog(t[usable], resid[usable])
+        slope, slope_se = _ols_loglog(t[usable], residual[usable])
         threshold = 0.5 - 2.0 * 0.01 - 0.05  # 1/2 - 2 rho - 0.05 at rho = 0.01
         residual_ok = slope >= threshold
         result.update({"residual_exponent": slope, "residual_exponent_se": slope_se,
                        "residual_threshold": threshold, "residual_ok": residual_ok})
     else:
-        result["residual_notes"] = "residuals below Monte Carlo resolution"
+        result["residual_notes"] = ("residuals below Monte Carlo resolution" if np.sum(resolved) < 2 else
+                                    "fewer than 2 times up to fit_time_limit resolve the residual")
     result["verdict"] = "pass" if ratio_ok and residual_ok else "fail"
     return result
 
@@ -621,8 +622,7 @@ def bounds_verdict(cfg, trace: EnstrophyTrace) -> tuple:
     # envelopes.csv: the trace against every evaluated envelope
     fitted = [r for r in reports if "envelope" in r]
     header = ["time", "ens_mean", "ens_se", *(f"envelope_{r['kind']}" for r in fitted), "analytic_wa_var"]
-    columns = [trace.times, trace.ens_mean, trace.ens_se, *(r["envelope"] for r in fitted),
-               2.0 * trace.wa_half_analytic]
+    columns = [trace.times, trace.ens_mean, trace.ens_se, *(r["envelope"] for r in fitted), trace.wa_var_analytic]
     files = {"bounds_report.json": payload,
              "envelopes.csv": (header, list(zip(*(np.asarray(c).tolist() for c in columns))))}
 
@@ -655,7 +655,7 @@ def asymptotics_premise(cfg) -> None:
 
 
 def asymptotics_verdict(cfg, trace: EnstrophyTrace) -> tuple:
-    """General mode fits only the times before the slowest mode relaxes, 1 / (2 |lambda_1 - r|)."""
+    """Both modes fit only the times before the slowest mode relaxes, 1 / (2 |lambda_1 - r|)."""
     mode, delta = cfg.analysis["asymptotics"]["mode"], cfg.analysis["asymptotics"]["delta"]
     ens0 = 0.5 * float(_start_law(cfg, [0.0])[0][0])
     limit = 1.0 / (2.0 * abs(float(cfg.basis.eigenvalues[0]) - cfg.params.r))

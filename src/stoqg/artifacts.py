@@ -21,6 +21,7 @@ import json
 import os
 import tempfile
 import time
+from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
@@ -78,19 +79,12 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_trace(out_dir: Path, trace: EnstrophyTrace) -> None:
-    """Persist the enstrophy trace, with its companion series, as trace.csv and trace.json."""
-    wa_var = 2.0 * trace.wa_half_analytic
-    rows = zip(*(c.tolist() for c in (trace.times, trace.ens_mean, trace.ens_se, wa_var)))
+    """Persist the enstrophy trace: trace.csv holds Ens(t), its SE and the analytic
+    E||W_A(t)||^2, and trace.json every field of the trace under its own name."""
+    columns = (trace.times, trace.ens_mean, trace.ens_se, trace.wa_var_analytic)
+    rows = zip(*(c.tolist() for c in columns))
     write_csv(out_dir / "trace.csv", ["time", "ens_mean", "ens_se", "wa_var_analytic"], rows)
-    write_json(out_dir / "trace.json", {
-        "times": trace.times,
-        "ens_mean": trace.ens_mean,
-        "ens_se": trace.ens_se,
-        "wa_var_analytic": wa_var,
-        "wa_var_empirical": 2.0 * trace.wa_half_empirical,
-        "residual_mean": trace.resid_mean,
-        "n_paths": trace.n_paths,
-    })
+    write_json(out_dir / "trace.json", asdict(trace))
 
 
 # values of the dump formatted per `repr_join` call, in whole rows (at least

@@ -34,8 +34,6 @@ class NoiseSpectrum:
         theta: summability exponent in (0, 1) used by phi_alpha.
         c_mu, mu_exp: generation rule mu_k^2 = c_mu * k^(-mu_exp), or None
             when the spectrum was given as an explicit list.
-        trace_class: whether sum mu_k^2 converges for the untruncated rule
-            (mu_exp > 1; explicit finite lists are trivially summable).
     """
 
     basis: Basis
@@ -43,7 +41,6 @@ class NoiseSpectrum:
     theta: float
     c_mu: float | None = None
     mu_exp: float | None = None
-    trace_class: bool = True
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -58,6 +55,12 @@ class NoiseSpectrum:
     def mu_sq(self) -> np.ndarray:
         return self.mu**2
 
+    @property
+    def trace_class(self) -> bool:
+        """Whether sum mu_k^2 converges for the untruncated rule: c_mu = 0 or mu_exp > 1
+        (an explicit, finite list is trivially summable)."""
+        return self.mu_exp is None or self.c_mu == 0 or self.mu_exp > 1.0
+
 
 class SummabilityError(ParameterError):
     """Raised when a generation rule violates the noise summability condition."""
@@ -68,8 +71,7 @@ def build_spectrum(basis: Basis, c_mu: float, mu_exp: float, theta: float) -> No
 
     Validates the summability surrogate mu_exp > theta (the mode counting
     |lambda_k| ~ c k turns the condition sum mu_k^2 / |lambda_k|^(1-theta)
-    < infinity into mu_exp + (1 - theta) > 1) and flags whether the full,
-    untruncated covariance would be trace-class (mu_exp > 1).
+    < infinity into mu_exp + (1 - theta) > 1).
     """
     if c_mu < 0:
         raise ParameterError("c_mu", f"must be >= 0, got {c_mu}")
@@ -77,8 +79,7 @@ def build_spectrum(basis: Basis, c_mu: float, mu_exp: float, theta: float) -> No
         raise SummabilityError("mu_exp", f"must exceed theta={theta} for summability, got {mu_exp}")
     k = np.arange(1, basis.n_modes + 1, dtype=float)
     mu = np.sqrt(c_mu) * k ** (-mu_exp / 2.0)
-    trace_class = (c_mu == 0) or (mu_exp > 1.0)
-    return NoiseSpectrum(basis, mu, theta, c_mu=c_mu, mu_exp=mu_exp, trace_class=trace_class)
+    return NoiseSpectrum(basis, mu, theta, c_mu=c_mu, mu_exp=mu_exp)
 
 
 def spectrum_from_list(basis: Basis, mu_sq_list, theta: float) -> NoiseSpectrum:
@@ -86,7 +87,7 @@ def spectrum_from_list(basis: Basis, mu_sq_list, theta: float) -> NoiseSpectrum:
     mu_sq = np.asarray(mu_sq_list, dtype=float)
     if np.any(mu_sq < 0):
         raise ParameterError("mu_sq_list", "entries must be nonnegative")
-    return NoiseSpectrum(basis, np.sqrt(mu_sq), theta, trace_class=True)
+    return NoiseSpectrum(basis, np.sqrt(mu_sq), theta)
 
 
 def trace(spec: NoiseSpectrum) -> float:

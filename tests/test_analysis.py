@@ -95,7 +95,7 @@ class TestEstimator:
         )
         records = run_ensemble(cfg, params, spec)
         trace = estimate_enstrophy(records, spec, params.r)
-        dev = np.abs(trace.ens_mean - trace.wa_half_analytic)
+        dev = np.abs(trace.ens_mean - 0.5 * trace.wa_var_analytic)
         assert np.all(dev <= 3.0 * np.maximum(trace.ens_se, 1e-300))
 
     def test_se_shrinks_with_sqrt_paths(self):
@@ -116,7 +116,7 @@ class TestEstimator:
            n_times=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
     def test_bits_of_mean_and_std(self, sizes, n_times, seed):
         # n = 2 and a single batch included; each estimate has the bits of numpy's
-        # mean and std(ddof=1) of the concatenated (halved) series
+        # mean and std(ddof=1) of the concatenated series, omega_sq's halved
         rng = np.random.default_rng(seed)
         times = np.arange(n_times, dtype=float)
         records, lo = [], 0
@@ -130,8 +130,8 @@ class TestEstimator:
                           for name in ("omega_sq", "wa_sq", "u_sq"))
         scale = np.sqrt(lo)
         want = {"ens_mean": (0.5 * ens).mean(axis=0), "ens_se": (0.5 * ens).std(axis=0, ddof=1) / scale,
-                "wa_half_empirical": (0.5 * wa).mean(axis=0), "resid_mean": resid.mean(axis=0),
-                "resid_se": resid.std(axis=0, ddof=1) / scale}
+                "wa_var_empirical": wa.mean(axis=0), "residual_mean": resid.mean(axis=0),
+                "residual_se": resid.std(axis=0, ddof=1) / scale}
         for name, value in want.items():
             assert getattr(trace, name).tobytes() == value.tobytes(), name
 
@@ -146,8 +146,9 @@ class TestEstimator:
                                           names=SERIES, series=series))
             lo += size
         trace = estimate_enstrophy(records, TINY_SPECTRUM, 0.1)
-        for name, mean, se, half in (("omega_sq", "ens_mean", "ens_se", 0.5), ("u_sq", "resid_mean", "resid_se", 1.0),
-                                     ("wa_sq", "wa_half_empirical", None, 0.5)):
+        for name, mean, se, half in (("omega_sq", "ens_mean", "ens_se", 0.5),
+                                     ("u_sq", "residual_mean", "residual_se", 1.0),
+                                     ("wa_sq", "wa_var_empirical", None, 1.0)):
             series = half * np.concatenate([r[name] for r in records])
             assert getattr(trace, mean).tobytes() == series.mean(axis=0).tobytes(), name
             if se is not None:
@@ -166,7 +167,8 @@ class TestEstimator:
                                           names=SERIES, series=series))
             lo += size
         trace = estimate_enstrophy(records, TINY_SPECTRUM, 0.1)
-        for name, mean, se, half in (("omega_sq", "ens_mean", "ens_se", 0.5), ("u_sq", "resid_mean", "resid_se", 1.0)):
+        for name, mean, se, half in (("omega_sq", "ens_mean", "ens_se", 0.5),
+                                     ("u_sq", "residual_mean", "residual_se", 1.0)):
             column = half * np.concatenate([r[name] for r in records])
             assert np.cumsum(column)[-1] != column.sum()  # the order of the sum shows in the bits
             assert getattr(trace, mean).tobytes() == column.mean(axis=0).tobytes(), name
@@ -479,10 +481,10 @@ class TestAsymptotics:
         ratios = np.asarray(result["ratio_empirical"])
         np.testing.assert_allclose(ratios, 1.0, rtol=1e-12)
         # the analytic ratio divides by the trace's companion, at the solver's rates
-        assert result["ratio_analytic"] == (trace.ens_mean[1:] / trace.wa_half_analytic[1:]).tolist()
+        assert result["ratio_analytic"] == (trace.ens_mean[1:] / (0.5 * trace.wa_var_analytic[1:])).tolist()
         # the 5% band widens to 3 exact SE of the companion where the ensemble is too small for it
-        companion = trace.wa_half_analytic[1:3]
-        allowance = np.maximum(0.05 * companion, 3.0 * trace.wa_half_se[1:3])
+        companion = 0.5 * trace.wa_var_analytic[1:3]
+        allowance = np.maximum(0.05 * companion, 3.0 * (0.5 * trace.wa_var_analytic_se[1:3]))
         assert result["ratio_tolerance"] == (allowance / companion).tolist()
         assert min(result["ratio_tolerance"]) > 0.05
         assert "notes" not in result

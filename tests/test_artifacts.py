@@ -5,14 +5,16 @@ import json
 import os
 import stat
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stoqg import Basis, EnstrophyTrace, ModelParams, SimConfig, build_spectrum, estimate_enstrophy, run_ensemble
 from stoqg._ryu import repr_join
-from stoqg.artifacts import _numpy_to_python, write_csv, write_json, write_trajectories
+from stoqg.artifacts import _numpy_to_python, write_csv, write_json, write_trace, write_trajectories
 from stoqg.dynamics import SERIES, EnsembleRecord
 
 
@@ -92,6 +94,26 @@ class TestStreamedJson:
             write_json(target, {"a": np.arange(3.0), "b": object()})
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+class TestTraceJson:
+    @pytest.mark.parametrize("linearized, n_series", [(True, 1), (False, 3)], ids=["one-state", "two-state"])
+    def test_every_field_reads_back_with_its_bits(self, tmp_path, linearized, n_series):
+        # trace.json holds every field of the trace under its own name, floats by repr,
+        # so a run's files rebuild the estimator's trace bit for bit
+        spec = build_spectrum(Basis(4, 1.0), 1.0, 2.0, 0.1)
+        params = ModelParams(nu=1.0, r=0.1, beta=0.0, linearized=linearized, beta_term=False)
+        cfg = SimConfig(M=4, dt=0.01, T=0.1, output_times=np.round(np.arange(11) * 0.01, 10),
+                        n_paths=6, master_seed=7)
+        records = run_ensemble(cfg, params, spec)
+        assert len(records[0].names) == n_series
+        trace = estimate_enstrophy(records, spec, params.r)
+        write_trace(tmp_path, trace)
+        doc = json.loads((tmp_path / "trace.json").read_text())
+        assert doc.keys() == {f.name for f in fields(EnstrophyTrace)}
+        assert doc["n_paths"] == trace.n_paths
+        for name in doc.keys() - {"n_paths"}:
+            assert np.array(doc[name]).tobytes() == getattr(trace, name).tobytes(), name
 
 
 def repr_oracle(values: np.ndarray) -> str:

@@ -807,7 +807,8 @@ class TestVerifyLinearCommand:
 
         unit, scaled = trace(1.0), trace(2.0**h)
         assert all(se > 0 for se in unit["ens_se"][1:])
-        for key in ("ens_mean", "ens_se", "residual_mean", "wa_var_empirical", "wa_var_analytic"):
+        for key in ("ens_mean", "ens_se", "residual_mean", "residual_se", "wa_var_empirical", "wa_var_analytic",
+                    "wa_var_analytic_se"):
             assert scaled[key] == [np.ldexp(v, h) for v in unit[key]], key
 
     @pytest.mark.parametrize("c_mu", [1e-170, 1e300])
@@ -1190,6 +1191,20 @@ class TestAsymptoticsCommand:
         report = json.loads((tmp_path / "run" / "asymptotics_report.json").read_text())
         assert report["ratio_ok"] == (code == 0)
         assert min(report["ratio_tolerance"]) > 0.05
+
+    def test_zero_mode_fits_the_residual_before_relaxation(self, tmp_path):
+        # nl16_pool's physics at M=8 and 16 paths: every output (0.05 to 1) lies past the
+        # slowest mode's relaxation time 1 / (2 |lambda_1 - r|) = 0.0252, where the residual
+        # saturates; its exponent, fitted there, once failed correct runs at every seed (exit 6)
+        for seed in range(1, 6):
+            cfg = perfbench_document("nl16_pool", seed)
+            cfg["sim"].update(M=8, n_paths=16)
+            cfg["analysis"]["asymptotics"] = {"mode": "zero"}
+            cfg["io"]["out_dir"] = str(tmp_path / f"run{seed}")
+            assert main(["asymptotics", "--config", write_config(tmp_path, cfg)]) == 0, seed
+            report = json.loads((tmp_path / f"run{seed}" / "asymptotics_report.json").read_text())
+            assert report["fit_time_limit"] == pytest.approx(0.0252, abs=1e-4)
+            assert report["residual_notes"] == "fewer than 2 times up to fit_time_limit resolve the residual"
 
     def test_general_mode_deterministic(self, tmp_path):
         out = tmp_path / "run"

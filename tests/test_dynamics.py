@@ -274,8 +274,8 @@ class TestLinearExactness:
         records = run_ensemble(small_config(), linear_params(), spec)
         assert records[0].names == ("omega_sq",)  # one state: omega is W_A
         trace = estimate_enstrophy(records, spec, 0.1)
-        np.testing.assert_array_equal(trace.ens_mean, trace.wa_half_empirical)
-        assert np.max(trace.resid_mean) == 0.0
+        np.testing.assert_array_equal(trace.ens_mean, 0.5 * trace.wa_var_empirical)
+        assert np.max(trace.residual_mean) == 0.0
 
     def test_zero_spectrum_zero_ic_stays_zero(self):
         b = Basis(4, 1.0)
@@ -364,8 +364,8 @@ class TestDeterminism:
             np.testing.assert_array_equal(joined(batched, name), joined(single, name), err_msg=name)
         want = estimate_enstrophy(single, spec, params.r)
         got = estimate_enstrophy(batched, spec, params.r)
-        for name in ("times", "ens_mean", "ens_se", "wa_half_empirical", "wa_half_analytic",
-                     "resid_mean", "resid_se"):
+        for name in ("times", "ens_mean", "ens_se", "wa_var_empirical", "wa_var_analytic",
+                     "residual_mean", "residual_se"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
         assert got.n_paths == want.n_paths == 10
 
@@ -528,7 +528,7 @@ class TestOneState:
         three = [EnsembleRecord(rec.path_index, rec.times, SERIES, np.stack([ref_rec[n] for n in SERIES]))
                  for rec, ref_rec in zip(records, want)]
         got, expected = (estimate_enstrophy(r, spec, params.r) for r in (records, three))
-        for name in ("ens_mean", "ens_se", "wa_half_empirical", "resid_mean", "resid_se"):
+        for name in ("ens_mean", "ens_se", "wa_var_empirical", "residual_mean", "residual_se"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
     def test_one_state_from_rest_is_its_companion_bit_for_bit(self):

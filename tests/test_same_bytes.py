@@ -39,11 +39,28 @@ def test_lists_each_differing_file(tmp_path):
         (side / "trace.json").write_text(last)
         (side / "linear_report.json").write_text(json.dumps({"verdict": "pass", "worst_z": float(var)}))
     (left / "report.json").write_text("{}")
+    (right / "linear_report.json").write_text(json.dumps({"verdict": "pass", "worst_z": 1.5, "z_threshold": 4.5}))
     # the manifests differ only in wall_time_s; a CSV is named by the columns that
-    # differ and a JSON object by its top-level keys, other files as a whole
-    assert tool.differing(left, right) == ["linear_report.json[worst_z]", "report.json",
-                                           "trace.csv[wa_var_analytic]", "trace.json"]
+    # differ and a JSON object by its top-level keys, each with the largest relative
+    # move of its numbers or the side that alone has it, other files as a whole
+    assert tool.differing(left, right) == ["linear_report.json[worst_z] (max rel 3.3e-01)",
+                                           "linear_report.json[z_threshold] (only in change)",
+                                           "report.json (only in parent)",
+                                           "trace.csv[wa_var_analytic] (max rel 3.3e-01)", "trace.json"]
     (right / "manifest.json").write_text(json.dumps({"config_sha256": "y", "wall_time_s": 2.0}))
     (right / "trace.csv").write_text("time,ens_mean\n0.0,0.0\n0.1,2.0\n")  # another header
-    assert tool.differing(left, right) == ["linear_report.json[worst_z]", "manifest.json[config_sha256]",
-                                           "report.json", "trace.csv", "trace.json"]
+    assert tool.differing(left, right) == ["linear_report.json[worst_z] (max rel 3.3e-01)",
+                                           "linear_report.json[z_threshold] (only in change)",
+                                           "manifest.json[config_sha256]", "report.json (only in parent)",
+                                           "trace.csv", "trace.json"]
+
+
+def test_how_far_a_value_moved():
+    tool = load_tool()
+    # |a - b| / max(|a|, |b|) over the paired numbers: equal NaNs do not move, and a move
+    # to an infinity is infinite; '' where the values do not pair up as numbers
+    assert tool.how_far({"a": [1.0, -2.0]}, {"a": [1.0, -3.0]}) == " (max rel 3.3e-01)"
+    assert tool.how_far(("nan", "0.0", "1e308"), ("nan", "-0.0", "-1e308")) == " (max rel 2.0e+00)"
+    assert tool.how_far(("1.0",), ("inf",)) == " (max rel inf)"
+    for a, b in (([1.0], [1.0, 2.0]), ({"a": 1.0}, {"b": 1.0}), (True, False), (None, 1.0), ("x", "y")):
+        assert tool.how_far(a, b) == "", (a, b)

@@ -21,7 +21,11 @@ codes and stdout, and for a failing case the last stderr line (its one-line
 message) up to its second `:`, the key of a config error. Each case prints
 one line, and every file or stream that differs is listed, a CSV by each
 column and a JSON object by each top-level key whose values differ (as
-`trace.csv[wa_var_analytic]`); the exit code is 1 if anything differs.
+`trace.csv[wa_var_analytic]`). A file, column or key that one side lacks
+says `(only in parent)` or `(only in change)`; a column or key whose values
+all parse as numbers on both sides gives its largest relative move
+|a - b| / max(|a|, |b|), as `(max rel 3.3e-01)`. The exit code is 1 if
+anything differs.
 `--tiny` runs the workloads' tiny sizes, in a few seconds.
 """
 
@@ -31,6 +35,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -71,11 +76,45 @@ def run(checkout: Path, command: str, config: Path, workers: int, blas_threads: 
     return done.returncode, done.stdout, b":".join(last[0].split(b":")[:2]) if last else b""
 
 
+def relative_move(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|): 0 where the two are equal (or both NaN), inf where a NaN or
+    an infinity moved."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    scale = max(abs(a), abs(b))
+    return abs(a / scale - b / scale)
+
+
+def paired(a, b) -> list[tuple]:
+    """The scalars of two JSON values (or two CSV columns) paired by position; ValueError
+    where their shapes differ or a scalar is JSON's true or false, which is no number."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [pair for key in a for pair in paired(a[key], b[key])]
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)) and len(a) == len(b):
+        return [pair for x, y in zip(a, b) for pair in paired(x, y)]
+    if any(isinstance(x, (dict, list, tuple, bool)) for x in (a, b)):
+        raise ValueError("the values do not pair up as numbers")
+    return [(a, b)]
+
+
+def how_far(a, b) -> str:
+    """` (max rel 3.3e-01)`, the largest relative move between two values whose scalars pair
+    up and all parse as numbers; else ''."""
+    try:
+        moves = [relative_move(float(x), float(y)) for x, y in paired(a, b)]
+    except (TypeError, ValueError):
+        return ""
+    return f" (max rel {max(moves, default=0.0):.1e})"
+
+
 def inside(a: Path, b: Path) -> list[str]:
-    """What differs between two files of one name: `name[column]` for each CSV column and
-    `name[key]` for each top-level key of a JSON object whose values differ, a manifest's
-    wall_time_s aside; `name` alone where the files do not split alike (other headers,
-    row counts or JSON types) or differ only in their layout."""
+    """What differs between the parent's file `a` and the change's `b` of one name:
+    `name[column]` for each CSV column and `name[key]` for each top-level key of a JSON
+    object whose values differ, a manifest's wall_time_s aside, each with its suffix
+    (see the module's doc); `name` alone where the files do not split alike (other
+    headers, row counts or JSON types) or differ only in their layout."""
     name = a.name
     try:
         texts = [p.read_text(encoding="utf-8") for p in (a, b)]
@@ -83,8 +122,8 @@ def inside(a: Path, b: Path) -> list[str]:
             tables = [list(csv.reader(io.StringIO(text))) for text in texts]
             if tables[0][:1] == tables[1][:1] and len(tables[0]) == len(tables[1]):
                 columns = [list(zip(*table)) for table in tables]
-                found = [col[0] for col, other in zip(*columns) if col != other]
-                return [f"{name}[{column}]" for column in found] or [name]
+                return [f"{name}[{col[0]}]{how_far(col[1:], other[1:])}"
+                        for col, other in zip(*columns) if col != other] or [name]
         elif name.endswith(".json"):
             docs = [json.loads(text) for text in texts]
             if all(isinstance(doc, dict) for doc in docs):
@@ -93,22 +132,26 @@ def inside(a: Path, b: Path) -> list[str]:
                         doc.pop("wall_time_s", None)
                 values = [{key: json.dumps(value, sort_keys=True) for key, value in doc.items()}
                           for doc in docs]
-                found = [key for key in sorted(values[0].keys() | values[1].keys())
+                found = [f"{name}[{key}]" + (" (only in change)" if key not in docs[0] else
+                                             " (only in parent)" if key not in docs[1] else
+                                             how_far(docs[0][key], docs[1][key]))
+                         for key in sorted(values[0].keys() | values[1].keys())
                          if values[0].get(key) != values[1].get(key)]
-                return [f"{name}[{key}]" for key in found] or ([] if name == "manifest.json" else [name])
+                return found or ([] if name == "manifest.json" else [name])
     except (ValueError, csv.Error):  # not UTF-8, not JSON, not CSV
         pass
     return [name]
 
 
 def differing(left: Path, right: Path) -> list[str]:
-    """What differs between two output directories: files, or the columns or keys inside them."""
+    """What differs between the parent's output directory and the change's: files, or the
+    columns or keys inside them."""
     names = sorted({p.name for p in left.iterdir()} | {p.name for p in right.iterdir()})
     out = []
     for name in names:
         a, b = left / name, right / name
         if not (a.is_file() and b.is_file()):
-            out.append(name)
+            out.append(f"{name} (only in {'parent' if a.is_file() else 'change'})")
         elif name == "manifest.json" or a.read_bytes() != b.read_bytes():
             out += inside(a, b)
     return out
