@@ -387,16 +387,10 @@ def holder_pairs(times: np.ndarray, window, lags) -> tuple[np.ndarray, np.ndarra
 
     pairs = []
     for h in lags:
-        targets = times + h
-        j = np.searchsorted(times, targets)
-        j = np.clip(j, 0, len(times) - 1)
-        ok = np.abs(times[j] - targets) <= 1e-6 * max(h, 1e-300)
-        # searchsorted returns the left insertion point; the match may sit one
-        # slot earlier for exact grid values
-        jm = np.clip(j - 1, 0, len(times) - 1)
-        ok_m = np.abs(times[jm] - targets) <= 1e-6 * max(h, 1e-300)
-        j = np.where(ok, j, jm)
-        ok = ok | ok_m
+        tol = 1e-6 * max(h, 1e-300)
+        # the first output time at or past t + h - tol, kept where it lies within tol of t + h
+        j = np.minimum(np.searchsorted(times, times + (h - tol)), len(times) - 1)
+        ok = np.abs(times[j] - (times + h)) <= tol
         if not np.any(ok):
             raise ParameterError("lags", f"include {h:g}, which no output-time pair inside the window realizes")
         pairs.append((np.flatnonzero(ok), j[ok]))
@@ -660,5 +654,6 @@ def asymptotics_verdict(cfg, trace: EnstrophyTrace) -> tuple:
     ens0 = 0.5 * float(_start_law(cfg, [0.0])[0][0])
     limit = 1.0 / (2.0 * abs(float(cfg.basis.eigenvalues[0]) - cfg.params.r))
     result = asymptotics_check(trace, mode, delta, ens0=ens0, fit_time_limit=limit)
-    verdict = result["verdict"]
-    return verdict, f"asymptotics[{mode}]: {verdict}", {"asymptotics_report.json": result}, None
+    verdict, notes = result["verdict"], result.get("residual_notes")
+    summary = f"asymptotics[{mode}]: {verdict}" + (f" (residual not judged: {notes})" if notes else "")
+    return verdict, summary, {"asymptotics_report.json": result}, None

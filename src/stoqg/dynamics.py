@@ -196,9 +196,7 @@ class EnsembleRecord:
     0, so its records name omega_sq alone. The coefficient snapshots,
     (n_paths, n_out, M^2), are kept only when the run stores fields; other
     quadratic diagnostics, such as ||grad omega||^2, come from them.
-    `failures` holds a (path, time) pair for each path with a nonfinite
-    series (a nonfinite coefficient or an overflowing norm), at the first
-    such output time.
+    A batch reports no blowup: `run_ensemble` finds one in the series.
     """
 
     path_index: np.ndarray
@@ -206,7 +204,6 @@ class EnsembleRecord:
     names: tuple[str, ...]
     series: np.ndarray
     fields: np.ndarray | None = None
-    failures: list[tuple[int, float]] = field(default_factory=list)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.series[self.names.index(name)]
@@ -408,9 +405,8 @@ def _simulate_batch(
         series=series,
         fields=np.empty((B, n_out, K)) if config.store_fields else None,
     )
-    failed_at = [None] * B
 
-    def record(slot: int, t: float):
+    def record(slot: int):
         np.square(a, out=squares[0])
         if v is not None:
             np.square(np.subtract(a, v, out=squares[1]), out=squares[1])
@@ -418,20 +414,13 @@ def _simulate_batch(
         np.add.reduce(squares, axis=2, out=series[:, :, slot])
         if rec.fields is not None:
             rec.fields[:, slot] = a
-        # a path fails where a series it reduced is not finite: an overflowing norm,
-        # or a nonfinite coefficient, whose square is nonfinite too
-        finite = np.isfinite(series[:, :, slot])
-        if not finite.all():
-            for b in np.flatnonzero(~finite.all(axis=0)):
-                if failed_at[b] is None:
-                    failed_at[b] = t
 
     block = max(1, _BLOCK_VALUES // (B * K))
     eta_block = np.empty((B, min(block, n_steps), K))
-    # a state that overflows is a nonfinite series, which `record` turns into a failure
+    # a state that overflows is a nonfinite series, which `run_ensemble` reports as a blowup
     with np.errstate(over="ignore", invalid="ignore"):
         if 0 in slot_of:
-            record(slot_of[0], 0.0)
+            record(slot_of[0])
         for first in range(1, n_steps + 1, block):
             n = min(block, n_steps + 1 - first)
             for rng, rows in zip(noise_rngs, eta_block):
@@ -443,9 +432,7 @@ def _simulate_batch(
                 if v is not None:
                     stepper.propagate(v, eta)
                 if s in slot_of:
-                    record(slot_of[s], s * config.dt)
-
-    rec.failures = [(int(p), t) for p, t in zip(path_indices, failed_at) if t is not None]
+                    record(slot_of[s])
     return rec
 
 
@@ -468,7 +455,8 @@ def run_ensemble(
 
     Paths are grouped into batches of config.batch_size; the grouping depends
     only on the configuration, so any worker count produces bit-identical
-    results. Raises BlowupError listing every failing path, and WorkerError
+    results. Raises BlowupError listing, in path order, each path whose record
+    holds a nonfinite series with the first such output time, and WorkerError
     when a pool worker dies.
     """
     _check_basis(config, params, spectrum)
@@ -490,7 +478,12 @@ def run_ensemble(
             raise WorkerError(str(err)) from err
     else:
         records = list(map(_simulate_batch, *columns))
-    failures = [failure for rec in records for failure in rec.failures]
+    steps = config.output_steps()
+    failures = []
+    for rec in records:
+        bad = ~np.isfinite(rec.series).all(axis=0)  # (n_paths, n_out)
+        failures += [(int(rec.path_index[b]), float(steps[bad[b].argmax()] * config.dt))
+                     for b in np.flatnonzero(bad.any(axis=1))]
     if failures:
         raise BlowupError(failures)
     return records

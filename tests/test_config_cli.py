@@ -1192,10 +1192,11 @@ class TestAsymptoticsCommand:
         assert report["ratio_ok"] == (code == 0)
         assert min(report["ratio_tolerance"]) > 0.05
 
-    def test_zero_mode_fits_the_residual_before_relaxation(self, tmp_path):
+    def test_zero_mode_fits_the_residual_before_relaxation(self, tmp_path, capsys):
         # nl16_pool's physics at M=8 and 16 paths: every output (0.05 to 1) lies past the
         # slowest mode's relaxation time 1 / (2 |lambda_1 - r|) = 0.0252, where the residual
-        # saturates; its exponent, fitted there, once failed correct runs at every seed (exit 6)
+        # saturates; its exponent, fitted there, once failed correct runs at every seed (exit 6).
+        # The summary line says the residual went unjudged, not a bare pass
         for seed in range(1, 6):
             cfg = perfbench_document("nl16_pool", seed)
             cfg["sim"].update(M=8, n_paths=16)
@@ -1205,6 +1206,8 @@ class TestAsymptoticsCommand:
             report = json.loads((tmp_path / f"run{seed}" / "asymptotics_report.json").read_text())
             assert report["fit_time_limit"] == pytest.approx(0.0252, abs=1e-4)
             assert report["residual_notes"] == "fewer than 2 times up to fit_time_limit resolve the residual"
+            assert capsys.readouterr().out == ("asymptotics[zero]: pass (residual not judged: fewer than 2 "
+                                               "times up to fit_time_limit resolve the residual)\n")
 
     def test_general_mode_deterministic(self, tmp_path):
         out = tmp_path / "run"

@@ -22,10 +22,11 @@ def test_checkout_against_itself_is_the_same():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 11 and all(line.endswith(": same") for line in lines), lines
-    # the last two cases fail their premise: exit 2, before any path runs
+    assert len(lines) == 13 and all(line.endswith(": same") for line in lines), lines
+    # two cases fail their premise: exit 2, before any path runs; the last two blow up
     assert all("exit 0," in line for line in lines[:9]), lines
-    assert all("exit 2, 0 files" in line for line in lines[9:]), lines
+    assert all("exit 2, 0 files" in line for line in lines[9:11]), lines
+    assert all("exit 3, 1 files" in line for line in lines[11:]), lines
     assert lines[8].startswith("verify-linear-lin16_dense+c1-w1 (exit 0, 4 files)"), lines
 
 

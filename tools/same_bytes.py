@@ -13,7 +13,11 @@ lin16_dense's config, `bounds` and `holder` on nl16_pool's, and
 {1, 2, 3, 5, 10} h, h the output spacing, which no workload sets. Two more
 cases fail their premise and run
 no ensemble: `verify-linear` on nl16_pool's config (not linearized) and
-`holder` on lin16_dense's (no holder section). The configs come from this
+`holder` on lin16_dense's (no holder section). The last two blow up, exit 3:
+`simulate` at 1 and 2 workers on nl16_pool's config from 1e100 on every
+seventh mode, with T = 0.02, 5 outputs and 8 paths in 2 batches (workload
+`nl16_pool+blowup`, the same at both sizes); every path fails at t = 0.005,
+and `manifest.json` lists the failures. The configs come from this
 script's checkout. Both sides write to the same output path, one after the
 other, so their manifests hash the same config. Every file is compared byte
 for byte, and `manifest.json` without its `wall_time_s`; so are the exit
@@ -50,12 +54,14 @@ CASES = (("simulate", "nl16_pool", 1), ("simulate", "nl16_pool", 2), ("simulate"
          ("simulate", "nl32_dump", 1), ("verify-linear", "lin16_dense", 1),
          ("asymptotics", "lin16_dense", 1), ("bounds", "nl16_pool", 1), ("holder", "nl16_pool", 1),
          ("verify-linear", "lin16_dense+c1", 1), ("verify-linear", "nl16_pool", 1),
-         ("holder", "lin16_dense", 1))
+         ("holder", "lin16_dense", 1), ("simulate", "nl16_pool+blowup", 1),
+         ("simulate", "nl16_pool+blowup", 2))
 MAIN = "import sys; from stoqg.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def documents(tiny: bool) -> dict[str, dict]:
-    """Each workload's config document at seed 1, and lin16_dense's from every c_k = 1."""
+    """Each workload's config document at seed 1, lin16_dense's from every c_k = 1, and
+    nl16_pool's blowup: 1e100 on every seventh mode, 8 paths in batches of 4 to T = 0.02."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from workloads import WORKLOADS
 
@@ -63,6 +69,11 @@ def documents(tiny: bool) -> dict[str, dict]:
     docs["lin16_dense+c1"] = json.loads(json.dumps(docs["lin16_dense"]))
     sim = docs["lin16_dense+c1"]["sim"]
     sim["initial_condition"] = {"type": "coeffs", "values": [1.0] * sim["M"] ** 2}
+    docs["nl16_pool+blowup"] = json.loads(json.dumps(docs["nl16_pool"]))
+    sim = docs["nl16_pool+blowup"]["sim"]
+    sim.update(T=0.02, output_times={"kind": "uniform", "n": 5}, n_paths=8, batch_size=4,
+               initial_condition={"type": "coeffs",
+                                  "values": [0.0 if k % 7 else 1e100 for k in range(sim["M"] ** 2)]})
     return docs
 
 
